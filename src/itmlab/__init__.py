@@ -35,6 +35,7 @@ from .itm import (
     parse_map,
     validate,
 )
+from .kernel import NestingViolatedError, OffGridError
 from .attractor import (
     AttractorResult,
     NotFiniteTypeError,

@@ -8,11 +8,14 @@ is reached, and nested equal-measure unions of half-open intervals coincide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import EMPTY, IntervalSet, Pair, canonicalize, interval
+from . import kernel
+from .intervals import IntervalSet, Pair, interval
 from .itm import ItmMap
+from .kernel import IntPair
 
 HISTORY_CAP = 16
 
@@ -50,32 +53,32 @@ class AttractorResult:
         return self.X.components()
 
 
+def _to_grid(m: ItmMap, s: IntervalSet) -> tuple[kernel.Grid, list[IntPair]]:
+    """The map's integer grid refined to hold every endpoint of ``s``."""
+    denom = math.lcm(m.Q, *(x.denominator for pair in s.intervals for x in pair))
+    return m.grid.refined(denom), [
+        (kernel.on_grid(l, denom), kernel.on_grid(r, denom)) for l, r in s.intervals
+    ]
+
+
 def image(m: ItmMap, s: IntervalSet) -> IntervalSet:
     """Exact T(S): split each interval at interior discontinuities, translate
     each piece by its branch, canonicalize."""
-    pieces: list[Pair] = []
-    cuts = m.cuts()
-    for l, r in s.intervals:
-        for i in range(1, m.r + 1):
-            lo = max(l, cuts[i - 1])
-            hi = min(r, cuts[i])
-            if lo < hi:
-                g = m.gamma[i - 1]
-                pieces.append((lo + g, hi + g))
-    return canonicalize(pieces)
+    grid, pairs = _to_grid(m, s)
+    return kernel.to_interval_set(kernel.image(grid, pairs), grid.denom)
 
 
 def orbit_closure(m: ItmMap, s: IntervalSet, cap: int | None = None) -> IntervalSet:
     """Union of all forward images of ``s`` (stabilizes for finite-type input)."""
     if cap is None:
         cap = 2 * m.Q * (m.r + 1)
-    total = s
-    cur = s
+    grid, total = _to_grid(m, s)
+    cur = total
     for _ in range(cap):
-        cur = image(m, cur)
-        nxt = total.union(cur)
+        cur = kernel.image(grid, cur)
+        nxt = kernel.merge(total + cur)
         if nxt == total:
-            return total
+            return kernel.to_interval_set(total, grid.denom)
         total = nxt
     raise NotFiniteTypeError("orbit union did not stabilize within the cap")
 
@@ -83,19 +86,22 @@ def orbit_closure(m: ItmMap, s: IntervalSet, cap: int | None = None) -> Interval
 def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult:
     """Iterate X_{n+1} = T(X_n) from [0,1) until exact equality.
 
-    The default cap is Q, which the finite-type termination bound makes
-    unreachable; a lower user cap yields ``infinite_type_suspected``.
+    The iteration runs on the map's integer grid; every step is checked to
+    nest inside the previous one. The default cap is Q, which the
+    finite-type termination bound makes unreachable; a lower user cap yields
+    ``infinite_type_suspected``.
     """
     if max_iter is None:
         max_iter = m.Q
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    cur = interval(0, 1)
+    grid = m.grid
+    cur: list[IntPair] = [(0, grid.denom)]
     history = [cur]
     step: int | None = None
     for n in range(max_iter):
-        nxt = image(m, cur)
-        assert nxt.issubset(cur), "nesting X_{n+1} <= X_n violated"
+        nxt = kernel.image(grid, cur)
+        kernel.check_nested(nxt, cur)
         if nxt == cur:
             step = n
             break
@@ -105,10 +111,10 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
     inside: list[tuple[int, int]] = []
     outside: list[int] = []
     boundary: list[int] = []
-    for i, b in enumerate(m.beta, start=1):
+    for i, b in enumerate(grid.cuts[1:-1], start=1):
         comp = None
         on_boundary = False
-        for k, (l, r) in enumerate(cur.intervals, start=1):
+        for k, (l, r) in enumerate(cur, start=1):
             if b == l or b == r:
                 on_boundary = True
                 break
@@ -122,10 +128,10 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
         else:
             outside.append(i)
     return AttractorResult(
-        X=cur,
+        X=kernel.to_interval_set(cur, grid.denom),
         stabilization_step=step,
         infinite_type_suspected=step is None,
-        X_history=tuple(history),
+        X_history=tuple(kernel.to_interval_set(h, grid.denom) for h in history),
         discontinuities_inside=tuple(inside),
         discontinuities_outside=tuple(outside),
         boundary_hits=tuple(boundary),
@@ -147,9 +153,10 @@ def nonwandering_witness(
     u = interval(lo, hi)
     if u.is_empty():
         raise ValueError("neighbourhood does not meet [0, 1)")
-    cur = u
+    grid, cur = _to_grid(m, u)
+    (ul, ur), = cur
     for n in range(1, horizon + 1):
-        cur = image(m, cur)
-        if not cur.intersection(u).is_empty():
+        cur = kernel.image(grid, cur)
+        if any(l < ur and ul < r for l, r in cur):
             return n
     return None

@@ -53,6 +53,12 @@ def _load(path: str) -> tuple[ItmMap, str]:
     return parse_map(doc), input_digest(raw)
 
 
+def _max_iter(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"max_iter >= 1 required, got {text!r}")
+    return int(text)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -193,7 +199,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full pipeline, JSON report")
     p.add_argument("file")
     p.add_argument("--out")
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=_max_iter, default=None)
     p.add_argument("--json-only", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
@@ -212,7 +218,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kind", choices=("map", "orbit"), default="map")
     p.add_argument("--component", type=int, default=1)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=_max_iter, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_render)
 

@@ -170,20 +170,25 @@ class IntervalSet:
         return canonicalize(out)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
+        """One two-pointer pass: ``j`` skips the intervals of ``other`` that
+        end before the current interval of ``self`` starts."""
         out: list[Pair] = []
+        b = other.intervals
+        j = 0
         for l, r in self.intervals:
+            while j < len(b) and b[j][1] <= l:
+                j += 1
             cur = l
-            for bl, br in other.intervals:
-                if br <= cur or bl >= r:
-                    continue
+            k = j
+            while k < len(b) and b[k][0] < r:
+                bl, br = b[k]
                 if bl > cur:
                     out.append((cur, bl))
                 cur = max(cur, br)
-                if cur >= r:
-                    break
+                k += 1
             if cur < r:
                 out.append((cur, r))
-        return canonicalize(out)
+        return IntervalSet(tuple(out))
 
     def __str__(self) -> str:
         if not self.intervals:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .intervals import MINUS, PLUS, SignedPoint, parse_rational
+from .intervals import SignedPoint, parse_rational
+from .kernel import Grid, branch_rule
 
 
 class BadOrderError(ValueError):
@@ -38,29 +39,34 @@ class MapFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ItmMap:
-    """Validated interval translation map with cached grid denominator Q."""
+    """Validated interval translation map with cached grid denominator Q.
+
+    ``grid`` holds the cuts and translations as integer numerators over Q,
+    computed once here for the integer kernel.
+    """
 
     r: int
     beta: tuple[Fraction, ...]
     gamma: tuple[Fraction, ...]
     Q: int
     image_compactly_contained: bool
+    _cuts: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    grid: Grid = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        cuts = (Fraction(0),) + self.beta + (Fraction(1),)
+        object.__setattr__(self, "_cuts", cuts)
+        object.__setattr__(self, "grid", Grid.of(cuts, self.gamma, self.Q))
 
     def cuts(self) -> tuple[Fraction, ...]:
         """beta_0 = 0, beta_1, ..., beta_{r-1}, beta_r = 1."""
-        return (Fraction(0),) + self.beta + (Fraction(1),)
+        return self._cuts
 
     # -- signed dynamics -------------------------------------------------
 
     def branch_of(self, p: SignedPoint) -> int:
         """Branch index in 1..r; '+' points use [b_{i-1}, b_i), '-' use (b_{i-1}, b_i]."""
-        cuts = self.cuts()
-        for i in range(1, self.r + 1):
-            if p.side == PLUS and cuts[i - 1] <= p.value < cuts[i]:
-                return i
-            if p.side == MINUS and cuts[i - 1] < p.value <= cuts[i]:
-                return i
-        raise AssertionError(f"no branch for {p}")
+        return branch_rule(p.side)(self._cuts, p.value)
 
     def step(self, p: SignedPoint) -> SignedPoint:
         """One application of T; translation preserves the side tag."""

@@ -23,6 +23,7 @@ from typing import Iterable
 from .attractor import AttractorResult, NotFiniteTypeError, compute_attractor
 from .intervals import MINUS, PLUS, Pair, SignedPoint
 from .itm import ItmMap
+from .kernel import Grid, IntPair, branch_rule, on_grid, split
 
 IDENTITY = "identity"
 ROTATION_LIKE = "rotation_like"
@@ -100,27 +101,28 @@ class ReturnMapData:
         raise KeyError(j)
 
 
-def _signed_in(J: Pair, p: SignedPoint) -> bool:
-    l, r = J
-    if p.side == PLUS:
-        return l <= p.value < r
-    return l < p.value <= r
-
-
-def _signed_chain(m: ItmMap, J: Pair, j: int, side: str, start: Fraction, cap: int) -> SignedChain:
-    beta_index = {b: i + 1 for i, b in enumerate(m.beta)}
-    p = SignedPoint(start, side)
+def _signed_chain(
+    grid: Grid, beta_index: dict[int, int], J: IntPair, j: int, side: str, start: int, cap: int
+) -> SignedChain:
+    """Walk the signed point ``start/denom`` with ``side`` on the integer
+    grid until it re-enters J; record discontinuity hits before that."""
+    cuts, gamma = grid.cuts, grid.gamma
+    find = branch_rule(side)  # finds the branch, and signed membership of J
+    k = start
     hits: list[ChainHit] = []
     t = 0
     while True:
-        if t >= 1 and _signed_in(J, p):
-            return SignedChain(j, side, tuple(hits), t, p.value)
-        if p.value in beta_index:
-            hits.append(ChainHit(beta_index[p.value], t))
-        p = m.step(p)
+        if t >= 1 and find(J, k) == 1:
+            return SignedChain(j, side, tuple(hits), t, Fraction(k, grid.denom))
+        disc = beta_index.get(k)
+        if disc is not None:
+            hits.append(ChainHit(disc, t))
+        k += gamma[find(cuts, k) - 1]
         t += 1
         if t > cap:
-            raise NotFiniteTypeError(f"signed point {start}{side} did not re-enter {J}")
+            raise NotFiniteTypeError(
+                f"signed point {Fraction(start, grid.denom)}{side} did not re-enter {J}"
+            )
 
 
 def compute_return_map(
@@ -141,70 +143,68 @@ def compute_return_map(
         raise NotAComponentError(f"{J} is not a component of the attractor")
     x, y = J
     cap = 2 * m.Q * max(1, len(components))
+    grid = m.grid
+    denom, cuts, gamma = grid.denom, grid.cuts, grid.gamma
+    kx, ky = on_grid(x, denom), on_grid(y, denom)
 
-    # In-flight pieces (cur_l, cur_r, src_l); src_l locates the piece's
-    # preimage inside J, so a split at value v pulls back to src_l + (v - cur_l).
-    flying: list[tuple[Fraction, Fraction, Fraction]] = [(x, y, x)]
-    cut_info: dict[Fraction, tuple[int, int]] = {}
-    retired: list[tuple[Fraction, Fraction, int]] = []  # (src_l, img_l, time)
+    # In-flight pieces (cur_l, cur_r, src_l) on the integer grid; src_l
+    # locates the piece's preimage inside J, so a split at value v pulls back
+    # to src_l + (v - cur_l).
+    flying: list[tuple[int, int, int]] = [(kx, ky, kx)]
+    cut_info: dict[int, tuple[int, int]] = {}
+    retired: list[tuple[int, int, int]] = []  # (src_l, img_l, time)
     t = 0
     while flying:
         if t > cap:
             raise NotFiniteTypeError("return-time safety cap exceeded")
         if t > 0:
-            still: list[tuple[Fraction, Fraction, Fraction]] = []
+            still: list[tuple[int, int, int]] = []
             for cl, cr, src in flying:
-                inside = x <= cl and cr <= y
-                outside = cr <= x or cl >= y
-                if inside:
+                if kx <= cl and cr <= ky:
                     retired.append((src, cl, t))
-                elif outside:
+                elif cr <= kx or cl >= ky:
                     still.append((cl, cr, src))
                 else:
-                    raise AssertionError(f"piece [{cl},{cr}) straddles {J} at time {t}")
+                    raise AssertionError(
+                        f"piece [{Fraction(cl, denom)},{Fraction(cr, denom)}) "
+                        f"straddles {J} at time {t}"
+                    )
             flying = still
-        nxt: list[tuple[Fraction, Fraction, Fraction]] = []
+        nxt: list[tuple[int, int, int]] = []
         for cl, cr, src in flying:
-            bounds = [cl] + [b for b in m.beta if cl < b < cr] + [cr]
-            for k in range(len(bounds) - 1):
-                lo, hi = bounds[k], bounds[k + 1]
-                if k > 0:
-                    cut = src + (lo - cl)
-                    if cut not in cut_info:
-                        cut_info[cut] = (t, m.beta.index(lo) + 1)
-                g = m.gamma[m.branch_of(SignedPoint(lo, PLUS)) - 1]
+            for lo, hi, i in split(cuts, cl, cr):
+                if lo > cl:  # lo is the cut beta_{i-1}
+                    cut_info.setdefault(src + (lo - cl), (t, i - 1))
+                g = gamma[i - 1]
                 nxt.append((lo + g, hi + g, src + (lo - cl)))
         flying = sorted(nxt)
         t += 1
 
-    cut_points = (x,) + tuple(sorted(cut_info)) + (y,)
-    n = len(cut_points) - 1
+    kcuts = (kx,) + tuple(sorted(cut_info)) + (ky,)
+    n = len(kcuts) - 1
     landings = tuple(
-        LandingRecord(j, cut_info[cut_points[j]][0], cut_info[cut_points[j]][1])
-        for j in range(1, n)
+        LandingRecord(j, cut_info[kcuts[j]][0], cut_info[kcuts[j]][1]) for j in range(1, n)
     )
 
     by_src = {src: (img, rt) for src, img, rt in retired}
     assert len(by_src) == n, "retired pieces do not match continuity intervals"
-    return_times = tuple(by_src[cut_points[j]][1] for j in range(n))
-    order = sorted(range(1, n + 1), key=lambda j: by_src[cut_points[j - 1]][0])
-    sigma = tuple(order)
+    return_times = tuple(by_src[kcuts[j]][1] for j in range(n))
+    sigma = tuple(sorted(range(1, n + 1), key=lambda j: by_src[kcuts[j - 1]][0]))
     tau = tuple(sigma.index(j) + 1 for j in range(1, n + 1))
-    images = tuple(
-        (by_src[cut_points[j - 1]][0],
-         by_src[cut_points[j - 1]][0] + cut_points[j] - cut_points[j - 1])
+    kimages = [
+        (by_src[kcuts[j - 1]][0], by_src[kcuts[j - 1]][0] + kcuts[j] - kcuts[j - 1])
         for j in range(1, n + 1)
-    )
-    total = sum((ir - il for il, ir in images), Fraction(0))
-    assert total == y - x, "return images do not tile J"
+    ]
+    assert sum(ir - il for il, ir in kimages) == ky - kx, "return images do not tile J"
     for p in range(len(sigma) - 1):
-        assert images[sigma[p] - 1][1] == images[sigma[p + 1] - 1][0], "images not contiguous"
+        assert kimages[sigma[p] - 1][1] == kimages[sigma[p + 1] - 1][0], "images not contiguous"
 
+    beta_index = {c: i for i, c in enumerate(cuts[1:-1], start=1)}
     chains = []
     for j in range(n):
-        chains.append(_signed_chain(m, J, j, PLUS, cut_points[j], cap))
+        chains.append(_signed_chain(grid, beta_index, (kx, ky), j, PLUS, kcuts[j], cap))
     for j in range(1, n + 1):
-        chains.append(_signed_chain(m, J, j, MINUS, cut_points[j], cap))
+        chains.append(_signed_chain(grid, beta_index, (kx, ky), j, MINUS, kcuts[j], cap))
     chains_t = tuple(chains)
 
     # Entry times of signed endpoints must agree with the piece return times,
@@ -221,18 +221,17 @@ def compute_return_map(
     # A single-piece return is forced to be the identity (equal-length image
     # inside J), which is exactly the dynamically trivial case.
     if n == 1:
-        assert images[0] == (x, y), "single-piece return must be the identity"
-    trivial = n == 1
+        assert kimages[0] == (kx, ky), "single-piece return must be the identity"
     return ReturnMapData(
         J=(x, y),
-        cut_points=cut_points,
+        cut_points=tuple(Fraction(k, denom) for k in kcuts),
         return_times=return_times,
         landings=landings,
         chains=chains_t,
         sigma=sigma,
         tau=tau,
-        images=images,
-        dynamically_trivial=trivial,
+        images=tuple((Fraction(l, denom), Fraction(r, denom)) for l, r in kimages),
+        dynamically_trivial=n == 1,
     )
 
 

@@ -194,3 +194,66 @@ def naive_first_return(m: ItmMap, J, v: Fraction, cap: int = 100000) -> tuple[in
         if l <= cur < r:
             return t, cur
     raise AssertionError(f"{v} did not return to {J} within {cap} steps")
+
+
+def naive_attractor(m: ItmMap) -> tuple[list[tuple[Fraction, Fraction]], int]:
+    """X and its stabilization step, from 1/Q cells and naive_step alone.
+
+    X_n is a set of cells k standing for [k/Q, (k+1)/Q). The cuts lie on the
+    grid, so no cell straddles one and each cell moves rigidly with its left
+    endpoint; X_{n+1} = T(X_n) is then the set of image cells. Iterates to
+    the first n with X_{n+1} = X_n, which finite type bounds by Q.
+    """
+    q = m.Q
+    moved = []
+    for k in range(q):
+        w = naive_step(m, Fraction(k, q)) * q
+        assert w.denominator == 1
+        moved.append(w.numerator)
+    cells = set(range(q))
+    for n in range(q + 1):
+        nxt = {moved[k] for k in cells}
+        if nxt == cells:
+            break
+        cells = nxt
+    else:
+        raise AssertionError("cell iteration did not stabilize within Q steps")
+    pairs: list[tuple[Fraction, Fraction]] = []
+    for k in sorted(cells):
+        if pairs and pairs[-1][1] == Fraction(k, q):
+            pairs[-1] = (pairs[-1][0], Fraction(k + 1, q))
+        else:
+            pairs.append((Fraction(k, q), Fraction(k + 1, q)))
+    return pairs, n
+
+
+def naive_signed_chain(m: ItmMap, J, v: Fraction, side: str, horizon: int):
+    """Hits, entry time and entry value of the signed point ``v`` + or - on
+    its way back into J, from naive_orbit alone.
+
+    ``v-`` moves like the plain point ``v - h`` for h = 1/(2Q), which sits
+    strictly inside a grid cell, so it takes the branch of the limit from
+    the left and ``v-`` lies in (l, r] exactly when ``v - h`` lies in [l, r).
+    Returns None for the entry when the orbit stays out of J up to
+    ``horizon`` steps.
+    """
+    h = Fraction(1, 2 * m.Q) if side == "-" else Fraction(0)
+    orbit = naive_orbit(m, v - h, horizon)
+    l, r = J
+    entry = next((t for t in range(1, horizon + 1) if l <= orbit[t] < r), None)
+    stop = horizon if entry is None else entry
+    hits = [
+        (m.beta.index(w + h) + 1, t)
+        for t, w in enumerate(orbit[:stop])
+        if w + h in m.beta
+    ]
+    return hits, entry, None if entry is None else orbit[entry] + h
+
+
+@pytest.fixture(scope="session")
+def corpus_q1024() -> list[ItmMap]:
+    """The first eight maps of the corpus-q1024 bench workload: each map's
+    denominators divide one q in [512, 1024], r in {2,3,4}; map 7 (r = 3,
+    Q = 748) takes 507 attractor steps."""
+    rng = random.Random(1)
+    return [random_map(rng, 1024, min_q=512) for _ in range(8)]

@@ -139,6 +139,21 @@ class TestSetOps:
                 assert a.difference(b).contains_value(x) == (
                     a.contains_value(x) and not b.contains_value(x))
 
+    def test_difference_many_components(self):
+        # the two-pointer pass against pointwise membership, with many
+        # interleaved components on both sides
+        rng = random.Random(41)
+        q = 128
+        for _ in range(60):
+            a = random_set(rng, q=q, max_parts=30)
+            b = random_set(rng, q=q, max_parts=30)
+            d = a.difference(b)
+            for k in range(q):
+                x = F(k, q)
+                assert d.contains_value(x) == (a.contains_value(x) and not b.contains_value(x))
+            assert d.issubset(a)
+            assert d.intersection(b).is_empty()
+
     def test_measure_arithmetic(self):
         rng = random.Random(31)
         for _ in range(100):

@@ -92,6 +92,12 @@ class TestAnalyze:
         assert doc["attractor"]["capped"] is True
         assert doc["stability"]["stable"] is False
 
+    def test_max_iter_zero_exit_2(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", files["fig1"], "--max-iter", "0"])
+        assert exc.value.code == 2
+        assert "max_iter >= 1" in capsys.readouterr().err
+
 
 class TestProbeCommand:
     def test_probe_section(self, files, capsys):

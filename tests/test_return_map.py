@@ -16,7 +16,7 @@ from itmlab import (
     verify_touching_equations,
 )
 from itmlab.return_map import IDENTITY, MANY_BRANCHES, ROTATION_LIKE
-from conftest import grid_points, naive_first_return
+from conftest import grid_points, naive_first_return, naive_signed_chain
 
 JB = (F(1, 2), F(17, 21))
 JA = (F(1, 6), F(13, 42))
@@ -142,6 +142,20 @@ class TestInvariants:
                     for side in ("+", "-"):
                         first = data.chain(rec.j, side).hits[0]
                         assert (first.disc, first.time) == (rec.disc, rec.time)
+
+    def test_signed_chains_match_naive_orbits(self, fig1, corpus, corpus_q1024):
+        checked = 0
+        for m in [fig1] + corpus + corpus_q1024:
+            att = compute_attractor(m)
+            for J in att.components():
+                data = compute_return_map(m, J, att)
+                for c in data.chains:
+                    hits, entry, value = naive_signed_chain(
+                        m, J, data.cut_points[c.j], c.side, c.entry_time)
+                    assert [(h.disc, h.time) for h in c.hits] == hits
+                    assert (c.entry_time, c.entry_value) == (entry, value)
+                    checked += 1
+        assert checked > 600  # 674 chains across the three map sets
 
     def test_pointwise_oracle_fig1(self, fig1):
         att = compute_attractor(fig1)
