@@ -39,9 +39,16 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
+class MapFileError(ValueError):
+    """The map path does not name a readable file."""
+
+
 def _load(path: str) -> tuple[ItmMap, str]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise MapFileError(f"{path!r} must be a readable file: {exc.strerror}") from exc
     import json
 
     try:
@@ -56,6 +63,12 @@ def _load(path: str) -> tuple[ItmMap, str]:
 def _max_iter(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"max_iter >= 1 required, got {text!r}")
+    return int(text)
+
+
+def _depth(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"depth >= 0 required, got {text!r}")
     return int(text)
 
 
@@ -225,7 +238,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ghost-tree", help="dump the ghost graph (and a tree)")
     p.add_argument("file")
     p.add_argument("--root", default=None, help="signed discontinuity like '1+'")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_depth, default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ghost_tree)
 
@@ -242,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MapFormatError, BadOrderError, BadTranslationError, FileNotFoundError) as exc:
+    except (MapFileError, MapFormatError, BadOrderError, BadTranslationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NoValidSamplesError, NotRealizableDirectlyError) as exc:

@@ -18,11 +18,11 @@ tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .attractor import AttractorResult, compute_attractor
-from .intervals import MINUS, PLUS, SignedPoint
+from .intervals import MINUS, PLUS
 from .itm import ItmMap
+from .kernel import branch_rule, on_grid
 
 SignedDisc = tuple[int, str]  # (discontinuity index 1..r-1, side)
 
@@ -75,8 +75,44 @@ class GhostTree:
     repeated: tuple[tuple[int, SignedDisc], ...]  # (level, vertex) seen before
 
 
-def _signed_value(m: ItmMap, node: SignedDisc) -> SignedPoint:
-    return SignedPoint(m.beta[node[0] - 1], node[1])
+def _x_ends(m: ItmMap, attractor: AttractorResult) -> list[int]:
+    """The endpoints of X's components, flattened into one sorted list of
+    grid numerators: ``(k, side)`` lies in X iff ``branch_rule(side)(ends, k)``
+    is odd."""
+    return [on_grid(x, m.Q) for pair in attractor.X.intervals for x in pair]
+
+
+def _ghost_walks(
+    m: ItmMap, ends: list[int], nodes: list[SignedDisc]
+) -> dict[SignedDisc, dict[int, int]]:
+    """For each signed discontinuity, one walk of its orbit on the integer
+    grid: the first landing time k >= 1 on each beta_j, taken while every
+    point before the landing is outside X.
+
+    A walk stops when the orbit enters X or after Q + 1 steps: outside X no
+    state can repeat, so the orbit either enters X or exhausts the grid. It
+    also stops once it has landed on every beta_j, as nothing is left to
+    record.
+    """
+    grid = m.grid
+    cuts, gamma = grid.cuts, grid.gamma
+    beta_index = {c: j for j, c in enumerate(cuts[1:-1], start=1)}
+    walks: dict[SignedDisc, dict[int, int]] = {}
+    for node in nodes:
+        find = branch_rule(node[1])
+        k = cuts[node[0]]
+        landed: dict[int, int] = {}
+        for t in range(1, m.Q + 2):
+            if find(ends, k) % 2:
+                break
+            k += gamma[find(cuts, k) - 1]
+            j = beta_index.get(k)
+            if j is not None and j not in landed:
+                landed[j] = t
+                if len(landed) == len(beta_index):
+                    break
+        walks[node] = landed
+    return walks
 
 
 def ghost_preimages(
@@ -92,39 +128,36 @@ def ghost_preimages(
     """
     if attractor is None:
         attractor = compute_attractor(m)
-    x_set = attractor.X
     t_index, t_side = target
     child_side = MINUS if t_side == PLUS else PLUS
-    target_value = m.beta[t_index - 1]
-    found: list[tuple[SignedDisc, int]] = []
-    for i in range(1, m.r):
-        node = (i, child_side)
-        p = _signed_value(m, node)
-        k = 0
-        while k <= m.Q:
-            if x_set.contains_signed(p):
-                break
-            p = m.step(p)
-            k += 1
-            if p.value == target_value:
-                found.append((node, k))
-                break
-    return tuple(found)
+    children = [(i, child_side) for i in range(1, m.r)]
+    walks = _ghost_walks(m, _x_ends(m, attractor), children)
+    return tuple(
+        (node, walks[node][t_index]) for node in children if t_index in walks[node]
+    )
 
 
 def build_ghost_graph(m: ItmMap, attractor: AttractorResult | None = None) -> GhostGraph:
-    """Full edge set over all 2(r-1) signed discontinuities."""
+    """Full edge set over all 2(r-1) signed discontinuities, from one walk
+    per signed discontinuity."""
     if attractor is None:
         attractor = compute_attractor(m)
     nodes: list[SignedDisc] = []
     for i in range(1, m.r):
         nodes.append((i, MINUS))
         nodes.append((i, PLUS))
+    ends = _x_ends(m, attractor)
+    walks = _ghost_walks(m, ends, nodes)
     edges: list[GhostEdge] = []
     for parent in nodes:
-        for child, k in ghost_preimages(m, parent, attractor):
-            edges.append(GhostEdge(child, parent, k))
-    in_x = {node: attractor.X.contains_signed(_signed_value(m, node)) for node in nodes}
+        child_side = MINUS if parent[1] == PLUS else PLUS
+        for i in range(1, m.r):
+            child = (i, child_side)
+            time = walks[child].get(parent[0])
+            if time is not None:
+                edges.append(GhostEdge(child, parent, time))
+    cuts = m.grid.cuts
+    in_x = {node: branch_rule(node[1])(ends, cuts[node[0]]) % 2 == 1 for node in nodes}
     return GhostGraph(tuple(nodes), tuple(edges), in_x)
 
 

@@ -28,7 +28,7 @@ from .stability import (
     StabilityReport,
 )
 from .return_map import verify_touching_equations
-from .vectors import build_vectors, check_lin_dep_pattern, product, verify_identities
+from .vectors import build_vectors, check_lin_dep_pattern, verify_identities
 
 
 def _fr(q: Fraction) -> str:
@@ -112,9 +112,9 @@ def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
                 "tag": _tag(v.tag),
                 "e": list(v.e),
                 "f": list(v.f),
-                "product": _fr(product(v, m)),
+                "product": _fr(check.value),
             }
-            for v in vecs
+            for v, check in zip(vecs, checks)
         ],
         "identities_ok": all(c.ok for c in checks),
         "lin_dep_pattern": "holds" if pattern.holds else "violated",

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .attractor import AttractorResult, NotFiniteTypeError, compute_attractor
-from .intervals import MINUS, PLUS, Pair, SignedPoint
+from .intervals import MINUS, PLUS, Pair
 from .itm import ItmMap
-from .kernel import Grid, IntPair, branch_rule, on_grid, split
+from .kernel import Grid, IntPair, branch_rule, on_grid, split, walk
 
 IDENTITY = "identity"
 ROTATION_LIKE = "rotation_like"
@@ -205,41 +204,34 @@ def compute_return_map(
         chains.append(_signed_chain(grid, beta_index, (kx, ky), j, PLUS, kcuts[j], cap))
     for j in range(1, n + 1):
         chains.append(_signed_chain(grid, beta_index, (kx, ky), j, MINUS, kcuts[j], cap))
-    chains_t = tuple(chains)
-
-    # Entry times of signed endpoints must agree with the piece return times,
-    # and both sides of an interior cut point must first hit the same
-    # discontinuity at the landing time.
-    for c in chains_t:
-        expected = return_times[c.j] if c.side == PLUS else return_times[c.j - 1]
-        assert c.entry_time == expected, f"chain entry {c} != return time {expected}"
-    for rec in landings:
-        for side in (PLUS, MINUS):
-            first = next(iter(_chain_hits(chains_t, rec.j, side)), None)
-            assert first is not None and first.time == rec.time and first.disc == rec.disc
 
     # A single-piece return is forced to be the identity (equal-length image
     # inside J), which is exactly the dynamically trivial case.
     if n == 1:
         assert kimages[0] == (kx, ky), "single-piece return must be the identity"
-    return ReturnMapData(
+    data = ReturnMapData(
         J=(x, y),
         cut_points=tuple(Fraction(k, denom) for k in kcuts),
         return_times=return_times,
         landings=landings,
-        chains=chains_t,
+        chains=tuple(chains),
         sigma=sigma,
         tau=tau,
         images=tuple((Fraction(l, denom), Fraction(r, denom)) for l, r in kimages),
         dynamically_trivial=n == 1,
     )
 
-
-def _chain_hits(chains: Iterable[SignedChain], j: int, side: str):
-    for c in chains:
-        if c.j == j and c.side == side:
-            return c.hits
-    raise KeyError((j, side))
+    # Entry times of signed endpoints must agree with the piece return times,
+    # and both sides of an interior cut point must first hit the same
+    # discontinuity at the landing time.
+    for c in data.chains:
+        expected = return_times[c.j] if c.side == PLUS else return_times[c.j - 1]
+        assert c.entry_time == expected, f"chain entry {c} != return time {expected}"
+    for rec in landings:
+        for side in (PLUS, MINUS):
+            hits = data.chain(rec.j, side).hits
+            assert hits and hits[0].time == rec.time and hits[0].disc == rec.disc
+    return data
 
 
 def verify_touching_equations(m: ItmMap, data: ReturnMapData) -> tuple[Fraction, ...]:
@@ -249,18 +241,20 @@ def verify_touching_equations(m: ItmMap, data: ReturnMapData) -> tuple[Fraction,
     touches the left end of the next one: R(a_{sigma(p)}-) ~ R(a_{sigma(p+1)-1}+).
     Returns the touching values; a failure raises TouchingViolatedError.
     """
+    grid = m.grid
+    denom = grid.denom
     sigma = data.sigma
     out: list[Fraction] = []
     for p in range(len(sigma) - 1):
         left = data.chain(sigma[p], MINUS)
         right = data.chain(sigma[p + 1] - 1, PLUS)
-        lval = m.iterate(SignedPoint(data.cut_points[sigma[p]], MINUS), left.entry_time).point
-        rval = m.iterate(SignedPoint(data.cut_points[sigma[p + 1] - 1], PLUS), right.entry_time).point
-        if lval.value != rval.value or lval.side != MINUS or rval.side != PLUS:
+        lval = walk(grid, on_grid(data.cut_points[left.j], denom), MINUS, left.entry_time)[0]
+        rval = walk(grid, on_grid(data.cut_points[right.j], denom), PLUS, right.entry_time)[0]
+        if lval != rval:
             raise TouchingViolatedError(p + 1)
-        if (lval.value, rval.value) != (left.entry_value, right.entry_value):
+        if (lval, rval) != (on_grid(left.entry_value, denom), on_grid(right.entry_value, denom)):
             raise TouchingViolatedError(p + 1)
-        out.append(lval.value)
+        out.append(Fraction(lval, denom))
     return tuple(out)
 
 

@@ -11,15 +11,14 @@ perturbation that an A3 violation promises.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .attractor import AttractorResult, compute_attractor
 from .ghost import A3Result, GhostGraph, build_ghost_graph, check_A3
-from .intervals import MINUS, PLUS, SignedPoint, hausdorff_closure_distance
+from .intervals import MINUS, PLUS, hausdorff_closure_distance
 from .itm import BadOrderError, BadTranslationError, ItmMap, validate
+from .kernel import branch_rule
 from .return_map import (
     IDENTITY,
     NotFiniteTypeError,
@@ -302,8 +301,7 @@ def perturbation_probe(
     Samples are drawn deterministically from (seed, index); out-of-polytope
     draws are rejected but keep their index. Records component counts,
     discontinuity counts, Hausdorff distances and return-map signature
-    matches against the unperturbed map. Threads never change the output:
-    records are collected in sample order (cap with ITMLAB_THREADS).
+    matches against the unperturbed map, in sample order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -317,12 +315,7 @@ def perturbation_probe(
     for i in range(samples):
         state, deltas = _draw_deltas(state, 2 * m.r - 1, epsilon)
         specs.append(PerturbationSpec(epsilon, deltas, seed, i))
-    threads = max(1, int(os.environ.get("ITMLAB_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda s: _probe_one(m, base, s), specs))
-    else:
-        records = [_probe_one(m, base, s) for s in specs]
+    records = [_probe_one(m, base, s) for s in specs]
     accepted = [rec for rec in records if rec.accepted]
     if not accepted:
         raise NoValidSamplesError("all probe draws left the parameter polytope")
@@ -356,17 +349,25 @@ def a3_breaking_perturbation(
         raise ValueError("epsilon must be positive")
     cycle = witness.cycle
     times = witness.times
+    cuts, gamma = m.grid.cuts, m.grid.gamma
+    betas = set(cuts[1:-1])
     legs = []
     for idx, node in enumerate(cycle):
-        start = SignedPoint(m.beta[node[0] - 1], node[1])
-        res = m.iterate(start, times[idx])
-        interior = [m.iterate(start, t).point.value for t in range(1, times[idx])]
-        if any(v in m.beta for v in interior):
-            raise NotRealizableDirectlyError(
-                "a cycle leg hits another discontinuity before its landing"
-            )
-        branches = {s for s in res.itinerary}
-        legs.append((node, res.counts, branches))
+        # one walk per leg: the points at times 1 .. k-1 must avoid every
+        # discontinuity, and the branches used are those with nonzero counts
+        find = branch_rule(node[1])
+        k = cuts[node[0]]
+        counts = [0] * m.r
+        for t in range(times[idx]):
+            if t and k in betas:
+                raise NotRealizableDirectlyError(
+                    "a cycle leg hits another discontinuity before its landing"
+                )
+            i = find(cuts, k) - 1
+            counts[i] += 1
+            k += gamma[i]
+        branches = {i + 1 for i, c in enumerate(counts) if c}
+        legs.append((node, counts, branches))
     for a in range(len(legs)):
         for b in range(a + 1, len(legs)):
             if legs[a][2] & legs[b][2]:

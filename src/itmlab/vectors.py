@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import MINUS, PLUS, SignedPoint
+from .intervals import MINUS, PLUS
 from .itm import ItmMap
+from .kernel import on_grid, walk
 from .return_map import ReturnMapData
 
 Tag = tuple
@@ -61,13 +62,16 @@ class PatternResult:
 
 
 def product(v: CoefficientVector, m: ItmMap) -> Fraction:
-    """<v, (gamma beta)> = sum e_s gamma_s + sum f_s beta_s, exact."""
-    total = sum((c * g for c, g in zip(v.e, m.gamma)), Fraction(0))
-    return total + sum((c * b for c, b in zip(v.f, m.beta)), Fraction(0))
+    """<v, (gamma beta)> = sum e_s gamma_s + sum f_s beta_s, exact: an
+    integer sum over the grid numerators of the parameters."""
+    grid = m.grid
+    total = sum(c * g for c, g in zip(v.e, grid.gamma))
+    total += sum(c * b for c, b in zip(v.f, grid.cuts[1:-1]))
+    return Fraction(total, grid.denom)
 
 
 def _counts(m: ItmMap, value: Fraction, side: str, steps: int) -> tuple[int, ...]:
-    return m.iterate(SignedPoint(value, side), steps).counts
+    return walk(m.grid, on_grid(value, m.Q), side, steps)[1]
 
 
 def _f_unit(m: ItmMap, index: int, sign: int) -> tuple[int, ...]:

@@ -227,17 +227,22 @@ def naive_attractor(m: ItmMap) -> tuple[list[tuple[Fraction, Fraction]], int]:
     return pairs, n
 
 
+def naive_shift(m: ItmMap, side: str) -> Fraction:
+    """``h`` with ``v-`` moving like the plain point ``v - h``: h = 1/(2Q)
+    sits strictly inside a grid cell, so ``v - h`` takes the branch of the
+    limit from the left. ``v+`` moves like ``v`` itself (h = 0)."""
+    return Fraction(1, 2 * m.Q) if side == "-" else Fraction(0)
+
+
 def naive_signed_chain(m: ItmMap, J, v: Fraction, side: str, horizon: int):
     """Hits, entry time and entry value of the signed point ``v`` + or - on
     its way back into J, from naive_orbit alone.
 
-    ``v-`` moves like the plain point ``v - h`` for h = 1/(2Q), which sits
-    strictly inside a grid cell, so it takes the branch of the limit from
-    the left and ``v-`` lies in (l, r] exactly when ``v - h`` lies in [l, r).
-    Returns None for the entry when the orbit stays out of J up to
+    ``v-`` moves like the plain point ``v - h`` (naive_shift), and lies in
+    (l, r] exactly when ``v - h`` lies in [l, r). Returns None for the entry when the orbit stays out of J up to
     ``horizon`` steps.
     """
-    h = Fraction(1, 2 * m.Q) if side == "-" else Fraction(0)
+    h = naive_shift(m, side)
     orbit = naive_orbit(m, v - h, horizon)
     l, r = J
     entry = next((t for t in range(1, horizon + 1) if l <= orbit[t] < r), None)
@@ -248,6 +253,51 @@ def naive_signed_chain(m: ItmMap, J, v: Fraction, side: str, horizon: int):
         if w + h in m.beta
     ]
     return hits, entry, None if entry is None else orbit[entry] + h
+
+
+def naive_branch_counts(m: ItmMap, v: Fraction, side: str, n: int) -> tuple[int, ...]:
+    """How many of the first ``n`` steps of the signed point ``v`` + or -
+    take each branch, from naive_orbit alone (``v-`` moves like ``v - h``,
+    naive_shift)."""
+    h = naive_shift(m, side)
+    counts = [0] * m.r
+    for w in naive_orbit(m, v - h, n)[:n]:
+        counts[naive_branch(m, w) - 1] += 1
+    return tuple(counts)
+
+
+def naive_ghost_edges(m: ItmMap):
+    """The ghost graph from naive_orbit and naive_attractor's X alone.
+
+    The orbit of each signed discontinuity (``v-`` moved as ``v - h``) is
+    followed while its points lie outside X, for at most Q + 1 steps; the
+    first landing on each beta_j gives the edge to beta_j with the opposite
+    side. Returns the set of edges ``(child, parent, time)`` and, for every
+    signed discontinuity, whether it lies in X.
+    """
+    pairs, _ = naive_attractor(m)
+
+    def in_x(w: Fraction) -> bool:
+        return any(l <= w < r for l, r in pairs)
+
+    edges = set()
+    membership = {}
+    for i, b in enumerate(m.beta, start=1):
+        for side in ("-", "+"):
+            shift = naive_shift(m, side)
+            orbit = naive_orbit(m, b - shift, m.Q + 1)
+            membership[(i, side)] = in_x(orbit[0])
+            landed: dict[Fraction, int] = {}
+            for t in range(1, m.Q + 2):
+                if in_x(orbit[t - 1]):
+                    break
+                v = orbit[t] + shift
+                if v in m.beta and v not in landed:
+                    landed[v] = t
+            parent_side = "+" if side == "-" else "-"
+            for v, t in landed.items():
+                edges.add(((i, side), (m.beta.index(v) + 1, parent_side), t))
+    return edges, membership
 
 
 @pytest.fixture(scope="session")

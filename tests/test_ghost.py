@@ -17,6 +17,8 @@ from itmlab import (
 )
 from itmlab.intervals import SignedPoint
 
+from conftest import naive_ghost_edges
+
 
 class TestGhostPreimages:
     def test_fig1_beta2_plus(self, fig1):
@@ -65,6 +67,24 @@ class TestGhostGraph:
                 res = m.iterate(start, e.time)
                 assert res.point.value == m.beta[e.parent[0] - 1]
                 assert res.point.side == e.child[1]
+
+    def test_matches_naive_edges(self, fig1, ghost_map, corpus, corpus_q1024):
+        # the complete edge set, minimal times and in_x agree with plain
+        # iteration: no edge is missing and none is extra
+        total = 0
+        for m in [fig1, ghost_map] + corpus[:15] + corpus_q1024:
+            att = compute_attractor(m)
+            graph = build_ghost_graph(m, att)
+            edges, in_x = naive_ghost_edges(m)
+            assert len(graph.edges) == len(edges)
+            assert {(e.child, e.parent, e.time) for e in graph.edges} == edges
+            assert graph.in_x == in_x
+            for node in graph.nodes:
+                assert ghost_preimages(m, node, att) == tuple(
+                    (e.child, e.time) for e in graph.children(node)
+                )
+            total += len(edges)
+        assert total > 0
 
     def test_all_in_x_vacuous(self):
         from itmlab import validate

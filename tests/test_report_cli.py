@@ -85,6 +85,20 @@ class TestAnalyze:
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", "/nonexistent/map.json"]) == 2
 
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 2
+        assert "must be a readable file" in capsys.readouterr().err
+
+    def test_unreadable_file_exit_2(self, files, capsys, monkeypatch):
+        # permission bits do not stop a superuser, so the denial is injected
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr("itmlab.cli.open", denied, raising=False)
+        assert main(["analyze", files["fig1"]]) == 2
+        err = capsys.readouterr().err
+        assert "must be a readable file" in err and "Permission denied" in err
+
     def test_max_iter_marks_capped(self, files, capsys):
         assert main(["analyze", files["fig1"], "--max-iter", "2", "--json-only"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -199,6 +213,12 @@ class TestDumpCommands:
     def test_ghost_tree_bad_root(self, files, capsys):
         assert main(["ghost-tree", files["ghost"], "--root", "9+"]) == 2
         assert main(["ghost-tree", files["ghost"], "--root", "x"]) == 2
+
+    def test_ghost_tree_negative_depth_exit_2(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ghost-tree", files["ghost"], "--root", "1+", "--depth", "-1"])
+        assert exc.value.code == 2
+        assert "depth >= 0" in capsys.readouterr().err
 
     def test_return_map_dump(self, files, capsys):
         rc = main(["return-map", files["fig1"], "--component", "2"])

@@ -170,6 +170,24 @@ class TestInvariants:
                 assert t == data.return_times[j - 1]
                 assert img == data.images[j - 1][0] + (z - data.cut_points[j - 1])
 
+    def test_touching_values_match_naive_entries(self, fig1, corpus, corpus_q1024):
+        # each touching value is where both touching signed endpoints enter
+        # J under plain iteration
+        checked = 0
+        for m in [fig1] + corpus + corpus_q1024:
+            att = compute_attractor(m)
+            for J in att.components():
+                data = compute_return_map(m, J, att)
+                sigma = data.sigma
+                for p, value in enumerate(verify_touching_equations(m, data)):
+                    for j, side in ((sigma[p], "-"), (sigma[p + 1] - 1, "+")):
+                        horizon = data.chain(j, side).entry_time
+                        _, _, entry_value = naive_signed_chain(
+                            m, J, data.cut_points[j], side, horizon)
+                        assert value == entry_value
+                        checked += 1
+        assert checked > 100
+
     def test_touching_all_corpus(self, corpus):
         for m in corpus[:25]:
             att = compute_attractor(m)

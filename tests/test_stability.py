@@ -200,12 +200,6 @@ class TestProbe:
         with pytest.raises(NoValidSamplesError):
             perturbation_probe(rotation35, F(3), 3, seed=9)
 
-    def test_thread_env_is_pure(self, fig1, monkeypatch):
-        serial = perturbation_probe(fig1, F(1, 1000), 16, seed=4)
-        monkeypatch.setenv("ITMLAB_THREADS", "4")
-        threaded = perturbation_probe(fig1, F(1, 1000), 16, seed=4)
-        assert serial == threaded
-
     def test_bad_arguments(self, fig1):
         with pytest.raises(ValueError):
             perturbation_probe(fig1, F(1, 100), 0, seed=1)

@@ -17,6 +17,8 @@ from itmlab import (
 )
 from itmlab.vectors import CoefficientVector, nullspace
 
+from conftest import naive_branch_counts, naive_signed_chain
+
 JB = (F(1, 2), F(17, 21))
 JA = (F(1, 6), F(13, 42))
 
@@ -75,6 +77,35 @@ class TestFig1Vectors:
 
 
 class TestChainTimePartition:
+    def test_counts_match_naive_orbits(self, fig1, corpus, corpus_q1024):
+        # every vector's e is the branch count of its leg, with the legs cut
+        # at the hits of naive_signed_chain and counted along naive_orbit
+        checked = 0
+        for m in [fig1] + corpus + corpus_q1024:
+            att = compute_attractor(m)
+            for J in att.components():
+                data = compute_return_map(m, J, att)
+                expected = {}
+                for c in data.chains:
+                    a = data.cut_points[c.j]
+                    hits, entry, _ = naive_signed_chain(m, J, a, c.side, c.entry_time)
+                    if not hits:
+                        expected[("R", c.side, c.j)] = naive_branch_counts(m, a, c.side, entry)
+                        continue
+                    expected[("L", c.j)] = naive_branch_counts(m, a, c.side, hits[0][1])
+                    for k in range(1, len(hits)):
+                        (d0, t0), (_, t1) = hits[k - 1], hits[k]
+                        expected[("C", c.side, c.j, k)] = naive_branch_counts(
+                            m, m.beta[d0 - 1], c.side, t1 - t0)
+                    d, t = hits[-1]
+                    expected[("R", c.side, c.j)] = naive_branch_counts(
+                        m, m.beta[d - 1], c.side, entry - t)
+                vecs = build_vectors(m, data)
+                assert {v.tag: v.e for v in vecs} == expected
+                assert len(vecs) == len(expected)
+                checked += len(vecs)
+        assert checked > 1000
+
     def test_entry_counts_partition_time(self, fig1, corpus):
         # along each signed chain: l_j + connection legs + return leg = entry
         for m in [fig1] + corpus[:20]:
