@@ -9,7 +9,6 @@ final call, ``perturbation_probe`` to cross-validate it empirically.
 __version__ = "0.1.0"
 
 from .intervals import (
-    EMPTY,
     MINUS,
     PLUS,
     EmptySetError,
@@ -22,7 +21,6 @@ from .intervals import (
     minus,
     parse_rational,
     plus,
-    set_ops,
 )
 from .itm import (
     BadOrderError,
@@ -47,6 +45,7 @@ from .attractor import (
 from .return_map import (
     NotAComponentError,
     ReturnMapData,
+    ReturnMapInvariantError,
     TouchingViolatedError,
     classify_return_dynamics,
     compute_return_map,

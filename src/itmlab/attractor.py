@@ -9,8 +9,9 @@ is reached, and nested equal-measure unions of half-open intervals coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import kernel
 from .intervals import IntervalSet, Pair, interval
@@ -35,19 +36,27 @@ class AttractorResult:
     Discontinuities are partitioned into three lists: strictly inside a
     component (with its index), on the boundary of the closure of X, or at
     positive distance from the closure.
+
+    ``X_history`` (X_0 .. X_15 at most) is kept as integer pairs over the
+    map's grid and turned into interval sets on first access.
     """
 
     X: IntervalSet
     stabilization_step: int | None
     infinite_type_suspected: bool
-    X_history: tuple[IntervalSet, ...]
     discontinuities_inside: tuple[tuple[int, int], ...]
     discontinuities_outside: tuple[int, ...]
     boundary_hits: tuple[int, ...]
+    _history: tuple[list[IntPair], ...] = field(repr=False, compare=False)
+    _denom: int = field(repr=False, compare=False)
 
     @property
     def finite_type(self) -> bool:
         return self.stabilization_step is not None
+
+    @cached_property
+    def X_history(self) -> tuple[IntervalSet, ...]:
+        return tuple(kernel.to_interval_set(h, self._denom) for h in self._history)
 
     def components(self) -> tuple[Pair, ...]:
         return self.X.components()
@@ -131,10 +140,11 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
         X=kernel.to_interval_set(cur, grid.denom),
         stabilization_step=step,
         infinite_type_suspected=step is None,
-        X_history=tuple(kernel.to_interval_set(h, grid.denom) for h in history),
         discontinuities_inside=tuple(inside),
         discontinuities_outside=tuple(outside),
         boundary_hits=tuple(boundary),
+        _history=tuple(history),
+        _denom=grid.denom,
     )
 
 

@@ -43,6 +43,10 @@ class MapFileError(ValueError):
     """The map path does not name a readable file."""
 
 
+class OutputPathError(ValueError):
+    """The --out path cannot be written."""
+
+
 def _load(path: str) -> tuple[ItmMap, str]:
     try:
         with open(path, "rb") as fh:
@@ -74,8 +78,11 @@ def _depth(text: str) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputPathError(f"--out {out!r} must be a writable file path: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -98,7 +105,7 @@ def _summary(analysis, json_only: bool) -> None:
 def cmd_analyze(args) -> int:
     m, digest = _load(args.file)
     analysis = full_analysis(m, args.max_iter)
-    capped = args.max_iter is not None and not analysis.report.finite_type
+    capped = args.max_iter is not None and not analysis.attractor.finite_type
     doc = build_report(analysis, digest, capped=capped)
     _emit(render_document(doc), args.out)
     _summary(analysis, args.json_only)
@@ -115,10 +122,10 @@ def cmd_probe(args) -> int:
         raise MapFormatError(f"--eps: {exc}") from exc
     if eps <= 0:
         raise MapFormatError("--eps must be a positive rational")
-    analysis = full_analysis(m)
     directed = None
     probe = None
     if args.directed:
+        analysis = full_analysis(m)
         a3 = check_A3(analysis.ghost_graph) if analysis.ghost_graph else None
         if a3 is None or a3.holds:
             print("error: --directed needs an A3 violation", file=sys.stderr)
@@ -128,6 +135,7 @@ def cmd_probe(args) -> int:
         directed = directed_section(dp, perturbed)
     else:
         probe = perturbation_probe(m, eps, args.samples, args.seed)
+        analysis = probe.base
     doc = build_report(analysis, digest, probe=probe, directed=directed)
     _emit(render_document(doc), args.out)
     _summary(analysis, args.json_only)
@@ -255,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MapFileError, MapFormatError, BadOrderError, BadTranslationError) as exc:
+    except (MapFileError, OutputPathError, MapFormatError, BadOrderError, BadTranslationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NoValidSamplesError, NotRealizableDirectlyError) as exc:

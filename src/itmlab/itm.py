@@ -17,7 +17,10 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .intervals import SignedPoint, parse_rational
-from .kernel import Grid, branch_rule
+from .kernel import Grid, branch_rule, on_grid
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class BadOrderError(ValueError):
@@ -41,8 +44,9 @@ class MapFormatError(ValueError):
 class ItmMap:
     """Validated interval translation map with cached grid denominator Q.
 
-    ``grid`` holds the cuts and translations as integer numerators over Q,
-    computed once here for the integer kernel.
+    ``grid`` holds the cuts and translations as integer numerators over Q
+    for the integer kernel; build maps with :func:`validate` or
+    :func:`from_numerators`, which check the polytope and supply it.
     """
 
     r: int
@@ -50,13 +54,11 @@ class ItmMap:
     gamma: tuple[Fraction, ...]
     Q: int
     image_compactly_contained: bool
+    grid: Grid = field(repr=False, compare=False)
     _cuts: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        cuts = (Fraction(0),) + self.beta + (Fraction(1),)
-        object.__setattr__(self, "_cuts", cuts)
-        object.__setattr__(self, "grid", Grid.of(cuts, self.gamma, self.Q))
+        object.__setattr__(self, "_cuts", (_ZERO,) + self.beta + (_ONE,))
 
     def cuts(self) -> tuple[Fraction, ...]:
         """beta_0 = 0, beta_1, ..., beta_{r-1}, beta_r = 1."""
@@ -149,8 +151,8 @@ class Preperiodic:
 def validate(r: int, beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> ItmMap:
     """Check the polytope constraints and build the map.
 
-    Also records whether T(I) is compactly contained in (0, 1), which the
-    perturbation machinery relies on.
+    The parameters go onto the grid of their common denominator and
+    through the integer check of :func:`from_numerators`.
     """
     if r < 2:
         raise BadOrderError(f"need r >= 2 branches, got {r}")
@@ -161,21 +163,46 @@ def validate(r: int, beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> Itm
         )
     beta_t = tuple(Fraction(b) for b in beta)
     gamma_t = tuple(Fraction(g) for g in gamma)
-    cuts = (Fraction(0),) + beta_t + (Fraction(1),)
-    for i in range(1, len(cuts)):
-        if not cuts[i - 1] < cuts[i]:
-            raise BadOrderError(f"discontinuities not strictly increasing: {beta_t}")
+    q = math.lcm(*(x.denominator for x in beta_t + gamma_t))
+    return from_numerators(
+        r, [on_grid(b, q) for b in beta_t], [on_grid(g, q) for g in gamma_t], q
+    )
+
+
+def from_numerators(r: int, beta: Sequence[int], gamma: Sequence[int], denom: int) -> ItmMap:
+    """The map with ``beta_i = beta[i-1] / denom`` and ``gamma_i =
+    gamma[i-1] / denom``, checked against the polytope on integers and
+    reduced by the common gcd to its own grid ``1/Q``.
+
+    Raises BadOrderError unless ``0 < beta_1 < ... < beta_{r-1} < 1`` and
+    BadTranslationError for the first ``gamma_i`` outside
+    ``[-beta_{i-1}, 1 - beta_i]``. Also records whether T(I) is compactly
+    contained in (0, 1), which the perturbation machinery relies on.
+    """
+    cuts = (0, *beta, denom)
     for i in range(1, r + 1):
-        g = gamma_t[i - 1]
-        if not (-cuts[i - 1] <= g <= 1 - cuts[i]):
-            raise BadTranslationError(i, g)
-    q = 1
-    for x in beta_t + gamma_t:
-        q = math.lcm(q, x.denominator)
-    lo = min(cuts[i - 1] + gamma_t[i - 1] for i in range(1, r + 1))
-    hi = max(cuts[i] + gamma_t[i - 1] for i in range(1, r + 1))
-    compact = lo > 0 and hi < 1
-    return ItmMap(r, beta_t, gamma_t, q, compact)
+        if not cuts[i - 1] < cuts[i]:
+            shown = tuple(Fraction(b, denom) for b in beta)
+            raise BadOrderError(f"discontinuities not strictly increasing: {shown}")
+    for i in range(1, r + 1):
+        g = gamma[i - 1]
+        if not -cuts[i - 1] <= g <= denom - cuts[i]:
+            raise BadTranslationError(i, Fraction(g, denom))
+    compact = (
+        min(cuts[i - 1] + gamma[i - 1] for i in range(1, r + 1)) > 0
+        and max(cuts[i] + gamma[i - 1] for i in range(1, r + 1)) < denom
+    )
+    g = math.gcd(denom, *beta, *gamma)
+    q = denom // g
+    grid = Grid(q, tuple(c // g for c in cuts), tuple(x // g for x in gamma))
+    return ItmMap(
+        r,
+        tuple(Fraction(c, q) for c in grid.cuts[1:-1]),
+        tuple(Fraction(x, q) for x in grid.gamma),
+        q,
+        compact,
+        grid,
+    )
 
 
 _MAP_KEYS = {"r", "beta", "gamma"}

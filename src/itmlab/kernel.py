@@ -61,14 +61,6 @@ class Grid(NamedTuple):
     cuts: tuple[int, ...]
     gamma: tuple[int, ...]
 
-    @classmethod
-    def of(cls, cuts: Sequence[Fraction], gamma: Sequence[Fraction], denom: int) -> "Grid":
-        return cls(
-            denom,
-            tuple(on_grid(c, denom) for c in cuts),
-            tuple(on_grid(g, denom) for g in gamma),
-        )
-
     def refined(self, denom: int) -> "Grid":
         """The same map on the finer grid ``1/denom`` (a multiple of this one)."""
         factor, rem = divmod(denom, self.denom)

@@ -16,8 +16,9 @@ conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .attractor import AttractorResult, NotFiniteTypeError, compute_attractor
 from .intervals import MINUS, PLUS, Pair
@@ -31,6 +32,14 @@ MANY_BRANCHES = "many_branches"
 
 class NotAComponentError(ValueError):
     """The requested interval is not exactly a component of the attractor."""
+
+
+class ReturnMapInvariantError(AssertionError):
+    """The first-return structure broke one of its own invariants (a piece
+    straddling J, retired pieces that do not match the continuity
+    intervals, images that do not tile J, a chain that disagrees with the
+    piece propagation); impossible on exact data, so a bug. A typed error
+    rather than an ``assert``, so the checks also run under ``python -O``."""
 
 
 class TouchingViolatedError(AssertionError):
@@ -69,34 +78,77 @@ class LandingRecord:
 
 @dataclass(frozen=True)
 class ReturnMapData:
+    """First-return structure of one component J.
+
+    The cut points and images are held as integer numerators over the
+    map's grid; their Fraction views and the signed chains are built on
+    first access.
+    """
+
     J: Pair
-    cut_points: tuple[Fraction, ...]
+    kcuts: tuple[int, ...]
     return_times: tuple[int, ...]
     landings: tuple[LandingRecord, ...]
-    chains: tuple[SignedChain, ...]
     sigma: tuple[int, ...]
     tau: tuple[int, ...]
-    images: tuple[Pair, ...]
-    dynamically_trivial: bool
+    kimages: tuple[IntPair, ...]
+    grid: Grid = field(repr=False, compare=False)
+    cap: int = field(repr=False, compare=False)  # safety cap of the chain walks
 
     @property
     def n_intervals(self) -> int:
-        return len(self.cut_points) - 1
+        return len(self.kcuts) - 1
 
-    def continuity_intervals(self) -> tuple[Pair, ...]:
-        cp = self.cut_points
-        return tuple((cp[j - 1], cp[j]) for j in range(1, len(cp)))
+    @property
+    def dynamically_trivial(self) -> bool:
+        return len(self.kcuts) == 2
+
+    @cached_property
+    def cut_points(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self.grid.denom) for k in self.kcuts)
+
+    @cached_property
+    def images(self) -> tuple[Pair, ...]:
+        denom = self.grid.denom
+        return tuple((Fraction(l, denom), Fraction(r, denom)) for l, r in self.kimages)
+
+    @cached_property
+    def chains(self) -> tuple[SignedChain, ...]:
+        """The signed chains of a_0+ .. a_{N-1}+, then a_1- .. a_N-, checked
+        against the piece propagation: entry times must equal the return
+        times, and both sides of an interior cut point must first hit the
+        same discontinuity at its landing time."""
+        grid, kcuts, n = self.grid, self.kcuts, self.n_intervals
+        J = (kcuts[0], kcuts[-1])
+        beta_index = {c: i for i, c in enumerate(grid.cuts[1:-1], start=1)}
+        chains = [
+            _signed_chain(grid, beta_index, J, j, PLUS, kcuts[j], self.cap) for j in range(n)
+        ] + [
+            _signed_chain(grid, beta_index, J, j, MINUS, kcuts[j], self.cap) for j in range(1, n + 1)
+        ]
+        for c in chains:
+            expected = self.return_times[c.j if c.side == PLUS else c.j - 1]
+            if c.entry_time != expected:
+                raise ReturnMapInvariantError(f"chain entry {c} != return time {expected}")
+        for rec in self.landings:
+            for c in (chains[rec.j], chains[n + rec.j - 1]):
+                if not (c.hits and c.hits[0].time == rec.time and c.hits[0].disc == rec.disc):
+                    raise ReturnMapInvariantError(
+                        f"chain {c} does not first hit beta_{rec.disc} at landing time {rec.time}"
+                    )
+        return tuple(chains)
 
     def chain(self, j: int, side: str) -> SignedChain:
-        for c in self.chains:
-            if c.j == j and c.side == side:
-                return c
+        n = self.n_intervals
+        if side == PLUS and 0 <= j < n:
+            return self.chains[j]
+        if side == MINUS and 1 <= j <= n:
+            return self.chains[n + j - 1]
         raise KeyError((j, side))
 
     def landing(self, j: int) -> LandingRecord:
-        for rec in self.landings:
-            if rec.j == j:
-                return rec
+        if 1 <= j < self.n_intervals:
+            return self.landings[j - 1]
         raise KeyError(j)
 
 
@@ -130,8 +182,9 @@ def compute_return_map(
     """Full first-return structure of one attractor component.
 
     Raises NotFiniteTypeError when the attractor is not finite type (or the
-    generous safety cap is exceeded) and NotAComponentError when J is not
-    exactly one of its components.
+    generous safety cap is exceeded), NotAComponentError when J is not
+    exactly one of its components, and ReturnMapInvariantError when the
+    propagation breaks one of its invariants.
     """
     if attractor is None:
         attractor = compute_attractor(m)
@@ -164,7 +217,7 @@ def compute_return_map(
                 elif cr <= kx or cl >= ky:
                     still.append((cl, cr, src))
                 else:
-                    raise AssertionError(
+                    raise ReturnMapInvariantError(
                         f"piece [{Fraction(cl, denom)},{Fraction(cr, denom)}) "
                         f"straddles {J} at time {t}"
                     )
@@ -186,52 +239,37 @@ def compute_return_map(
     )
 
     by_src = {src: (img, rt) for src, img, rt in retired}
-    assert len(by_src) == n, "retired pieces do not match continuity intervals"
+    if len(retired) != n or by_src.keys() != set(kcuts[:-1]):
+        raise ReturnMapInvariantError("retired pieces do not match continuity intervals")
     return_times = tuple(by_src[kcuts[j]][1] for j in range(n))
     sigma = tuple(sorted(range(1, n + 1), key=lambda j: by_src[kcuts[j - 1]][0]))
-    tau = tuple(sigma.index(j) + 1 for j in range(1, n + 1))
-    kimages = [
+    tau = [0] * n
+    for p, j in enumerate(sigma, start=1):
+        tau[j - 1] = p
+    kimages = tuple(
         (by_src[kcuts[j - 1]][0], by_src[kcuts[j - 1]][0] + kcuts[j] - kcuts[j - 1])
         for j in range(1, n + 1)
-    ]
-    assert sum(ir - il for il, ir in kimages) == ky - kx, "return images do not tile J"
-    for p in range(len(sigma) - 1):
-        assert kimages[sigma[p] - 1][1] == kimages[sigma[p + 1] - 1][0], "images not contiguous"
-
-    beta_index = {c: i for i, c in enumerate(cuts[1:-1], start=1)}
-    chains = []
-    for j in range(n):
-        chains.append(_signed_chain(grid, beta_index, (kx, ky), j, PLUS, kcuts[j], cap))
-    for j in range(1, n + 1):
-        chains.append(_signed_chain(grid, beta_index, (kx, ky), j, MINUS, kcuts[j], cap))
-
-    # A single-piece return is forced to be the identity (equal-length image
-    # inside J), which is exactly the dynamically trivial case.
-    if n == 1:
-        assert kimages[0] == (kx, ky), "single-piece return must be the identity"
-    data = ReturnMapData(
+    )
+    # The images have the lengths of the continuity intervals, so they tile
+    # J when the leftmost starts at x and each ends where the next starts.
+    # For a single piece this says the return is the identity, which is
+    # exactly the dynamically trivial case.
+    if kimages[sigma[0] - 1][0] != kx:
+        raise ReturnMapInvariantError("return images do not tile J")
+    for p in range(n - 1):
+        if kimages[sigma[p] - 1][1] != kimages[sigma[p + 1] - 1][0]:
+            raise ReturnMapInvariantError("return images are not contiguous")
+    return ReturnMapData(
         J=(x, y),
-        cut_points=tuple(Fraction(k, denom) for k in kcuts),
+        kcuts=kcuts,
         return_times=return_times,
         landings=landings,
-        chains=tuple(chains),
         sigma=sigma,
-        tau=tau,
-        images=tuple((Fraction(l, denom), Fraction(r, denom)) for l, r in kimages),
-        dynamically_trivial=n == 1,
+        tau=tuple(tau),
+        kimages=kimages,
+        grid=grid,
+        cap=cap,
     )
-
-    # Entry times of signed endpoints must agree with the piece return times,
-    # and both sides of an interior cut point must first hit the same
-    # discontinuity at the landing time.
-    for c in data.chains:
-        expected = return_times[c.j] if c.side == PLUS else return_times[c.j - 1]
-        assert c.entry_time == expected, f"chain entry {c} != return time {expected}"
-    for rec in landings:
-        for side in (PLUS, MINUS):
-            hits = data.chain(rec.j, side).hits
-            assert hits and hits[0].time == rec.time and hits[0].disc == rec.disc
-    return data
 
 
 def verify_touching_equations(m: ItmMap, data: ReturnMapData) -> tuple[Fraction, ...]:

@@ -11,13 +11,15 @@ perturbation that an A3 violation promises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .attractor import AttractorResult, compute_attractor
-from .ghost import A3Result, GhostGraph, build_ghost_graph, check_A3
-from .intervals import MINUS, PLUS, hausdorff_closure_distance
-from .itm import BadOrderError, BadTranslationError, ItmMap, validate
+from .ghost import GhostGraph, build_ghost_graph, check_A3
+from .intervals import MINUS, PLUS, IntervalSet, hausdorff_closure_distance
+from .itm import BadOrderError, BadTranslationError, ItmMap, from_numerators, validate
 from .kernel import branch_rule
 from .return_map import (
     IDENTITY,
@@ -63,11 +65,50 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class FullAnalysis:
+    """Attractor and return maps, computed up front; the ghost graph and the
+    stability verdict are built on first access."""
+
     map: ItmMap
     attractor: AttractorResult
     return_maps: tuple[ReturnMapData, ...]
-    ghost_graph: GhostGraph | None
-    report: StabilityReport
+
+    @cached_property
+    def ghost_graph(self) -> GhostGraph | None:
+        if not self.attractor.finite_type:
+            return None
+        return build_ghost_graph(self.map, self.attractor)
+
+    @cached_property
+    def report(self) -> StabilityReport:
+        if not self.attractor.finite_type:
+            return StabilityReport(
+                finite_type=False,
+                stabilization_step=None,
+                a1=Verdict(False, {"reason": "not finite type"}),
+                a2=Verdict(False, {"reason": "not finite type"}),
+                a3=Verdict(False, {"reason": "not finite type"}),
+                matching=Verdict(False, {"reason": "not finite type"}),
+                stable=False,
+            )
+        m, attractor, return_maps = self.map, self.attractor, self.return_maps
+        a3 = check_A3(self.ghost_graph)
+        a1 = check_A1(m, attractor, return_maps)
+        a2 = check_A2(m, attractor, return_maps)
+        matching = check_matching(m, attractor, return_maps)
+        a3_verdict = Verdict(a3.holds, None if a3.holds else {
+            "disc": a3.witness.disc,
+            "cycle": [list(node) for node in a3.witness.cycle],
+            "times": list(a3.witness.times),
+        })
+        return StabilityReport(
+            finite_type=True,
+            stabilization_step=attractor.stabilization_step,
+            a1=a1,
+            a2=a2,
+            a3=a3_verdict,
+            matching=matching,
+            stable=a1.holds and a2.holds and a3.holds and matching.holds,
+        )
 
 
 @dataclass(frozen=True)
@@ -100,6 +141,9 @@ class SampleRecord:
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """Sample records and their summary; ``base`` is the analysis of the
+    unperturbed map, which ``itmlab probe`` reports."""
+
     epsilon: Fraction
     seed: int
     samples: tuple[SampleRecord, ...]
@@ -108,6 +152,7 @@ class ProbeResult:
     min_hausdorff: Fraction
     all_signatures_match: bool
     component_counts: tuple[int, ...]
+    base: FullAnalysis = field(repr=False, compare=False)
 
 
 def _signature(analysis_return_maps: tuple[ReturnMapData, ...]) -> tuple:
@@ -203,43 +248,15 @@ def check_matching(m: ItmMap, attractor: AttractorResult, return_maps: tuple[Ret
 
 
 def full_analysis(m: ItmMap, max_iter: int | None = None) -> FullAnalysis:
-    """Attractor, all return maps, ghost graph and the stability verdict."""
+    """Attractor and all return maps now; the ghost graph, the stability
+    verdict, the signed chains and the Fraction views when first read."""
     attractor = compute_attractor(m, max_iter)
     if not attractor.finite_type:
-        report = StabilityReport(
-            finite_type=False,
-            stabilization_step=None,
-            a1=Verdict(False, {"reason": "not finite type"}),
-            a2=Verdict(False, {"reason": "not finite type"}),
-            a3=Verdict(False, {"reason": "not finite type"}),
-            matching=Verdict(False, {"reason": "not finite type"}),
-            stable=False,
-        )
-        return FullAnalysis(m, attractor, (), None, report)
+        return FullAnalysis(m, attractor, ())
     return_maps = tuple(
         compute_return_map(m, comp, attractor) for comp in attractor.components()
     )
-    graph = build_ghost_graph(m, attractor)
-    a3 = check_A3(graph)
-    a1 = check_A1(m, attractor, return_maps)
-    a2 = check_A2(m, attractor, return_maps)
-    matching = check_matching(m, attractor, return_maps)
-    a3_verdict = Verdict(a3.holds, None if a3.holds else {
-        "disc": a3.witness.disc,
-        "cycle": [list(node) for node in a3.witness.cycle],
-        "times": list(a3.witness.times),
-    })
-    stable = a1.holds and a2.holds and a3.holds and matching.holds
-    report = StabilityReport(
-        finite_type=True,
-        stabilization_step=attractor.stabilization_step,
-        a1=a1,
-        a2=a2,
-        a3=a3_verdict,
-        matching=matching,
-        stable=stable,
-    )
-    return FullAnalysis(m, attractor, return_maps, graph, report)
+    return FullAnalysis(m, attractor, return_maps)
 
 
 def stability_verdict(m: ItmMap, max_iter: int | None = None) -> StabilityReport:
@@ -257,38 +274,24 @@ def apply_spec(m: ItmMap, spec: PerturbationSpec) -> ItmMap:
     return validate(m.r, beta, gamma)
 
 
-def _draw_deltas(state: int, count: int, epsilon: Fraction) -> tuple[int, tuple[Fraction, ...]]:
-    grid = 2**GRID_BITS
-    span = 2 * grid - 1  # k in [-(grid-1), grid-1] keeps |delta| < epsilon
-    deltas = []
-    for _ in range(count):
-        state = (LCG_A * state + LCG_C) % LCG_M
-        k = state % span - (grid - 1)
-        deltas.append(Fraction(k, grid) * epsilon)
-    return state, tuple(deltas)
-
-
-def _probe_one(m: ItmMap, base: FullAnalysis, spec: PerturbationSpec) -> SampleRecord:
-    try:
-        perturbed = apply_spec(m, spec)
-    except (BadOrderError, BadTranslationError):
-        return SampleRecord(spec.index, accepted=False)
-    analysis = full_analysis(perturbed)
-    base_components = base.attractor.components()
-    comps = analysis.attractor.components()
+def _probe_one(
+    index: int, m: ItmMap, base_x: IntervalSet, base_count: int, base_signature: tuple
+) -> SampleRecord:
+    analysis = full_analysis(m)
+    attractor = analysis.attractor
+    comps = attractor.components()
     signature_match = (
-        analysis.report.finite_type
-        and len(comps) == len(base_components)
-        and _signature(analysis.return_maps) == _signature(base.return_maps)
+        attractor.finite_type
+        and len(comps) == base_count
+        and _signature(analysis.return_maps) == base_signature
     )
-    dist = hausdorff_closure_distance(base.attractor.X, analysis.attractor.X)
     return SampleRecord(
-        index=spec.index,
+        index=index,
         accepted=True,
         component_count=len(comps),
-        hausdorff=dist,
-        disc_inside=len(analysis.attractor.discontinuities_inside),
-        disc_outside_closure=len(analysis.attractor.discontinuities_outside),
+        hausdorff=hausdorff_closure_distance(base_x, attractor.X),
+        disc_inside=len(attractor.discontinuities_inside),
+        disc_outside_closure=len(attractor.discontinuities_outside),
         signature_match=signature_match,
     )
 
@@ -302,20 +305,42 @@ def perturbation_probe(
     draws are rejected but keep their index. Records component counts,
     discontinuity counts, Hausdorff distances and return-map signature
     matches against the unperturbed map, in sample order.
+
+    Each delta is ``k * epsilon / 2**GRID_BITS`` with an integer ``k`` from
+    the LCG, so every perturbed parameter is an integer numerator over one
+    grid ``D = lcm(Q, 2**GRID_BITS * den(epsilon))`` and each perturbed map
+    is built from integers (:func:`~itmlab.itm.from_numerators`).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     base = full_analysis(m)
-    if not base.report.finite_type:
+    if not base.attractor.finite_type:
         raise NotFiniteTypeError("probe needs a finite-type base map")
+    base_x = base.attractor.X
+    base_count = len(base.attractor.components())
+    base_signature = _signature(base.return_maps)
+    grid = 2**GRID_BITS
+    span = 2 * grid - 1  # k in [-(grid-1), grid-1] keeps |delta| < epsilon
+    denom = math.lcm(m.Q, grid * epsilon.denominator)
+    unit = epsilon.numerator * (denom // (grid * epsilon.denominator))
+    scale = denom // m.Q
+    # numerators over denom in draw order: gamma_1..gamma_r, beta_1..beta_{r-1}
+    params = [g * scale for g in m.grid.gamma] + [c * scale for c in m.grid.cuts[1:-1]]
     state = seed % LCG_M
-    specs = []
+    records = []
     for i in range(samples):
-        state, deltas = _draw_deltas(state, 2 * m.r - 1, epsilon)
-        specs.append(PerturbationSpec(epsilon, deltas, seed, i))
-    records = [_probe_one(m, base, s) for s in specs]
+        shifted = []
+        for p in params:
+            state = (LCG_A * state + LCG_C) % LCG_M
+            shifted.append(p + (state % span - (grid - 1)) * unit)
+        try:
+            perturbed = from_numerators(m.r, shifted[m.r:], shifted[:m.r], denom)
+        except (BadOrderError, BadTranslationError):
+            records.append(SampleRecord(i, accepted=False))
+            continue
+        records.append(_probe_one(i, perturbed, base_x, base_count, base_signature))
     accepted = [rec for rec in records if rec.accepted]
     if not accepted:
         raise NoValidSamplesError("all probe draws left the parameter polytope")
@@ -328,6 +353,7 @@ def perturbation_probe(
         min_hausdorff=min(rec.hausdorff for rec in accepted),
         all_signatures_match=all(rec.signature_match for rec in accepted),
         component_counts=tuple(sorted({rec.component_count for rec in accepted})),
+        base=base,
     )
 
 

@@ -300,6 +300,74 @@ def naive_ghost_edges(m: ItmMap):
     return edges, membership
 
 
+def brute_hausdorff(a, b) -> Fraction:
+    """Hausdorff distance of the closures from a dense candidate set: every
+    endpoint plus every midpoint of a pair of endpoints, where the true
+    maximizer of a piecewise linear function lies; distances from the
+    Fraction methods of IntervalSet."""
+    pts = [e for l, r in a.intervals for e in (l, r)]
+    pts += [e for l, r in b.intervals for e in (l, r)]
+    cands = set(pts)
+    for p in pts:
+        for q in pts:
+            cands.add((p + q) / 2)
+    d_ab = max(b.distance_to_closure(x) for x in cands if a.closure_contains(x))
+    d_ba = max(a.distance_to_closure(x) for x in cands if b.closure_contains(x))
+    return max(d_ab, d_ba)
+
+
+def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -> list:
+    """The sample records of ``perturbation_probe`` rebuilt the Fraction way.
+
+    Deltas are drawn as Fractions with the published LCG (Numerical Recipes
+    constants, ``k / 1024 * epsilon`` with ``k`` in [-1023, 1023]), applied
+    with ``apply_spec`` (Fraction sums, then ``validate``), every analysis is
+    forced whole (the verdict and every signed chain), and distances come
+    from ``brute_hausdorff``.
+    """
+    from itmlab import PerturbationSpec, apply_spec, full_analysis
+    from itmlab.stability import SampleRecord
+
+    def eager(fa):
+        fa.report
+        for data in fa.return_maps:
+            data.chains
+        return fa
+
+    def signature(fa):
+        return tuple((d.n_intervals, d.return_times, d.sigma) for d in fa.return_maps)
+
+    base = eager(full_analysis(m))
+    state = seed % 2**32
+    records = []
+    for i in range(samples):
+        deltas = []
+        for _ in range(2 * m.r - 1):
+            state = (1664525 * state + 1013904223) % 2**32
+            deltas.append(Fraction(state % 2047 - 1023, 1024) * epsilon)
+        try:
+            perturbed = apply_spec(m, PerturbationSpec(epsilon, tuple(deltas), seed, i))
+        except (BadOrderError, BadTranslationError):
+            records.append(SampleRecord(i, accepted=False))
+            continue
+        fa = eager(full_analysis(perturbed))
+        comps = fa.attractor.components()
+        records.append(SampleRecord(
+            index=i,
+            accepted=True,
+            component_count=len(comps),
+            hausdorff=brute_hausdorff(base.attractor.X, fa.attractor.X),
+            disc_inside=len(fa.attractor.discontinuities_inside),
+            disc_outside_closure=len(fa.attractor.discontinuities_outside),
+            signature_match=(
+                fa.report.finite_type
+                and len(comps) == len(base.attractor.components())
+                and signature(fa) == signature(base)
+            ),
+        ))
+    return records
+
+
 @pytest.fixture(scope="session")
 def corpus_q1024() -> list[ItmMap]:
     """The first eight maps of the corpus-q1024 bench workload: each map's

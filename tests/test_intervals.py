@@ -6,10 +6,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itmlab import (
     EmptySetError,
-    IntervalSet,
     canonicalize,
     format_rational,
     hausdorff_closure_distance,
@@ -17,9 +18,9 @@ from itmlab import (
     minus,
     parse_rational,
     plus,
-    set_ops,
 )
 from itmlab.intervals import SignedPoint
+from conftest import brute_hausdorff
 
 
 def iset(*pairs):
@@ -115,14 +116,6 @@ class TestSetOps:
     def test_difference_self_empty(self):
         assert interval(0, 1).difference(interval(0, 1)).is_empty()
 
-    def test_dispatch(self):
-        a, b = interval(0, F(1, 2)), interval(F(1, 4), 1)
-        assert set_ops(a, b, "union") == interval(0, 1)
-        assert set_ops(a, b, "intersection") == interval(F(1, 4), F(1, 2))
-        assert set_ops(a, b, "difference") == interval(0, F(1, 4))
-        with pytest.raises(ValueError):
-            set_ops(a, b, "xor")
-
     def test_grid_membership_oracle(self):
         # union / intersection / difference agree with pointwise membership
         # on the grid {k/Q}, Q = lcm of all endpoint denominators
@@ -182,18 +175,17 @@ class TestComponents:
         assert interval(0, 1).components() == ((F(0), F(1)),)
 
 
-def brute_hausdorff(a: IntervalSet, b: IntervalSet) -> F:
-    # dense candidate oracle: every endpoint plus every midpoint of a pair of
-    # endpoints; the true maximizer of a piecewise linear function is there
-    pts = [e for l, r in a.intervals for e in (l, r)]
-    pts += [e for l, r in b.intervals for e in (l, r)]
-    cands = set(pts)
-    for p in pts:
-        for q in pts:
-            cands.add((p + q) / 2)
-    d_ab = max(b.distance_to_closure(x) for x in cands if a.closure_contains(x))
-    d_ba = max(a.distance_to_closure(x) for x in cands if b.closure_contains(x))
-    return max(d_ab, d_ba)
+@st.composite
+def mixed_sets(draw):
+    """A non-empty interval set whose endpoints have denominators up to 60,
+    drawn independently, so one set mixes several grids."""
+    ends = draw(st.lists(
+        st.builds(F, st.integers(0, 60), st.integers(1, 60)).filter(lambda x: x <= 1),
+        min_size=2, max_size=12, unique=True,
+    ))
+    ends.sort()
+    pairs = [(ends[k], ends[k + 1]) for k in range(0, len(ends) - 1, 2)]
+    return canonicalize(pairs)
 
 
 class TestHausdorff:
@@ -233,6 +225,13 @@ class TestHausdorff:
                 continue
             assert hausdorff_closure_distance(a, b) == brute_hausdorff(a, b)
             checked += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=mixed_sets(), b=mixed_sets())
+    def test_mixed_denominators_against_brute_force(self, a, b):
+        # endpoints on different grids, so the common grid 1/(2L) is finer
+        # than either set's own
+        assert hausdorff_closure_distance(a, b) == brute_hausdorff(a, b)
 
     def test_symmetry_and_triangle(self):
         rng = random.Random(43)

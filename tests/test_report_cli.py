@@ -99,6 +99,24 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "must be a readable file" in err and "Permission denied" in err
 
+    @pytest.mark.parametrize("command", [[], ["--eps", "1/1000", "--samples", "2"]],
+                             ids=["analyze", "probe"])
+    def test_out_directory_exit_2(self, files, tmp_path, capsys, command):
+        name = "probe" if command else "analyze"
+        assert main([name, files["fig1"], *command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "must be a writable file path" in err
+
+    @pytest.mark.parametrize("command", [[], ["--eps", "1/1000", "--samples", "2"]],
+                             ids=["analyze", "probe"])
+    def test_out_missing_parent_exit_2(self, files, tmp_path, capsys, command):
+        name = "probe" if command else "analyze"
+        out = tmp_path / "missing" / "report.json"
+        assert main([name, files["fig1"], *command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "No such file or directory" in err
+        assert not out.parent.exists()
+
     def test_max_iter_marks_capped(self, files, capsys):
         assert main(["analyze", files["fig1"], "--max-iter", "2", "--json-only"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -15,7 +15,14 @@ from itmlab import (
     compute_return_map,
     verify_touching_equations,
 )
-from itmlab.return_map import IDENTITY, MANY_BRANCHES, ROTATION_LIKE
+from itmlab import return_map
+from itmlab.return_map import (
+    IDENTITY,
+    MANY_BRANCHES,
+    ROTATION_LIKE,
+    ReturnMapInvariantError,
+    SignedChain,
+)
 from conftest import grid_points, naive_first_return, naive_signed_chain
 
 JB = (F(1, 2), F(17, 21))
@@ -107,6 +114,74 @@ class TestErrors:
         att = compute_attractor(fig1, max_iter=2)
         with pytest.raises(NotFiniteTypeError):
             compute_return_map(fig1, JB, att)
+
+
+def _split_nudged(real):
+    # every piece one grid step too long: pieces end up straddling J
+    def nudged(cuts, l, r):
+        return [(lo, hi + 1, i) for lo, hi, i in real(cuts, l, r)]
+    return nudged
+
+
+def _split_doubled(real):
+    # the last piece of every split flies twice
+    def doubled(cuts, l, r):
+        out = real(cuts, l, r)
+        return out + out[-1:]
+    return doubled
+
+
+def _split_dropped(real):
+    # the last piece of every split vanishes, so J returns as one piece
+    # that is not the identity
+    def dropped(cuts, l, r):
+        out = real(cuts, l, r)
+        return out[:-1] or out
+    return dropped
+
+
+def _chain_late(real):
+    def late(*args):
+        c = real(*args)
+        return SignedChain(c.j, c.side, c.hits, c.entry_time + 1, c.entry_value)
+    return late
+
+
+def _chain_blind(real):
+    def blind(*args):
+        c = real(*args)
+        return SignedChain(c.j, c.side, (), c.entry_time, c.entry_value)
+    return blind
+
+
+class TestInvariantErrors:
+    """A broken kernel must stop the return map with a typed error, also
+    under ``python -O``; the chain checks run when the chains are read."""
+
+    @pytest.mark.parametrize("target,broken,message", [
+        ("split", _split_nudged, "straddles"),
+        ("split", _split_doubled, "retired pieces do not match"),
+        ("split", _split_dropped, "do not tile J"),
+    ])
+    def test_broken_propagation_raises(self, fig1, monkeypatch, target, broken, message):
+        att = compute_attractor(fig1)
+        monkeypatch.setattr(return_map, target, broken(getattr(return_map, target)))
+        with pytest.raises(ReturnMapInvariantError, match=message):
+            compute_return_map(fig1, JB, att)
+
+    @pytest.mark.parametrize("broken,message", [
+        (_chain_late, "!= return time"),
+        (_chain_blind, "does not first hit"),
+    ])
+    def test_broken_chain_walk_raises_when_read(self, fig1, monkeypatch, broken, message):
+        att = compute_attractor(fig1)
+        monkeypatch.setattr(return_map, "_signed_chain", broken(return_map._signed_chain))
+        data = compute_return_map(fig1, JB, att)
+        with pytest.raises(ReturnMapInvariantError, match=message):
+            data.chains
+
+    def test_is_an_assertion_error(self):
+        assert issubclass(ReturnMapInvariantError, AssertionError)
 
 
 class TestInvariants:

@@ -28,7 +28,7 @@ from itmlab import (
 )
 from itmlab.ghost import A3Witness
 from itmlab.intervals import SignedPoint
-from conftest import random_map
+from conftest import naive_probe_records, random_map
 
 
 def analysis_parts(m):
@@ -199,6 +199,24 @@ class TestProbe:
         # all three draws of this seed leave the polytope at eps = 3
         with pytest.raises(NoValidSamplesError):
             perturbation_probe(rotation35, F(3), 3, seed=9)
+
+    # corpus maps whose 40-sample probes at eps = 1/1000 settle within a
+    # quarter second; other corpus maps have perturbed transients of
+    # seconds per sample (there is no per-sample work budget yet)
+    PROBED_CORPUS = (0, 2, 4, 7, 14, 19, 25)
+
+    def test_records_match_fraction_oracle(self, fig1, ghost_map, corpus):
+        # gamma_1 and gamma_2 sit 1/4000 inside the polytope edge, so draws
+        # with delta_1 > 1/4000 or delta_2 < -1/4000 leave it
+        near_edge = validate(2, [F(2, 5)], [F(3, 5) - F(1, 4000), F(-2, 5) + F(1, 4000)])
+        maps = [fig1, ghost_map, near_edge] + [corpus[i] for i in self.PROBED_CORPUS]
+        eps = F(1, 1000)
+        for m in maps:
+            pr = perturbation_probe(m, eps, 40, seed=3)
+            assert list(pr.samples) == naive_probe_records(m, eps, 40, 3)
+            assert pr.base == full_analysis(m)
+            if m is near_edge:
+                assert 0 < pr.accepted < 40
 
     def test_bad_arguments(self, fig1):
         with pytest.raises(ValueError):
