@@ -281,13 +281,13 @@ def verify_touching_equations(m: ItmMap, data: ReturnMapData) -> tuple[Fraction,
     """
     grid = m.grid
     denom = grid.denom
-    sigma = data.sigma
+    sigma, kcuts = data.sigma, data.kcuts
     out: list[Fraction] = []
     for p in range(len(sigma) - 1):
         left = data.chain(sigma[p], MINUS)
         right = data.chain(sigma[p + 1] - 1, PLUS)
-        lval = walk(grid, on_grid(data.cut_points[left.j], denom), MINUS, left.entry_time)[0]
-        rval = walk(grid, on_grid(data.cut_points[right.j], denom), PLUS, right.entry_time)[0]
+        lval = walk(grid, kcuts[left.j], MINUS, left.entry_time)[0]
+        rval = walk(grid, kcuts[right.j], PLUS, right.entry_time)[0]
         if lval != rval:
             raise TouchingViolatedError(p + 1)
         if (lval, rval) != (on_grid(left.entry_value, denom), on_grid(right.entry_value, denom)):
@@ -301,6 +301,6 @@ def classify_return_dynamics(data: ReturnMapData) -> str:
     n = data.n_intervals
     if n >= 3:
         return MANY_BRANCHES
-    if all(img[0] == data.cut_points[j] for j, img in enumerate(data.images)):
+    if all(img[0] == data.kcuts[j] for j, img in enumerate(data.kimages)):
         return IDENTITY
     return ROTATION_LIKE

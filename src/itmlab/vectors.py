@@ -64,14 +64,19 @@ class PatternResult:
 def product(v: CoefficientVector, m: ItmMap) -> Fraction:
     """<v, (gamma beta)> = sum e_s gamma_s + sum f_s beta_s, exact: an
     integer sum over the grid numerators of the parameters."""
+    return Fraction(_kproduct(v, m), m.Q)
+
+
+def _kproduct(v: CoefficientVector, m: ItmMap) -> int:
+    """Numerator of :func:`product` over the map's grid."""
     grid = m.grid
     total = sum(c * g for c, g in zip(v.e, grid.gamma))
-    total += sum(c * b for c, b in zip(v.f, grid.cuts[1:-1]))
-    return Fraction(total, grid.denom)
+    return total + sum(c * b for c, b in zip(v.f, grid.cuts[1:-1]))
 
 
-def _counts(m: ItmMap, value: Fraction, side: str, steps: int) -> tuple[int, ...]:
-    return walk(m.grid, on_grid(value, m.Q), side, steps)[1]
+def _counts(m: ItmMap, k: int, side: str, steps: int) -> tuple[int, ...]:
+    """Per-branch visit counts of the signed point ``k / Q`` over ``steps``."""
+    return walk(m.grid, k, side, steps)[1]
 
 
 def _f_unit(m: ItmMap, index: int, sign: int) -> tuple[int, ...]:
@@ -100,7 +105,7 @@ def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ..
     landings: dict[int, CoefficientVector] = {}
 
     for c in data.chains:
-        a_j = data.cut_points[c.j]
+        a_j = data.kcuts[c.j]
         if c.hits:
             first = c.hits[0]
             if c.j not in landings:
@@ -118,16 +123,16 @@ def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ..
             if j in landings:
                 out.append(landings.pop(j))
             if not c.hits:
-                e = _counts(m, data.cut_points[j], side, c.entry_time)
+                e = _counts(m, data.kcuts[j], side, c.entry_time)
                 out.append(CoefficientVector(e, _f_zero(m), ("R", side, j)))
                 continue
             for k in range(len(c.hits) - 1):
                 cur, nxt = c.hits[k], c.hits[k + 1]
-                e = _counts(m, m.beta[cur.disc - 1], side, nxt.time - cur.time)
+                e = _counts(m, m.grid.cuts[cur.disc], side, nxt.time - cur.time)
                 f = _f_sum(_f_unit(m, cur.disc, 1), _f_unit(m, nxt.disc, -1))
                 out.append(CoefficientVector(e, f, ("C", side, j, k + 1)))
             last = c.hits[-1]
-            e = _counts(m, m.beta[last.disc - 1], side, c.entry_time - last.time)
+            e = _counts(m, m.grid.cuts[last.disc], side, c.entry_time - last.time)
             out.append(CoefficientVector(e, _f_unit(m, last.disc, 1), ("R", side, j)))
     return tuple(out)
 
@@ -138,13 +143,14 @@ def verify_identities(
     """Check every vector's defining identity by exact equality / membership."""
     if vectors is None:
         vectors = build_vectors(m, data)
-    x, y = data.J
+    kcuts = data.kcuts
+    x, y = kcuts[0], kcuts[-1]
     checks: list[IdentityCheck] = []
     for v in vectors:
-        val = product(v, m)
+        val = _kproduct(v, m)
         if v.tag[0] == "L":
             j = v.tag[1]
-            ok = val + data.cut_points[j] == 0
+            ok = val + kcuts[j] == 0
             kind = "landing"
         elif v.tag[0] == "C":
             ok = val == 0
@@ -152,15 +158,14 @@ def verify_identities(
         else:
             _, side, j = v.tag
             chain = data.chain(j, side)
+            entry = on_grid(chain.entry_value, m.Q)
             if chain.hits:
-                ok = val == chain.entry_value and (
-                    x <= val < y if side == PLUS else x < val <= y
-                )
+                ok = val == entry and (x <= val < y if side == PLUS else x < val <= y)
                 kind = "return"
             else:
-                ok = val == chain.entry_value - data.cut_points[j]
+                ok = val == entry - kcuts[j]
                 kind = "return_free"
-        checks.append(IdentityCheck(v.tag, kind, val, ok))
+        checks.append(IdentityCheck(v.tag, kind, Fraction(val, m.Q), ok))
         if not ok:
             raise IdentityViolatedError(v.tag)
     return tuple(checks)

@@ -320,13 +320,21 @@ def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -
     """The sample records of ``perturbation_probe`` rebuilt the Fraction way.
 
     Deltas are drawn as Fractions with the published LCG (Numerical Recipes
-    constants, ``k / 1024 * epsilon`` with ``k`` in [-1023, 1023]), applied
-    with ``apply_spec`` (Fraction sums, then ``validate``), every analysis is
-    forced whole (the verdict and every signed chain), and distances come
-    from ``brute_hausdorff``.
+    constants, ``k / 1024 * epsilon`` with ``k`` in [-1023, 1023]) and added
+    to the parameters as Fractions. Whether a draw is accepted is decided
+    here on those sums: strictly increasing cuts and ``-beta_{i-1} <=
+    gamma_i <= 1 - beta_i``. Accepted draws are built with ``apply_spec``,
+    every analysis is forced whole (the verdict and every signed chain), and
+    distances come from ``brute_hausdorff``.
     """
     from itmlab import PerturbationSpec, apply_spec, full_analysis
     from itmlab.stability import SampleRecord
+
+    def in_polytope(beta, gamma):
+        cuts = [Fraction(0), *beta, Fraction(1)]
+        return all(cuts[i - 1] < cuts[i] for i in range(1, m.r + 1)) and all(
+            -cuts[i - 1] <= gamma[i - 1] <= 1 - cuts[i] for i in range(1, m.r + 1)
+        )
 
     def eager(fa):
         fa.report
@@ -345,11 +353,13 @@ def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -
         for _ in range(2 * m.r - 1):
             state = (1664525 * state + 1013904223) % 2**32
             deltas.append(Fraction(state % 2047 - 1023, 1024) * epsilon)
-        try:
-            perturbed = apply_spec(m, PerturbationSpec(epsilon, tuple(deltas), seed, i))
-        except (BadOrderError, BadTranslationError):
+        gamma = [g + deltas[s] for s, g in enumerate(m.gamma)]
+        beta = [b + deltas[m.r + s] for s, b in enumerate(m.beta)]
+        if not in_polytope(beta, gamma):
             records.append(SampleRecord(i, accepted=False))
             continue
+        perturbed = apply_spec(m, PerturbationSpec(epsilon, tuple(deltas), seed, i))
+        assert (perturbed.beta, perturbed.gamma) == (tuple(beta), tuple(gamma))
         fa = eager(full_analysis(perturbed))
         comps = fa.attractor.components()
         records.append(SampleRecord(

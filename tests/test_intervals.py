@@ -6,8 +6,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from itmlab import (
     EmptySetError,
@@ -175,19 +173,6 @@ class TestComponents:
         assert interval(0, 1).components() == ((F(0), F(1)),)
 
 
-@st.composite
-def mixed_sets(draw):
-    """A non-empty interval set whose endpoints have denominators up to 60,
-    drawn independently, so one set mixes several grids."""
-    ends = draw(st.lists(
-        st.builds(F, st.integers(0, 60), st.integers(1, 60)).filter(lambda x: x <= 1),
-        min_size=2, max_size=12, unique=True,
-    ))
-    ends.sort()
-    pairs = [(ends[k], ends[k + 1]) for k in range(0, len(ends) - 1, 2)]
-    return canonicalize(pairs)
-
-
 class TestHausdorff:
     def test_equal_sets(self):
         a = interval(0, F(1, 2))
@@ -225,13 +210,6 @@ class TestHausdorff:
                 continue
             assert hausdorff_closure_distance(a, b) == brute_hausdorff(a, b)
             checked += 1
-
-    @settings(max_examples=200, deadline=None)
-    @given(a=mixed_sets(), b=mixed_sets())
-    def test_mixed_denominators_against_brute_force(self, a, b):
-        # endpoints on different grids, so the common grid 1/(2L) is finer
-        # than either set's own
-        assert hausdorff_closure_distance(a, b) == brute_hausdorff(a, b)
 
     def test_symmetry_and_triangle(self):
         rng = random.Random(43)
