@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from .attractor import compute_attractor
-from .ghost import check_A3
 from .intervals import MINUS, PLUS, parse_rational
 from .itm import BadOrderError, BadTranslationError, ItmMap, MapFormatError, load_map
 from .render import render_map, render_orbit
@@ -126,7 +125,7 @@ def cmd_probe(args) -> int:
     probe = None
     if args.directed:
         analysis = full_analysis(m)
-        a3 = check_A3(analysis.ghost_graph) if analysis.ghost_graph else None
+        a3 = analysis.a3
         if a3 is None or a3.holds:
             print("error: --directed needs an A3 violation", file=sys.stderr)
             return EXIT_DEGENERATE
@@ -174,7 +173,7 @@ def cmd_ghost_tree(args) -> int:
     analysis = full_analysis(m)
     doc = {
         "header": {"tool": "itmlab", "input_digest": digest},
-        "ghost": ghost_section(analysis.ghost_graph, check_A3(analysis.ghost_graph)),
+        "ghost": ghost_section(analysis.ghost_graph, analysis.a3),
     }
     if args.root:
         index, side = _parse_root(args.root)

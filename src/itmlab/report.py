@@ -8,13 +8,12 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import hashlib
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .attractor import AttractorResult
 from .ghost import GhostGraph
-from .intervals import format_rational
 from .itm import ItmMap
 from .return_map import ReturnMapData, classify_return_dynamics
 from .stability import (
@@ -31,12 +30,8 @@ from .return_map import verify_touching_equations
 from .vectors import build_vectors, check_lin_dep_pattern, verify_identities
 
 
-def _fr(q: Fraction) -> str:
-    return format_rational(q)
-
-
 def _pair(p) -> list[str]:
-    return [_fr(p[0]), _fr(p[1])]
+    return [str(p[0]), str(p[1])]
 
 
 def input_digest(data: bytes) -> str:
@@ -46,8 +41,8 @@ def input_digest(data: bytes) -> str:
 def map_section(m: ItmMap) -> dict:
     return {
         "r": m.r,
-        "beta": [_fr(b) for b in m.beta],
-        "gamma": [_fr(g) for g in m.gamma],
+        "beta": [str(b) for b in m.beta],
+        "gamma": [str(g) for g in m.gamma],
         "Q": m.Q,
         "image_compactly_contained": m.image_compactly_contained,
     }
@@ -69,7 +64,7 @@ def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
     return {
         "component": component,
         "J": _pair(data.J),
-        "cut_points": [_fr(c) for c in data.cut_points],
+        "cut_points": [str(c) for c in data.cut_points],
         "return_times": list(data.return_times),
         "landings": [
             {"cut": rec.j, "time": rec.time, "disc": rec.disc} for rec in data.landings
@@ -80,7 +75,7 @@ def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
                 "side": c.side,
                 "hits": [{"disc": h.disc, "time": h.time} for h in c.hits],
                 "entry_time": c.entry_time,
-                "entry_value": _fr(c.entry_value),
+                "entry_value": str(c.entry_value),
             }
             for c in data.chains
         ],
@@ -89,7 +84,7 @@ def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
         "images": [_pair(img) for img in data.images],
         "dynamically_trivial": data.dynamically_trivial,
         "classification": classify_return_dynamics(data),
-        "touching_values": [_fr(v) for v in verify_touching_equations(m, data)],
+        "touching_values": [str(v) for v in verify_touching_equations(m, data)],
     }
 
 
@@ -112,7 +107,7 @@ def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
                 "tag": _tag(v.tag),
                 "e": list(v.e),
                 "f": list(v.f),
-                "product": _fr(check.value),
+                "product": str(check.value),
             }
             for v, check in zip(vecs, checks)
         ],
@@ -159,12 +154,12 @@ def stability_section(report: StabilityReport) -> dict:
 
 def probe_section(pr: ProbeResult) -> dict:
     return {
-        "epsilon": _fr(pr.epsilon),
+        "epsilon": str(pr.epsilon),
         "seed": pr.seed,
         "samples": len(pr.samples),
         "accepted": pr.accepted,
-        "max_hausdorff": _fr(pr.max_hausdorff),
-        "min_hausdorff": _fr(pr.min_hausdorff),
+        "max_hausdorff": str(pr.max_hausdorff),
+        "min_hausdorff": str(pr.min_hausdorff),
         "all_signatures_match": pr.all_signatures_match,
         "component_counts": list(pr.component_counts),
         "records": [
@@ -172,7 +167,7 @@ def probe_section(pr: ProbeResult) -> dict:
                 "index": rec.index,
                 "accepted": rec.accepted,
                 "component_count": rec.component_count,
-                "hausdorff": _fr(rec.hausdorff) if rec.hausdorff is not None else None,
+                "hausdorff": str(rec.hausdorff) if rec.hausdorff is not None else None,
                 "disc_inside": rec.disc_inside,
                 "disc_outside_closure": rec.disc_outside_closure,
                 "signature_match": rec.signature_match,
@@ -184,8 +179,8 @@ def probe_section(pr: ProbeResult) -> dict:
 
 def directed_section(dp: DirectedPerturbation, analysis: FullAnalysis) -> dict:
     return {
-        "deltas": [_fr(d) for d in dp.spec.deltas],
-        "epsilon": _fr(dp.spec.epsilon),
+        "deltas": [str(d) for d in dp.spec.deltas],
+        "epsilon": str(dp.spec.epsilon),
         "predicted_interval": _pair(dp.predicted_interval),
         "period": dp.period,
         "perturbed_components": [_pair(c) for c in analysis.attractor.components()],
@@ -194,7 +189,7 @@ def directed_section(dp: DirectedPerturbation, analysis: FullAnalysis) -> dict:
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return _fr(obj)
+        return str(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -230,9 +225,7 @@ def build_report(
             vectors_section(analysis.map, data, k)
             for k, data in enumerate(analysis.return_maps, start=1)
         ]
-        from .ghost import check_A3
-
-        doc["ghost"] = ghost_section(analysis.ghost_graph, check_A3(analysis.ghost_graph))
+        doc["ghost"] = ghost_section(analysis.ghost_graph, analysis.a3)
     doc["stability"] = stability_section(analysis.report)
     if probe is not None:
         doc["probe"] = probe_section(probe)
@@ -241,5 +234,47 @@ def build_report(
     return doc
 
 
+# How each scalar type is written, exactly as json.dumps writes it.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_formatter = _SCALARS.get
+
+
+def _write(obj, indent: str) -> str:
+    """``obj`` as json.dumps(indent=2) writes it at nesting ``indent``."""
+    kind = type(obj)
+    fmt = _formatter(kind)
+    if fmt is not None:
+        return fmt(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            fmt = _formatter(type(value))
+            text = fmt(value) if fmt else _write(value, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        fmt = _formatter(kinds.pop()) if len(kinds) == 1 else None
+        items = map(fmt, obj) if fmt else [_write(value, inner) for value in obj]
+        return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
+    raise TypeError(f"{kind.__name__} cannot enter a report")
+
+
 def render_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The report text, byte-identical to ``json.dumps(doc, indent=2) + "\n"``:
+    str, int, bool and None scalars, dicts with str keys, lists and tuples
+    (written as lists). Any other type raises TypeError."""
+    return _write(doc, "") + "\n"

@@ -52,19 +52,25 @@ class TouchingViolatedError(AssertionError):
 
 @dataclass(frozen=True)
 class ChainHit:
+    """The chain sits on beta_disc at ``time``; ``counts`` is how many of the
+    steps before it took each branch."""
+
     disc: int
     time: int
+    counts: tuple[int, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
 class SignedChain:
-    """Critical hits of one signed endpoint before it re-enters J."""
+    """Critical hits of one signed endpoint before it re-enters J, and how
+    many steps of the whole walk took each branch (``entry_counts``)."""
 
     j: int
     side: str
     hits: tuple[ChainHit, ...]
     entry_time: int
     entry_value: Fraction
+    entry_counts: tuple[int, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -156,19 +162,25 @@ def _signed_chain(
     grid: Grid, beta_index: dict[int, int], J: IntPair, j: int, side: str, start: int, cap: int
 ) -> SignedChain:
     """Walk the signed point ``start/denom`` with ``side`` on the integer
-    grid until it re-enters J; record discontinuity hits before that."""
+    grid until it re-enters J; record discontinuity hits before that, each
+    with the cumulative branch counts, and the counts at entry."""
     cuts, gamma = grid.cuts, grid.gamma
     find = branch_rule(side)  # finds the branch, and signed membership of J
     k = start
     hits: list[ChainHit] = []
+    counts = [0] * len(gamma)
     t = 0
     while True:
         if t >= 1 and find(J, k) == 1:
-            return SignedChain(j, side, tuple(hits), t, Fraction(k, grid.denom))
+            return SignedChain(
+                j, side, tuple(hits), t, Fraction(k, grid.denom), tuple(counts)
+            )
         disc = beta_index.get(k)
         if disc is not None:
-            hits.append(ChainHit(disc, t))
-        k += gamma[find(cuts, k) - 1]
+            hits.append(ChainHit(disc, t, tuple(counts)))
+        i = find(cuts, k) - 1
+        counts[i] += 1
+        k += gamma[i]
         t += 1
         if t > cap:
             raise NotFiniteTypeError(

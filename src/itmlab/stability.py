@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .attractor import AttractorResult, compute_attractor
-from .ghost import GhostGraph, build_ghost_graph, check_A3
+from .ghost import A3Result, GhostGraph, build_ghost_graph, check_A3
 from .intervals import MINUS, PLUS, IntervalSet, hausdorff_closure_distance
 from .itm import BadOrderError, BadTranslationError, ItmMap, from_numerators, validate
 from .kernel import branch_rule
@@ -65,8 +65,8 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class FullAnalysis:
-    """Attractor and return maps, computed up front; the ghost graph and the
-    stability verdict are built on first access."""
+    """Attractor and return maps, computed up front; the ghost graph, its A3
+    result and the stability verdict are built on first access."""
 
     map: ItmMap
     attractor: AttractorResult
@@ -77,6 +77,13 @@ class FullAnalysis:
         if not self.attractor.finite_type:
             return None
         return build_ghost_graph(self.map, self.attractor)
+
+    @cached_property
+    def a3(self) -> A3Result | None:
+        """A3 on the ghost graph, checked once for the verdict and the report."""
+        if self.ghost_graph is None:
+            return None
+        return check_A3(self.ghost_graph)
 
     @cached_property
     def report(self) -> StabilityReport:
@@ -91,7 +98,7 @@ class FullAnalysis:
                 stable=False,
             )
         m, attractor, return_maps = self.map, self.attractor, self.return_maps
-        a3 = check_A3(self.ghost_graph)
+        a3 = self.a3
         a1 = check_A1(m, attractor, return_maps)
         a2 = check_A2(m, attractor, return_maps)
         matching = check_matching(m, attractor, return_maps)

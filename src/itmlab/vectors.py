@@ -19,13 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .intervals import MINUS, PLUS
 from .itm import ItmMap
-from .kernel import on_grid, walk
+from .kernel import on_grid
 from .return_map import ReturnMapData
 
 Tag = tuple
+
+
+class VectorInvariantError(AssertionError):
+    """The two signed chains of an interior cut point give different landing
+    vectors; impossible on exact data, so a bug. A typed error rather than
+    an ``assert``, so the check also runs under ``python -O``."""
 
 
 class IdentityViolatedError(AssertionError):
@@ -74,9 +81,9 @@ def _kproduct(v: CoefficientVector, m: ItmMap) -> int:
     return total + sum(c * b for c, b in zip(v.f, grid.cuts[1:-1]))
 
 
-def _counts(m: ItmMap, k: int, side: str, steps: int) -> tuple[int, ...]:
-    """Per-branch visit counts of the signed point ``k / Q`` over ``steps``."""
-    return walk(m.grid, k, side, steps)[1]
+def _diff(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Branch counts between two cumulative snapshots of one chain walk."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def _f_unit(m: ItmMap, index: int, sign: int) -> tuple[int, ...]:
@@ -98,23 +105,25 @@ def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ..
 
     Interior cut points contribute L_j plus both signed chains; boundary
     points contribute their chain's vectors when the chain is non-empty, and
-    otherwise only the f-free return vector.
+    otherwise only the f-free return vector. Each ``e`` is the difference of
+    two cumulative branch-count snapshots the chain walk recorded: L_j up
+    to the first hit, C between consecutive hits, R from the last hit (or
+    from the start, for an empty chain) to the entry into J.
     """
     n = data.n_intervals
     out: list[CoefficientVector] = []
     landings: dict[int, CoefficientVector] = {}
 
     for c in data.chains:
-        a_j = data.kcuts[c.j]
         if c.hits:
             first = c.hits[0]
+            f = _f_unit(m, first.disc, -1)
             if c.j not in landings:
-                e = _counts(m, a_j, c.side, first.time)
-                landings[c.j] = CoefficientVector(e, _f_unit(m, first.disc, -1), ("L", c.j))
-            else:
-                # interior cut points: both sides must produce the same L_j
-                e = _counts(m, a_j, c.side, first.time)
-                assert landings[c.j].e == e and landings[c.j].f == _f_unit(m, first.disc, -1)
+                landings[c.j] = CoefficientVector(first.counts, f, ("L", c.j))
+            elif landings[c.j].e != first.counts or landings[c.j].f != f:
+                raise VectorInvariantError(
+                    f"the two sides of cut {c.j} give different landing vectors"
+                )
 
     for side in (PLUS, MINUS):
         js = range(n) if side == PLUS else range(1, n + 1)
@@ -123,16 +132,15 @@ def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ..
             if j in landings:
                 out.append(landings.pop(j))
             if not c.hits:
-                e = _counts(m, data.kcuts[j], side, c.entry_time)
-                out.append(CoefficientVector(e, _f_zero(m), ("R", side, j)))
+                out.append(CoefficientVector(c.entry_counts, _f_zero(m), ("R", side, j)))
                 continue
             for k in range(len(c.hits) - 1):
                 cur, nxt = c.hits[k], c.hits[k + 1]
-                e = _counts(m, m.grid.cuts[cur.disc], side, nxt.time - cur.time)
+                e = _diff(nxt.counts, cur.counts)
                 f = _f_sum(_f_unit(m, cur.disc, 1), _f_unit(m, nxt.disc, -1))
                 out.append(CoefficientVector(e, f, ("C", side, j, k + 1)))
             last = c.hits[-1]
-            e = _counts(m, m.grid.cuts[last.disc], side, c.entry_time - last.time)
+            e = _diff(c.entry_counts, last.counts)
             out.append(CoefficientVector(e, _f_unit(m, last.disc, 1), ("R", side, j)))
     return tuple(out)
 
@@ -174,12 +182,17 @@ def verify_identities(
 # -- exact nullspace ------------------------------------------------------
 
 
-def nullspace(columns: list[list[int]], dim: int) -> list[list[Fraction]]:
-    """Exact nullspace basis of the matrix whose columns are given.
+def nullspace(columns: list[list[int]], dim: int) -> list[list[int]]:
+    """Exact integer nullspace basis of the matrix whose columns are given.
 
     Fraction-free (Bareiss) forward elimination on the integer matrix, first
-    nonzero entry in column order as pivot, then rational back-substitution:
-    one basis vector per free column.
+    nonzero entry in column order as pivot; the last pivot is then the
+    determinant d of the pivot submatrix (pivot rows x pivot columns). One
+    basis vector per free column f: coordinate f is d, the other free
+    coordinates are 0, and back-substitution gives the pivot coordinates.
+    By Cramer's rule each of those is a determinant of the pivot submatrix
+    with one column replaced by column f, so every division is exact; a
+    remainder raises VectorInvariantError.
     """
     ncols = len(columns)
     rows = [[columns[c][r] for c in range(ncols)] for r in range(dim)]
@@ -197,27 +210,29 @@ def nullspace(columns: list[list[int]], dim: int) -> list[list[Fraction]]:
             continue
         if sel != rank:
             rows[sel], rows[rank] = rows[rank], rows[sel]
-        piv = rows[rank][col]
+        pivot_row = rows[rank]
+        piv = pivot_row[col]
+        # both rows are zero left of col, so whole-row updates are exact
         for r in range(rank + 1, nrows):
             factor = rows[r][col]
-            for c2 in range(col + 1, ncols):
-                rows[r][c2] = (piv * rows[r][c2] - factor * rows[rank][c2]) // prev
-            rows[r][col] = 0
+            rows[r] = [(piv * a - factor * b) // prev for a, b in zip(rows[r], pivot_row)]
         prev = piv
         pivots.append((rank, col))
         rank += 1
-    piv_cols = {c for _, c in pivots}
-    basis: list[list[Fraction]] = []
+    pivot_cols = {c for _, c in pivots}
+    basis: list[list[int]] = []
     for free in range(ncols):
-        if free in piv_cols:
+        if free in pivot_cols:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [0] * ncols
+        vec[free] = prev
         for r, c in reversed(pivots):
-            if c >= free:
-                continue
-            s = sum((Fraction(rows[r][c2]) * vec[c2] for c2 in range(c + 1, ncols)), Fraction(0))
-            vec[c] = -s / rows[r][c]
+            row = rows[r]
+            # row is zero left of c and vec[c] is still 0
+            q, rem = divmod(-sum(map(mul, row, vec)), row[c])
+            if rem:
+                raise VectorInvariantError(f"inexact back-substitution in column {c}")
+            vec[c] = q
         basis.append(vec)
     return basis
 
@@ -232,21 +247,28 @@ def check_lin_dep_pattern(
     c+_j), those of C-(j+1, .) and R-_{j+1} must agree (c-_{j+1}), and
     c+_j = -c-_{j+1}; for interior j the landing coefficient alpha_j must
     equal c-_j + c+_j. Boundary blocks without landings keep only their
-    return-vector constraint. A violation is returned as a witness, never
-    raised: it would falsify the underlying lemma and means an engine bug.
+    return-vector constraint. Every constraint is homogeneous, so the
+    integer scaling of a basis vector changes neither the verdict nor the
+    witness. A violation is returned as a witness, never raised: it would
+    falsify the underlying lemma and means an engine bug.
     """
     if vectors is None:
         vectors = build_vectors(m, data)
     n = data.n_intervals
     dim = 2 * m.r - 1
-    cols = [list(v.entries()) for v in vectors]
-    basis = nullspace(cols, dim)
+    basis = nullspace([list(v.entries()) for v in vectors], dim)
     index = {v.tag: i for i, v in enumerate(vectors)}
+    # the vectors of each signed chain (side, j): its C's, then its R
+    blocks: dict[tuple, list[int]] = {}
+    for i, v in enumerate(vectors):
+        if v.tag[0] == "C":
+            blocks.setdefault(v.tag[1:3], []).append(i)
+    for side, js in ((PLUS, range(n)), (MINUS, range(1, n + 1))):
+        for j in js:
+            blocks.setdefault((side, j), []).append(index[("R", side, j)])
 
-    def block(alpha: list[Fraction], side: str, j: int) -> list[Fraction]:
-        coeffs = [alpha[index[t]] for t in index if t[0] == "C" and t[1] == side and t[2] == j]
-        coeffs.append(alpha[index[("R", side, j)]])
-        return coeffs
+    def block(alpha: list[int], side: str, j: int) -> list[int]:
+        return [alpha[i] for i in blocks[side, j]]
 
     for b_i, alpha in enumerate(basis):
         for j in range(n):

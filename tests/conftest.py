@@ -316,6 +316,35 @@ def brute_hausdorff(a, b) -> Fraction:
     return max(d_ab, d_ba)
 
 
+def naive_nullspace(columns, dim: int) -> list[list[Fraction]]:
+    """Nullspace basis of the matrix with the given columns by plain Fraction
+    Gauss-Jordan elimination: reduced row echelon form, then one basis
+    vector per free column (1 there, 0 at the other free columns)."""
+    ncols = len(columns)
+    rows = [[Fraction(columns[c][r]) for c in range(ncols)] for r in range(dim)]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, dim) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [a / rows[rank][col] for a in rows[rank]]
+        for r in range(dim):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -rows[r][free]
+        basis.append(vec)
+    return basis
+
+
 def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -> list:
     """The sample records of ``perturbation_probe`` rebuilt the Fraction way.
 

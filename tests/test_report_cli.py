@@ -266,3 +266,37 @@ class TestReportApi:
             "header", "map", "attractor", "return_maps", "vectors",
             "ghost", "stability",
         ]
+
+    @pytest.mark.parametrize("doc", [
+        {"x": 0.5},
+        {"x": F(1, 2)},
+        {"x": {1, 2}},
+        {1: "a"},
+        {"x": [{None: 1}]},
+    ])
+    def test_render_rejects_non_json_types(self, doc):
+        with pytest.raises(TypeError):
+            render_document(doc)
+
+    def test_render_writes_tuples_as_lists(self):
+        doc = {"a": (1, ("b", None)), "c": ()}
+        assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_a3_checked_once_per_analyze(self, files, monkeypatch, capsys):
+        import itmlab.ghost
+        import itmlab.stability
+
+        calls = []
+
+        def counting(real):
+            def check_A3(graph):
+                calls.append(graph)
+                return real(graph)
+            return check_A3
+
+        for module in (itmlab.ghost, itmlab.stability):
+            monkeypatch.setattr(module, "check_A3", counting(module.check_A3))
+        assert main(["analyze", files["fig1"]]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ghost"]["a3"]["holds"] is True
+        assert len(calls) == 1

@@ -143,14 +143,14 @@ def _split_dropped(real):
 def _chain_late(real):
     def late(*args):
         c = real(*args)
-        return SignedChain(c.j, c.side, c.hits, c.entry_time + 1, c.entry_value)
+        return SignedChain(c.j, c.side, c.hits, c.entry_time + 1, c.entry_value, c.entry_counts)
     return late
 
 
 def _chain_blind(real):
     def blind(*args):
         c = real(*args)
-        return SignedChain(c.j, c.side, (), c.entry_time, c.entry_value)
+        return SignedChain(c.j, c.side, (), c.entry_time, c.entry_value, c.entry_counts)
     return blind
 
 

@@ -15,9 +15,11 @@ from itmlab import (
     product,
     verify_identities,
 )
-from itmlab.vectors import CoefficientVector, nullspace
+from itmlab import return_map
+from itmlab.return_map import ChainHit, SignedChain
+from itmlab.vectors import CoefficientVector, VectorInvariantError, nullspace
 
-from conftest import naive_branch_counts, naive_signed_chain
+from conftest import naive_branch_counts, naive_nullspace, naive_signed_chain
 
 JB = (F(1, 2), F(17, 21))
 JA = (F(1, 6), F(13, 42))
@@ -130,6 +132,36 @@ class TestChainTimePartition:
                     assert total + sum(rv.e) == c.entry_time
 
 
+def _minus_landing_skewed(real):
+    # the minus chain of every interior cut records its first-hit branch
+    # counts in reverse order, so the two sides disagree on L_j
+    def skewed(grid, beta_index, J, j, side, start, cap):
+        c = real(grid, beta_index, J, j, side, start, cap)
+        if side == "+" or not c.hits:
+            return c
+        first = c.hits[0]
+        hits = (ChainHit(first.disc, first.time, first.counts[::-1]),) + c.hits[1:]
+        return SignedChain(c.j, c.side, hits, c.entry_time, c.entry_value, c.entry_counts)
+    return skewed
+
+
+class TestVectorInvariant:
+    """build_vectors raises a typed error, also under ``python -O``."""
+
+    def test_sides_disagree_on_landing(self, fig1, monkeypatch):
+        att = compute_attractor(fig1)
+        skewed = _minus_landing_skewed(return_map._signed_chain)
+        monkeypatch.setattr(return_map, "_signed_chain", skewed)
+        data = compute_return_map(fig1, JA, att)
+        assert data.chain(1, "+").hits[0].counts == (1, 1, 0)
+        assert data.chain(1, "-").hits[0].counts == (0, 1, 1)
+        with pytest.raises(VectorInvariantError, match="cut 1"):
+            build_vectors(fig1, data)
+
+    def test_is_an_assertion_error(self):
+        assert issubclass(VectorInvariantError, AssertionError)
+
+
 class TestNullspace:
     def test_simple_kernel(self):
         # columns (1,0),(0,1),(1,1): kernel spanned by (1,1,-1)
@@ -151,10 +183,30 @@ class TestNullspace:
             # every basis vector is in the kernel
             for alpha in basis:
                 for row in range(dim):
-                    assert sum(F(cols[c][row]) * alpha[c] for c in range(ncols)) == 0
-            # dimension matches rank-nullity computed by plain Fraction rref
-            rank = _rank([list(map(F, c)) for c in cols], dim)
-            assert len(basis) == ncols - rank
+                    assert sum(cols[c][row] * alpha[c] for c in range(ncols)) == 0
+            # dimension matches the plain Fraction elimination
+            assert len(basis) == len(naive_nullspace(cols, dim))
+
+    def test_basis_is_integer_and_independent(self, fig1, corpus):
+        rng = random.Random(52)
+        mats = []
+        for _ in range(200):
+            dim = rng.randint(2, 6)
+            mats.append(([[rng.randint(-9, 9) for _ in range(dim)]
+                          for _ in range(rng.randint(1, 8))], dim))
+        for m in [fig1] + corpus[:20]:
+            att = compute_attractor(m)
+            for comp in att.components():
+                vecs = build_vectors(m, compute_return_map(m, comp, att))
+                mats.append(([list(v.entries()) for v in vecs], 2 * m.r - 1))
+        nonzero = 0
+        for cols, dim in mats:
+            basis = nullspace(cols, dim)
+            assert all(type(x) is int for alpha in basis for x in alpha)
+            # no vanishing combination of the basis vectors: they are independent
+            assert naive_nullspace(basis, len(cols)) == []
+            nonzero += bool(basis)
+        assert nonzero >= 100
 
     def test_dimension_invariant_under_permutation(self, fig1):
         data = compute_return_map(fig1, JB)
@@ -165,22 +217,6 @@ class TestNullspace:
         for _ in range(5):
             rng.shuffle(vecs)
             assert len(nullspace([list(v.entries()) for v in vecs], dim)) == base
-
-
-def _rank(cols, dim):
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(dim)]
-    rank = 0
-    for col in range(len(cols)):
-        piv = next((r for r in range(rank, dim) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(dim):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 class TestCorpusProperties:
