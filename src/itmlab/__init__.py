@@ -15,7 +15,6 @@ from .intervals import (
     IntervalSet,
     SignedPoint,
     canonicalize,
-    format_rational,
     hausdorff_closure_distance,
     interval,
     minus,
@@ -27,9 +26,6 @@ from .itm import (
     BadTranslationError,
     ItmMap,
     MapFormatError,
-    Precritical,
-    Preperiodic,
-    load_map,
     parse_map,
     validate,
 )

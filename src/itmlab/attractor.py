@@ -11,14 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import kernel
 from .intervals import IntervalSet, Pair, interval
 from .itm import ItmMap
 from .kernel import IntPair
-
-HISTORY_CAP = 16
 
 
 class NotFiniteTypeError(RuntimeError):
@@ -37,8 +34,8 @@ class AttractorResult:
     component (with its index), on the boundary of the closure of X, or at
     positive distance from the closure.
 
-    ``X_history`` (X_0 .. X_15 at most) is kept as integer pairs over the
-    map's grid and turned into interval sets on first access.
+    ``kcomponents`` are the components of X as the kernel computed them:
+    integer numerators over the map's grid.
     """
 
     X: IntervalSet
@@ -47,16 +44,11 @@ class AttractorResult:
     discontinuities_inside: tuple[tuple[int, int], ...]
     discontinuities_outside: tuple[int, ...]
     boundary_hits: tuple[int, ...]
-    _history: tuple[list[IntPair], ...] = field(repr=False, compare=False)
-    _denom: int = field(repr=False, compare=False)
+    kcomponents: tuple[IntPair, ...] = field(repr=False, compare=False)
 
     @property
     def finite_type(self) -> bool:
         return self.stabilization_step is not None
-
-    @cached_property
-    def X_history(self) -> tuple[IntervalSet, ...]:
-        return tuple(kernel.to_interval_set(h, self._denom) for h in self._history)
 
     def components(self) -> tuple[Pair, ...]:
         return self.X.components()
@@ -106,7 +98,6 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
         raise ValueError("max_iter must be >= 1")
     grid = m.grid
     cur: list[IntPair] = [(0, grid.denom)]
-    history = [cur]
     step: int | None = None
     for n in range(max_iter):
         nxt = kernel.image(grid, cur)
@@ -115,8 +106,6 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
             step = n
             break
         cur = nxt
-        if len(history) < HISTORY_CAP:
-            history.append(cur)
     inside: list[tuple[int, int]] = []
     outside: list[int] = []
     boundary: list[int] = []
@@ -143,8 +132,7 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
         discontinuities_inside=tuple(inside),
         discontinuities_outside=tuple(outside),
         boundary_hits=tuple(boundary),
-        _history=tuple(history),
-        _denom=grid.denom,
+        kcomponents=tuple(cur),
     )
 
 

@@ -9,13 +9,14 @@ degenerate.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from fractions import Fraction
 
 from .attractor import compute_attractor
 from .intervals import MINUS, PLUS, parse_rational
-from .itm import BadOrderError, BadTranslationError, ItmMap, MapFormatError, load_map
+from .itm import BadOrderError, BadTranslationError, ItmMap, MapFormatError, parse_map
 from .render import render_map, render_orbit
+from .return_map import compute_return_map
 from .report import (
     build_report,
     directed_section,
@@ -52,14 +53,12 @@ def _load(path: str) -> tuple[ItmMap, str]:
             raw = fh.read()
     except OSError as exc:
         raise MapFileError(f"{path!r} must be a readable file: {exc.strerror}") from exc
-    import json
-
+    # ValueError covers bad UTF-8, malformed JSON and integers longer than
+    # the int conversion limit; RecursionError covers arrays nested too deep.
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise MapFormatError(f"invalid JSON: {exc}") from exc
-    from .itm import parse_map
-
     return parse_map(doc), input_digest(raw)
 
 
@@ -154,8 +153,6 @@ def cmd_render(args) -> int:
         if not (1 <= args.component <= len(att.components())):
             print(f"error: no component {args.component}", file=sys.stderr)
             return EXIT_INPUT
-        from .return_map import compute_return_map
-
         svg = render_orbit(m, args.component,
                            compute_return_map(m, att.components()[args.component - 1], att))
     _emit(svg, args.out)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .attractor import AttractorResult, compute_attractor
 from .intervals import MINUS, PLUS
 from .itm import ItmMap
-from .kernel import branch_rule, on_grid
+from .kernel import branch_rule
 
 SignedDisc = tuple[int, str]  # (discontinuity index 1..r-1, side)
 
@@ -61,6 +61,14 @@ class A3Witness:
     cycle: tuple[SignedDisc, ...]
     times: tuple[int, ...]
 
+    def as_dict(self) -> dict:
+        """The witness as the verdict and the report show it."""
+        return {
+            "disc": self.disc,
+            "cycle": [list(node) for node in self.cycle],
+            "times": list(self.times),
+        }
+
 
 @dataclass(frozen=True)
 class A3Result:
@@ -73,13 +81,6 @@ class GhostTree:
     root: SignedDisc
     levels: tuple[tuple[SignedDisc, ...], ...]
     repeated: tuple[tuple[int, SignedDisc], ...]  # (level, vertex) seen before
-
-
-def _x_ends(m: ItmMap, attractor: AttractorResult) -> list[int]:
-    """The endpoints of X's components, flattened into one sorted list of
-    grid numerators: ``(k, side)`` lies in X iff ``branch_rule(side)(ends, k)``
-    is odd."""
-    return [on_grid(x, m.Q) for pair in attractor.X.intervals for x in pair]
 
 
 def _ghost_walks(
@@ -118,7 +119,8 @@ def _ghost_walks(
 def ghost_preimages(
     m: ItmMap, target: SignedDisc, attractor: AttractorResult | None = None
 ) -> tuple[tuple[SignedDisc, int], ...]:
-    """All ghost preimages of a signed discontinuity with their landing times.
+    """All ghost preimages of a signed discontinuity with their landing times:
+    the children of ``target`` in the ghost graph.
 
     For a plus-type target these are the minus-type discontinuities landing
     on the target's value at minimal time k >= 1 with the whole orbit before
@@ -126,15 +128,8 @@ def ghost_preimages(
     outside X no state can repeat, so the orbit either lands, enters X, or
     exhausts the grid.
     """
-    if attractor is None:
-        attractor = compute_attractor(m)
-    t_index, t_side = target
-    child_side = MINUS if t_side == PLUS else PLUS
-    children = [(i, child_side) for i in range(1, m.r)]
-    walks = _ghost_walks(m, _x_ends(m, attractor), children)
-    return tuple(
-        (node, walks[node][t_index]) for node in children if t_index in walks[node]
-    )
+    graph = build_ghost_graph(m, attractor)
+    return tuple((e.child, e.time) for e in graph.children(target))
 
 
 def build_ghost_graph(m: ItmMap, attractor: AttractorResult | None = None) -> GhostGraph:
@@ -146,7 +141,9 @@ def build_ghost_graph(m: ItmMap, attractor: AttractorResult | None = None) -> Gh
     for i in range(1, m.r):
         nodes.append((i, MINUS))
         nodes.append((i, PLUS))
-    ends = _x_ends(m, attractor)
+    # X's endpoints flattened into one sorted list: (k, side) lies in X iff
+    # branch_rule(side)(ends, k) is odd
+    ends = [k for pair in attractor.kcomponents for k in pair]
     walks = _ghost_walks(m, ends, nodes)
     edges: list[GhostEdge] = []
     for parent in nodes:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 MINUS = "-"
 PLUS = "+"
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 class EmptySetError(ValueError):
@@ -29,20 +29,17 @@ class EmptySetError(ValueError):
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse the strict wire format ``p/q`` or ``p`` (optional leading minus)."""
-    if isinstance(text, int):
+    """Parse the strict wire format ``p/q`` or ``p`` (optional leading minus,
+    ASCII digits only, nothing before or after); a JSON integer is taken
+    as is, a JSON boolean is not a number."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
-
-
-def format_rational(q: Fraction) -> str:
-    """Render as ``p/q`` (or ``p`` when the denominator is 1). Inverse of parse."""
-    return str(q)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,10 @@ decidable exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .intervals import SignedPoint, parse_rational
 from .kernel import Grid, branch_rule, on_grid
@@ -97,55 +96,12 @@ class ItmMap:
         assert res.point.value - p.value == total
         return total
 
-    def classify_orbit(self, p: SignedPoint) -> Union["Precritical", "Preperiodic"]:
-        """Decide the fate of a signed orbit on the 1/Q grid.
-
-        Purely periodic starting points are reported Preperiodic even when a
-        discontinuity lies on their cycle (passing through it is part of the
-        periodic motion, not a transient landing). Otherwise the minimal
-        landing time >= 1 on some beta_i wins, and only then preperiod and
-        period are reported. Terminates within Q + 1 states.
-        """
-        beta_index = {b: i + 1 for i, b in enumerate(self.beta)}
-        seen: dict[Fraction, int] = {}
-        first_hit: tuple[int, int] | None = None
-        cur = p
-        t = 0
-        while cur.value not in seen:
-            seen[cur.value] = t
-            cur = self.step(cur)
-            t += 1
-            if first_hit is None and cur.value in beta_index and cur.value not in seen:
-                first_hit = (beta_index[cur.value], t)
-        preperiod = seen[cur.value]
-        period = t - preperiod
-        if preperiod == 0:
-            return Preperiodic(0, period)
-        if first_hit is not None:
-            return Precritical(first_hit[0], p.side, first_hit[1])
-        return Preperiodic(preperiod, period)
-
 
 @dataclass(frozen=True)
 class IterationResult:
     point: SignedPoint
     itinerary: tuple[int, ...]
     counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Precritical:
-    """The orbit lands on beta_{index} (side inherited) at the given time."""
-
-    index: int
-    side: str
-    time: int
-
-
-@dataclass(frozen=True)
-class Preperiodic:
-    preperiod: int
-    period: int
 
 
 def validate(r: int, beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> ItmMap:
@@ -219,20 +175,13 @@ def parse_map(doc: dict) -> ItmMap:
     if missing:
         raise MapFormatError(f"missing keys in map specification: {sorted(missing)}")
     r = doc["r"]
-    if not isinstance(r, int):
+    if not isinstance(r, int) or isinstance(r, bool):
         raise MapFormatError("r must be an integer")
+    if not isinstance(doc["beta"], list) or not isinstance(doc["gamma"], list):
+        raise MapFormatError("beta/gamma must be JSON arrays")
     try:
         beta = [parse_rational(b) for b in doc["beta"]]
         gamma = [parse_rational(g) for g in doc["gamma"]]
     except (ValueError, TypeError) as exc:
         raise MapFormatError(f"bad rational in map specification: {exc}") from exc
     return validate(r, beta, gamma)
-
-
-def load_map(path: str) -> ItmMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MapFormatError(f"invalid JSON: {exc}") from exc
-    return parse_map(doc)

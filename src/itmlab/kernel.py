@@ -120,20 +120,6 @@ def image(grid: Grid, pairs: Sequence[IntPair]) -> list[IntPair]:
     return merge(pieces)
 
 
-def walk(grid: Grid, k: int, side: str, steps: int) -> tuple[int, tuple[int, ...]]:
-    """``steps`` applications of T to the signed point ``(k, side)``: the end
-    numerator and how many steps took each branch. Translation keeps the
-    side, so the end point has the same side as the start."""
-    cuts, gamma = grid.cuts, grid.gamma
-    find = branch_rule(side)
-    counts = [0] * len(gamma)
-    for _ in range(steps):
-        i = find(cuts, k) - 1
-        counts[i] += 1
-        k += gamma[i]
-    return k, tuple(counts)
-
-
 def check_nested(inner: Sequence[IntPair], outer: Sequence[IntPair]) -> None:
     """Raise NestingViolatedError unless ``inner`` is a subset of ``outer``.
 

@@ -118,13 +118,7 @@ def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
 
 
 def ghost_section(graph: GhostGraph, a3_verdict) -> dict:
-    witness = None
-    if a3_verdict.witness is not None:
-        witness = {
-            "disc": a3_verdict.witness.disc,
-            "cycle": [list(n) for n in a3_verdict.witness.cycle],
-            "times": list(a3_verdict.witness.times),
-        }
+    witness = a3_verdict.witness
     return {
         "nodes": [
             {"disc": i, "side": s, "in_x": graph.in_x[(i, s)]} for i, s in graph.nodes
@@ -133,7 +127,7 @@ def ghost_section(graph: GhostGraph, a3_verdict) -> dict:
             {"child": list(e.child), "parent": list(e.parent), "time": e.time}
             for e in graph.edges
         ],
-        "a3": {"holds": a3_verdict.holds, "witness": witness},
+        "a3": {"holds": a3_verdict.holds, "witness": None if witness is None else witness.as_dict()},
     }
 
 

@@ -16,6 +16,7 @@ conditions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +24,7 @@ from functools import cached_property
 from .attractor import AttractorResult, NotFiniteTypeError, compute_attractor
 from .intervals import MINUS, PLUS, Pair
 from .itm import ItmMap
-from .kernel import Grid, IntPair, branch_rule, on_grid, split, walk
+from .kernel import Grid, IntPair, OffGridError, branch_rule, on_grid, split
 
 IDENTITY = "identity"
 ROTATION_LIKE = "rotation_like"
@@ -202,14 +203,18 @@ def compute_return_map(
         attractor = compute_attractor(m)
     if not attractor.finite_type:
         raise NotFiniteTypeError("attractor did not stabilize")
-    components = attractor.components()
-    if tuple(J) not in components:
-        raise NotAComponentError(f"{J} is not a component of the attractor")
     x, y = J
-    cap = 2 * m.Q * max(1, len(components))
     grid = m.grid
     denom, cuts, gamma = grid.denom, grid.cuts, grid.gamma
-    kx, ky = on_grid(x, denom), on_grid(y, denom)
+    try:
+        kx, ky = on_grid(x, denom), on_grid(y, denom)
+    except OffGridError:
+        raise NotAComponentError(f"{J} is not on the map's grid") from None
+    kcomponents = attractor.kcomponents
+    i = bisect_left(kcomponents, (kx, ky))
+    if i == len(kcomponents) or kcomponents[i] != (kx, ky):
+        raise NotAComponentError(f"{J} is not a component of the attractor")
+    cap = 2 * m.Q * max(1, len(kcomponents))
 
     # In-flight pieces (cur_l, cur_r, src_l) on the integer grid; src_l
     # locates the piece's preimage inside J, so a split at value v pulls back
@@ -285,26 +290,22 @@ def compute_return_map(
 
 
 def verify_touching_equations(m: ItmMap, data: ReturnMapData) -> tuple[Fraction, ...]:
-    """Evaluate both sides of each of the N-1 touching equations exactly.
+    """The touching values of the N-1 touching equations, read off the
+    signed chains.
 
     The p-th equation says the right end of the p-th image from the left
     touches the left end of the next one: R(a_{sigma(p)}-) ~ R(a_{sigma(p+1)-1}+).
-    Returns the touching values; a failure raises TouchingViolatedError.
+    Both sides are the entry values the chain walk recorded; a failure
+    raises TouchingViolatedError.
     """
-    grid = m.grid
-    denom = grid.denom
-    sigma, kcuts = data.sigma, data.kcuts
+    sigma = data.sigma
     out: list[Fraction] = []
     for p in range(len(sigma) - 1):
-        left = data.chain(sigma[p], MINUS)
-        right = data.chain(sigma[p + 1] - 1, PLUS)
-        lval = walk(grid, kcuts[left.j], MINUS, left.entry_time)[0]
-        rval = walk(grid, kcuts[right.j], PLUS, right.entry_time)[0]
+        lval = data.chain(sigma[p], MINUS).entry_value
+        rval = data.chain(sigma[p + 1] - 1, PLUS).entry_value
         if lval != rval:
             raise TouchingViolatedError(p + 1)
-        if (lval, rval) != (on_grid(left.entry_value, denom), on_grid(right.entry_value, denom)):
-            raise TouchingViolatedError(p + 1)
-        out.append(Fraction(lval, denom))
+        out.append(lval)
     return tuple(out)
 
 

@@ -102,11 +102,7 @@ class FullAnalysis:
         a1 = check_A1(m, attractor, return_maps)
         a2 = check_A2(m, attractor, return_maps)
         matching = check_matching(m, attractor, return_maps)
-        a3_verdict = Verdict(a3.holds, None if a3.holds else {
-            "disc": a3.witness.disc,
-            "cycle": [list(node) for node in a3.witness.cycle],
-            "times": list(a3.witness.times),
-        })
+        a3_verdict = Verdict(a3.holds, None if a3.holds else a3.witness.as_dict())
         return StabilityReport(
             finite_type=True,
             stabilization_step=attractor.stabilization_step,

@@ -61,11 +61,11 @@ class TestComputeAttractor:
         assert att.X == FIG1_X
         assert att.stabilization_step == 3
         assert not att.infinite_type_suspected
-        hist = att.X_history
-        assert hist[0] == interval(0, 1)
-        assert hist[1] == interval(F(1, 6), F(17, 21))
-        assert hist[2] == canonicalize([(F(1, 6), F(13, 42)), (F(10, 21), F(17, 21))])
-        assert hist[3] == FIG1_X
+        x1 = image(fig1, interval(0, 1))
+        x2 = image(fig1, x1)
+        assert x1 == interval(F(1, 6), F(17, 21))
+        assert x2 == canonicalize([(F(1, 6), F(13, 42)), (F(10, 21), F(17, 21))])
+        assert image(fig1, x2) == FIG1_X
 
     def test_fig1_discontinuity_classification(self, fig1):
         att = compute_attractor(fig1)
@@ -101,9 +101,14 @@ class TestComputeAttractor:
     def test_nesting_and_fixed_point(self, corpus):
         for m in corpus[:25]:
             att = compute_attractor(m)
-            hist = att.X_history
-            for a, b in zip(hist, hist[1:]):
-                assert b.issubset(a)
+            # X_0 .. X_n from the public image, nested down to X at the
+            # stabilization step
+            cur = interval(0, 1)
+            for _ in range(att.stabilization_step):
+                nxt = image(m, cur)
+                assert nxt.issubset(cur)
+                cur = nxt
+            assert cur == att.X
             assert image(m, att.X) == att.X
 
     def test_stabilizes_within_q(self, corpus):
@@ -133,14 +138,6 @@ class TestComputeAttractor:
             assert att.boundary_hits == tuple(i for i, b in enumerate(m.beta, start=1) if b in ends)
             assert att.discontinuities_inside == tuple(inside)
             assert len(att.discontinuities_outside) == m.r - 1 - len(inside) - len(att.boundary_hits)
-
-    def test_history_prefix(self, corpus_q1024):
-        # the heavy Q = 748 map runs 507 steps; only the first 16 are kept
-        att = compute_attractor(corpus_q1024[7])
-        assert att.stabilization_step == 507
-        assert len(att.X_history) == 16
-        for a, b in zip(att.X_history, att.X_history[1:]):
-            assert b == image(corpus_q1024[7], a)
 
     def test_non_nested_image_raises(self, fig1, monkeypatch):
         # an image that leaves X_n must stop the iteration, also under -O

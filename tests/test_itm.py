@@ -1,4 +1,4 @@
-"""Map validation, signed dynamics, orbit classification, wire format."""
+"""Map validation, signed dynamics, wire format."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from itmlab import (
     BadOrderError,
     BadTranslationError,
     MapFormatError,
-    Precritical,
-    Preperiodic,
     minus,
     parse_map,
     plus,
@@ -141,38 +139,6 @@ class TestTranslationFactor:
             fig1.translation_factor(plus(F(1, 5)), 0)
 
 
-class TestClassifyOrbit:
-    def test_precritical(self, fig1):
-        got = fig1.classify_orbit(minus(F(1, 3)))
-        assert got == Precritical(index=2, side="-", time=1)
-        # witness re-verifies by direct iteration
-        assert fig1.iterate(minus(F(1, 3)), 1).point.value == fig1.beta[1]
-
-    def test_periodic_start_is_preperiodic(self, rotation35):
-        # the orbit of 0 passes through beta_1 = 2/5 but is purely periodic
-        assert rotation35.classify_orbit(plus(F(0))) == Preperiodic(0, 5)
-
-    def test_critical_point_on_its_own_cycle(self, fig1):
-        got = fig1.classify_orbit(plus(F(2, 3)))
-        assert isinstance(got, Preperiodic)
-        assert got.preperiod == 0
-        assert fig1.iterate(plus(F(2, 3)), got.period).point == plus(F(2, 3))
-
-    def test_terminates_within_grid(self, fig1, rotation35, corpus):
-        rng = random.Random(19)
-        for m in [fig1, rotation35] + corpus[:10]:
-            v = F(rng.randint(0, m.Q - 1), m.Q)
-            got = m.classify_orbit(plus(v))
-            if isinstance(got, Preperiodic):
-                assert got.preperiod + got.period <= m.Q + 1
-                res = m.iterate(plus(v), got.preperiod)
-                again = m.iterate(res.point, got.period)
-                assert again.point == res.point
-            else:
-                assert 1 <= got.time <= m.Q
-                assert m.iterate(plus(v), got.time).point.value == m.beta[got.index - 1]
-
-
 class TestWireFormat:
     DOC = {"r": 3, "beta": ["1/3", "2/3"], "gamma": ["1/3", "1/7", "-1/2"]}
 
@@ -191,15 +157,25 @@ class TestWireFormat:
             parse_map({"r": 3, "beta": ["1/3", "2/3"]})
 
     def test_bad_rational(self):
-        doc = dict(self.DOC)
-        doc["gamma"] = ["1/3", "0.5", "-1/2"]
-        with pytest.raises(MapFormatError):
-            parse_map(doc)
+        # JSON false is a Python int subclass; it is not a number
+        for bad in ("0.5", False):
+            doc = dict(self.DOC)
+            doc["gamma"] = ["1/3", bad, "-1/2"]
+            with pytest.raises(MapFormatError, match="bad rational"):
+                parse_map(doc)
 
     def test_non_integer_r(self):
+        for bad in ("3", True):
+            doc = dict(self.DOC)
+            doc["r"] = bad
+            with pytest.raises(MapFormatError, match="r must be an integer"):
+                parse_map(doc)
+
+    @pytest.mark.parametrize("key,value", [("beta", "5"), ("gamma", "1/3"), ("beta", {"1/3": 0})])
+    def test_non_array_parameters_rejected(self, key, value):
         doc = dict(self.DOC)
-        doc["r"] = "3"
-        with pytest.raises(MapFormatError):
+        doc[key] = value
+        with pytest.raises(MapFormatError, match="beta/gamma must be JSON arrays"):
             parse_map(doc)
 
     def test_integer_entries_allowed(self):

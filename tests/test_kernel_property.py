@@ -1,0 +1,56 @@
+"""Property test: the integer kernel against the plain Fraction oracles on
+random maps with r in {2, 3, 4} and Q <= 64.
+
+The attractor, every signed chain's entry and every touching value are
+compared with ``naive_attractor`` and ``naive_signed_chain``, which iterate
+plain Fractions with no kernel code. Needs ``hypothesis`` (the ``test``
+extra), kept in its own module so the rest of the tests do not depend on it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from itmlab import compute_attractor, compute_return_map, validate, verify_touching_equations
+from conftest import naive_attractor, naive_signed_chain
+
+
+@st.composite
+def maps(draw):
+    """A map whose parameters all lie on one grid 1/q, q <= 64: cuts drawn
+    as distinct numerators, each translation inside its polytope bounds."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    q = draw(st.integers(r, 64))
+    ks = sorted(draw(st.sets(st.integers(1, q - 1), min_size=r - 1, max_size=r - 1)))
+    cuts = [0, *ks, q]
+    gamma = [draw(st.integers(-cuts[i - 1], q - cuts[i])) for i in range(1, r + 1)]
+    return validate(r, [Fraction(k, q) for k in ks], [Fraction(g, q) for g in gamma])
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps())
+def test_kernel_against_fraction_oracles(m):
+    pairs, step = naive_attractor(m)
+    att = compute_attractor(m)
+    assert att.X.components() == tuple(pairs)
+    assert att.stabilization_step == step
+    for J in att.components():
+        data = compute_return_map(m, J, att)
+        naive = {}
+        for c in data.chains:
+            # a horizon of the kernel's entry time is enough: the oracle
+            # reports no entry if the kernel's is too early, an earlier one
+            # if it is too late
+            hits, entry, value = naive_signed_chain(
+                m, J, data.cut_points[c.j], c.side, c.entry_time)
+            assert (c.entry_time, c.entry_value) == (entry, value)
+            assert [(h.disc, h.time) for h in c.hits] == hits
+            naive[c.j, c.side] = value
+        sigma = data.sigma
+        values = verify_touching_equations(m, data)
+        assert len(values) == data.n_intervals - 1
+        for p, value in enumerate(values):
+            assert value == naive[sigma[p], "-"] == naive[sigma[p + 1] - 1, "+"]

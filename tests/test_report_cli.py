@@ -82,6 +82,18 @@ class TestAnalyze:
         assert main(["analyze", files["unknown"]]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON"),
+        ('{"r": ' + "9" * 5000 + ', "beta": [], "gamma": []}', "invalid JSON"),
+        ('{"r": 2, "beta": ["1/2\\n"], "gamma": ["0", "0"]}', "not a rational literal"),
+    ], ids=["nested-arrays", "long-integer", "trailing-newline"])
+    def test_hostile_input_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MapFormatError: ") and message in err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", "/nonexistent/map.json"]) == 2
 

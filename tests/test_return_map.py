@@ -107,8 +107,12 @@ class TestManyBranches:
 
 class TestErrors:
     def test_not_a_component(self, fig1):
-        with pytest.raises(NotAComponentError):
-            compute_return_map(fig1, (F(1, 2), F(3, 4)))
+        # off the 1/42 grid, then on it: past both components, inside the
+        # first, and the first's left end with the second's right end
+        for J in [(F(1, 2), F(3, 4)), (F(5, 6), F(6, 7)), (F(1, 6), F(2, 7)),
+                  (F(1, 6), F(17, 21))]:
+            with pytest.raises(NotAComponentError):
+                compute_return_map(fig1, J)
 
     def test_not_finite_type(self, fig1):
         att = compute_attractor(fig1, max_iter=2)
