@@ -15,7 +15,6 @@ from .intervals import (
     IntervalSet,
     SignedPoint,
     canonicalize,
-    hausdorff_closure_distance,
     interval,
     minus,
     parse_rational,
@@ -29,8 +28,9 @@ from .itm import (
     parse_map,
     validate,
 )
-from .kernel import NestingViolatedError, OffGridError
+from .kernel import OffGridError, hausdorff_closure_distance
 from .attractor import (
+    AttractorInvariantError,
     AttractorResult,
     NotFiniteTypeError,
     compute_attractor,

@@ -1,16 +1,26 @@
-"""Nested forward images, the attractor X and the non-wandering probe.
+"""The attractor X of a map, its forward images and the non-wandering probe.
 
 ``X_0 = [0,1)`` and ``X_{n+1} = T(X_n)`` form a nested chain of finite
 interval unions. For rational parameters the chain stabilizes after at most
 Q steps: measure lives on the 1/Q grid, strictly drops until the fixed point
 is reached, and nested equal-measure unions of half-open intervals coincide.
+
+:func:`compute_attractor` follows the chain through the preimage count
+``c_n(y) = #{i : y - g_i in X_n and in I_i}``, a piecewise-constant integer
+function on the grid with ``X_{n+1} = {c_n > 0}``. Only the removed part
+``D_n = X_n minus X_{n+1}`` is pushed forward, ``c_{n+1} = c_n - T(D_n)``
+counted with multiplicity, and ``D_{n+1}`` is where that drops a count to 0;
+the chain has stabilized when ``D_n`` is empty. Each removed piece is pushed
+once, so the cost follows what the steps remove, not steps times X.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import kernel
 from .intervals import IntervalSet, Pair, interval
@@ -22,9 +32,20 @@ class NotFiniteTypeError(RuntimeError):
     """An iteration cap was reached before the attractor stabilized."""
 
 
+class AttractorInvariantError(AssertionError):
+    """The preimage count broke one of its invariants: a count went
+    negative, or at stabilization a point of X has other than exactly one
+    preimage in X. Impossible on exact data, so a bug; a typed error rather
+    than an ``assert``, so the checks also run under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class AttractorResult:
     """Attractor of a map together with the discontinuity classification.
+
+    ``kcomponents`` are the components of X as the kernel computed them:
+    integer numerators over the map's grid ``1/denom``. ``X`` and
+    ``components()`` are their Fraction views, built on first use.
 
     ``stabilization_step`` is the first n with X_{n+1} = X_n, or None when
     the cap was reached first (then ``infinite_type_suspected`` is set; for
@@ -33,22 +54,23 @@ class AttractorResult:
     Discontinuities are partitioned into three lists: strictly inside a
     component (with its index), on the boundary of the closure of X, or at
     positive distance from the closure.
-
-    ``kcomponents`` are the components of X as the kernel computed them:
-    integer numerators over the map's grid.
     """
 
-    X: IntervalSet
+    kcomponents: tuple[IntPair, ...]
+    denom: int
     stabilization_step: int | None
     infinite_type_suspected: bool
     discontinuities_inside: tuple[tuple[int, int], ...]
     discontinuities_outside: tuple[int, ...]
     boundary_hits: tuple[int, ...]
-    kcomponents: tuple[IntPair, ...] = field(repr=False, compare=False)
 
     @property
     def finite_type(self) -> bool:
         return self.stabilization_step is not None
+
+    @cached_property
+    def X(self) -> IntervalSet:
+        return kernel.to_interval_set(self.kcomponents, self.denom)
 
     def components(self) -> tuple[Pair, ...]:
         return self.X.components()
@@ -84,55 +106,117 @@ def orbit_closure(m: ItmMap, s: IntervalSet, cap: int | None = None) -> Interval
     raise NotFiniteTypeError("orbit union did not stabilize within the cap")
 
 
-def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult:
-    """Iterate X_{n+1} = T(X_n) from [0,1) until exact equality.
+def _count(denom: int, pieces: list[IntPair]) -> tuple[list[int], list[int], list[IntPair]]:
+    """The count of ``pieces`` over ``[0, denom)`` by one sweep, as
+    breakpoints ``xs`` and counts ``cs`` (``cs[k]`` holds on ``[xs[k],
+    xs[k+1])``, equal neighbours merged, ``cs[-1] = -1`` past the right
+    end), and the merged parts of ``[0, denom)`` where it is 0."""
+    delta: dict[int, int] = {0: 0}
+    for a, b in pieces:
+        delta[a] = delta.get(a, 0) + 1
+        delta[b] = delta.get(b, 0) - 1
+    delta[denom] = delta.get(denom, 0) - 1  # the pieces' deltas sum to 0
+    xs: list[int] = []
+    cs: list[int] = []
+    zeros: list[IntPair] = []
+    c = 0
+    for x in sorted(delta):
+        c += delta[x]
+        if cs and cs[-1] == c:
+            continue
+        if cs and cs[-1] == 0:
+            zeros.append((xs[-1], x))
+        xs.append(x)
+        cs.append(c)
+    return xs, cs, zeros
 
-    The iteration runs on the map's integer grid; every step is checked to
-    nest inside the previous one. The default cap is Q, which the
-    finite-type termination bound makes unreachable; a lower user cap yields
-    ``infinite_type_suspected``.
+
+def _remove(xs: list[int], cs: list[int], pieces: list[IntPair]) -> list[IntPair]:
+    """Subtract 1 from the count on every piece, and return the merged
+    parts of the pieces where the count reached 0.
+
+    A piece first splits the segments at its ends; after the subtraction
+    only those two breakpoints can separate equal counts, and they are
+    merged away. Raises AttractorInvariantError on a negative count.
+    """
+    zeros: list[IntPair] = []
+    for a, b in pieces:
+        i = bisect_left(xs, a)
+        if xs[i] != a:
+            xs.insert(i, a)
+            cs.insert(i, cs[i - 1])
+        j = bisect_left(xs, b, i)
+        if xs[j] != b:
+            xs.insert(j, b)
+            cs.insert(j, cs[j - 1])
+        for k in range(i, j):
+            c = cs[k] - 1
+            cs[k] = c
+            if c <= 0:
+                if c < 0:
+                    raise AttractorInvariantError(
+                        f"preimage count below 0 on grid interval [{xs[k]}, {xs[k + 1]})"
+                    )
+                zeros.append((xs[k], xs[k + 1]))
+        if cs[j] == cs[j - 1]:
+            del xs[j], cs[j]
+        if i and cs[i] == cs[i - 1]:
+            del xs[i], cs[i]
+    return kernel.merge(zeros)
+
+
+def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult:
+    """Iterate X_{n+1} = T(X_n) from [0,1) until exact equality, through
+    the preimage count on the map's integer grid (see the module notes).
+
+    The default cap is Q, which the finite-type termination bound makes
+    unreachable; a lower user cap yields ``infinite_type_suspected`` and
+    X = X_cap. Two linear checks raise AttractorInvariantError: no count
+    goes negative, and at stabilization every point of X has exactly one
+    preimage in X (T(X) = X and each branch is a translation, so T is a
+    bijection of X's grid cells).
     """
     if max_iter is None:
         max_iter = m.Q
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     grid = m.grid
-    cur: list[IntPair] = [(0, grid.denom)]
+    denom = grid.denom
+    # c_0 and D_0 = X_0 minus X_1
+    xs, cs, removed = _count(denom, kernel.push(grid, [(0, denom)]))
     step: int | None = None
     for n in range(max_iter):
-        nxt = kernel.image(grid, cur)
-        kernel.check_nested(nxt, cur)
-        if nxt == cur:
+        if not removed:
             step = n
             break
-        cur = nxt
+        if n + 1 < max_iter:
+            removed = _remove(xs, cs, kernel.push(grid, removed))
+    if step is not None and max(cs) > 1:
+        raise AttractorInvariantError(
+            f"X has a grid cell with {max(cs)} preimages in X at stabilization"
+        )
+    # X = {c > 0}: X_n at stabilization, X_cap otherwise
+    comps = kernel.merge([(xs[k], xs[k + 1]) for k in range(len(xs) - 1) if cs[k] > 0])
+    ends = [k for pair in comps for k in pair]
     inside: list[tuple[int, int]] = []
     outside: list[int] = []
     boundary: list[int] = []
     for i, b in enumerate(grid.cuts[1:-1], start=1):
-        comp = None
-        on_boundary = False
-        for k, (l, r) in enumerate(cur, start=1):
-            if b == l or b == r:
-                on_boundary = True
-                break
-            if l < b < r:
-                comp = k
-                break
-        if on_boundary:
+        p = bisect_left(ends, b)
+        if p < len(ends) and ends[p] == b:
             boundary.append(i)
-        elif comp is not None:
-            inside.append((i, comp))
+        elif p % 2:
+            inside.append((i, (p + 1) // 2))
         else:
             outside.append(i)
     return AttractorResult(
-        X=kernel.to_interval_set(cur, grid.denom),
+        kcomponents=tuple(comps),
+        denom=denom,
         stabilization_step=step,
         infinite_type_suspected=step is None,
         discontinuities_inside=tuple(inside),
         discontinuities_outside=tuple(outside),
         boundary_hits=tuple(boundary),
-        kcomponents=tuple(cur),
     )
 
 

@@ -9,6 +9,7 @@ degenerate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -154,7 +155,7 @@ def cmd_render(args) -> int:
             print(f"error: no component {args.component}", file=sys.stderr)
             return EXIT_INPUT
         svg = render_orbit(m, args.component,
-                           compute_return_map(m, att.components()[args.component - 1], att))
+                           compute_return_map(m, att.kcomponents[args.component - 1], att))
     _emit(svg, args.out)
     return 0
 
@@ -176,7 +177,7 @@ def cmd_ghost_tree(args) -> int:
         index, side = _parse_root(args.root)
         if not (1 <= index < m.r):
             raise MapFormatError(f"discontinuity index {index} out of range")
-        tree = build_tree(m, (index, side), args.depth, analysis.attractor)
+        tree = build_tree(analysis.ghost_graph, (index, side), args.depth)
         doc["tree"] = {
             "root": [index, side],
             "depth": args.depth,
@@ -190,7 +191,7 @@ def cmd_ghost_tree(args) -> int:
 def cmd_return_map(args) -> int:
     m, digest = _load(args.file)
     analysis = full_analysis(m)
-    comps = analysis.attractor.components()
+    comps = analysis.attractor.kcomponents
     if args.component is not None and not (1 <= args.component <= len(comps)):
         print(f"error: no component {args.component}", file=sys.stderr)
         return EXIT_INPUT
@@ -207,7 +208,10 @@ def cmd_return_map(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs about as much as a small analysis."""
     parser = argparse.ArgumentParser(
         prog="itmlab", description="Exact analysis of interval translation maps"
     )

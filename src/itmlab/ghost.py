@@ -189,10 +189,8 @@ def check_A3(graph: GhostGraph) -> A3Result:
     return A3Result(True, None)
 
 
-def ghost_tree(
-    m: ItmMap, root: SignedDisc, depth: int, attractor: AttractorResult | None = None
-) -> GhostTree:
-    """Breadth-first unrolling of the graph from a signed root.
+def ghost_tree(graph: GhostGraph, root: SignedDisc, depth: int) -> GhostTree:
+    """Breadth-first unrolling of a map's ghost graph from a signed root.
 
     Level n + 1 holds the ghost preimages of the level-n vertices, so the
     side types alternate by level; vertices already seen at an earlier level
@@ -201,7 +199,6 @@ def ghost_tree(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    graph = build_ghost_graph(m, attractor)
     levels: list[tuple[SignedDisc, ...]] = [(root,)]
     repeated: list[tuple[int, SignedDisc]] = []
     seen: set[SignedDisc] = {root}

@@ -11,9 +11,7 @@ All operations are pure and exact; there is no floating point anywhere.
 
 from __future__ import annotations
 
-import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -220,53 +218,3 @@ def canonicalize(raw: Iterable[Sequence[Fraction | int]]) -> IntervalSet:
 
 def interval(l: Fraction | int, r: Fraction | int) -> IntervalSet:
     return canonicalize([(Fraction(l), Fraction(r))])
-
-
-def _ends(s: IntervalSet, denom: int) -> list[int]:
-    """The endpoints of ``s`` as one sorted list of numerators over
-    ``denom``: even positions start a component, odd positions end one."""
-    return [x.numerator * (denom // x.denominator) for pair in s.intervals for x in pair]
-
-
-def _directed_hausdorff(a: list[int], b: list[int]) -> int:
-    # sup over closure(a) of dist(x, closure(b)); the sup of a piecewise
-    # linear function is attained at an endpoint of a or at a gap midpoint
-    # of b lying inside closure(a), where it is half the gap. One bisect
-    # per candidate: an endpoint of a against b, a midpoint against a.
-    best = 0
-    n = len(b)
-    for x in a:
-        i = bisect_left(b, x)
-        if i & 1 or (i < n and b[i] == x):
-            continue  # inside closure(b)
-        if i == 0:
-            d = b[0] - x
-        elif i == n:
-            d = x - b[-1]
-        else:
-            d = min(x - b[i - 1], b[i] - x)
-        if d > best:
-            best = d
-    for k in range(1, n - 1, 2):
-        half = (b[k + 1] - b[k]) // 2
-        if half > best:
-            mid = b[k] + half
-            i = bisect_left(a, mid)
-            if i & 1 or (i < len(a) and a[i] == mid):
-                best = half
-    return best
-
-
-def hausdorff_closure_distance(a: IntervalSet, b: IntervalSet) -> Fraction:
-    """Exact Hausdorff distance between the closures of two interval sets.
-
-    Closures are taken in ``[0, 1]`` (each ``[l, r)`` becomes ``[l, r]``).
-    Symmetric, and zero iff the closures coincide. Both sets are scaled to
-    the grid ``1/(2L)``, ``L`` the lcm of all endpoint denominators, so
-    that every gap midpoint is an integer too.
-    """
-    if a.is_empty() or b.is_empty():
-        raise EmptySetError("hausdorff distance needs non-empty sets")
-    denom = 2 * math.lcm(*(x.denominator for s in (a, b) for pair in s.intervals for x in pair))
-    ea, eb = _ends(a, denom), _ends(b, denom)
-    return Fraction(max(_directed_hausdorff(ea, eb), _directed_hausdorff(eb, ea)), denom)

@@ -11,6 +11,7 @@ decidable exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -184,4 +185,14 @@ def parse_map(doc: dict) -> ItmMap:
         gamma = [parse_rational(g) for g in doc["gamma"]]
     except (ValueError, TypeError) as exc:
         raise MapFormatError(f"bad rational in map specification: {exc}") from exc
-    return validate(r, beta, gamma)
+    m = validate(r, beta, gamma)
+    # a report writes Q and every parameter as p/q with |p| <= Q and q
+    # dividing Q, so a Q within the int-to-str digit limit can be written
+    # out; 2**(3 * limit) < 10**limit, so the bit length settles most maps
+    limit = sys.get_int_max_str_digits()
+    if limit and m.Q.bit_length() > 3 * limit and m.Q >= 10**limit:
+        raise MapFormatError(
+            f"grid denominator Q = lcm of the parameter denominators must have "
+            f"at most {limit} decimal digits (sys.get_int_max_str_digits())"
+        )
+    return m

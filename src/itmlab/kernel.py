@@ -5,27 +5,25 @@ Every value a rational map reaches is ``k / denom`` for a fixed ``denom``
 carries only the integer ``k``: interval unions are sorted canonical lists of
 ``(int, int)`` pairs and signed points are ``(int, side)``. Fractions cross
 in through :func:`on_grid`, which is exact or raises, and out through
-:func:`to_interval_set`; everything in between is integer arithmetic, still
-exact and free of floating point.
+:func:`to_interval_set` and the distance returned by
+:func:`hausdorff_closure_distance`; everything in between is integer
+arithmetic, still exact and free of floating point.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .intervals import PLUS, IntervalSet
+from .intervals import PLUS, EmptySetError, IntervalSet
 
 IntPair = tuple[int, int]
 
 
 class OffGridError(ValueError):
     """A rational is not an integer multiple of ``1/denom``."""
-
-
-class NestingViolatedError(AssertionError):
-    """X_{n+1} is not contained in X_n; impossible on exact data, so a bug."""
 
 
 def on_grid(x: Fraction, denom: int) -> int:
@@ -108,30 +106,68 @@ def split(cuts: Sequence[int], l: int, r: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def image(grid: Grid, pairs: Sequence[IntPair]) -> list[IntPair]:
-    """Exact T(S): split each interval at the cuts inside it, translate each
-    piece by its branch, then sort and merge."""
+def push(grid: Grid, pairs: Sequence[IntPair]) -> list[IntPair]:
+    """The pieces of T(S) with multiplicity: each interval split at the cuts
+    inside it and each piece translated by its branch, unsorted; pieces of
+    different branches may overlap."""
     cuts, gamma = grid.cuts, grid.gamma
     pieces: list[IntPair] = []
     for l, r in pairs:
         for lo, hi, i in split(cuts, l, r):
             g = gamma[i - 1]
             pieces.append((lo + g, hi + g))
-    return merge(pieces)
+    return pieces
 
 
-def check_nested(inner: Sequence[IntPair], outer: Sequence[IntPair]) -> None:
-    """Raise NestingViolatedError unless ``inner`` is a subset of ``outer``.
+def image(grid: Grid, pairs: Sequence[IntPair]) -> list[IntPair]:
+    """Exact T(S): the pushed pieces, sorted and merged."""
+    return merge(push(grid, pairs))
 
-    One two-pointer pass over both canonical lists: each interval of
-    ``inner`` must lie in the first component of ``outer`` that does not
-    end before it does.
+
+def _directed_hausdorff(a: list[int], b: list[int]) -> int:
+    # sup over closure(a) of dist(x, closure(b)); the sup of a piecewise
+    # linear function is attained at an endpoint of a or at a gap midpoint
+    # of b lying inside closure(a), where it is half the gap. One bisect
+    # per candidate: an endpoint of a against b, a midpoint against a.
+    best = 0
+    n = len(b)
+    for x in a:
+        i = bisect_left(b, x)
+        if i & 1 or (i < n and b[i] == x):
+            continue  # inside closure(b)
+        if i == 0:
+            d = b[0] - x
+        elif i == n:
+            d = x - b[-1]
+        else:
+            d = min(x - b[i - 1], b[i] - x)
+        if d > best:
+            best = d
+    for k in range(1, n - 1, 2):
+        half = (b[k + 1] - b[k]) // 2
+        if half > best:
+            mid = b[k] + half
+            i = bisect_left(a, mid)
+            if i & 1 or (i < len(a) and a[i] == mid):
+                best = half
+    return best
+
+
+def hausdorff_closure_distance(
+    a: Sequence[IntPair], a_denom: int, b: Sequence[IntPair], b_denom: int
+) -> Fraction:
+    """Exact Hausdorff distance between the closures of two canonical
+    integer interval unions, ``a`` over ``a_denom`` and ``b`` over ``b_denom``.
+
+    Closures are taken in ``[0, 1]`` (each ``[l, r)`` becomes ``[l, r]``).
+    Symmetric, and zero iff the closures coincide. Both unions are scaled to
+    the grid ``1/(2L)``, ``L = lcm(a_denom, b_denom)``, so that every gap
+    midpoint is an integer too.
     """
-    j, n = 0, len(outer)
-    for l, r in inner:
-        while j < n and outer[j][1] < r:
-            j += 1
-        if j == n or outer[j][0] > l:
-            raise NestingViolatedError(
-                f"nesting X_(n+1) <= X_n violated: grid interval [{l}, {r}) is outside X_n"
-            )
+    if not a or not b:
+        raise EmptySetError("hausdorff distance needs non-empty sets")
+    denom = 2 * math.lcm(a_denom, b_denom)
+    sa, sb = denom // a_denom, denom // b_denom
+    ea = [k * sa for pair in a for k in pair]
+    eb = [k * sb for pair in b for k in pair]
+    return Fraction(max(_directed_hausdorff(ea, eb), _directed_hausdorff(eb, ea)), denom)

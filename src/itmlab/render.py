@@ -75,7 +75,7 @@ def render_orbit(m: ItmMap, component: int, data: ReturnMapData | None = None) -
     continuity interval, ending at each interval's return."""
     if data is None:
         att = compute_attractor(m)
-        comps = att.components()
+        comps = att.kcomponents
         if not att.finite_type or not (1 <= component <= len(comps)):
             raise ValueError(f"component {component} does not exist")
         data = compute_return_map(m, comps[component - 1], att)

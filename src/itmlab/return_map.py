@@ -24,7 +24,7 @@ from functools import cached_property
 from .attractor import AttractorResult, NotFiniteTypeError, compute_attractor
 from .intervals import MINUS, PLUS, Pair
 from .itm import ItmMap
-from .kernel import Grid, IntPair, OffGridError, branch_rule, on_grid, split
+from .kernel import Grid, IntPair, branch_rule, split
 
 IDENTITY = "identity"
 ROTATION_LIKE = "rotation_like"
@@ -88,11 +88,10 @@ class ReturnMapData:
     """First-return structure of one component J.
 
     The cut points and images are held as integer numerators over the
-    map's grid; their Fraction views and the signed chains are built on
-    first access.
+    map's grid; their Fraction views (J too) and the signed chains are
+    built on first access.
     """
 
-    J: Pair
     kcuts: tuple[int, ...]
     return_times: tuple[int, ...]
     landings: tuple[LandingRecord, ...]
@@ -109,6 +108,10 @@ class ReturnMapData:
     @property
     def dynamically_trivial(self) -> bool:
         return len(self.kcuts) == 2
+
+    @cached_property
+    def J(self) -> Pair:
+        return self.cut_points[0], self.cut_points[-1]
 
     @cached_property
     def cut_points(self) -> tuple[Fraction, ...]:
@@ -190,9 +193,10 @@ def _signed_chain(
 
 
 def compute_return_map(
-    m: ItmMap, J: Pair, attractor: AttractorResult | None = None
+    m: ItmMap, J: IntPair, attractor: AttractorResult | None = None
 ) -> ReturnMapData:
-    """Full first-return structure of one attractor component.
+    """Full first-return structure of one attractor component, given as
+    integer numerators over the map's grid like ``attractor.kcomponents``.
 
     Raises NotFiniteTypeError when the attractor is not finite type (or the
     generous safety cap is exceeded), NotAComponentError when J is not
@@ -203,17 +207,15 @@ def compute_return_map(
         attractor = compute_attractor(m)
     if not attractor.finite_type:
         raise NotFiniteTypeError("attractor did not stabilize")
-    x, y = J
+    kx, ky = J
     grid = m.grid
     denom, cuts, gamma = grid.denom, grid.cuts, grid.gamma
-    try:
-        kx, ky = on_grid(x, denom), on_grid(y, denom)
-    except OffGridError:
-        raise NotAComponentError(f"{J} is not on the map's grid") from None
     kcomponents = attractor.kcomponents
     i = bisect_left(kcomponents, (kx, ky))
     if i == len(kcomponents) or kcomponents[i] != (kx, ky):
-        raise NotAComponentError(f"{J} is not a component of the attractor")
+        raise NotAComponentError(
+            f"[{Fraction(kx, denom)}, {Fraction(ky, denom)}) is not a component of the attractor"
+        )
     cap = 2 * m.Q * max(1, len(kcomponents))
 
     # In-flight pieces (cur_l, cur_r, src_l) on the integer grid; src_l
@@ -236,7 +238,7 @@ def compute_return_map(
                 else:
                     raise ReturnMapInvariantError(
                         f"piece [{Fraction(cl, denom)},{Fraction(cr, denom)}) "
-                        f"straddles {J} at time {t}"
+                        f"straddles J = [{Fraction(kx, denom)},{Fraction(ky, denom)}) at time {t}"
                     )
             flying = still
         nxt: list[tuple[int, int, int]] = []
@@ -277,7 +279,6 @@ def compute_return_map(
         if kimages[sigma[p] - 1][1] != kimages[sigma[p + 1] - 1][0]:
             raise ReturnMapInvariantError("return images are not contiguous")
     return ReturnMapData(
-        J=(x, y),
         kcuts=kcuts,
         return_times=return_times,
         landings=landings,

@@ -18,9 +18,9 @@ from functools import cached_property
 
 from .attractor import AttractorResult, compute_attractor
 from .ghost import A3Result, GhostGraph, build_ghost_graph, check_A3
-from .intervals import MINUS, PLUS, IntervalSet, hausdorff_closure_distance
+from .intervals import MINUS, PLUS
 from .itm import BadOrderError, BadTranslationError, ItmMap, from_numerators, validate
-from .kernel import branch_rule
+from .kernel import branch_rule, hausdorff_closure_distance
 from .return_map import (
     IDENTITY,
     NotFiniteTypeError,
@@ -194,13 +194,13 @@ def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
     if not attractor.finite_type:
         raise NotFiniteTypeError("A2 needs a finite-type attractor")
     for i in attractor.boundary_hits:
-        b = m.beta[i - 1]
-        for comp_idx, (l, r) in enumerate(attractor.components(), start=1):
+        b = m.grid.cuts[i]
+        for comp_idx, (l, r) in enumerate(attractor.kcomponents, start=1):
             if b == l or b == r:
                 return Verdict(False, {
                     "component": comp_idx,
                     "boundary": "left" if b == l else "right",
-                    "point": b,
+                    "point": m.beta[i - 1],
                     "first_hit": (i, 0),
                     "kind": "closure_boundary",
                 })
@@ -257,7 +257,7 @@ def full_analysis(m: ItmMap, max_iter: int | None = None) -> FullAnalysis:
     if not attractor.finite_type:
         return FullAnalysis(m, attractor, ())
     return_maps = tuple(
-        compute_return_map(m, comp, attractor) for comp in attractor.components()
+        compute_return_map(m, comp, attractor) for comp in attractor.kcomponents
     )
     return FullAnalysis(m, attractor, return_maps)
 
@@ -278,21 +278,25 @@ def apply_spec(m: ItmMap, spec: PerturbationSpec) -> ItmMap:
 
 
 def _probe_one(
-    index: int, m: ItmMap, base_x: IntervalSet, base_count: int, base_signature: tuple
+    index: int, m: ItmMap, base: AttractorResult, base_signature: tuple
 ) -> SampleRecord:
+    """One accepted sample, compared with the base attractor on the
+    integer components of both."""
     analysis = full_analysis(m)
     attractor = analysis.attractor
-    comps = attractor.components()
+    comps = attractor.kcomponents
     signature_match = (
         attractor.finite_type
-        and len(comps) == base_count
+        and len(comps) == len(base.kcomponents)
         and _signature(analysis.return_maps) == base_signature
     )
     return SampleRecord(
         index=index,
         accepted=True,
         component_count=len(comps),
-        hausdorff=hausdorff_closure_distance(base_x, attractor.X),
+        hausdorff=hausdorff_closure_distance(
+            base.kcomponents, base.denom, comps, attractor.denom
+        ),
         disc_inside=len(attractor.discontinuities_inside),
         disc_outside_closure=len(attractor.discontinuities_outside),
         signature_match=signature_match,
@@ -321,8 +325,6 @@ def perturbation_probe(
     base = full_analysis(m)
     if not base.attractor.finite_type:
         raise NotFiniteTypeError("probe needs a finite-type base map")
-    base_x = base.attractor.X
-    base_count = len(base.attractor.components())
     base_signature = _signature(base.return_maps)
     grid = 2**GRID_BITS
     span = 2 * grid - 1  # k in [-(grid-1), grid-1] keeps |delta| < epsilon
@@ -343,7 +345,7 @@ def perturbation_probe(
         except (BadOrderError, BadTranslationError):
             records.append(SampleRecord(i, accepted=False))
             continue
-        records.append(_probe_one(i, perturbed, base_x, base_count, base_signature))
+        records.append(_probe_one(i, perturbed, base.attractor, base_signature))
     accepted = [rec for rec in records if rec.accepted]
     if not accepted:
         raise NoValidSamplesError("all probe draws left the parameter polytope")

@@ -18,6 +18,7 @@ from itmlab import (
     BadTranslationError,
     ItmMap,
     compute_attractor,
+    hausdorff_closure_distance,
     minus,
     plus,
     validate,
@@ -227,6 +228,41 @@ def naive_attractor(m: ItmMap) -> tuple[list[tuple[Fraction, Fraction]], int]:
     return pairs, n
 
 
+def reference_attractor(m: ItmMap, max_iter: int | None = None) -> tuple:
+    """X, its step and the discontinuity classification from the plain
+    iteration ``X_{n+1} = kernel.image(X_n)`` on the map's integer grid; no
+    kernel code besides ``image``.
+
+    The step is the first n with X_{n+1} = X_n; after ``max_iter`` steps
+    (default Q) without one it is None and X is X_max_iter. Returns
+    ``(pairs, step, inside, outside, boundary)`` in the shape of the
+    AttractorResult fields ``kcomponents``, ``stabilization_step``,
+    ``discontinuities_inside``, ``discontinuities_outside`` and
+    ``boundary_hits``.
+    """
+    from itmlab import kernel
+
+    grid = m.grid
+    cur = [(0, grid.denom)]
+    step = None
+    for n in range(m.Q if max_iter is None else max_iter):
+        nxt = kernel.image(grid, cur)
+        if nxt == cur:
+            step = n
+            break
+        cur = nxt
+    inside, outside, boundary = [], [], []
+    for i, b in enumerate(grid.cuts[1:-1], start=1):
+        comp = next((k for k, (l, r) in enumerate(cur, start=1) if l <= b <= r), None)
+        if comp is None:
+            outside.append(i)
+        elif b in cur[comp - 1]:
+            boundary.append(i)
+        else:
+            inside.append((i, comp))
+    return tuple(cur), step, tuple(inside), tuple(outside), tuple(boundary)
+
+
 def naive_shift(m: ItmMap, side: str) -> Fraction:
     """``h`` with ``v-`` moving like the plain point ``v - h``: h = 1/(2Q)
     sits strictly inside a grid cell, so ``v - h`` takes the branch of the
@@ -314,6 +350,18 @@ def brute_hausdorff(a, b) -> Fraction:
     d_ab = max(b.distance_to_closure(x) for x in cands if a.closure_contains(x))
     d_ba = max(a.distance_to_closure(x) for x in cands if b.closure_contains(x))
     return max(d_ab, d_ba)
+
+
+def set_hausdorff(a, b) -> Fraction:
+    """``hausdorff_closure_distance`` of two IntervalSets, each first put
+    on the grid of the lcm of its own endpoint denominators."""
+
+    def on_own_grid(s):
+        denom = math.lcm(*(x.denominator for pair in s.intervals for x in pair))
+        return [tuple(x.numerator * (denom // x.denominator) for x in pair)
+                for pair in s.intervals], denom
+
+    return hausdorff_closure_distance(*on_own_grid(a), *on_own_grid(b))
 
 
 def naive_nullspace(columns, dim: int) -> list[list[Fraction]]:

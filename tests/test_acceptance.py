@@ -48,6 +48,7 @@ from conftest import (
 FIG1_X = canonicalize([(F(1, 6), F(13, 42)), (F(1, 2), F(17, 21))])
 JA = (F(1, 6), F(13, 42))
 JB = (F(1, 2), F(17, 21))
+KJA, KJB = (7, 13), (21, 34)  # JA and JB as numerators over fig1's grid 1/42
 
 
 def report(n: int, text: str) -> None:
@@ -86,12 +87,12 @@ def test_criterion_3_fig1_stable_and_orbit_cover(fig1):
 
 def test_criterion_4_fig1_return_maps_exact(fig1):
     att = compute_attractor(fig1)
-    b = compute_return_map(fig1, JB, att)
+    b = compute_return_map(fig1, KJB, att)
     assert b.n_intervals == 2
     assert b.return_times == (1, 2)
     assert b.sigma == (2, 1)
     assert verify_touching_equations(fig1, b) == (F(9, 14),)
-    a = compute_return_map(fig1, JA, att)
+    a = compute_return_map(fig1, KJA, att)
     assert a.n_intervals == 2
     assert a.return_times == (4, 3)
     assert verify_touching_equations(fig1, a) == (F(2, 7),)
@@ -112,8 +113,8 @@ def test_criterion_5_vector_identities_corpus(fig1, corpus):
     n_components = 0
     for m in [fig1] + corpus:
         att = compute_attractor(m)
-        for comp in att.components():
-            data = compute_return_map(m, comp, att)
+        for kcomp, comp in zip(att.kcomponents, att.components()):
+            data = compute_return_map(m, kcomp, att)
             vecs = build_vectors(m, data)
             checks = verify_identities(m, data, vecs)
             assert all(c.ok for c in checks)
@@ -161,7 +162,8 @@ def test_criterion_7_ghost_example(ghost_map):
     b1 = m.beta[0]
     assert any(abs(l - b1) <= eps and abs(r - b1) <= eps
                for l, r in perturbed.components())
-    jump = hausdorff_closure_distance(att.X, perturbed.X)
+    jump = hausdorff_closure_distance(
+        att.kcomponents, att.denom, perturbed.kcomponents, perturbed.denom)
     d = att.X.distance_to_closure(b1)
     assert d > 0
     assert jump >= d / 2
@@ -217,8 +219,8 @@ def test_criterion_11_return_map_oracle_corpus(corpus):
     points = 0
     for m in corpus:
         att = compute_attractor(m)
-        for comp in att.components():
-            data = compute_return_map(m, comp, att)
+        for kcomp, comp in zip(att.kcomponents, att.components()):
+            data = compute_return_map(m, kcomp, att)
             for z in grid_points(m):
                 if not (comp[0] <= z < comp[1]):
                     continue

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from itmlab import (
-    NestingViolatedError,
+    AttractorInvariantError,
     OffGridError,
     canonicalize,
     compute_attractor,
@@ -19,8 +20,9 @@ from itmlab import (
     orbit_closure,
     validate,
 )
+from itmlab import attractor
 from itmlab.intervals import MINUS, PLUS
-from conftest import grid_points, naive_attractor, naive_orbit
+from conftest import grid_points, naive_attractor, naive_orbit, random_map, reference_attractor
 
 FIG1_X = canonicalize([(F(1, 6), F(13, 42)), (F(1, 2), F(17, 21))])
 
@@ -140,25 +142,137 @@ class TestComputeAttractor:
             assert len(att.discontinuities_outside) == m.r - 1 - len(inside) - len(att.boundary_hits)
 
     def test_non_nested_image_raises(self, fig1, monkeypatch):
-        # an image that leaves X_n must stop the iteration, also under -O
-        real = kernel.image
+        # removing grid cells that are not in X_n (here all of [0, 1) after
+        # the first push) drives a count below 0, which must stop the
+        # iteration, also under -O
+        real = kernel.push
         calls = []
 
         def leaky(grid, pairs):
             calls.append(pairs)
             return real(grid, pairs) if len(calls) == 1 else [(0, grid.denom)]
 
-        monkeypatch.setattr(kernel, "image", leaky)
-        with pytest.raises(NestingViolatedError):
+        monkeypatch.setattr(kernel, "push", leaky)
+        with pytest.raises(AttractorInvariantError, match="below 0"):
             compute_attractor(fig1)
+
+    @pytest.mark.parametrize("name", ["rotation35", "fig1", "trivial_component_map"])
+    def test_double_preimages_at_stabilization_raise(self, name, request, monkeypatch):
+        # every piece of T([0, 1)) counted twice: the count settles with two
+        # preimages on X, which a bijection of X's cells cannot have
+        m = request.getfixturevalue(name)
+        real = kernel.push
+        calls = []
+
+        def doubled(grid, pairs):
+            calls.append(pairs)
+            pieces = real(grid, pairs)
+            return pieces * 2 if len(calls) == 1 else pieces
+
+        monkeypatch.setattr(kernel, "push", doubled)
+        with pytest.raises(AttractorInvariantError, match="preimages in X"):
+            compute_attractor(m)
+        assert issubclass(AttractorInvariantError, AssertionError)
+
+    def test_no_full_image_per_step(self, corpus_q1024, monkeypatch):
+        # the count iteration never re-images X_n
+        def forbidden(grid, pairs):
+            raise AssertionError("compute_attractor called kernel.image")
+
+        monkeypatch.setattr(kernel, "image", forbidden)
+        for m in corpus_q1024:
+            compute_attractor(m)
+
+    def test_reference_loop_with_caps(self, corpus, corpus_q1024):
+        # X, the step and the classification agree with the plain iterated
+        # image, stabilized and capped just before, at and after the step
+        runs = 0
+        for m in corpus[:20] + corpus_q1024:
+            step = reference_attractor(m)[1]
+            for cap in sorted({1, 2, step - 1, step, step + 1}):
+                if cap < 1:
+                    continue
+                att = compute_attractor(m, max_iter=cap)
+                assert (
+                    att.kcomponents,
+                    att.stabilization_step,
+                    att.discontinuities_inside,
+                    att.discontinuities_outside,
+                    att.boundary_hits,
+                ) == reference_attractor(m, cap)
+                assert att.infinite_type_suspected == (att.stabilization_step is None)
+                runs += 1
+        assert runs > 100
+
+
+# (stabilization step, sha256 of repr(kcomponents)) per map, recorded with
+# the iterated full image X_{n+1} = T(X_n)
+SCALE_TIERS = {
+    # Q <= 8192, r in {2, 3, 4}, seed 3
+    (3, 8192, (2, 3, 4)): [
+        (2, "60b4d66bc6077c853cc6c9cda4d01f5bc38ccc24667dea161b83a908d5342211"),
+        (3, "bce64d7267e064dc9a3f70a902742d0e62bc2fb18e35b4cf8800b1ebd4eda6c6"),
+        (78, "427e3e3d54b155def06dcd3af7ba4fa08ab409c830972d9ad91669c19ade5a78"),
+        (178, "c507b91a793945c78e44636e148783efdbdf1dbd21bb9cf8644db198985ac612"),
+        (58, "ffe2eb9b4d1e3ef509fe71aae25f468ac67164f4c430eca2ff1e513db1aca12e"),
+        (2, "1ed762cc7600c719ae64e4991a50baebc9b9e209944f76723ecb65b42b6075b2"),
+        (32, "9e5897183f28d966bf094eb48ea77f94d59c54aaf6a80f9ca45ee85f6fbb07b2"),
+        (6, "dbf7ee0255a4e3bbe279d2d0c4e1451561b227c95a35223b80a4b746b9db6b2d"),
+        (5, "bd2f9546724661a954cf762db6ae873e540195243ec4398f4fe3b536b2eb2a10"),
+        (769, "072f8b14b7560909ed974d16d00d035e8f08e102ff17bc39b8ad35fde6a87317"),
+        (92, "47c243a13f46fbd790f2370342651a830ccb73e9fb583de4777c3f19a6139172"),
+        (284, "70361121e956c89af7b36d28df59aaf2f4e1f885b85731207ffc0b4a7b018120"),
+        (3, "0b01b36895607e2ce1c1fadb16f2185daa92b2eb6dcc21eaf983c607b0ec51a9"),
+        (2, "fd3551e0c7bf1f6af3e1a4dc954e38ba25ac30f3b02326c9e192382b1d1c992a"),
+        (309, "037b05d07e16451e5d13f77bbfa7236dba9d6866dd828ce41cd1d0f5ec40174b"),
+        (5, "02bfb4ae7f079bcc12da7ea35b4e62d54c166cb72cfe0f5d78a570c89ba026fa"),
+        (3, "9f0b34264c0a78c347f1326ab00b71bcf7cd79561a78899bb2f083aeb3e7bac9"),
+        (1, "dcf9d9c032f61aab2d3312a483aa9beb006d24e87a7bdfb89b690f08c0f240d5"),
+        (1, "f5c4a1fa007e5272417ef7ba35afc303078898c886127628dd023a85e6b388f8"),
+        (14, "b9bb3b21d8f85b3f6e7edf6fc17b0fb499326578441f417923e9765fd552871f"),
+    ],
+    # Q <= 65536, r in {3, 4}, seed 4; map 6 has Q = 43340 and 1,719 components
+    (4, 65536, (3, 4)): [
+        (4, "9c16ec7edfa5ff2aa79bc2813b6c885329a0d3062b9accb1a4cc51693d762c22"),
+        (19, "9766f4f935ec82307e0ead6e3d20bb4b054ae6f928d445c82b56ad793394455e"),
+        (483, "4bd457b13d531a04f64fa6de557982968ba22e3ecf49b908a5e2f534c3c1a1f4"),
+        (4, "6bf895d8b00accee2a9fb53ddc2d7f8a843d9a2610c9a0110f09b6adbd8db93e"),
+        (3, "135fee2d7e4871192caab06dc5a79a6fe87a8ea05a5ed461dd8e2411b15cb728"),
+        (6, "70a2fbe70a17ffba18b8dfd7375e7fe7ae427454fd288ad1d139369bfe0ee4a8"),
+        (4682, "16ef6c8e630ef90f9fd0bbeac78900a14b0af5bb95d003c9747d6553096ce507"),
+        (8, "be68380ecb32349dec36717640ee76cb1ac4378cbbdb6acd70ac554c4141435b"),
+        (1, "aad28fe85817cbc12b7fc7712b68f99a2a9cf898202222f38568648bb5a23099"),
+        (186, "bd2cd7d8bb0504a1f6c3ddaaf024871a8edce472b6f81c80c2abecb5567487ab"),
+    ],
+}
+
+
+class TestScale:
+    @pytest.mark.parametrize("seed,max_q,rs", list(SCALE_TIERS))
+    def test_pinned_tier(self, seed, max_q, rs):
+        rng = random.Random(seed)
+        got = []
+        for _ in SCALE_TIERS[seed, max_q, rs]:
+            att = compute_attractor(random_map(rng, max_q, rs, max_q // 2))
+            digest = hashlib.sha256(repr(att.kcomponents).encode()).hexdigest()
+            got.append((att.stabilization_step, digest))
+        assert got == SCALE_TIERS[seed, max_q, rs]
 
 
 class TestKernel:
     def test_nested_pairs_pass(self):
-        outer = [(0, 4), (6, 10)]
-        kernel.check_nested([], outer)
-        kernel.check_nested([(0, 1), (2, 4), (6, 7), (9, 10)], outer)
-        kernel.check_nested(outer, outer)
+        # removing a union nested in the counted one leaves no count below
+        # 0, reports the removed cells as the new zeros, and leaves exactly
+        # the count of what is left
+        for inner, rest in [
+            ([], [(0, 4), (6, 10)]),
+            ([(0, 1), (2, 4), (6, 7), (9, 10)], [(1, 2), (7, 9)]),
+            ([(0, 4), (6, 10)], []),
+        ]:
+            xs, cs, zeros = attractor._count(12, [(0, 4), (6, 10)])
+            assert (xs, cs, zeros) == ([0, 4, 6, 10, 12], [1, 0, 1, 0, -1], [(4, 6), (10, 12)])
+            assert attractor._remove(xs, cs, list(inner)) == inner
+            assert (xs, cs) == attractor._count(12, rest)[:2]
 
     @pytest.mark.parametrize("inner", [
         [(3, 7)],  # spans the gap between two components
@@ -168,9 +282,15 @@ class TestKernel:
         [(11, 12)],  # beyond everything
     ])
     def test_non_nested_pair_raises(self, inner):
-        with pytest.raises(NestingViolatedError):
-            kernel.check_nested(inner, [(0, 4), (6, 10)])
-        assert issubclass(NestingViolatedError, AssertionError)
+        # a removed piece outside the counted union drives a count below 0
+        xs, cs, _ = attractor._count(12, [(0, 4), (6, 10)])
+        with pytest.raises(AttractorInvariantError, match="below 0"):
+            attractor._remove(xs, cs, list(inner))
+
+    def test_count_sums_overlaps(self):
+        # overlapping pieces add up; 0 stays a breakpoint
+        xs, cs, zeros = attractor._count(10, [(2, 6), (4, 8), (4, 6)])
+        assert (xs, cs, zeros) == ([0, 2, 4, 6, 8, 10], [0, 1, 3, 1, 0, -1], [(0, 2), (8, 10)])
 
     def test_on_grid_is_exact(self):
         assert kernel.on_grid(F(3, 7), 42) == 18

@@ -123,7 +123,7 @@ class TestA3:
                 if graph.in_x[(i, "-")] or graph.in_x[(i, "+")]:
                     continue
                 for side in ("-", "+"):
-                    tree = ghost_tree(m, (i, side), depth, att)
+                    tree = ghost_tree(graph, (i, side), depth)
                     reappears = any(
                         (i, side) in level for level in tree.levels[1:]
                     )
@@ -137,21 +137,21 @@ class TestA3:
 
 class TestGhostTree:
     def test_fig1_two_levels(self, fig1):
-        tree = ghost_tree(fig1, (2, "+"), 2)
+        tree = ghost_tree(build_ghost_graph(fig1), (2, "+"), 2)
         assert tree.levels == (((2, "+"),), ((1, "-"),))
         assert tree.repeated == ()
 
     def test_ghost_map_repeats(self, ghost_map):
-        tree = ghost_tree(ghost_map, (1, "-"), 4)
+        tree = ghost_tree(build_ghost_graph(ghost_map), (1, "-"), 4)
         assert tree.levels[0] == ((1, "-"),)
         assert (1, "-") in tree.levels[2]
         assert (1, "-") in tree.levels[4]
         assert (2, (1, "-")) in tree.repeated
 
     def test_depth_zero(self, ghost_map):
-        tree = ghost_tree(ghost_map, (1, "-"), 0)
+        tree = ghost_tree(build_ghost_graph(ghost_map), (1, "-"), 0)
         assert tree.levels == (((1, "-"),),)
 
     def test_negative_depth(self, fig1):
         with pytest.raises(ValueError):
-            ghost_tree(fig1, (1, "-"), -1)
+            ghost_tree(build_ghost_graph(fig1), (1, "-"), -1)

@@ -12,8 +12,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmlab import canonicalize, hausdorff_closure_distance
-from conftest import brute_hausdorff
+from itmlab import canonicalize
+from conftest import brute_hausdorff, set_hausdorff
 
 
 @st.composite
@@ -34,4 +34,4 @@ def mixed_sets(draw):
 def test_mixed_denominators_against_brute_force(a, b):
     # endpoints on different grids, so the common grid 1/(2L) is finer
     # than either set's own
-    assert hausdorff_closure_distance(a, b) == brute_hausdorff(a, b)
+    assert set_hausdorff(a, b) == brute_hausdorff(a, b)

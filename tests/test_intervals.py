@@ -10,14 +10,13 @@ import pytest
 from itmlab import (
     EmptySetError,
     canonicalize,
-    hausdorff_closure_distance,
     interval,
     minus,
     parse_rational,
     plus,
 )
 from itmlab.intervals import SignedPoint
-from conftest import brute_hausdorff
+from conftest import brute_hausdorff, set_hausdorff
 
 
 def iset(*pairs):
@@ -178,30 +177,30 @@ class TestComponents:
 class TestHausdorff:
     def test_equal_sets(self):
         a = interval(0, F(1, 2))
-        assert hausdorff_closure_distance(a, a) == 0
+        assert set_hausdorff(a, a) == 0
 
     def test_extra_component(self):
         a = interval(0, F(1, 4))
         b = iset((F(0), F(1, 4)), (F(3, 4), F(7, 8)))
-        assert hausdorff_closure_distance(a, b) == F(5, 8)
+        assert set_hausdorff(a, b) == F(5, 8)
 
     def test_shifted_endpoint(self):
         a = interval(0, F(1, 2))
         b = interval(F(1, 100), F(1, 2))
-        assert hausdorff_closure_distance(a, b) == F(1, 100)
+        assert set_hausdorff(a, b) == F(1, 100)
 
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
-            hausdorff_closure_distance(canonicalize([]), interval(0, 1))
+            set_hausdorff(canonicalize([]), interval(0, 1))
 
     def test_zero_iff_equal_closures(self):
         # [0,1/2) and [0,1/2)+[1/2,3/4) differ, distance positive
         a = interval(0, F(1, 2))
         b = iset((F(0), F(1, 2)), (F(1, 2), F(3, 4)))
-        assert hausdorff_closure_distance(a, b) > 0
+        assert set_hausdorff(a, b) > 0
         # abutting pieces merge, so closures coincide after canonicalize
         c = iset((F(0), F(1, 4)), (F(1, 4), F(1, 2)))
-        assert hausdorff_closure_distance(a, c) == 0
+        assert set_hausdorff(a, c) == 0
 
     def test_against_brute_force(self):
         rng = random.Random(41)
@@ -210,7 +209,7 @@ class TestHausdorff:
             a, b = random_set(rng), random_set(rng)
             if a.is_empty() or b.is_empty():
                 continue
-            assert hausdorff_closure_distance(a, b) == brute_hausdorff(a, b)
+            assert set_hausdorff(a, b) == brute_hausdorff(a, b)
             checked += 1
 
     def test_symmetry_and_triangle(self):
@@ -220,10 +219,10 @@ class TestHausdorff:
             a, b, c = random_set(rng), random_set(rng), random_set(rng)
             if a.is_empty() or b.is_empty() or c.is_empty():
                 continue
-            dab = hausdorff_closure_distance(a, b)
-            assert dab == hausdorff_closure_distance(b, a)
-            dac = hausdorff_closure_distance(a, c)
-            dcb = hausdorff_closure_distance(c, b)
+            dab = set_hausdorff(a, b)
+            assert dab == set_hausdorff(b, a)
+            dac = set_hausdorff(a, c)
+            dcb = set_hausdorff(c, b)
             assert dab <= dac + dcb
             checked += 1
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -163,6 +164,19 @@ class TestWireFormat:
             doc["gamma"] = ["1/3", bad, "-1/2"]
             with pytest.raises(MapFormatError, match="bad rational"):
                 parse_map(doc)
+
+    def test_q_digit_bound(self):
+        # Q = lcm(2, q) with q written in `limit` digits: accepted while Q
+        # keeps `limit` digits, rejected once it needs one more
+        limit = sys.get_int_max_str_digits()
+        for q, ok in [(10**limit - 2, True), (10**limit - 1, False),
+                      (5 * 10**(limit - 1), True), (5 * 10**(limit - 1) + 1, False)]:
+            doc = {"r": 2, "beta": ["1/2"], "gamma": [f"1/{q}", "0"]}
+            if ok:
+                assert len(str(parse_map(doc).Q)) == limit
+            else:
+                with pytest.raises(MapFormatError, match=f"at most {limit} decimal digits"):
+                    parse_map(doc)
 
     def test_non_integer_r(self):
         for bad in ("3", True):

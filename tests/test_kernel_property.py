@@ -37,8 +37,8 @@ def test_kernel_against_fraction_oracles(m):
     att = compute_attractor(m)
     assert att.X.components() == tuple(pairs)
     assert att.stabilization_step == step
-    for J in att.components():
-        data = compute_return_map(m, J, att)
+    for kJ, J in zip(att.kcomponents, att.components()):
+        data = compute_return_map(m, kJ, att)
         naive = {}
         for c in data.chains:
             # a horizon of the kernel's entry time is enough: the oracle

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from itmlab import full_analysis, parse_rational
-from itmlab.cli import main
+from itmlab.cli import main, make_parser
 from itmlab.render import render_map, render_orbit
 from itmlab.report import build_report, render_document
 
@@ -136,6 +137,18 @@ class TestAnalyze:
         assert doc["attractor"]["capped"] is True
         assert doc["stability"]["stable"] is False
 
+    def test_huge_q_exit_2(self, tmp_path, capsys):
+        # each literal is under the int-to-str digit limit, but their lcm Q
+        # is not, so a report could not write it out
+        n = 10**3000
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"r": 2, "beta": ["1/2"], "gamma": [f"1/{n + 1}", f"-1/{n + 3}"]}))
+        assert main(["analyze", str(path), "--max-iter", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MapFormatError: ")
+        assert f"at most {sys.get_int_max_str_digits()} decimal digits" in err
+
     def test_max_iter_zero_exit_2(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", files["fig1"], "--max-iter", "0"])
@@ -240,6 +253,24 @@ class TestDumpCommands:
         assert doc["tree"]["levels"][0] == [[1, "-"]]
         assert [2, [1, "-"]] in doc["tree"]["repeated"]
 
+    def test_ghost_tree_builds_one_graph(self, files, capsys, monkeypatch):
+        import itmlab.ghost
+        import itmlab.stability
+
+        calls = []
+
+        def counting(real):
+            def build_ghost_graph(*args):
+                calls.append(args)
+                return real(*args)
+            return build_ghost_graph
+
+        for module in (itmlab.ghost, itmlab.stability):
+            monkeypatch.setattr(module, "build_ghost_graph", counting(module.build_ghost_graph))
+        assert main(["ghost-tree", files["ghost"], "--root", "2+", "--depth", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["tree"]["root"] == [2, "+"]
+        assert len(calls) == 1
+
     def test_ghost_tree_bad_root(self, files, capsys):
         assert main(["ghost-tree", files["ghost"], "--root", "9+"]) == 2
         assert main(["ghost-tree", files["ghost"], "--root", "x"]) == 2
@@ -267,6 +298,25 @@ class TestDumpCommands:
 
     def test_return_map_bad_component(self, files, capsys):
         assert main(["return-map", files["fig1"], "--component", "7"]) == 2
+
+
+class TestInProcess:
+    def test_repeated_main_calls_share_one_parser(self, files, capsys):
+        # the parser is built once per process and parsing leaves it as it
+        # was: analyze, probe, a usage error, then analyze again
+        assert main(["analyze", files["fig1"], "--json-only"]) == 0
+        first = capsys.readouterr().out
+        assert json.loads(first)["stability"]["stable"] is True
+        assert main(["probe", files["fig1"], "--eps", "1/1000", "--samples", "4",
+                     "--seed", "2", "--json-only"]) == 0
+        assert json.loads(capsys.readouterr().out)["probe"]["accepted"] == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", files["fig1"], "--max-iter", "x"])
+        assert exc.value.code == 2
+        assert "max_iter >= 1" in capsys.readouterr().err
+        assert main(["analyze", files["fig1"], "--json-only"]) == 0
+        assert capsys.readouterr().out == first
+        assert make_parser() is make_parser()
 
 
 class TestReportApi:

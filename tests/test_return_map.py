@@ -25,8 +25,9 @@ from itmlab.return_map import (
 )
 from conftest import grid_points, naive_first_return, naive_signed_chain
 
-JB = (F(1, 2), F(17, 21))
-JA = (F(1, 6), F(13, 42))
+# fig1's components as numerators over its grid 1/42
+JB = (21, 34)  # [1/2, 17/21)
+JA = (7, 13)  # [1/6, 13/42)
 
 
 class TestFig1Structure:
@@ -76,7 +77,7 @@ class TestFig1Structure:
 
 class TestRotation:
     def test_full_circle(self, rotation35):
-        data = compute_return_map(rotation35, (F(0), F(1)))
+        data = compute_return_map(rotation35, (0, 5))
         assert data.cut_points == (F(0), F(2, 5), F(1))
         assert data.return_times == (1, 1)
         assert data.sigma == (2, 1)
@@ -86,7 +87,7 @@ class TestRotation:
 
 class TestTrivialComponent:
     def test_identity_component(self, trivial_component_map):
-        data = compute_return_map(trivial_component_map, (F(1, 2), F(1)))
+        data = compute_return_map(trivial_component_map, (2, 4))
         assert data.n_intervals == 1
         assert data.dynamically_trivial
         assert data.return_times == (1,)
@@ -98,7 +99,7 @@ class TestTrivialComponent:
 
 class TestManyBranches:
     def test_iet3(self, iet3):
-        data = compute_return_map(iet3, (F(0), F(1)))
+        data = compute_return_map(iet3, (0, 3))
         assert data.n_intervals == 3
         assert data.sigma == (3, 2, 1)
         assert classify_return_dynamics(data) == MANY_BRANCHES
@@ -107,10 +108,9 @@ class TestManyBranches:
 
 class TestErrors:
     def test_not_a_component(self, fig1):
-        # off the 1/42 grid, then on it: past both components, inside the
+        # on the 1/42 grid: all of [0, 1), past both components, inside the
         # first, and the first's left end with the second's right end
-        for J in [(F(1, 2), F(3, 4)), (F(5, 6), F(6, 7)), (F(1, 6), F(2, 7)),
-                  (F(1, 6), F(17, 21))]:
+        for J in [(0, 42), (35, 36), (7, 12), (7, 34)]:
             with pytest.raises(NotAComponentError):
                 compute_return_map(fig1, J)
 
@@ -192,8 +192,8 @@ class TestInvariants:
     def test_tiling(self, fig1, corpus):
         for m in [fig1] + corpus[:20]:
             att = compute_attractor(m)
-            for comp in att.components():
-                data = compute_return_map(m, comp, att)
+            for kcomp, comp in zip(att.kcomponents, att.components()):
+                data = compute_return_map(m, kcomp, att)
                 total = sum((r - l for l, r in data.images), F(0))
                 assert total == comp[1] - comp[0]
                 spans = sorted(data.images)
@@ -204,8 +204,8 @@ class TestInvariants:
     def test_chain_entry_matches_return_times(self, fig1, corpus):
         for m in [fig1] + corpus[:20]:
             att = compute_attractor(m)
-            for comp in att.components():
-                data = compute_return_map(m, comp, att)
+            for kcomp, comp in zip(att.kcomponents, att.components()):
+                data = compute_return_map(m, kcomp, att)
                 for c in data.chains:
                     expected = data.return_times[c.j] if c.side == "+" \
                         else data.return_times[c.j - 1]
@@ -215,8 +215,8 @@ class TestInvariants:
         # both signed views of an interior cut point first hit the same disc
         for m in [fig1] + corpus[:20]:
             att = compute_attractor(m)
-            for comp in att.components():
-                data = compute_return_map(m, comp, att)
+            for kcomp, comp in zip(att.kcomponents, att.components()):
+                data = compute_return_map(m, kcomp, att)
                 for rec in data.landings:
                     for side in ("+", "-"):
                         first = data.chain(rec.j, side).hits[0]
@@ -226,8 +226,8 @@ class TestInvariants:
         checked = 0
         for m in [fig1] + corpus + corpus_q1024:
             att = compute_attractor(m)
-            for J in att.components():
-                data = compute_return_map(m, J, att)
+            for kJ, J in zip(att.kcomponents, att.components()):
+                data = compute_return_map(m, kJ, att)
                 for c in data.chains:
                     hits, entry, value = naive_signed_chain(
                         m, J, data.cut_points[c.j], c.side, c.entry_time)
@@ -238,8 +238,8 @@ class TestInvariants:
 
     def test_pointwise_oracle_fig1(self, fig1):
         att = compute_attractor(fig1)
-        for comp in att.components():
-            data = compute_return_map(fig1, comp, att)
+        for kcomp, comp in zip(att.kcomponents, att.components()):
+            data = compute_return_map(fig1, kcomp, att)
             for z in grid_points(fig1):
                 if not (comp[0] <= z < comp[1]):
                     continue
@@ -255,8 +255,8 @@ class TestInvariants:
         checked = 0
         for m in [fig1] + corpus + corpus_q1024:
             att = compute_attractor(m)
-            for J in att.components():
-                data = compute_return_map(m, J, att)
+            for kJ, J in zip(att.kcomponents, att.components()):
+                data = compute_return_map(m, kJ, att)
                 sigma = data.sigma
                 for p, value in enumerate(verify_touching_equations(m, data)):
                     for j, side in ((sigma[p], "-"), (sigma[p + 1] - 1, "+")):
@@ -270,7 +270,7 @@ class TestInvariants:
     def test_touching_all_corpus(self, corpus):
         for m in corpus[:25]:
             att = compute_attractor(m)
-            for comp in att.components():
-                data = compute_return_map(m, comp, att)
+            for kcomp, comp in zip(att.kcomponents, att.components()):
+                data = compute_return_map(m, kcomp, att)
                 values = verify_touching_equations(m, data)
                 assert len(values) == data.n_intervals - 1

@@ -195,6 +195,19 @@ class TestProbe:
         assert all(r.disc_inside == 1 for r in recs)
         assert all(r.disc_outside_closure == 1 for r in recs)
 
+    def test_probe_builds_no_interval_set(self, fig1, ghost_map, monkeypatch):
+        # the base analysis and every sample stay on integer components:
+        # no Fraction view of any attractor is built
+        from itmlab.intervals import IntervalSet
+
+        def forbidden(self):
+            raise AssertionError("an IntervalSet was built")
+
+        monkeypatch.setattr(IntervalSet, "__post_init__", forbidden)
+        for m in (fig1, ghost_map):
+            pr = perturbation_probe(m, F(1, 1000), 20, seed=3)
+            assert pr.accepted > 0 and pr.max_hausdorff >= 0
+
     def test_no_valid_samples(self, rotation35):
         # all three draws of this seed leave the polytope at eps = 3
         with pytest.raises(NoValidSamplesError):
@@ -282,7 +295,8 @@ class TestDirectedPerturbation:
         for eps in (F(1, 2048), F(1, 4096)):
             dp = a3_breaking_perturbation(ghost_map, wit, eps)
             att2 = compute_attractor(apply_spec(ghost_map, dp.spec))
-            jumps.append(hausdorff_closure_distance(base, att2.X))
+            jumps.append(hausdorff_closure_distance(
+                fa.attractor.kcomponents, fa.attractor.denom, att2.kcomponents, att2.denom))
         assert all(j >= d / 2 for j in jumps)
 
     def test_shared_branch_rejected(self, ghost_map):

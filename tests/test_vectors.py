@@ -21,8 +21,9 @@ from itmlab.vectors import CoefficientVector, VectorInvariantError, nullspace
 
 from conftest import naive_branch_counts, naive_nullspace, naive_signed_chain
 
-JB = (F(1, 2), F(17, 21))
-JA = (F(1, 6), F(13, 42))
+# fig1's components as numerators over its grid 1/42
+JB = (21, 34)  # [1/2, 17/21)
+JA = (7, 13)  # [1/6, 13/42)
 
 
 def by_tag(vecs):
@@ -85,8 +86,8 @@ class TestChainTimePartition:
         checked = 0
         for m in [fig1] + corpus + corpus_q1024:
             att = compute_attractor(m)
-            for J in att.components():
-                data = compute_return_map(m, J, att)
+            for kJ, J in zip(att.kcomponents, att.components()):
+                data = compute_return_map(m, kJ, att)
                 expected = {}
                 for c in data.chains:
                     a = data.cut_points[c.j]
@@ -112,8 +113,8 @@ class TestChainTimePartition:
         # along each signed chain: l_j + connection legs + return leg = entry
         for m in [fig1] + corpus[:20]:
             att = compute_attractor(m)
-            for comp in att.components():
-                data = compute_return_map(m, comp, att)
+            for kcomp, comp in zip(att.kcomponents, att.components()):
+                data = compute_return_map(m, kcomp, att)
                 vecs = by_tag(build_vectors(m, data))
                 for c in data.chains:
                     if not c.hits:
@@ -196,8 +197,8 @@ class TestNullspace:
                           for _ in range(rng.randint(1, 8))], dim))
         for m in [fig1] + corpus[:20]:
             att = compute_attractor(m)
-            for comp in att.components():
-                vecs = build_vectors(m, compute_return_map(m, comp, att))
+            for kcomp, comp in zip(att.kcomponents, att.components()):
+                vecs = build_vectors(m, compute_return_map(m, kcomp, att))
                 mats.append(([list(v.entries()) for v in vecs], 2 * m.r - 1))
         nonzero = 0
         for cols, dim in mats:
@@ -225,8 +226,8 @@ class TestCorpusProperties:
         seen_boundary_landings = 0
         for m in corpus:
             att = compute_attractor(m)
-            for comp in att.components():
-                data = compute_return_map(m, comp, att)
+            for kcomp, comp in zip(att.kcomponents, att.components()):
+                data = compute_return_map(m, kcomp, att)
                 vecs = build_vectors(m, data)
                 checks = verify_identities(m, data, vecs)
                 assert all(c.ok for c in checks)
