@@ -48,7 +48,7 @@ class AttractorResult:
     ``components()`` are their Fraction views, built on first use.
 
     ``stabilization_step`` is the first n with X_{n+1} = X_n, or None when
-    the cap was reached first (then ``infinite_type_suspected`` is set; for
+    the cap was reached first (then ``infinite_type_suspected`` is true; for
     rational maps this only happens with a user-lowered cap).
 
     Discontinuities are partitioned into three lists: strictly inside a
@@ -59,7 +59,6 @@ class AttractorResult:
     kcomponents: tuple[IntPair, ...]
     denom: int
     stabilization_step: int | None
-    infinite_type_suspected: bool
     discontinuities_inside: tuple[tuple[int, int], ...]
     discontinuities_outside: tuple[int, ...]
     boundary_hits: tuple[int, ...]
@@ -67,6 +66,10 @@ class AttractorResult:
     @property
     def finite_type(self) -> bool:
         return self.stabilization_step is not None
+
+    @property
+    def infinite_type_suspected(self) -> bool:
+        return self.stabilization_step is None
 
     @cached_property
     def X(self) -> IntervalSet:
@@ -213,7 +216,6 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
         kcomponents=tuple(comps),
         denom=denom,
         stabilization_step=step,
-        infinite_type_suspected=step is None,
         discontinuities_inside=tuple(inside),
         discontinuities_outside=tuple(outside),
         boundary_hits=tuple(boundary),

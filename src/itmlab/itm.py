@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .intervals import SignedPoint, parse_rational
 from .kernel import Grid, branch_rule, on_grid
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class BadOrderError(ValueError):
@@ -42,33 +40,49 @@ class MapFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ItmMap:
-    """Validated interval translation map with cached grid denominator Q.
+    """Validated interval translation map, held as its integer grid: the
+    cuts and translations as numerators over Q in lowest terms, so equal
+    maps have equal grids. Build maps with :func:`validate` or
+    :func:`from_numerators`, which check the polytope; the Fraction views
+    ``beta``, ``gamma`` and ``cuts()`` are built on first read."""
 
-    ``grid`` holds the cuts and translations as integer numerators over Q
-    for the integer kernel; build maps with :func:`validate` or
-    :func:`from_numerators`, which check the polytope and supply it.
-    """
+    grid: Grid
 
-    r: int
-    beta: tuple[Fraction, ...]
-    gamma: tuple[Fraction, ...]
-    Q: int
-    image_compactly_contained: bool
-    grid: Grid = field(repr=False, compare=False)
-    _cuts: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    @property
+    def r(self) -> int:
+        return len(self.grid.gamma)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_cuts", (_ZERO,) + self.beta + (_ONE,))
+    @property
+    def Q(self) -> int:
+        return self.grid.denom
+
+    @cached_property
+    def _fraction_cuts(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.grid.denom) for c in self.grid.cuts)
 
     def cuts(self) -> tuple[Fraction, ...]:
         """beta_0 = 0, beta_1, ..., beta_{r-1}, beta_r = 1."""
-        return self._cuts
+        return self._fraction_cuts
+
+    @cached_property
+    def beta(self) -> tuple[Fraction, ...]:
+        return self._fraction_cuts[1:-1]
+
+    @cached_property
+    def gamma(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(g, self.grid.denom) for g in self.grid.gamma)
+
+    @cached_property
+    def image_compactly_contained(self) -> bool:
+        """T(I) lies in (0, 1) with room to spare, which perturbations need."""
+        denom, cuts, gamma = self.grid
+        return all(0 < cuts[i] + g and cuts[i + 1] + g < denom for i, g in enumerate(gamma))
 
     # -- signed dynamics -------------------------------------------------
 
     def branch_of(self, p: SignedPoint) -> int:
         """Branch index in 1..r; '+' points use [b_{i-1}, b_i), '-' use (b_{i-1}, b_i]."""
-        return branch_rule(p.side)(self._cuts, p.value)
+        return branch_rule(p.side)(self._fraction_cuts, p.value)
 
     def step(self, p: SignedPoint) -> SignedPoint:
         """One application of T; translation preserves the side tag."""
@@ -133,33 +147,18 @@ def from_numerators(r: int, beta: Sequence[int], gamma: Sequence[int], denom: in
 
     Raises BadOrderError unless ``0 < beta_1 < ... < beta_{r-1} < 1`` and
     BadTranslationError for the first ``gamma_i`` outside
-    ``[-beta_{i-1}, 1 - beta_i]``. Also records whether T(I) is compactly
-    contained in (0, 1), which the perturbation machinery relies on.
+    ``[-beta_{i-1}, 1 - beta_i]``.
     """
     cuts = (0, *beta, denom)
     for i in range(1, r + 1):
         if not cuts[i - 1] < cuts[i]:
             shown = tuple(Fraction(b, denom) for b in beta)
             raise BadOrderError(f"discontinuities not strictly increasing: {shown}")
-    for i in range(1, r + 1):
-        g = gamma[i - 1]
+    for i, g in enumerate(gamma, start=1):
         if not -cuts[i - 1] <= g <= denom - cuts[i]:
             raise BadTranslationError(i, Fraction(g, denom))
-    compact = (
-        min(cuts[i - 1] + gamma[i - 1] for i in range(1, r + 1)) > 0
-        and max(cuts[i] + gamma[i - 1] for i in range(1, r + 1)) < denom
-    )
     g = math.gcd(denom, *beta, *gamma)
-    q = denom // g
-    grid = Grid(q, tuple(c // g for c in cuts), tuple(x // g for x in gamma))
-    return ItmMap(
-        r,
-        tuple(Fraction(c, q) for c in grid.cuts[1:-1]),
-        tuple(Fraction(x, q) for x in grid.gamma),
-        q,
-        compact,
-        grid,
-    )
+    return ItmMap(Grid(denom // g, tuple(c // g for c in cuts), tuple(x // g for x in gamma)))
 
 
 _MAP_KEYS = {"r", "beta", "gamma"}

@@ -15,7 +15,7 @@ from . import __version__
 from .attractor import AttractorResult
 from .ghost import GhostGraph
 from .itm import ItmMap
-from .return_map import ReturnMapData, classify_return_dynamics
+from .return_map import ReturnMapData, classify_return_dynamics, verify_touching_equations
 from .stability import (
     GRID_BITS,
     LCG_A,
@@ -26,7 +26,6 @@ from .stability import (
     ProbeResult,
     StabilityReport,
 )
-from .return_map import verify_touching_equations
 from .vectors import build_vectors, check_lin_dep_pattern, verify_identities
 
 
@@ -75,7 +74,7 @@ def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
                 "side": c.side,
                 "hits": [{"disc": h.disc, "time": h.time} for h in c.hits],
                 "entry_time": c.entry_time,
-                "entry_value": str(c.entry_value),
+                "entry_value": str(Fraction(c.kentry, data.grid.denom)),
             }
             for c in data.chains
         ],

@@ -63,14 +63,14 @@ class ChainHit:
 
 @dataclass(frozen=True)
 class SignedChain:
-    """Critical hits of one signed endpoint before it re-enters J, and how
-    many steps of the whole walk took each branch (``entry_counts``)."""
+    """Critical hits of one signed endpoint before it re-enters J at grid
+    numerator ``kentry``, and the branch counts of the whole walk (``entry_counts``)."""
 
     j: int
     side: str
     hits: tuple[ChainHit, ...]
     entry_time: int
-    entry_value: Fraction
+    kentry: int
     entry_counts: tuple[int, ...] = field(repr=False)
 
 
@@ -176,9 +176,7 @@ def _signed_chain(
     t = 0
     while True:
         if t >= 1 and find(J, k) == 1:
-            return SignedChain(
-                j, side, tuple(hits), t, Fraction(k, grid.denom), tuple(counts)
-            )
+            return SignedChain(j, side, tuple(hits), t, k, tuple(counts))
         disc = beta_index.get(k)
         if disc is not None:
             hits.append(ChainHit(disc, t, tuple(counts)))
@@ -248,7 +246,10 @@ def compute_return_map(
                     cut_info.setdefault(src + (lo - cl), (t, i - 1))
                 g = gamma[i - 1]
                 nxt.append((lo + g, hi + g, src + (lo - cl)))
-        flying = sorted(nxt)
+        # no order needed: the in-flight sources are disjoint, so each
+        # cut_info key comes from one piece per step, and retired is read
+        # through by_src
+        flying = nxt
         t += 1
 
     kcuts = (kx,) + tuple(sorted(cut_info)) + (ky,)
@@ -296,17 +297,16 @@ def verify_touching_equations(m: ItmMap, data: ReturnMapData) -> tuple[Fraction,
 
     The p-th equation says the right end of the p-th image from the left
     touches the left end of the next one: R(a_{sigma(p)}-) ~ R(a_{sigma(p+1)-1}+).
-    Both sides are the entry values the chain walk recorded; a failure
+    Both sides are the entry numerators the chain walk recorded; a failure
     raises TouchingViolatedError.
     """
-    sigma = data.sigma
+    sigma, denom = data.sigma, data.grid.denom
     out: list[Fraction] = []
     for p in range(len(sigma) - 1):
-        lval = data.chain(sigma[p], MINUS).entry_value
-        rval = data.chain(sigma[p + 1] - 1, PLUS).entry_value
-        if lval != rval:
+        lval = data.chain(sigma[p], MINUS).kentry
+        if lval != data.chain(sigma[p + 1] - 1, PLUS).kentry:
             raise TouchingViolatedError(p + 1)
-        out.append(lval)
+        out.append(Fraction(lval, denom))
     return tuple(out)
 
 

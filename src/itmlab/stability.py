@@ -65,12 +65,19 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class FullAnalysis:
-    """Attractor and return maps, computed up front; the ghost graph, its A3
-    result and the stability verdict are built on first access."""
+    """The attractor, computed up front; the return maps, the ghost graph,
+    its A3 result and the stability verdict are built on first access."""
 
     map: ItmMap
     attractor: AttractorResult
-    return_maps: tuple[ReturnMapData, ...]
+
+    @cached_property
+    def return_maps(self) -> tuple[ReturnMapData, ...]:
+        """One return map per component, in order; none for a capped attractor."""
+        m, attractor = self.map, self.attractor
+        if not attractor.finite_type:
+            return ()
+        return tuple(compute_return_map(m, comp, attractor) for comp in attractor.kcomponents)
 
     @cached_property
     def ghost_graph(self) -> GhostGraph | None:
@@ -251,15 +258,9 @@ def check_matching(m: ItmMap, attractor: AttractorResult, return_maps: tuple[Ret
 
 
 def full_analysis(m: ItmMap, max_iter: int | None = None) -> FullAnalysis:
-    """Attractor and all return maps now; the ghost graph, the stability
+    """The attractor now; the return maps, the ghost graph, the stability
     verdict, the signed chains and the Fraction views when first read."""
-    attractor = compute_attractor(m, max_iter)
-    if not attractor.finite_type:
-        return FullAnalysis(m, attractor, ())
-    return_maps = tuple(
-        compute_return_map(m, comp, attractor) for comp in attractor.kcomponents
-    )
-    return FullAnalysis(m, attractor, return_maps)
+    return FullAnalysis(m, compute_attractor(m, max_iter))
 
 
 def stability_verdict(m: ItmMap, max_iter: int | None = None) -> StabilityReport:

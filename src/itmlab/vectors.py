@@ -23,7 +23,6 @@ from operator import mul
 
 from .intervals import MINUS, PLUS
 from .itm import ItmMap
-from .kernel import on_grid
 from .return_map import ReturnMapData
 
 Tag = tuple
@@ -166,7 +165,7 @@ def verify_identities(
         else:
             _, side, j = v.tag
             chain = data.chain(j, side)
-            entry = on_grid(chain.entry_value, m.Q)
+            entry = chain.kentry
             if chain.hits:
                 ok = val == entry and (x <= val < y if side == PLUS else x < val <= y)
                 kind = "return"

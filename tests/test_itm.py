@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,8 @@ from itmlab import (
     plus,
     validate,
 )
+from itmlab.itm import ItmMap, from_numerators
+from itmlab.kernel import on_grid
 from conftest import naive_orbit, random_map
 
 
@@ -46,6 +49,22 @@ class TestValidate:
     def test_r_too_small(self):
         with pytest.raises(BadOrderError):
             validate(1, [], [F(0)])
+
+    def test_the_grid_is_the_only_state(self, fig1, corpus):
+        # parameters given over a multiple of the map's grid reduce to the
+        # map validate builds from the same Fractions: equal, with the same
+        # hash, and holding nothing but the grid until a view is read
+        assert [f.name for f in fields(ItmMap)] == ["grid"]
+        for m in [fig1] + corpus[:10]:
+            q = 6 * m.Q
+            built = from_numerators(
+                m.r, [on_grid(b, q) for b in m.beta], [on_grid(g, q) for g in m.gamma], q
+            )
+            assert vars(built) == {"grid": m.grid}
+            again = validate(m.r, list(m.beta), list(m.gamma))
+            assert built == again and hash(built) == hash(again)
+            assert (built.r, built.Q, built.beta, built.gamma) == (m.r, m.Q, m.beta, m.gamma)
+            assert built.cuts() == (F(0), *m.beta, F(1))
 
 
 class TestBranchAndStep:

@@ -46,7 +46,7 @@ def test_kernel_against_fraction_oracles(m):
             # if it is too late
             hits, entry, value = naive_signed_chain(
                 m, J, data.cut_points[c.j], c.side, c.entry_time)
-            assert (c.entry_time, c.entry_value) == (entry, value)
+            assert (c.entry_time, Fraction(c.kentry, m.Q)) == (entry, value)
             assert [(h.disc, h.time) for h in c.hits] == hits
             naive[c.j, c.side] = value
         sigma = data.sigma

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from itmlab import full_analysis, parse_rational
+from itmlab import full_analysis, parse_map, parse_rational
 from itmlab.cli import main, make_parser
 from itmlab.render import render_map, render_orbit
 from itmlab.report import build_report, render_document
@@ -270,6 +270,27 @@ class TestDumpCommands:
         assert main(["ghost-tree", files["ghost"], "--root", "2+", "--depth", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["tree"]["root"] == [2, "+"]
         assert len(calls) == 1
+
+    def test_return_maps_built_only_where_reported(self, files, capsys, monkeypatch):
+        # --directed reports the base map's return maps and only the
+        # perturbed map's attractor; ghost-tree reports no return map
+        import itmlab.stability
+
+        calls = []
+        real = itmlab.stability.compute_return_map
+
+        def counting(m, J, attractor=None):
+            calls.append(m)
+            return real(m, J, attractor)
+
+        monkeypatch.setattr(itmlab.stability, "compute_return_map", counting)
+        assert main(["probe", files["ghost"], "--eps", "1/4096", "--directed", "--json-only"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == len(doc["return_maps"]) == len(doc["attractor"]["components"])
+        assert set(calls) == {parse_map(json.loads(GHOST_DOC))}
+        calls.clear()
+        assert main(["ghost-tree", files["ghost"], "--root", "1-"]) == 0
+        assert calls == []
 
     def test_ghost_tree_bad_root(self, files, capsys):
         assert main(["ghost-tree", files["ghost"], "--root", "9+"]) == 2

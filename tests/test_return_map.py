@@ -147,14 +147,14 @@ def _split_dropped(real):
 def _chain_late(real):
     def late(*args):
         c = real(*args)
-        return SignedChain(c.j, c.side, c.hits, c.entry_time + 1, c.entry_value, c.entry_counts)
+        return SignedChain(c.j, c.side, c.hits, c.entry_time + 1, c.kentry, c.entry_counts)
     return late
 
 
 def _chain_blind(real):
     def blind(*args):
         c = real(*args)
-        return SignedChain(c.j, c.side, (), c.entry_time, c.entry_value, c.entry_counts)
+        return SignedChain(c.j, c.side, (), c.entry_time, c.kentry, c.entry_counts)
     return blind
 
 
@@ -232,7 +232,7 @@ class TestInvariants:
                     hits, entry, value = naive_signed_chain(
                         m, J, data.cut_points[c.j], c.side, c.entry_time)
                     assert [(h.disc, h.time) for h in c.hits] == hits
-                    assert (c.entry_time, c.entry_value) == (entry, value)
+                    assert (c.entry_time, F(c.kentry, m.Q)) == (entry, value)
                     checked += 1
         assert checked > 600  # 674 chains across the three map sets
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
 from itmlab import (
     BadTranslationError,
+    FullAnalysis,
     NoValidSamplesError,
     NotRealizableDirectlyError,
     PerturbationSpec,
@@ -161,6 +163,10 @@ class TestVerdict:
         rep = stability_verdict(fig1, max_iter=2)
         assert not rep.finite_type and not rep.stable
 
+    def test_analysis_holds_the_attractor_only(self, fig1):
+        assert [f.name for f in fields(FullAnalysis)] == ["map", "attractor"]
+        assert full_analysis(fig1, max_iter=2).return_maps == ()
+
 
 class TestApplySpec:
     def test_roundtrip(self, fig1):
@@ -208,6 +214,44 @@ class TestProbe:
             pr = perturbation_probe(m, F(1, 1000), 20, seed=3)
             assert pr.accepted > 0 and pr.max_hausdorff >= 0
 
+    def test_sample_maps_build_no_fraction_view(self, fig1, ghost_map, monkeypatch):
+        # every accepted sample map still holds only its grid afterwards
+        from itmlab import stability
+
+        maps = []
+        real = stability.from_numerators
+
+        def capturing(*args):
+            m = real(*args)
+            maps.append(m)
+            return m
+
+        monkeypatch.setattr(stability, "from_numerators", capturing)
+        for m in (fig1, ghost_map):
+            maps.clear()
+            pr = perturbation_probe(m, F(1, 1000), 20, seed=3)
+            assert len(maps) == pr.accepted > 0
+            assert [vars(s) for s in maps] == [{"grid": s.grid} for s in maps]
+
+    def test_return_maps_only_where_counts_match(self, corpus, monkeypatch):
+        # a sample whose component count differs from the base's cannot
+        # match its signature, so none of its return maps is built
+        from itmlab import stability
+
+        calls = []
+        real = stability.compute_return_map
+
+        def counting(m, J, attractor=None):
+            calls.append(m)
+            return real(m, J, attractor)
+
+        monkeypatch.setattr(stability, "compute_return_map", counting)
+        pr = perturbation_probe(corpus[1], F(1, 1000), 20, seed=5)
+        base = len(pr.base.attractor.kcomponents)
+        same = sum(rec.accepted and rec.component_count == base for rec in pr.samples)
+        assert 0 < same < pr.accepted
+        assert len(calls) == base * (1 + same)
+
     def test_no_valid_samples(self, rotation35):
         # all three draws of this seed leave the polytope at eps = 3
         with pytest.raises(NoValidSamplesError):
@@ -228,6 +272,7 @@ class TestProbe:
             pr = perturbation_probe(m, eps, 40, seed=3)
             assert list(pr.samples) == naive_probe_records(m, eps, 40, 3)
             assert pr.base == full_analysis(m)
+            assert pr.base.return_maps == full_analysis(m).return_maps
             if m is near_edge:
                 assert 0 < pr.accepted < 40
 

@@ -142,7 +142,7 @@ def _minus_landing_skewed(real):
             return c
         first = c.hits[0]
         hits = (ChainHit(first.disc, first.time, first.counts[::-1]),) + c.hits[1:]
-        return SignedChain(c.j, c.side, hits, c.entry_time, c.entry_value, c.entry_counts)
+        return SignedChain(c.j, c.side, hits, c.entry_time, c.kentry, c.entry_counts)
     return skewed
 
 
