@@ -86,6 +86,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _component_in_range(k: int, count: int) -> bool:
+    """Whether --component K names one of the attractor's ``count``
+    components; prints the usage error when it does not."""
+    if 1 <= k <= count:
+        return True
+    print(f"error: --component must be in 1..{count} (the attractor has {count} components)",
+          file=sys.stderr)
+    return False
+
+
 def _summary(analysis, json_only: bool) -> None:
     if json_only:
         return
@@ -151,8 +161,7 @@ def cmd_render(args) -> int:
             print("error: orbit rendering needs a finite-type attractor "
                   "(cap reached, infinite type suspected)", file=sys.stderr)
             return EXIT_INPUT
-        if not (1 <= args.component <= len(att.components())):
-            print(f"error: no component {args.component}", file=sys.stderr)
+        if not _component_in_range(args.component, len(att.kcomponents)):
             return EXIT_INPUT
         svg = render_orbit(m, args.component,
                            compute_return_map(m, att.kcomponents[args.component - 1], att))
@@ -191,18 +200,18 @@ def cmd_ghost_tree(args) -> int:
 def cmd_return_map(args) -> int:
     m, digest = _load(args.file)
     analysis = full_analysis(m)
-    comps = analysis.attractor.kcomponents
-    if args.component is not None and not (1 <= args.component <= len(comps)):
-        print(f"error: no component {args.component}", file=sys.stderr)
-        return EXIT_INPUT
-    wanted = (
-        range(1, len(comps) + 1) if args.component is None else [args.component]
-    )
+    if args.component is None:
+        sections = [
+            return_map_section(m, data, k) for k, data in enumerate(analysis.return_maps, start=1)
+        ]
+    else:
+        k, att = args.component, analysis.attractor
+        if not _component_in_range(k, len(att.kcomponents)):
+            return EXIT_INPUT
+        sections = [return_map_section(m, compute_return_map(m, att.kcomponents[k - 1], att), k)]
     doc = {
         "header": {"tool": "itmlab", "input_digest": digest},
-        "return_maps": [
-            return_map_section(m, analysis.return_maps[k - 1], k) for k in wanted
-        ],
+        "return_maps": sections,
     }
     _emit(render_document(doc), args.out)
     return 0

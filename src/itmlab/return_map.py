@@ -12,6 +12,20 @@ continuity intervals is iterated as a signed point to obtain its chain of
 discontinuity hits (times in [0, entry time), time 0 included) and its entry
 time into J. These chains drive the coefficient vectors and the A1/A2
 conditions.
+
+Most components need no walk of their own. On a finite-type attractor T|X
+is a bijection, so when J has no cut strictly inside (all of J lies in one
+branch b) and T(J) = J + gamma_b is exactly a component J', J is the whole
+preimage of J' in X and R_{J'} = T R_J T^{-1}. The return map of J' is
+J's one step on: cut points and images shift by gamma_b, return times and
+the permutation stay, and each landing comes one step earlier. A signed
+endpoint a' = a + gamma_b of J' walks a's orbit from time 1, so its chain is
+a's chain with the time-0 hit dropped, every other hit one step earlier
+with one fewer step on branch b, one more hit one step before entry when a
+entered J on a discontinuity, and the entry shifted by gamma_b (same entry
+time and counts). Components linked this way form towers; only the first
+component of each tower, or one component of a tower that closes into a
+cycle, is walked.
 """
 
 from __future__ import annotations
@@ -100,6 +114,9 @@ class ReturnMapData:
     kimages: tuple[IntPair, ...]
     grid: Grid = field(repr=False, compare=False)
     cap: int = field(repr=False, compare=False)  # safety cap of the chain walks
+    # (return map of the component whose image this one is, 0-based branch of
+    # that component) when the chains are shifted from it rather than walked
+    _source: tuple[ReturnMapData, int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_intervals(self) -> int:
@@ -124,18 +141,37 @@ class ReturnMapData:
 
     @cached_property
     def chains(self) -> tuple[SignedChain, ...]:
-        """The signed chains of a_0+ .. a_{N-1}+, then a_1- .. a_N-, checked
-        against the piece propagation: entry times must equal the return
-        times, and both sides of an interior cut point must first hit the
-        same discontinuity at its landing time."""
-        grid, kcuts, n = self.grid, self.kcuts, self.n_intervals
-        J = (kcuts[0], kcuts[-1])
-        beta_index = {c: i for i, c in enumerate(grid.cuts[1:-1], start=1)}
-        chains = [
-            _signed_chain(grid, beta_index, J, j, PLUS, kcuts[j], self.cap) for j in range(n)
-        ] + [
-            _signed_chain(grid, beta_index, J, j, MINUS, kcuts[j], self.cap) for j in range(1, n + 1)
-        ]
+        """The signed chains of a_0+ .. a_{N-1}+, then a_1- .. a_N-, walked,
+        or shifted from the source component's chains for a transported
+        map. Down a tower the shifts run as a loop from the nearest member
+        whose chains are known, filling each member's cache on the way,
+        because towers reach thousands of components."""
+        if self._source is None:
+            grid, kcuts, n = self.grid, self.kcuts, self.n_intervals
+            J = (kcuts[0], kcuts[-1])
+            beta_index = _beta_index(grid)
+            return self._checked([
+                _signed_chain(grid, beta_index, J, j, PLUS, kcuts[j], self.cap) for j in range(n)
+            ] + [
+                _signed_chain(grid, beta_index, J, j, MINUS, kcuts[j], self.cap) for j in range(1, n + 1)
+            ])
+        pending = [self]
+        src = self._source[0]
+        while src._source is not None and "chains" not in src.__dict__:
+            pending.append(src)
+            src = src._source[0]
+        chains = src.chains
+        beta_index = _beta_index(self.grid)
+        for data in reversed(pending):
+            chains = data._checked(_shifted_chains(data.grid, beta_index, data._source[1], chains))
+            data.__dict__["chains"] = chains  # what cached_property stores
+        return chains
+
+    def _checked(self, chains: list[SignedChain]) -> tuple[SignedChain, ...]:
+        """The chains, checked against the piece propagation: entry times
+        must equal the return times, and both sides of an interior cut point
+        must first hit the same discontinuity at its landing time."""
+        n = self.n_intervals
         for c in chains:
             expected = self.return_times[c.j if c.side == PLUS else c.j - 1]
             if c.entry_time != expected:
@@ -160,6 +196,11 @@ class ReturnMapData:
         if 1 <= j < self.n_intervals:
             return self.landings[j - 1]
         raise KeyError(j)
+
+
+def _beta_index(grid: Grid) -> dict[int, int]:
+    """The discontinuity index of each interior cut numerator."""
+    return {c: i for i, c in enumerate(grid.cuts[1:-1], start=1)}
 
 
 def _signed_chain(
@@ -289,6 +330,48 @@ def compute_return_map(
         grid=grid,
         cap=cap,
     )
+
+
+def _transported(src: ReturnMapData, b: int) -> ReturnMapData:
+    """The return map of T(J) = J + gamma_b from that of J, a component with
+    no cut strictly inside whose image is exactly a component; ``b`` is J's
+    0-based branch (see the module notes)."""
+    g = src.grid.gamma[b]
+    return ReturnMapData(
+        kcuts=tuple(k + g for k in src.kcuts),
+        return_times=src.return_times,
+        landings=tuple(LandingRecord(rec.j, rec.time - 1, rec.disc) for rec in src.landings),
+        sigma=src.sigma,
+        tau=src.tau,
+        kimages=tuple((l + g, r + g) for l, r in src.kimages),
+        grid=src.grid,
+        cap=src.cap,
+        _source=(src, b),
+    )
+
+
+def _shifted_chains(
+    grid: Grid, beta_index: dict[int, int], b: int, chains: tuple[SignedChain, ...]
+) -> list[SignedChain]:
+    """The signed chains of T(J) from those of J, whose branch is ``b``
+    (see the module notes)."""
+    g = grid.gamma[b]
+
+    def one_step_fewer(counts: tuple[int, ...]) -> tuple[int, ...]:
+        out = list(counts)
+        out[b] -= 1
+        return tuple(out)
+
+    shifted = []
+    for c in chains:
+        hits = [ChainHit(h.disc, h.time - 1, one_step_fewer(h.counts)) for h in c.hits if h.time]
+        disc = beta_index.get(c.kentry)
+        if disc is not None:
+            hits.append(ChainHit(disc, c.entry_time - 1, one_step_fewer(c.entry_counts)))
+        shifted.append(
+            SignedChain(c.j, c.side, tuple(hits), c.entry_time, c.kentry + g, c.entry_counts)
+        )
+    return shifted
 
 
 def verify_touching_equations(m: ItmMap, data: ReturnMapData) -> tuple[Fraction, ...]:

@@ -12,6 +12,7 @@ perturbation that an A3 violation promises.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,7 @@ from .return_map import (
     IDENTITY,
     NotFiniteTypeError,
     ReturnMapData,
+    _transported,
     classify_return_dynamics,
     compute_return_map,
 )
@@ -73,11 +75,44 @@ class FullAnalysis:
 
     @cached_property
     def return_maps(self) -> tuple[ReturnMapData, ...]:
-        """One return map per component, in order; none for a capped attractor."""
+        """One return map per component, in order; none for a capped attractor.
+
+        One orbit is walked per tower. A component J with no cut strictly
+        inside whose image J + gamma_b is exactly a component J' hands its
+        return map on to J' (see :mod:`itmlab.return_map`). Only the roots,
+        the components that are not such an image, are walked, and one
+        component of each tower that closes into a cycle.
+        """
         m, attractor = self.map, self.attractor
         if not attractor.finite_type:
             return ()
-        return tuple(compute_return_map(m, comp, attractor) for comp in attractor.kcomponents)
+        comps = attractor.kcomponents
+        n = len(comps)
+        cuts, gamma = m.grid.cuts, m.grid.gamma
+        # (index of J's image, J's branch) for each J that hands its return
+        # map on; T|X is a bijection, so each component is the image of at
+        # most one other and two towers never merge
+        successor: dict[int, tuple[int, int]] = {}
+        is_image = [False] * n
+        for k, (l, r) in enumerate(comps):
+            b = bisect_right(cuts, l)  # branch of l+
+            if r <= cuts[b]:
+                image = (l + gamma[b - 1], r + gamma[b - 1])
+                k2 = bisect_left(comps, image)
+                if k2 < n and comps[k2] == image:
+                    successor[k] = (k2, b - 1)
+                    is_image[k2] = True
+        out: list[ReturnMapData | None] = [None] * n
+        # the roots first (the sort is stable); the components left are cycles
+        for k in sorted(range(n), key=is_image.__getitem__):
+            if out[k] is None:
+                out[k] = data = compute_return_map(m, comps[k], attractor)
+                while k in successor:
+                    k, b = successor[k]
+                    if out[k] is not None:  # the cycle closed
+                        break
+                    out[k] = data = _transported(data, b)
+        return tuple(out)
 
     @cached_property
     def ghost_graph(self) -> GhostGraph | None:

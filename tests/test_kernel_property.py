@@ -3,8 +3,11 @@ random maps with r in {2, 3, 4} and Q <= 64.
 
 The attractor, every signed chain's entry and every touching value are
 compared with ``naive_attractor`` and ``naive_signed_chain``, which iterate
-plain Fractions with no kernel code. Needs ``hypothesis`` (the ``test``
-extra), kept in its own module so the rest of the tests do not depend on it.
+plain Fractions with no kernel code. The return maps are those of
+``full_analysis``, which transports most of them along towers; each must
+also equal the direct walk of ``compute_return_map``. Needs ``hypothesis``
+(the ``test`` extra), kept in its own module so the rest of the tests do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmlab import compute_attractor, compute_return_map, validate, verify_touching_equations
+from itmlab import (
+    compute_return_map,
+    full_analysis,
+    validate,
+    verify_touching_equations,
+)
 from conftest import naive_attractor, naive_signed_chain
 
 
@@ -34,11 +42,13 @@ def maps(draw):
 @given(maps())
 def test_kernel_against_fraction_oracles(m):
     pairs, step = naive_attractor(m)
-    att = compute_attractor(m)
+    analysis = full_analysis(m)
+    att = analysis.attractor
     assert att.X.components() == tuple(pairs)
     assert att.stabilization_step == step
-    for kJ, J in zip(att.kcomponents, att.components()):
-        data = compute_return_map(m, kJ, att)
+    for kJ, J, data in zip(att.kcomponents, att.components(), analysis.return_maps):
+        walked = compute_return_map(m, kJ, att)
+        assert data == walked and data.chains == walked.chains
         naive = {}
         for c in data.chains:
             # a horizon of the kernel's entry time is enough: the oracle

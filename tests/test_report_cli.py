@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import sys
@@ -21,6 +22,8 @@ GHOST_DOC = (
 )
 BAD_DOC = '{"r": 3, "beta": ["2/3", "1/3"], "gamma": ["1/3", "1/7", "-1/2"]}\n'
 UNKNOWN_DOC = '{"r": 2, "beta": ["1/2"], "gamma": ["0", "0"], "extra": 1}\n'
+
+FIG1_COMPONENT_RANGE = "error: --component must be in 1..2 (the attractor has 2 components)\n"
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -228,8 +231,10 @@ class TestRenderCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_component_exit_2(self, files, capsys):
-        assert main(["render", files["fig1"], "--kind", "orbit",
-                     "--component", "5"]) == 2
+        for k in ("0", "3"):  # fig1 has two components
+            assert main(["render", files["fig1"], "--kind", "orbit",
+                         "--component", k]) == 2
+            assert capsys.readouterr().err == FIG1_COMPONENT_RANGE
 
     def test_capped_orbit_render_exit_2(self, files, capsys):
         rc = main(["render", files["fig1"], "--kind", "orbit",
@@ -318,7 +323,32 @@ class TestDumpCommands:
         assert len(doc["return_maps"]) == 2
 
     def test_return_map_bad_component(self, files, capsys):
-        assert main(["return-map", files["fig1"], "--component", "7"]) == 2
+        for k in ("0", "3", "7"):  # fig1 has two components
+            assert main(["return-map", files["fig1"], "--component", k]) == 2
+            assert capsys.readouterr().err == FIG1_COMPONENT_RANGE
+
+    def test_return_map_of_one_component_walks_one(self, files, capsys, monkeypatch):
+        # only the reported component's return orbit is walked, and the
+        # report is the one recorded when every component was walked
+        import itmlab.cli
+        import itmlab.stability
+
+        calls = []
+
+        def counting(real):
+            def compute_return_map(m, J, attractor=None):
+                calls.append(J)
+                return real(m, J, attractor)
+            return compute_return_map
+
+        for module in (itmlab.cli, itmlab.stability):
+            monkeypatch.setattr(module, "compute_return_map", counting(module.compute_return_map))
+        assert main(["return-map", files["fig1"], "--component", "1"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert calls == [(7, 13)]
+        assert hashlib.sha256(out).hexdigest() == (
+            "de0a6e9b0c9c932b2fd3cfbbd3f2e1a16ebabbb1d455c1b5f7a91344f6476f68"
+        )
 
 
 class TestInProcess:

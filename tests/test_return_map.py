@@ -13,6 +13,7 @@ from itmlab import (
     classify_return_dynamics,
     compute_attractor,
     compute_return_map,
+    full_analysis,
     verify_touching_equations,
 )
 from itmlab import return_map
@@ -274,3 +275,68 @@ class TestInvariants:
                 data = compute_return_map(m, kcomp, att)
                 values = verify_touching_equations(m, data)
                 assert len(values) == data.n_intervals - 1
+
+
+def _towers(m, att):
+    """The towers of the attractor from its Fraction views: each component's
+    successor (the component its image is, when the component lies in one
+    branch and its image is exactly a component), the components that are
+    such an image, and the number of towers (one per root, one per cycle)."""
+    comps = att.components()
+    cuts = m.cuts()
+    index = {comp: k for k, comp in enumerate(comps)}
+    succ = {}
+    for k, (x, y) in enumerate(comps):
+        b = max(i for i in range(1, m.r + 1) if cuts[i - 1] <= x)
+        if y <= cuts[b]:
+            g = m.gamma[b - 1]
+            if (x + g, y + g) in index:
+                succ[k] = index[x + g, y + g]
+    images = set(succ.values())
+    roots = [k for k in range(len(comps)) if k not in images]
+    seen = set()
+    towers = 0
+    for k in roots + list(range(len(comps))):
+        if k not in seen:
+            towers += 1
+            while k is not None and k not in seen:
+                seen.add(k)
+                k = succ.get(k)
+    return succ, images, towers
+
+
+class TestTowers:
+    """``full_analysis(m).return_maps`` walks one component per tower and
+    transports the others; every one must equal the direct walk, chains
+    included."""
+
+    def test_transported_equal_direct_walks(self, corpus, corpus_q1024, monkeypatch):
+        from itmlab import stability
+
+        walked = []
+        real = stability.compute_return_map
+
+        def counting(m, J, attractor=None):
+            walked.append(J)
+            return real(m, J, attractor)
+
+        monkeypatch.setattr(stability, "compute_return_map", counting)
+        rooted = transported = 0
+        for m in corpus + corpus_q1024:
+            analysis = full_analysis(m)
+            att = analysis.attractor
+            walked.clear()
+            got = analysis.return_maps
+            for kJ, data in zip(att.kcomponents, got):
+                want = real(m, kJ, att)
+                assert data == want
+                assert data.chains == want.chains
+            succ, images, towers = _towers(m, att)
+            assert len(walked) == towers
+            transported += len(images)
+            rooted += any(k not in images for k in succ)
+        assert rooted > 0 and transported > 100  # 9 maps, 129 components
+        # corpus_q1024 map 7: one cycle of 42 components, none a root
+        m = corpus_q1024[7]
+        succ, images, towers = _towers(m, compute_attractor(m))
+        assert len(images) == 42 and towers == 1

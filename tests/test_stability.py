@@ -235,22 +235,39 @@ class TestProbe:
 
     def test_return_maps_only_where_counts_match(self, corpus, monkeypatch):
         # a sample whose component count differs from the base's cannot
-        # match its signature, so none of its return maps is built
+        # match its signature, so none of its return maps is built; a
+        # matching sample walks at least one return orbit (one per tower)
         from itmlab import stability
 
-        calls = []
-        real = stability.compute_return_map
+        walked = []
+        analyses = []
+        real_walk, real_analysis = stability.compute_return_map, stability.full_analysis
 
         def counting(m, J, attractor=None):
-            calls.append(m)
-            return real(m, J, attractor)
+            walked.append(attractor)
+            return real_walk(m, J, attractor)
+
+        def recording(m, max_iter=None):
+            analyses.append(real_analysis(m, max_iter))
+            return analyses[-1]
 
         monkeypatch.setattr(stability, "compute_return_map", counting)
+        monkeypatch.setattr(stability, "full_analysis", recording)
         pr = perturbation_probe(corpus[1], F(1, 1000), 20, seed=5)
         base = len(pr.base.attractor.kcomponents)
-        same = sum(rec.accepted and rec.component_count == base for rec in pr.samples)
+        accepted = [rec for rec in pr.samples if rec.accepted]
+        assert analyses[0] is pr.base and len(analyses) == 1 + len(accepted)
+        walks = [sum(att is a.attractor for att in walked) for a in analyses]
+        assert walks[0] >= 1
+        same = 0
+        for rec, n in zip(accepted, walks[1:]):
+            if rec.component_count == base:
+                assert n >= 1
+                same += 1
+            else:
+                assert n == 0
         assert 0 < same < pr.accepted
-        assert len(calls) == base * (1 + same)
+        assert len(walked) == sum(walks)
 
     def test_no_valid_samples(self, rotation35):
         # all three draws of this seed leave the polytope at eps = 3
