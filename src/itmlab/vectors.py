@@ -11,15 +11,16 @@ encodes, with exact equality.
 Any vanishing rational combination of the stacked vectors is forced into a
 rigid coefficient pattern (equal coefficients along each signed chain,
 opposite across the two sides of a cut point, landing coefficient equal to
-the sum). ``check_lin_dep_pattern`` verifies that the exact nullspace is
-contained in that pattern subspace.
+the sum). ``check_lin_dep_pattern`` verifies that the exact nullspace lies
+in that pattern subspace by comparing two integer ranks: that of the
+vectors, and that of the vectors combined along the pattern.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .intervals import MINUS, PLUS
 from .itm import ItmMap
@@ -178,62 +179,38 @@ def verify_identities(
     return tuple(checks)
 
 
-# -- exact nullspace ------------------------------------------------------
+# -- rank and the dependence pattern ---------------------------------------
 
 
-def nullspace(columns: list[list[int]], dim: int) -> list[list[int]]:
-    """Exact integer nullspace basis of the matrix whose columns are given.
+def rank(columns: Sequence[Sequence[int]], dim: int) -> int:
+    """Rank of the integer matrix whose ``dim``-entry columns are given.
 
-    Fraction-free (Bareiss) forward elimination on the integer matrix, first
-    nonzero entry in column order as pivot; the last pivot is then the
-    determinant d of the pivot submatrix (pivot rows x pivot columns). One
-    basis vector per free column f: coordinate f is d, the other free
-    coordinates are 0, and back-substitution gives the pivot coordinates.
-    By Cramer's rule each of those is a determinant of the pivot submatrix
-    with one column replaced by column f, so every division is exact; a
-    remainder raises VectorInvariantError.
+    Fraction-free (Bareiss) forward elimination on the transpose, one row
+    per column (a component has a few columns of 2r - 1 entries, so this
+    takes few row updates): first nonzero coordinate in order as pivot,
+    each row update divided by the previous pivot, which divides it
+    exactly, so every entry stays an integer. The pass stops once the rank
+    reaches the number of columns.
     """
-    ncols = len(columns)
-    rows = [[columns[c][r] for c in range(ncols)] for r in range(dim)]
-    nrows = dim
+    rows = list(columns)
     prev = 1
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, nrows):
-            if rows[r][col] != 0:
-                sel = r
-                break
+    found = 0
+    for k in range(dim):
+        if found == len(rows):
+            break
+        sel = next((r for r in range(found, len(rows)) if rows[r][k]), None)
         if sel is None:
             continue
-        if sel != rank:
-            rows[sel], rows[rank] = rows[rank], rows[sel]
-        pivot_row = rows[rank]
-        piv = pivot_row[col]
-        # both rows are zero left of col, so whole-row updates are exact
-        for r in range(rank + 1, nrows):
-            factor = rows[r][col]
+        rows[sel], rows[found] = rows[found], rows[sel]
+        pivot_row = rows[found]
+        piv = pivot_row[k]
+        # both rows are zero left of k, so whole-row updates are exact
+        for r in range(found + 1, len(rows)):
+            factor = rows[r][k]
             rows[r] = [(piv * a - factor * b) // prev for a, b in zip(rows[r], pivot_row)]
         prev = piv
-        pivots.append((rank, col))
-        rank += 1
-    pivot_cols = {c for _, c in pivots}
-    basis: list[list[int]] = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [0] * ncols
-        vec[free] = prev
-        for r, c in reversed(pivots):
-            row = rows[r]
-            # row is zero left of c and vec[c] is still 0
-            q, rem = divmod(-sum(map(mul, row, vec)), row[c])
-            if rem:
-                raise VectorInvariantError(f"inexact back-substitution in column {c}")
-            vec[c] = q
-        basis.append(vec)
-    return basis
+        found += 1
+    return found
 
 
 def check_lin_dep_pattern(
@@ -241,53 +218,40 @@ def check_lin_dep_pattern(
 ) -> PatternResult:
     """Verify that every vanishing combination follows the forced pattern.
 
-    For each basis element of the exact nullspace and each 0 <= j < N:
-    the coefficients of C+(j, 1..m-1) and R+_j must all agree (common value
-    c+_j), those of C-(j+1, .) and R-_{j+1} must agree (c-_{j+1}), and
-    c+_j = -c-_{j+1}; for interior j the landing coefficient alpha_j must
-    equal c-_j + c+_j. Boundary blocks without landings keep only their
-    return-vector constraint. Every constraint is homogeneous, so the
-    integer scaling of a basis vector changes neither the verdict nor the
-    witness. A violation is returned as a witness, never raised: it would
-    falsify the underlying lemma and means an engine bug.
+    The pattern: for each 0 <= j < N the coefficients of C+(j, 1..m-1) and
+    R+_j all equal one value c_j, those of C-(j+1, .) and R-_{j+1} all
+    equal -c_j, and for interior j the landing coefficient of L_j is
+    c_j - c_{j-1}; boundary landings L_0 / L_N are free. These combinations
+    are the range of an injective matrix P with one column per c_j and one
+    unit column per boundary landing, so the nullspace of the vectors A
+    lies in the pattern iff nullity(A) == nullity(A P). The columns of A P
+    are signed sums of the vectors. A violation is returned as a witness,
+    never raised: it would falsify the underlying lemma and means an
+    engine bug.
     """
     if vectors is None:
         vectors = build_vectors(m, data)
     n = data.n_intervals
     dim = 2 * m.r - 1
-    basis = nullspace([list(v.entries()) for v in vectors], dim)
-    index = {v.tag: i for i, v in enumerate(vectors)}
-    # the vectors of each signed chain (side, j): its C's, then its R
-    blocks: dict[tuple, list[int]] = {}
-    for i, v in enumerate(vectors):
-        if v.tag[0] == "C":
-            blocks.setdefault(v.tag[1:3], []).append(i)
-    for side, js in ((PLUS, range(n)), (MINUS, range(1, n + 1))):
-        for j in js:
-            blocks.setdefault((side, j), []).append(index[("R", side, j)])
-
-    def block(alpha: list[int], side: str, j: int) -> list[int]:
-        return [alpha[i] for i in blocks[side, j]]
-
-    for b_i, alpha in enumerate(basis):
-        for j in range(n):
-            plus_block = block(alpha, PLUS, j)
-            minus_block = block(alpha, MINUS, j + 1)
-            if any(c != plus_block[0] for c in plus_block) or any(
-                c != minus_block[0] for c in minus_block
-            ):
-                return PatternResult(False, len(basis), {
-                    "basis_index": b_i, "j": j, "reason": "unequal coefficients in a chain block",
-                })
-            if plus_block[0] != -minus_block[0]:
-                return PatternResult(False, len(basis), {
-                    "basis_index": b_i, "j": j, "reason": "plus/minus blocks not opposite",
-                })
-        for j in range(1, n):
-            c_minus = block(alpha, MINUS, j)[0]
-            c_plus = block(alpha, PLUS, j)[0]
-            if alpha[index[("L", j)]] != c_minus + c_plus:
-                return PatternResult(False, len(basis), {
-                    "basis_index": b_i, "j": j, "reason": "landing coefficient != block sum",
-                })
-    return PatternResult(True, len(basis), None)
+    spanned = [[0] * dim for _ in range(n)]  # the columns of A P
+    for v in vectors:
+        if v.tag[0] == "L":
+            j = v.tag[1]
+            if j in (0, n):
+                spanned.append(list(v.entries()))
+                continue
+            terms = ((j, 1), (j - 1, -1))
+        elif v.tag[1] == PLUS:
+            terms = ((v.tag[2], 1),)
+        else:
+            terms = ((v.tag[2] - 1, -1),)
+        for c, sign in terms:
+            spanned[c] = [a + sign * x for a, x in zip(spanned[c], v.entries())]
+    nullity = len(vectors) - rank([v.entries() for v in vectors], dim)
+    pattern_nullity = len(spanned) - rank(spanned, dim)
+    if nullity == pattern_nullity:
+        return PatternResult(True, nullity, None)
+    return PatternResult(False, nullity, {
+        "nullity": nullity, "pattern_nullity": pattern_nullity,
+        "reason": "a vanishing combination leaves the pattern",
+    })

@@ -393,6 +393,36 @@ def naive_nullspace(columns, dim: int) -> list[list[Fraction]]:
     return basis
 
 
+def naive_pattern(vectors, n: int, dim: int) -> tuple[bool, int]:
+    """``(holds, nullity)`` of the forced dependence pattern, checked block
+    by block on every vector of the ``naive_nullspace`` basis.
+
+    For each 0 <= j < n the coefficients of C+(j, .) and R+_j must agree,
+    those of C-(j+1, .) and R-_{j+1} must agree, and the two values must be
+    opposite; for interior j the coefficient of L_j must equal the sum of
+    the minus block at j and the plus block at j. Boundary landings are
+    free.
+    """
+    basis = naive_nullspace([v.entries() for v in vectors], dim)
+    for alpha in basis:
+        coef = {v.tag: a for v, a in zip(vectors, alpha)}
+
+        def block(side, j):
+            chain = [a for t, a in coef.items() if t[0] == "C" and t[1:3] == (side, j)]
+            return chain + [coef[("R", side, j)]]
+
+        for j in range(n):
+            plus_block, minus_block = block("+", j), block("-", j + 1)
+            if len(set(plus_block)) > 1 or len(set(minus_block)) > 1:
+                return False, len(basis)
+            if plus_block[0] != -minus_block[0]:
+                return False, len(basis)
+        for j in range(1, n):
+            if coef[("L", j)] != block("-", j)[0] + block("+", j)[0]:
+                return False, len(basis)
+    return True, len(basis)
+
+
 def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -> list:
     """The sample records of ``perturbation_probe`` rebuilt the Fraction way.
 

@@ -1,4 +1,4 @@
-"""Coefficient vectors, product identities, exact nullspace pattern."""
+"""Coefficient vectors, product identities, exact dependence pattern."""
 
 from __future__ import annotations
 
@@ -17,9 +17,9 @@ from itmlab import (
 )
 from itmlab import return_map
 from itmlab.return_map import ChainHit, SignedChain
-from itmlab.vectors import CoefficientVector, VectorInvariantError, nullspace
+from itmlab.vectors import CoefficientVector, VectorInvariantError, rank
 
-from conftest import naive_branch_counts, naive_nullspace, naive_signed_chain
+from conftest import naive_branch_counts, naive_nullspace, naive_pattern, naive_signed_chain
 
 # fig1's components as numerators over its grid 1/42
 JB = (21, 34)  # [1/2, 17/21)
@@ -163,16 +163,15 @@ class TestVectorInvariant:
         assert issubclass(VectorInvariantError, AssertionError)
 
 
-class TestNullspace:
+class TestRank:
     def test_simple_kernel(self):
         # columns (1,0),(0,1),(1,1): kernel spanned by (1,1,-1)
-        basis = nullspace([[1, 0], [0, 1], [1, 1]], 2)
-        assert len(basis) == 1
-        a = basis[0]
-        assert a[0] == a[1] == -a[2]
+        assert rank([[1, 0], [0, 1], [1, 1]], 2) == 2
+        assert rank([[2, -4], [-1, 2], [3, -6]], 2) == 1
 
     def test_full_rank(self):
-        assert nullspace([[1, 0], [0, 1]], 2) == []
+        assert rank([[1, 0], [0, 1]], 2) == 2
+        assert rank([], 3) == 0
 
     def test_against_rational_elimination(self):
         rng = random.Random(51)
@@ -180,44 +179,47 @@ class TestNullspace:
             dim = rng.randint(2, 5)
             ncols = rng.randint(1, 6)
             cols = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(ncols)]
-            basis = nullspace([list(c) for c in cols], dim)
-            # every basis vector is in the kernel
-            for alpha in basis:
-                for row in range(dim):
-                    assert sum(cols[c][row] * alpha[c] for c in range(ncols)) == 0
-            # dimension matches the plain Fraction elimination
-            assert len(basis) == len(naive_nullspace(cols, dim))
-
-    def test_basis_is_integer_and_independent(self, fig1, corpus):
-        rng = random.Random(52)
-        mats = []
-        for _ in range(200):
-            dim = rng.randint(2, 6)
-            mats.append(([[rng.randint(-9, 9) for _ in range(dim)]
-                          for _ in range(rng.randint(1, 8))], dim))
-        for m in [fig1] + corpus[:20]:
-            att = compute_attractor(m)
-            for kcomp, comp in zip(att.kcomponents, att.components()):
-                vecs = build_vectors(m, compute_return_map(m, kcomp, att))
-                mats.append(([list(v.entries()) for v in vecs], 2 * m.r - 1))
-        nonzero = 0
-        for cols, dim in mats:
-            basis = nullspace(cols, dim)
-            assert all(type(x) is int for alpha in basis for x in alpha)
-            # no vanishing combination of the basis vectors: they are independent
-            assert naive_nullspace(basis, len(cols)) == []
-            nonzero += bool(basis)
-        assert nonzero >= 100
+            assert rank(cols, dim) == ncols - len(naive_nullspace(cols, dim))
 
     def test_dimension_invariant_under_permutation(self, fig1):
         data = compute_return_map(fig1, JB)
         vecs = list(build_vectors(fig1, data))
         dim = 2 * fig1.r - 1
-        base = len(nullspace([list(v.entries()) for v in vecs], dim))
+        base = rank([v.entries() for v in vecs], dim)
         rng = random.Random(53)
         for _ in range(5):
             rng.shuffle(vecs)
-            assert len(nullspace([list(v.entries()) for v in vecs], dim)) == base
+            assert rank([v.entries() for v in vecs], dim) == base
+
+
+class TestPatternOracle:
+    def test_agrees_with_naive_pattern_on_mutations(self, fig1, corpus, corpus_q1024):
+        # each case, and each copy with one vector's e[0] raised by 1 under
+        # the same tag, against the block-by-block check of a Fraction basis
+        cases = violations = 0
+        for m in [fig1] + corpus[:20] + corpus_q1024:
+            att = compute_attractor(m)
+            dim = 2 * m.r - 1
+            for kcomp in att.kcomponents:
+                data = compute_return_map(m, kcomp, att)
+                vecs = build_vectors(m, data)
+                variants = [vecs] + [
+                    vecs[:i] + (CoefficientVector((v.e[0] + 1,) + v.e[1:], v.f, v.tag),)
+                    + vecs[i + 1:]
+                    for i, v in enumerate(vecs)
+                ]
+                for variant in variants:
+                    res = check_lin_dep_pattern(m, data, variant)
+                    assert (res.holds, res.nullity) == naive_pattern(
+                        variant, data.n_intervals, dim)
+                    if res.holds:
+                        assert res.witness is None
+                    else:
+                        w = res.witness
+                        assert w["nullity"] == res.nullity != w["pattern_nullity"]
+                    cases += 1
+                    violations += not res.holds
+        assert violations >= 100 and cases > violations
 
 
 class TestCorpusProperties:
