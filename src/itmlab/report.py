@@ -1,6 +1,7 @@
 """Deterministic JSON report assembly.
 
-Every rational is rendered in the ``p/q`` wire format, section order is
+Every rational is rendered in the ``p/q`` wire format, from its integer
+numerator over the map's grid wherever the analysis holds one; section order is
 fixed, and no timestamps enter the document, so identical inputs and flags
 produce byte-identical reports.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from . import __version__
 from .attractor import AttractorResult
@@ -29,8 +31,18 @@ from .stability import (
 from .vectors import build_vectors, check_lin_dep_pattern, verify_identities
 
 
-def _pair(p) -> list[str]:
-    return [str(p[0]), str(p[1])]
+def rational_text(k: int, d: int) -> str:
+    """``k/d`` (``d > 0``) in the ``p/q`` wire format, exactly as
+    ``str(Fraction(k, d))`` writes it, from the integers alone."""
+    g = gcd(k, d)
+    if g == d:
+        return str(k // d)
+    return f"{k // g}/{d // g}"
+
+
+def _pairs(pairs, d: int) -> list[list[str]]:
+    """Integer pairs over ``d`` as ``[p/q, p/q]`` lists."""
+    return [[rational_text(l, d), rational_text(r, d)] for l, r in pairs]
 
 
 def input_digest(data: bytes) -> str:
@@ -40,8 +52,8 @@ def input_digest(data: bytes) -> str:
 def map_section(m: ItmMap) -> dict:
     return {
         "r": m.r,
-        "beta": [str(b) for b in m.beta],
-        "gamma": [str(g) for g in m.gamma],
+        "beta": [rational_text(b, m.Q) for b in m.grid.cuts[1:-1]],
+        "gamma": [rational_text(g, m.Q) for g in m.grid.gamma],
         "Q": m.Q,
         "image_compactly_contained": m.image_compactly_contained,
     }
@@ -49,7 +61,7 @@ def map_section(m: ItmMap) -> dict:
 
 def attractor_section(att: AttractorResult, capped: bool = False) -> dict:
     return {
-        "components": [_pair(c) for c in att.components()],
+        "components": _pairs(att.kcomponents, att.denom),
         "stabilization_step": att.stabilization_step,
         "infinite_type_suspected": att.infinite_type_suspected,
         "capped": capped,
@@ -60,10 +72,12 @@ def attractor_section(att: AttractorResult, capped: bool = False) -> dict:
 
 
 def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
+    d = data.grid.denom
+    cuts = [rational_text(k, d) for k in data.kcuts]
     return {
         "component": component,
-        "J": _pair(data.J),
-        "cut_points": [str(c) for c in data.cut_points],
+        "J": [cuts[0], cuts[-1]],
+        "cut_points": cuts,
         "return_times": list(data.return_times),
         "landings": [
             {"cut": rec.j, "time": rec.time, "disc": rec.disc} for rec in data.landings
@@ -74,13 +88,13 @@ def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
                 "side": c.side,
                 "hits": [{"disc": h.disc, "time": h.time} for h in c.hits],
                 "entry_time": c.entry_time,
-                "entry_value": str(Fraction(c.kentry, data.grid.denom)),
+                "entry_value": rational_text(c.kentry, d),
             }
             for c in data.chains
         ],
         "sigma": list(data.sigma),
         "tau": list(data.tau),
-        "images": [_pair(img) for img in data.images],
+        "images": _pairs(data.kimages, d),
         "dynamically_trivial": data.dynamically_trivial,
         "classification": classify_return_dynamics(data),
         "touching_values": [str(v) for v in verify_touching_equations(m, data)],
@@ -106,7 +120,7 @@ def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
                 "tag": _tag(v.tag),
                 "e": list(v.e),
                 "f": list(v.f),
-                "product": str(check.value),
+                "product": rational_text(check.kvalue, check.denom),
             }
             for v, check in zip(vecs, checks)
         ],
@@ -174,9 +188,9 @@ def directed_section(dp: DirectedPerturbation, analysis: FullAnalysis) -> dict:
     return {
         "deltas": [str(d) for d in dp.spec.deltas],
         "epsilon": str(dp.spec.epsilon),
-        "predicted_interval": _pair(dp.predicted_interval),
+        "predicted_interval": [str(x) for x in dp.predicted_interval],
         "period": dp.period,
-        "perturbed_components": [_pair(c) for c in analysis.attractor.components()],
+        "perturbed_components": _pairs(analysis.attractor.kcomponents, analysis.attractor.denom),
     }
 
 
@@ -235,39 +249,70 @@ _SCALARS = {
     type(None): lambda _: "null",
 }
 _formatter = _SCALARS.get
-
-
-def _write(obj, indent: str) -> str:
-    """``obj`` as json.dumps(indent=2) writes it at nesting ``indent``."""
-    kind = type(obj)
-    fmt = _formatter(kind)
-    if fmt is not None:
-        return fmt(obj)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is dict:
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            fmt = _formatter(type(value))
-            text = fmt(value) if fmt else _write(value, inner)
-            items.append(encode_basestring_ascii(key) + ": " + text)
-        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        fmt = _formatter(kinds.pop()) if len(kinds) == 1 else None
-        items = map(fmt, obj) if fmt else [_write(value, inner) for value in obj]
-        return "[\n" + inner + sep.join(items) + "\n" + indent + "]"
-    raise TypeError(f"{kind.__name__} cannot enter a report")
+# The writer joins its pieces into one chunk whenever more than this many
+# have collected: a piece costs far more memory than its text, and a large
+# report has tens of thousands of them.
+_PIECES = 1024
 
 
 def render_document(doc: dict) -> str:
     """The report text, byte-identical to ``json.dumps(doc, indent=2) + "\n"``:
     str, int, bool and None scalars, dicts with str keys, lists and tuples
-    (written as lists). Any other type raises TypeError."""
-    return _write(doc, "") + "\n"
+    (written as lists). Any other type raises TypeError.
+
+    The text is appended to one list, which is joined into a chunk
+    whenever it grows past ``_PIECES`` pieces, and the chunks are joined
+    once at the end; each key's ``"key": `` text is built once per
+    document."""
+    chunks: list[str] = []
+    out: list[str] = []
+    append = out.append
+    keys: dict[str, str] = {}
+
+    def write(obj, indent: str) -> None:
+        kind = type(obj)
+        fmt = _formatter(kind)
+        if fmt is not None:
+            append(fmt(obj))
+        elif kind is not dict and kind is not list and kind is not tuple:
+            raise TypeError(f"{kind.__name__} cannot enter a report")
+        elif not obj:
+            append("{}" if kind is dict else "[]")
+        elif kind is dict:
+            inner = indent + "  "
+            lead, sep = "{\n" + inner, ",\n" + inner
+            for key, value in obj.items():
+                text = keys.get(key)
+                if text is None:
+                    if type(key) is not str:
+                        raise TypeError(f"report keys must be str, not {type(key).__name__}")
+                    text = keys[key] = encode_basestring_ascii(key) + ": "
+                fmt = _formatter(type(value))
+                if fmt is None:
+                    append(lead + text)
+                    write(value, inner)
+                else:
+                    append(lead + text + fmt(value))
+                lead = sep
+            append("\n" + indent + "}")
+        else:
+            inner = indent + "  "
+            lead, sep = "[\n" + inner, ",\n" + inner
+            kinds = set(map(type, obj))
+            fmt = _formatter(kinds.pop()) if len(kinds) == 1 else None
+            if fmt is not None:  # a list of one scalar type: one join
+                append(lead + sep.join(map(fmt, obj)))
+            else:
+                for value in obj:
+                    append(lead)
+                    write(value, inner)
+                    lead = sep
+                    if len(out) > _PIECES:
+                        chunks.append("".join(out))
+                        out.clear()
+            append("\n" + indent + "]")
+
+    write(doc, "")
+    append("\n")
+    chunks.append("".join(out))
+    return "".join(chunks)

@@ -216,7 +216,7 @@ def check_A1(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
                     "component": comp_idx,
                     "cut_index": chain.j,
                     "side": chain.side,
-                    "point": data.cut_points[chain.j],
+                    "point": Fraction(data.kcuts[chain.j], data.grid.denom),
                     "hits": [(h.disc, h.time) for h in chain.hits],
                 })
     return Verdict(True)
@@ -242,7 +242,7 @@ def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
                 return Verdict(False, {
                     "component": comp_idx,
                     "boundary": "left" if b == l else "right",
-                    "point": m.beta[i - 1],
+                    "point": Fraction(b, m.Q),
                     "first_hit": (i, 0),
                     "kind": "closure_boundary",
                 })
@@ -256,7 +256,7 @@ def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
                 return Verdict(False, {
                     "component": comp_idx,
                     "boundary": "left" if side == PLUS else "right",
-                    "point": data.cut_points[j],
+                    "point": Fraction(data.kcuts[j], data.grid.denom),
                     "first_hit": (chain.hits[0].disc, chain.hits[0].time),
                 })
     return Verdict(True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .intervals import MINUS, PLUS
 from .itm import ItmMap
@@ -55,10 +56,18 @@ class CoefficientVector:
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """The product of one vector, held as its numerator ``kvalue`` over
+    ``denom`` (the map's grid); ``value`` is its Fraction view."""
+
     tag: Tag
     kind: str
-    value: Fraction
+    kvalue: int
+    denom: int
     ok: bool
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.kvalue, self.denom)
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,7 @@ def verify_identities(
             else:
                 ok = val == entry - kcuts[j]
                 kind = "return_free"
-        checks.append(IdentityCheck(v.tag, kind, Fraction(val, m.Q), ok))
+        checks.append(IdentityCheck(v.tag, kind, val, m.Q, ok))
         if not ok:
             raise IdentityViolatedError(v.tag)
     return tuple(checks)
@@ -185,32 +194,31 @@ def verify_identities(
 def rank(columns: Sequence[Sequence[int]], dim: int) -> int:
     """Rank of the integer matrix whose ``dim``-entry columns are given.
 
-    Fraction-free (Bareiss) forward elimination on the transpose, one row
-    per column (a component has a few columns of 2r - 1 entries, so this
-    takes few row updates): first nonzero coordinate in order as pivot,
-    each row update divided by the previous pivot, which divides it
-    exactly, so every entry stays an integer. The pass stops once the rank
-    reaches the number of columns.
+    Incremental fraction-free elimination on the transpose, one row per
+    column: each row is reduced against the pivot rows so far by
+    ``p * row - a * pivot_row``, which clears it at each pivot's
+    coordinate, and divided by its content (the gcd of its entries), so
+    entries do not grow doubly exponentially. A nonzero reduced row becomes
+    a pivot at its first nonzero coordinate; each pivot row is zero at the
+    earlier pivots' coordinates, so the pivot rows are independent. The
+    pass stops once the rank reaches ``dim``.
     """
-    rows = list(columns)
-    prev = 1
-    found = 0
-    for k in range(dim):
-        if found == len(rows):
-            break
-        sel = next((r for r in range(found, len(rows)) if rows[r][k]), None)
-        if sel is None:
+    pivots: list[tuple[int, Sequence[int]]] = []  # (coordinate, row)
+    for row in columns:
+        for k, prow in pivots:
+            a = row[k]
+            if a:
+                p = prow[k]
+                row = [p * x - a * y for x, y in zip(row, prow)]
+        g = gcd(*row)
+        if not g:
             continue
-        rows[sel], rows[found] = rows[found], rows[sel]
-        pivot_row = rows[found]
-        piv = pivot_row[k]
-        # both rows are zero left of k, so whole-row updates are exact
-        for r in range(found + 1, len(rows)):
-            factor = rows[r][k]
-            rows[r] = [(piv * a - factor * b) // prev for a, b in zip(rows[r], pivot_row)]
-        prev = piv
-        found += 1
-    return found
+        if g != 1:
+            row = [x // g for x in row]
+        pivots.append((next(k for k, x in enumerate(row) if x), row))
+        if len(pivots) == dim:
+            break
+    return len(pivots)
 
 
 def check_lin_dep_pattern(

@@ -492,3 +492,11 @@ def corpus_q1024() -> list[ItmMap]:
     Q = 748) takes 507 attractor steps."""
     rng = random.Random(1)
     return [random_map(rng, 1024, min_q=512) for _ in range(8)]
+
+
+@pytest.fixture(scope="session")
+def branchy_q1024() -> list[ItmMap]:
+    """The 30 maps of the branchy-q1024 bench workload: each map's
+    denominators divide one q in [512, 1024], r in {6, 8}."""
+    rng = random.Random(2)
+    return [random_map(rng, 1024, (6, 8), 512) for _ in range(30)]

@@ -10,6 +10,11 @@ eleven corpus maps whose 20-sample probes finish in milliseconds (maps 3
 and 10 take 11 s and 34 s at eps 1/1000 and are left out). Map 1 is in
 because only the samples whose component count matches the base map's
 build return maps; its digest was recorded when every sample built them.
+
+Three larger maps pin ``analyze`` beyond Q <= 64: maps 13 (r = 6,
+Q = 570) and 18 (r = 8, Q = 615) of the ``branchy-q1024`` bench workload
+and map 7 of ``corpus_q1024`` (r = 3, Q = 748). Map 13 violates A1 and
+A2 and map 18 violates Matching, so their reports carry verdict witnesses.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from itmlab.cli import main
 
 CORPUS_ANALYZE = tuple(range(10))
 CORPUS_PROBE = (0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 13)
+BRANCHY_ANALYZE = (13, 18)
 PROBE_ARGS = ("--eps", "1/1000", "--samples", "20", "--seed", "5")
 
 GOLDEN = {
@@ -52,6 +58,9 @@ GOLDEN = {
     "probe corpus-9": "2ca2b258ff66046db179956ef1dbb5c93b62d45048231412522e15d351f842c4",
     "probe corpus-11": "04ba39017da2a463653e11781183506dbac7cbfc818d3d6daad05fa56c0cabc9",
     "probe corpus-13": "383e31552e9d8b87b98f4be3020623753f0010c21e9c8a13853ea4be2b71501b",
+    "analyze branchy-q1024-13": "6266f364832ae5f8ae536a8fa5297fefc2aa487c835c61b48ecdd48d26d34d38",
+    "analyze branchy-q1024-18": "074bc93743bd90817434148f4ef5c5126e2a029e0232cf87eac0d547b95c8a61",
+    "analyze corpus-q1024-7": "6e958d7770d1eb5ea40d77976526465ab8d6dccd2fac50555d2ab3f7f6891419",
 }
 
 
@@ -60,7 +69,7 @@ def map_bytes(m) -> bytes:
     return (json.dumps(spec) + "\n").encode()
 
 
-def cases(fig1, ghost, corpus):
+def cases(fig1, ghost, corpus, corpus_q1024, branchy_q1024):
     """(name, map, extra argv) for every golden report."""
     out = [
         ("analyze fig1", fig1, ["analyze"]),
@@ -73,6 +82,8 @@ def cases(fig1, ghost, corpus):
     ]
     out += [(f"analyze corpus-{i}", corpus[i], ["analyze"]) for i in CORPUS_ANALYZE]
     out += [(f"probe corpus-{i}", corpus[i], ["probe", *PROBE_ARGS]) for i in CORPUS_PROBE]
+    out += [(f"analyze branchy-q1024-{i}", branchy_q1024[i], ["analyze"]) for i in BRANCHY_ANALYZE]
+    out.append(("analyze corpus-q1024-7", corpus_q1024[7], ["analyze"]))
     return out
 
 
@@ -87,10 +98,10 @@ def report_digest(tmp_path, name: str, m, argv: list[str]) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def test_reports_match_golden_digests(tmp_path, fig1, ghost_map, corpus):
+def test_reports_match_golden_digests(tmp_path, fig1, ghost_map, corpus, corpus_q1024, branchy_q1024):
     got = {
         name: report_digest(tmp_path, name, m, argv)
-        for name, m, argv in cases(fig1, ghost_map, corpus)
+        for name, m, argv in cases(fig1, ghost_map, corpus, corpus_q1024, branchy_q1024)
     }
     assert got.keys() == GOLDEN.keys()
     assert {k: v for k, v in got.items() if v != GOLDEN[k]} == {}

@@ -14,6 +14,7 @@ from itmlab import full_analysis, parse_map, parse_rational
 from itmlab.cli import main, make_parser
 from itmlab.render import render_map, render_orbit
 from itmlab.report import build_report, render_document
+from itmlab.vectors import verify_identities
 
 FIG1_DOC = '{"r": 3, "beta": ["1/3", "2/3"], "gamma": ["1/3", "1/7", "-1/2"]}\n'
 GHOST_DOC = (
@@ -386,10 +387,30 @@ class TestReportApi:
         {"x": {1, 2}},
         {1: "a"},
         {"x": [{None: 1}]},
+        {"a": 1, 2: 3},  # a non-str key after a str key whose text is cached
+        [{"a": 1}, {"a": 2, None: 3}],
+        {"a": {"a": {"a": 0.5}}},  # the same key at several depths
+        [1, "x", {"y": [2, None]}, 0.5],  # scalars mixed with containers
+        ("a", "b", F(1, 2)),
+        (F(1, 2), F(1, 3)),  # a tuple of one type that is no scalar
     ])
     def test_render_rejects_non_json_types(self, doc):
         with pytest.raises(TypeError):
             render_document(doc)
+
+    def test_report_builds_no_fraction_view(self, fig1, corpus):
+        """The report formats every rational from its integer numerator:
+        no Fraction view of X, of the cut points or of the images is built,
+        and each identity check holds only the numerator of its product."""
+        for m in [fig1, *corpus]:
+            analysis = full_analysis(m)
+            render_document(build_report(analysis, digest="x" * 64))
+            assert "X" not in analysis.attractor.__dict__
+            for data in analysis.return_maps:
+                assert "cut_points" not in data.__dict__
+                assert "images" not in data.__dict__
+                for check in verify_identities(m, data):
+                    assert check.value == F(check.kvalue, m.Q)
 
     def test_render_writes_tuples_as_lists(self):
         doc = {"a": (1, ("b", None)), "c": ()}
