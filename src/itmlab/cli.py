@@ -63,14 +63,21 @@ def _load(path: str) -> tuple[ItmMap, str]:
     return parse_map(doc), input_digest(raw)
 
 
+def _digits(text: str) -> bool:
+    """Whether ``text`` is a nonempty run of ASCII digits; ``str.isdigit``
+    also accepts digits such as '²' that ``int`` rejects or '٣' that it
+    reads."""
+    return text.isascii() and text.isdigit()
+
+
 def _max_iter(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not _digits(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"max_iter >= 1 required, got {text!r}")
     return int(text)
 
 
 def _depth(text: str) -> int:
-    if not text.isdigit():
+    if not _digits(text):
         raise argparse.ArgumentTypeError(f"depth >= 0 required, got {text!r}")
     return int(text)
 
@@ -170,7 +177,7 @@ def cmd_render(args) -> int:
 
 
 def _parse_root(text: str) -> tuple[int, str]:
-    if len(text) < 2 or text[-1] not in (PLUS, MINUS) or not text[:-1].isdigit():
+    if len(text) < 2 or text[-1] not in (PLUS, MINUS) or not _digits(text[:-1]):
         raise MapFormatError(f"bad signed discontinuity {text!r}, expected like '1+'")
     return int(text[:-1]), text[-1]
 

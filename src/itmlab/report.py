@@ -4,6 +4,13 @@ Every rational is rendered in the ``p/q`` wire format, from its integer
 numerator over the map's grid wherever the analysis holds one; section order is
 fixed, and no timestamps enter the document, so identical inputs and flags
 produce byte-identical reports.
+
+The per-component sections, which carry most of a large report, are no
+dicts: ``return_map_section`` and ``vectors_section`` write their JSON
+text directly, one string expression per record, as a ``Fragment`` at
+depth 0. ``render_document`` writes the small sections from dicts and
+each fragment by indenting its lines, byte-identical to
+``json.dumps(doc, indent=2)`` of the document the fragments stand for.
 """
 
 from __future__ import annotations
@@ -71,34 +78,66 @@ def attractor_section(att: AttractorResult, capped: bool = False) -> dict:
     }
 
 
-def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
+class Fragment(str):
+    """The JSON text of one report section at depth 0, exactly as
+    ``json.dumps(section, indent=2)`` writes it. ``render_document`` writes
+    a fragment at any depth by indenting each of its lines."""
+
+    __slots__ = ()
+
+
+_BOOL = ("false", "true")
+
+
+def _array(items: list[str], indent: str) -> str:
+    """The pre-rendered ``items`` as a JSON array whose closing bracket
+    sits at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _hits(hits) -> str:
+    """A chain's hits, as the array at depth 3 of a return-map section."""
+    return _array([
+        f'{{\n          "disc": {h.disc},\n          "time": {h.time}\n        }}' for h in hits
+    ], "      ")
+
+
+def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> Fragment:
+    """The return map of one component, with its chains, classification
+    and touching values."""
     d = data.grid.denom
-    cuts = [rational_text(k, d) for k in data.kcuts]
-    return {
-        "component": component,
-        "J": [cuts[0], cuts[-1]],
-        "cut_points": cuts,
-        "return_times": list(data.return_times),
-        "landings": [
-            {"cut": rec.j, "time": rec.time, "disc": rec.disc} for rec in data.landings
-        ],
-        "chains": [
-            {
-                "j": c.j,
-                "side": c.side,
-                "hits": [{"disc": h.disc, "time": h.time} for h in c.hits],
-                "entry_time": c.entry_time,
-                "entry_value": rational_text(c.kentry, d),
-            }
-            for c in data.chains
-        ],
-        "sigma": list(data.sigma),
-        "tau": list(data.tau),
-        "images": _pairs(data.kimages, d),
-        "dynamically_trivial": data.dynamically_trivial,
-        "classification": classify_return_dynamics(data),
-        "touching_values": [str(v) for v in verify_touching_equations(m, data)],
-    }
+    cuts = [f'"{rational_text(k, d)}"' for k in data.kcuts]
+    landings = [
+        f'{{\n      "cut": {rec.j},\n      "time": {rec.time},\n      "disc": {rec.disc}\n    }}'
+        for rec in data.landings
+    ]
+    chains = [
+        f'{{\n      "j": {c.j},\n      "side": "{c.side}",\n      "hits": {_hits(c.hits)},\n'
+        f'      "entry_time": {c.entry_time},\n'
+        f'      "entry_value": "{rational_text(c.kentry, d)}"\n    }}'
+        for c in data.chains
+    ]
+    images = [
+        f'[\n      "{rational_text(l, d)}",\n      "{rational_text(r, d)}"\n    ]'
+        for l, r in data.kimages
+    ]
+    touching = [f'"{v}"' for v in verify_touching_equations(m, data)]
+    return Fragment(
+        f'{{\n  "component": {component},\n  "J": [\n    {cuts[0]},\n    {cuts[-1]}\n  ],\n'
+        f'  "cut_points": {_array(cuts, "  ")},\n'
+        f'  "return_times": {_array(list(map(str, data.return_times)), "  ")},\n'
+        f'  "landings": {_array(landings, "  ")},\n'
+        f'  "chains": {_array(chains, "  ")},\n'
+        f'  "sigma": {_array(list(map(str, data.sigma)), "  ")},\n'
+        f'  "tau": {_array(list(map(str, data.tau)), "  ")},\n'
+        f'  "images": {_array(images, "  ")},\n'
+        f'  "dynamically_trivial": {_BOOL[data.dynamically_trivial]},\n'
+        f'  "classification": "{classify_return_dynamics(data)}",\n'
+        f'  "touching_values": {_array(touching, "  ")}\n}}'
+    )
 
 
 def _tag(tag) -> str:
@@ -109,25 +148,27 @@ def _tag(tag) -> str:
     return f"R{tag[1]}{tag[2]}"
 
 
-def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> dict:
+def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> Fragment:
+    """The coefficient vectors of one component with their products, and
+    the outcome of the identity and linear-dependence checks."""
     vecs = build_vectors(m, data)
     checks = verify_identities(m, data, vecs)
     pattern = check_lin_dep_pattern(m, data, vecs)
-    return {
-        "component": component,
-        "vectors": [
-            {
-                "tag": _tag(v.tag),
-                "e": list(v.e),
-                "f": list(v.f),
-                "product": rational_text(check.kvalue, check.denom),
-            }
-            for v, check in zip(vecs, checks)
-        ],
-        "identities_ok": all(c.ok for c in checks),
-        "lin_dep_pattern": "holds" if pattern.holds else "violated",
-        "nullity": pattern.nullity,
-    }
+    sep = ",\n        "
+    vectors = [
+        f'{{\n      "tag": "{_tag(v.tag)}",\n'
+        f'      "e": [\n        {sep.join(map(str, v.e))}\n      ],\n'
+        f'      "f": [\n        {sep.join(map(str, v.f))}\n      ],\n'
+        f'      "product": "{rational_text(check.kvalue, check.denom)}"\n    }}'
+        for v, check in zip(vecs, checks)
+    ]
+    return Fragment(
+        f'{{\n  "component": {component},\n'
+        f'  "vectors": {_array(vectors, "  ")},\n'
+        f'  "identities_ok": {_BOOL[all(c.ok for c in checks)]},\n'
+        f'  "lin_dep_pattern": "{"holds" if pattern.holds else "violated"}",\n'
+        f'  "nullity": {pattern.nullity}\n}}'
+    )
 
 
 def ghost_section(graph: GhostGraph, a3_verdict) -> dict:
@@ -245,26 +286,23 @@ def build_report(
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
+    bool: _BOOL.__getitem__,
     type(None): lambda _: "null",
 }
 _formatter = _SCALARS.get
-# The writer joins its pieces into one chunk whenever more than this many
-# have collected: a piece costs far more memory than its text, and a large
-# report has tens of thousands of them.
-_PIECES = 1024
 
 
 def render_document(doc: dict) -> str:
-    """The report text, byte-identical to ``json.dumps(doc, indent=2) + "\n"``:
-    str, int, bool and None scalars, dicts with str keys, lists and tuples
-    (written as lists). Any other type raises TypeError.
+    """The report text, byte-identical to ``json.dumps(doc, indent=2) + "\n"``
+    with each ``Fragment`` read as the JSON value it holds: str, int, bool
+    and None scalars, dicts with str keys, lists and tuples (written as
+    lists) and fragments. Any other type, a plain ``str`` subclass
+    included, raises TypeError.
 
-    The text is appended to one list, which is joined into a chunk
-    whenever it grows past ``_PIECES`` pieces, and the chunks are joined
-    once at the end; each key's ``"key": `` text is built once per
-    document."""
-    chunks: list[str] = []
+    The text is appended to one list and joined once at the end; each key's
+    ``"key": `` text is built once per document. A fragment at indent ``d``
+    is its text with every newline followed by ``d``, which is exact
+    because no JSON string holds a raw newline."""
     out: list[str] = []
     append = out.append
     keys: dict[str, str] = {}
@@ -274,6 +312,8 @@ def render_document(doc: dict) -> str:
         fmt = _formatter(kind)
         if fmt is not None:
             append(fmt(obj))
+        elif kind is Fragment:
+            append(obj.replace("\n", "\n" + indent))
         elif kind is not dict and kind is not list and kind is not tuple:
             raise TypeError(f"{kind.__name__} cannot enter a report")
         elif not obj:
@@ -307,12 +347,8 @@ def render_document(doc: dict) -> str:
                     append(lead)
                     write(value, inner)
                     lead = sep
-                    if len(out) > _PIECES:
-                        chunks.append("".join(out))
-                        out.clear()
             append("\n" + indent + "]")
 
     write(doc, "")
     append("\n")
-    chunks.append("".join(out))
-    return "".join(chunks)
+    return "".join(out)

@@ -22,8 +22,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
-from .intervals import MINUS, PLUS
+from .intervals import PLUS
 from .itm import ItmMap
 from .return_map import ReturnMapData
 
@@ -80,33 +81,13 @@ class PatternResult:
 def product(v: CoefficientVector, m: ItmMap) -> Fraction:
     """<v, (gamma beta)> = sum e_s gamma_s + sum f_s beta_s, exact: an
     integer sum over the grid numerators of the parameters."""
-    return Fraction(_kproduct(v, m), m.Q)
+    return Fraction(sum(map(mul, v.entries(), _params(m))), m.Q)
 
 
-def _kproduct(v: CoefficientVector, m: ItmMap) -> int:
-    """Numerator of :func:`product` over the map's grid."""
+def _params(m: ItmMap) -> list[int]:
+    """The grid numerators of ``(gamma_1..gamma_r, beta_1..beta_{r-1})``."""
     grid = m.grid
-    total = sum(c * g for c, g in zip(v.e, grid.gamma))
-    return total + sum(c * b for c, b in zip(v.f, grid.cuts[1:-1]))
-
-
-def _diff(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Branch counts between two cumulative snapshots of one chain walk."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _f_unit(m: ItmMap, index: int, sign: int) -> tuple[int, ...]:
-    f = [0] * (m.r - 1)
-    f[index - 1] += sign
-    return tuple(f)
-
-
-def _f_zero(m: ItmMap) -> tuple[int, ...]:
-    return (0,) * (m.r - 1)
-
-
-def _f_sum(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return [*grid.gamma, *grid.cuts[1:-1]]
 
 
 def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ...]:
@@ -117,40 +98,44 @@ def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ..
     otherwise only the f-free return vector. Each ``e`` is the difference of
     two cumulative branch-count snapshots the chain walk recorded: L_j up
     to the first hit, C between consecutive hits, R from the last hit (or
-    from the start, for an empty chain) to the entry into J.
+    from the start, for an empty chain) to the entry into J. The vectors
+    follow the chains' order (a_0+ .. a_{N-1}+, then a_1- .. a_N-), each
+    L_j just before the vectors of the first chain of a_j.
     """
     n = data.n_intervals
+    chains = data.chains
+    r1 = m.r - 1
     out: list[CoefficientVector] = []
-    landings: dict[int, CoefficientVector] = {}
-
-    for c in data.chains:
-        if c.hits:
-            first = c.hits[0]
-            f = _f_unit(m, first.disc, -1)
-            if c.j not in landings:
-                landings[c.j] = CoefficientVector(first.counts, f, ("L", c.j))
-            elif landings[c.j].e != first.counts or landings[c.j].f != f:
+    append = out.append
+    sub = int.__sub__
+    for c in chains:
+        j, side, hits = c.j, c.side, c.hits
+        if not hits:
+            append(CoefficientVector(c.entry_counts, (0,) * r1, ("R", side, j)))
+            continue
+        first = hits[0]
+        if side == PLUS or j == n:
+            f = [0] * r1
+            f[first.disc - 1] = -1
+            append(CoefficientVector(first.counts, tuple(f), ("L", j)))
+        else:  # the interior cut a_j, whose + chain gave L_j
+            other = chains[j].hits
+            if not other or other[0].counts != first.counts or other[0].disc != first.disc:
                 raise VectorInvariantError(
-                    f"the two sides of cut {c.j} give different landing vectors"
+                    f"the two sides of cut {j} give different landing vectors"
                 )
-
-    for side in (PLUS, MINUS):
-        js = range(n) if side == PLUS else range(1, n + 1)
-        for j in js:
-            c = data.chain(j, side)
-            if j in landings:
-                out.append(landings.pop(j))
-            if not c.hits:
-                out.append(CoefficientVector(c.entry_counts, _f_zero(m), ("R", side, j)))
-                continue
-            for k in range(len(c.hits) - 1):
-                cur, nxt = c.hits[k], c.hits[k + 1]
-                e = _diff(nxt.counts, cur.counts)
-                f = _f_sum(_f_unit(m, cur.disc, 1), _f_unit(m, nxt.disc, -1))
-                out.append(CoefficientVector(e, f, ("C", side, j, k + 1)))
-            last = c.hits[-1]
-            e = _diff(c.entry_counts, last.counts)
-            out.append(CoefficientVector(e, _f_unit(m, last.disc, 1), ("R", side, j)))
+        for k in range(1, len(hits)):
+            cur, nxt = hits[k - 1], hits[k]
+            f = [0] * r1
+            f[cur.disc - 1] += 1
+            f[nxt.disc - 1] -= 1
+            e = tuple(map(sub, nxt.counts, cur.counts))
+            append(CoefficientVector(e, tuple(f), ("C", side, j, k)))
+        last = hits[-1]
+        f = [0] * r1
+        f[last.disc - 1] = 1
+        e = tuple(map(sub, c.entry_counts, last.counts))
+        append(CoefficientVector(e, tuple(f), ("R", side, j)))
     return tuple(out)
 
 
@@ -160,31 +145,31 @@ def verify_identities(
     """Check every vector's defining identity by exact equality / membership."""
     if vectors is None:
         vectors = build_vectors(m, data)
-    kcuts = data.kcuts
+    params = _params(m)
+    kcuts, chains, n, q = data.kcuts, data.chains, data.n_intervals, m.Q
     x, y = kcuts[0], kcuts[-1]
     checks: list[IdentityCheck] = []
     for v in vectors:
-        val = _kproduct(v, m)
-        if v.tag[0] == "L":
-            j = v.tag[1]
-            ok = val + kcuts[j] == 0
+        val = sum(map(mul, v.e + v.f, params))
+        tag = v.tag
+        if tag[0] == "L":
+            ok = val + kcuts[tag[1]] == 0
             kind = "landing"
-        elif v.tag[0] == "C":
+        elif tag[0] == "C":
             ok = val == 0
             kind = "connection"
         else:
-            _, side, j = v.tag
-            chain = data.chain(j, side)
-            entry = chain.kentry
+            _, side, j = tag
+            chain = chains[j] if side == PLUS else chains[n + j - 1]
             if chain.hits:
-                ok = val == entry and (x <= val < y if side == PLUS else x < val <= y)
+                ok = val == chain.kentry and (x <= val < y if side == PLUS else x < val <= y)
                 kind = "return"
             else:
-                ok = val == entry - kcuts[j]
+                ok = val == chain.kentry - kcuts[j]
                 kind = "return_free"
-        checks.append(IdentityCheck(v.tag, kind, val, m.Q, ok))
+        checks.append(IdentityCheck(tag, kind, val, q, ok))
         if not ok:
-            raise IdentityViolatedError(v.tag)
+            raise IdentityViolatedError(tag)
     return tuple(checks)
 
 
@@ -241,21 +226,25 @@ def check_lin_dep_pattern(
         vectors = build_vectors(m, data)
     n = data.n_intervals
     dim = 2 * m.r - 1
-    spanned = [[0] * dim for _ in range(n)]  # the columns of A P
+    add, sub = int.__add__, int.__sub__
+    spanned: list[Sequence[int]] = [(0,) * dim] * n  # the columns of A P
+    rows = []
     for v in vectors:
-        if v.tag[0] == "L":
-            j = v.tag[1]
-            if j in (0, n):
-                spanned.append(list(v.entries()))
+        row = v.e + v.f
+        rows.append(row)
+        tag = v.tag
+        if tag[0] == "L":
+            j = tag[1]
+            if j == 0 or j == n:
+                spanned.append(row)
                 continue
-            terms = ((j, 1), (j - 1, -1))
-        elif v.tag[1] == PLUS:
-            terms = ((v.tag[2], 1),)
+            spanned[j] = list(map(add, spanned[j], row))
+            spanned[j - 1] = list(map(sub, spanned[j - 1], row))
+        elif tag[1] == PLUS:
+            spanned[tag[2]] = list(map(add, spanned[tag[2]], row))
         else:
-            terms = ((v.tag[2] - 1, -1),)
-        for c, sign in terms:
-            spanned[c] = [a + sign * x for a, x in zip(spanned[c], v.entries())]
-    nullity = len(vectors) - rank([v.entries() for v in vectors], dim)
+            spanned[tag[2] - 1] = list(map(sub, spanned[tag[2] - 1], row))
+    nullity = len(vectors) - rank(rows, dim)
     pattern_nullity = len(spanned) - rank(spanned, dim)
     if nullity == pattern_nullity:
         return PatternResult(True, nullity, None)

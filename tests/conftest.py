@@ -23,6 +23,8 @@ from itmlab import (
     plus,
     validate,
 )
+from itmlab.return_map import classify_return_dynamics, verify_touching_equations
+from itmlab.vectors import build_vectors, check_lin_dep_pattern, verify_identities
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -421,6 +423,73 @@ def naive_pattern(vectors, n: int, dim: int) -> tuple[bool, int]:
             if coef[("L", j)] != block("-", j)[0] + block("+", j)[0]:
                 return False, len(basis)
     return True, len(basis)
+
+
+def naive_return_map_section(m: ItmMap, data, component: int) -> dict:
+    """The return-map section of the report as a dict, each rational written
+    by ``str(Fraction)``: the oracle for ``report.return_map_section``."""
+    d = data.grid.denom
+
+    def text(k: int) -> str:
+        return str(Fraction(k, d))
+
+    cuts = [text(k) for k in data.kcuts]
+    return {
+        "component": component,
+        "J": [cuts[0], cuts[-1]],
+        "cut_points": cuts,
+        "return_times": list(data.return_times),
+        "landings": [
+            {"cut": rec.j, "time": rec.time, "disc": rec.disc} for rec in data.landings
+        ],
+        "chains": [
+            {
+                "j": c.j,
+                "side": c.side,
+                "hits": [{"disc": h.disc, "time": h.time} for h in c.hits],
+                "entry_time": c.entry_time,
+                "entry_value": text(c.kentry),
+            }
+            for c in data.chains
+        ],
+        "sigma": list(data.sigma),
+        "tau": list(data.tau),
+        "images": [[text(l), text(r)] for l, r in data.kimages],
+        "dynamically_trivial": data.dynamically_trivial,
+        "classification": classify_return_dynamics(data),
+        "touching_values": [str(v) for v in verify_touching_equations(m, data)],
+    }
+
+
+def naive_vectors_section(m: ItmMap, data, component: int) -> dict:
+    """The vectors section of the report as a dict: the oracle for
+    ``report.vectors_section``."""
+
+    def tag_text(tag) -> str:
+        if tag[0] == "L":
+            return f"L{tag[1]}"
+        if tag[0] == "C":
+            return f"C{tag[1]}({tag[2]},{tag[3]})"
+        return f"R{tag[1]}{tag[2]}"
+
+    vecs = build_vectors(m, data)
+    checks = verify_identities(m, data, vecs)
+    pattern = check_lin_dep_pattern(m, data, vecs)
+    return {
+        "component": component,
+        "vectors": [
+            {
+                "tag": tag_text(v.tag),
+                "e": list(v.e),
+                "f": list(v.f),
+                "product": str(Fraction(check.kvalue, check.denom)),
+            }
+            for v, check in zip(vecs, checks)
+        ],
+        "identities_ok": all(c.ok for c in checks),
+        "lin_dep_pattern": "holds" if pattern.holds else "violated",
+        "nullity": pattern.nullity,
+    }
 
 
 def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -> list:

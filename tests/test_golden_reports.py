@@ -15,6 +15,9 @@ Three larger maps pin ``analyze`` beyond Q <= 64: maps 13 (r = 6,
 Q = 570) and 18 (r = 8, Q = 615) of the ``branchy-q1024`` bench workload
 and map 7 of ``corpus_q1024`` (r = 3, Q = 748). Map 13 violates A1 and
 A2 and map 18 violates Matching, so their reports carry verdict witnesses.
+``return-map`` also runs on map 13, whole and for ``--component 28``: of
+its 28 components 25 are transported along towers, and some chains hit two
+discontinuities, where fig1 has two walked components with one-hit chains.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ GOLDEN = {
     "analyze branchy-q1024-13": "6266f364832ae5f8ae536a8fa5297fefc2aa487c835c61b48ecdd48d26d34d38",
     "analyze branchy-q1024-18": "074bc93743bd90817434148f4ef5c5126e2a029e0232cf87eac0d547b95c8a61",
     "analyze corpus-q1024-7": "6e958d7770d1eb5ea40d77976526465ab8d6dccd2fac50555d2ab3f7f6891419",
+    "return-map branchy-q1024-13": "9bcc186e39953086ad28ed8532388cad0f1cdcc4ca16d438fd029fde2c98529b",
+    "return-map --component 28 branchy-q1024-13":
+        "7b0d04c7a35e8b0be302746156a8f77fe7aa201dbd7cc080cd83fdf1a897e63f",
 }
 
 
@@ -84,6 +90,11 @@ def cases(fig1, ghost, corpus, corpus_q1024, branchy_q1024):
     out += [(f"probe corpus-{i}", corpus[i], ["probe", *PROBE_ARGS]) for i in CORPUS_PROBE]
     out += [(f"analyze branchy-q1024-{i}", branchy_q1024[i], ["analyze"]) for i in BRANCHY_ANALYZE]
     out.append(("analyze corpus-q1024-7", corpus_q1024[7], ["analyze"]))
+    out += [
+        ("return-map branchy-q1024-13", branchy_q1024[13], ["return-map"]),
+        ("return-map --component 28 branchy-q1024-13", branchy_q1024[13],
+         ["return-map", "--component", "28"]),
+    ]
     return out
 
 

@@ -1,6 +1,6 @@
 """Property tests: the report writer against ``json.dumps(doc, indent=2)``
-on random JSON-shaped documents, and the rational formatter against
-``str(Fraction)``.
+on random JSON-shaped documents, with and without pre-rendered fragments,
+and the rational formatter against ``str(Fraction)``.
 
 Needs ``hypothesis`` (the ``test`` extra), kept in its own module so the
 rest of the report tests do not depend on it.
@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itmlab.report import rational_text, render_document
+from itmlab.report import Fragment, rational_text, render_document
 
 scalars = (
     st.none()
@@ -33,6 +33,27 @@ documents = st.recursive(
     ),
     max_leaves=40,
 )
+# Documents with fragments at drawn depths: in dicts, in lists and beside
+# scalars, each the ``json.dumps(indent=2)`` text of a drawn document.
+fragments = documents.map(lambda doc: Fragment(json.dumps(doc, indent=2)))
+fragment_documents = st.recursive(
+    scalars | fragments,
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner, max_size=5)
+    ),
+    max_leaves=20,
+)
+
+
+def parsed(doc):
+    """``doc`` with every fragment replaced by the value it holds."""
+    if type(doc) is Fragment:
+        return json.loads(doc)
+    if type(doc) is dict:
+        return {k: parsed(v) for k, v in doc.items()}
+    if type(doc) is list:
+        return [parsed(v) for v in doc]
+    return doc
 
 
 @settings(max_examples=200, deadline=None)
@@ -45,6 +66,15 @@ documents = st.recursive(
 @example({"big": [{"k": i, "l": [i, None], "m": [{"n": "x"}]} for i in range(2000)]})
 def test_matches_json_dumps(doc):
     assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(fragment_documents)
+@example(Fragment('{\n  "a": [\n    1\n  ]\n}'))
+@example({"a": [Fragment("[]"), 1, Fragment('[\n  "x\\ny"\n]')], "b": {"c": Fragment("{}")}})
+@example([[Fragment('{\n  "k": {\n    "l": null\n  }\n}'), None], "s"])
+def test_fragments_match_json_dumps(doc):
+    assert render_document(doc) == json.dumps(parsed(doc), indent=2) + "\n"
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,8 +13,16 @@ import pytest
 from itmlab import full_analysis, parse_map, parse_rational
 from itmlab.cli import main, make_parser
 from itmlab.render import render_map, render_orbit
-from itmlab.report import build_report, render_document
+from itmlab.report import (
+    Fragment,
+    build_report,
+    render_document,
+    return_map_section,
+    vectors_section,
+)
 from itmlab.vectors import verify_identities
+
+from conftest import naive_return_map_section, naive_vectors_section
 
 FIG1_DOC = '{"r": 3, "beta": ["1/3", "2/3"], "gamma": ["1/3", "1/7", "-1/2"]}\n'
 GHOST_DOC = (
@@ -25,6 +33,10 @@ BAD_DOC = '{"r": 3, "beta": ["2/3", "1/3"], "gamma": ["1/3", "1/7", "-1/2"]}\n'
 UNKNOWN_DOC = '{"r": 2, "beta": ["1/2"], "gamma": ["0", "0"], "extra": 1}\n'
 
 FIG1_COMPONENT_RANGE = "error: --component must be in 1..2 (the attractor has 2 components)\n"
+
+class Text(str):
+    """A str subclass that is no report Fragment."""
+
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -158,6 +170,12 @@ class TestAnalyze:
             main(["analyze", files["fig1"], "--max-iter", "0"])
         assert exc.value.code == 2
         assert "max_iter >= 1" in capsys.readouterr().err
+
+    def test_max_iter_non_ascii_digit_exit_2(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", files["fig1"], "--max-iter", "\u00b2"])
+        assert exc.value.code == 2
+        assert "max_iter >= 1 required" in capsys.readouterr().err
 
 
 class TestProbeCommand:
@@ -302,6 +320,16 @@ class TestDumpCommands:
         assert main(["ghost-tree", files["ghost"], "--root", "9+"]) == 2
         assert main(["ghost-tree", files["ghost"], "--root", "x"]) == 2
 
+    def test_ghost_tree_non_ascii_root_exit_2(self, files, capsys):
+        assert main(["ghost-tree", files["ghost"], "--root", "\u00b2+"]) == 2
+        assert "expected like '1+'" in capsys.readouterr().err
+
+    def test_ghost_tree_non_ascii_depth_exit_2(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ghost-tree", files["ghost"], "--root", "1+", "--depth", "\u0663"])
+        assert exc.value.code == 2
+        assert "depth >= 0 required" in capsys.readouterr().err
+
     def test_ghost_tree_negative_depth_exit_2(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ghost-tree", files["ghost"], "--root", "1+", "--depth", "-1"])
@@ -393,6 +421,8 @@ class TestReportApi:
         [1, "x", {"y": [2, None]}, 0.5],  # scalars mixed with containers
         ("a", "b", F(1, 2)),
         (F(1, 2), F(1, 3)),  # a tuple of one type that is no scalar
+        {"x": Text("a")},  # a str subclass that is no Fragment
+        [Text("a")],
     ])
     def test_render_rejects_non_json_types(self, doc):
         with pytest.raises(TypeError):
@@ -411,6 +441,18 @@ class TestReportApi:
                 assert "images" not in data.__dict__
                 for check in verify_identities(m, data):
                     assert check.value == F(check.kvalue, m.Q)
+
+    def test_sections_match_dict_oracles(self, fig1, corpus, corpus_q1024, branchy_q1024):
+        """Every component's return-map and vectors fragment is the
+        ``json.dumps(indent=2)`` text of the dict the oracle builds."""
+        for m in [fig1, *corpus, *corpus_q1024, *branchy_q1024]:
+            for k, data in enumerate(full_analysis(m).return_maps, start=1):
+                for section, oracle in ((return_map_section, naive_return_map_section),
+                                        (vectors_section, naive_vectors_section)):
+                    fragment, expected = section(m, data, k), oracle(m, data, k)
+                    assert type(fragment) is Fragment
+                    assert json.loads(fragment) == expected
+                    assert fragment == json.dumps(expected, indent=2)
 
     def test_render_writes_tuples_as_lists(self):
         doc = {"a": (1, ("b", None)), "c": ()}
