@@ -39,7 +39,7 @@ class AttractorInvariantError(AssertionError):
     than an ``assert``, so the checks also run under ``python -O``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AttractorResult:
     """Attractor of a map together with the discontinuity classification.
 
@@ -54,6 +54,9 @@ class AttractorResult:
     Discontinuities are partitioned into three lists: strictly inside a
     component (with its index), on the boundary of the closure of X, or at
     positive distance from the closure.
+
+    ``__init__`` fills the instance dict in one update, as
+    :class:`~itmlab.return_map.ReturnMapData` does.
     """
 
     kcomponents: tuple[IntPair, ...]
@@ -62,6 +65,16 @@ class AttractorResult:
     discontinuities_inside: tuple[tuple[int, int], ...]
     discontinuities_outside: tuple[int, ...]
     boundary_hits: tuple[int, ...]
+
+    def __init__(
+        self, kcomponents, denom, stabilization_step,
+        discontinuities_inside, discontinuities_outside, boundary_hits,
+    ):
+        vars(self).update(
+            kcomponents=kcomponents, denom=denom, stabilization_step=stabilization_step,
+            discontinuities_inside=discontinuities_inside,
+            discontinuities_outside=discontinuities_outside, boundary_hits=boundary_hits,
+        )
 
     @property
     def finite_type(self) -> bool:
@@ -114,23 +127,21 @@ def _count(denom: int, pieces: list[IntPair]) -> tuple[list[int], list[int], lis
     breakpoints ``xs`` and counts ``cs`` (``cs[k]`` holds on ``[xs[k],
     xs[k+1])``, equal neighbours merged, ``cs[-1] = -1`` past the right
     end), and the merged parts of ``[0, denom)`` where it is 0."""
-    delta: dict[int, int] = {0: 0}
+    delta = {0: 0, denom: -1}  # the pieces' deltas sum to 0, so cs[-1] = -1
     for a, b in pieces:
         delta[a] = delta.get(a, 0) + 1
         delta[b] = delta.get(b, 0) - 1
-    delta[denom] = delta.get(denom, 0) - 1  # the pieces' deltas sum to 0
-    xs: list[int] = []
-    cs: list[int] = []
+    last = delta.pop(0)  # no piece starts left of 0
+    xs, cs = [0], [last]
     zeros: list[IntPair] = []
-    c = 0
     for x in sorted(delta):
-        c += delta[x]
-        if cs and cs[-1] == c:
-            continue
-        if cs and cs[-1] == 0:
-            zeros.append((xs[-1], x))
-        xs.append(x)
-        cs.append(c)
+        c = last + delta[x]
+        if c != last:
+            if not last:
+                zeros.append((xs[-1], x))
+            xs.append(x)
+            cs.append(c)
+            last = c
     return xs, cs, zeros
 
 
@@ -198,9 +209,15 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
         raise AttractorInvariantError(
             f"X has a grid cell with {max(cs)} preimages in X at stabilization"
         )
-    # X = {c > 0}: X_n at stabilization, X_cap otherwise
-    comps = kernel.merge([(xs[k], xs[k + 1]) for k in range(len(xs) - 1) if cs[k] > 0])
-    ends = [k for pair in comps for k in pair]
+    # X = {c > 0}, X_n at stabilization and X_cap otherwise: its ends are
+    # the breakpoints where the count turns positive or stops being so
+    # (cs[-1] = -1 closes the last component)
+    ends = []
+    positive = False
+    for x, c in zip(xs, cs):
+        if (c > 0) is not positive:
+            ends.append(x)
+            positive = not positive
     inside: list[tuple[int, int]] = []
     outside: list[int] = []
     boundary: list[int] = []
@@ -213,7 +230,7 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
         else:
             outside.append(i)
     return AttractorResult(
-        kcomponents=tuple(comps),
+        kcomponents=tuple(zip(ends[::2], ends[1::2])),
         denom=denom,
         stabilization_step=step,
         discontinuities_inside=tuple(inside),

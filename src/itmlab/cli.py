@@ -82,6 +82,22 @@ def _depth(text: str) -> int:
     return int(text)
 
 
+def _natural(text: str) -> int:
+    """--samples and --component: ASCII digits (their ranges are checked
+    where they are used)."""
+    if not _digits(text):
+        raise argparse.ArgumentTypeError(f"ASCII digits required, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    if not _digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(
+            f"ASCII digits with an optional '-' required, got {text!r}"
+        )
+    return int(text)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -243,8 +259,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="exact perturbation probe")
     p.add_argument("file")
     p.add_argument("--eps", required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_natural, default=100)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--directed", action="store_true",
                    help="apply the A3-breaking directed perturbation instead")
     p.add_argument("--out")
@@ -254,7 +270,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="SVG diagram")
     p.add_argument("file")
     p.add_argument("--kind", choices=("map", "orbit"), default="map")
-    p.add_argument("--component", type=int, default=1)
+    p.add_argument("--component", type=_natural, default=1)
     p.add_argument("--max-iter", type=_max_iter, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_render)
@@ -268,7 +284,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("return-map", help="dump return-map structures")
     p.add_argument("file")
-    p.add_argument("--component", type=int, default=None)
+    p.add_argument("--component", type=_natural, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_return_map)
     return parser

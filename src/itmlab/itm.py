@@ -158,7 +158,7 @@ def from_numerators(r: int, beta: Sequence[int], gamma: Sequence[int], denom: in
         if not -cuts[i - 1] <= g <= denom - cuts[i]:
             raise BadTranslationError(i, Fraction(g, denom))
     g = math.gcd(denom, *beta, *gamma)
-    return ItmMap(Grid(denom // g, tuple(c // g for c in cuts), tuple(x // g for x in gamma)))
+    return ItmMap(Grid(denom // g, tuple([c // g for c in cuts]), tuple([x // g for x in gamma])))
 
 
 _MAP_KEYS = {"r", "beta", "gamma"}

@@ -74,11 +74,12 @@ class Grid(NamedTuple):
 
 
 def merge(pieces: list[IntPair]) -> list[IntPair]:
-    """Sort and merge overlapping or abutting pairs (all with ``l < r``)."""
+    """Sort and merge overlapping or abutting pairs (all with ``l < r``);
+    fewer than two pairs come back as they are."""
+    if len(pieces) < 2:
+        return pieces
     pieces.sort()
     out: list[IntPair] = []
-    if not pieces:
-        return out
     cur_l, cur_r = pieces[0]
     for l, r in pieces:
         if l <= cur_r:
@@ -113,6 +114,11 @@ def push(grid: Grid, pairs: Sequence[IntPair]) -> list[IntPair]:
     cuts, gamma = grid.cuts, grid.gamma
     pieces: list[IntPair] = []
     for l, r in pairs:
+        i = bisect_right(cuts, l)  # branch of l+
+        if r <= cuts[i]:  # no cut strictly inside: one piece
+            g = gamma[i - 1]
+            pieces.append((l + g, r + g))
+            continue
         for lo, hi, i in split(cuts, l, r):
             g = gamma[i - 1]
             pieces.append((lo + g, hi + g))

@@ -5,10 +5,11 @@ numerator over the map's grid wherever the analysis holds one; section order is
 fixed, and no timestamps enter the document, so identical inputs and flags
 produce byte-identical reports.
 
-The per-component sections, which carry most of a large report, are no
-dicts: ``return_map_section`` and ``vectors_section`` write their JSON
-text directly, one string expression per record, as a ``Fragment`` at
-depth 0. ``render_document`` writes the small sections from dicts and
+The per-component sections, which carry most of a large report, and the
+probe section, one record per drawn sample, are no dicts:
+``return_map_section``, ``vectors_section`` and ``probe_section`` write
+their JSON text directly, one string expression per record, as a
+``Fragment`` at depth 0. ``render_document`` writes the small sections from dicts and
 each fragment by indenting its lines, byte-identical to
 ``json.dumps(doc, indent=2)`` of the document the fragments stand for.
 """
@@ -200,29 +201,38 @@ def stability_section(report: StabilityReport) -> dict:
     }
 
 
-def probe_section(pr: ProbeResult) -> dict:
-    return {
-        "epsilon": str(pr.epsilon),
-        "seed": pr.seed,
-        "samples": len(pr.samples),
-        "accepted": pr.accepted,
-        "max_hausdorff": str(pr.max_hausdorff),
-        "min_hausdorff": str(pr.min_hausdorff),
-        "all_signatures_match": pr.all_signatures_match,
-        "component_counts": list(pr.component_counts),
-        "records": [
-            {
-                "index": rec.index,
-                "accepted": rec.accepted,
-                "component_count": rec.component_count,
-                "hausdorff": str(rec.hausdorff) if rec.hausdorff is not None else None,
-                "disc_inside": rec.disc_inside,
-                "disc_outside_closure": rec.disc_outside_closure,
-                "signature_match": rec.signature_match,
-            }
-            for rec in pr.samples
-        ],
-    }
+_BOOL_OR_NULL = {None: "null", False: "false", True: "true"}
+
+
+def _value_or_null(value) -> str:
+    """An int, a Fraction (as its ``p/q`` string) or None, as JSON."""
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return str(value)
+    return f'"{value}"'
+
+
+def probe_section(pr: ProbeResult) -> Fragment:
+    """The probe summary and one record per drawn sample, accepted or not
+    (the fields of a rejected draw are null)."""
+    records = [
+        f'{{\n      "index": {rec.index},\n      "accepted": {_BOOL[rec.accepted]},\n'
+        f'      "component_count": {_value_or_null(rec.component_count)},\n'
+        f'      "hausdorff": {_value_or_null(rec.hausdorff)},\n'
+        f'      "disc_inside": {_value_or_null(rec.disc_inside)},\n'
+        f'      "disc_outside_closure": {_value_or_null(rec.disc_outside_closure)},\n'
+        f'      "signature_match": {_BOOL_OR_NULL[rec.signature_match]}\n    }}'
+        for rec in pr.samples
+    ]
+    return Fragment(
+        f'{{\n  "epsilon": "{pr.epsilon}",\n  "seed": {pr.seed},\n'
+        f'  "samples": {len(pr.samples)},\n  "accepted": {pr.accepted},\n'
+        f'  "max_hausdorff": "{pr.max_hausdorff}",\n  "min_hausdorff": "{pr.min_hausdorff}",\n'
+        f'  "all_signatures_match": {_BOOL[pr.all_signatures_match]},\n'
+        f'  "component_counts": {_array(list(map(str, pr.component_counts)), "  ")},\n'
+        f'  "records": {_array(records, "  ")}\n}}'
+    )
 
 
 def directed_section(dp: DirectedPerturbation, analysis: FullAnalysis) -> dict:

@@ -30,10 +30,11 @@ cycle, is walked.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .attractor import AttractorResult, NotFiniteTypeError, compute_attractor
 from .intervals import MINUS, PLUS, Pair
@@ -88,22 +89,27 @@ class SignedChain:
     entry_counts: tuple[int, ...] = field(repr=False)
 
 
-@dataclass(frozen=True)
-class LandingRecord:
-    """Interior cut point a_j: first landing time l_j and discontinuity hit."""
+class LandingRecord(NamedTuple):
+    """Interior cut point a_j: first landing time l_j and discontinuity hit.
+    A NamedTuple, built at about half the cost of a frozen dataclass."""
 
     j: int
     time: int
     disc: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReturnMapData:
     """First-return structure of one component J.
 
     The cut points and images are held as integer numerators over the
     map's grid; their Fraction views (J too) and the signed chains are
     built on first access.
+
+    Every component of every map builds one, so ``__init__`` fills the
+    instance dict in one update instead of the frozen dataclass's one
+    ``object.__setattr__`` per field, which took a tenth of
+    ``compute_return_map`` on a fig1 component.
     """
 
     kcuts: tuple[int, ...]
@@ -117,6 +123,12 @@ class ReturnMapData:
     # (return map of the component whose image this one is, 0-based branch of
     # that component) when the chains are shifted from it rather than walked
     _source: tuple[ReturnMapData, int] | None = field(default=None, repr=False, compare=False)
+
+    def __init__(self, kcuts, return_times, landings, sigma, tau, kimages, grid, cap, _source=None):
+        vars(self).update(
+            kcuts=kcuts, return_times=return_times, landings=landings, sigma=sigma, tau=tau,
+            kimages=kimages, grid=grid, cap=cap, _source=_source,
+        )
 
     @property
     def n_intervals(self) -> int:
@@ -237,10 +249,21 @@ def compute_return_map(
     """Full first-return structure of one attractor component, given as
     integer numerators over the map's grid like ``attractor.kcomponents``.
 
+    Each step pushes every in-flight piece: a piece with no cut strictly
+    inside costs one bisect and moves whole; a split pulls each split point
+    back to a cut point of J with its landing time and discontinuity.
+    Pieces that land in J retire as (source, image, time). Sorted once by
+    source, the retired pieces give the cut points, the return times and
+    the images in order, checked against the split points (x, then each cut
+    point once); sorted once by image, they give sigma and tau, checked to
+    tile J without gaps. This is the one direct walk: every transported
+    return map must equal it.
+
     Raises NotFiniteTypeError when the attractor is not finite type (or the
     generous safety cap is exceeded), NotAComponentError when J is not
     exactly one of its components, and ReturnMapInvariantError when the
-    propagation breaks one of its invariants.
+    propagation breaks one of its invariants (a piece straddling J, retired
+    pieces that do not match the cut points, images that do not tile J).
     """
     if attractor is None:
         attractor = compute_attractor(m)
@@ -261,72 +284,79 @@ def compute_return_map(
     # locates the piece's preimage inside J, so a split at value v pulls back
     # to src_l + (v - cur_l).
     flying: list[tuple[int, int, int]] = [(kx, ky, kx)]
-    cut_info: dict[int, tuple[int, int]] = {}
+    cut_info: dict[int, tuple[int, int]] = {}  # cut point -> (landing time, disc)
     retired: list[tuple[int, int, int]] = []  # (src_l, img_l, time)
     t = 0
     while flying:
         if t > cap:
             raise NotFiniteTypeError("return-time safety cap exceeded")
-        if t > 0:
-            still: list[tuple[int, int, int]] = []
-            for cl, cr, src in flying:
-                if kx <= cl and cr <= ky:
-                    retired.append((src, cl, t))
-                elif cr <= kx or cl >= ky:
-                    still.append((cl, cr, src))
-                else:
-                    raise ReturnMapInvariantError(
-                        f"piece [{Fraction(cl, denom)},{Fraction(cr, denom)}) "
-                        f"straddles J = [{Fraction(kx, denom)},{Fraction(ky, denom)}) at time {t}"
-                    )
-            flying = still
-        nxt: list[tuple[int, int, int]] = []
+        moved: list[tuple[int, int, int]] = []
         for cl, cr, src in flying:
-            for lo, hi, i in split(cuts, cl, cr):
-                if lo > cl:  # lo is the cut beta_{i-1}
-                    cut_info.setdefault(src + (lo - cl), (t, i - 1))
-                g = gamma[i - 1]
-                nxt.append((lo + g, hi + g, src + (lo - cl)))
-        # no order needed: the in-flight sources are disjoint, so each
-        # cut_info key comes from one piece per step, and retired is read
-        # through by_src
-        flying = nxt
+            b = bisect_right(cuts, cl)  # branch of cl+
+            if cr <= cuts[b]:  # no cut strictly inside: the piece moves whole
+                g = gamma[b - 1]
+                moved.append((cl + g, cr + g, src))
+                continue
+            for lo, hi, b in split(cuts, cl, cr):
+                if lo > cl:  # lo is the cut beta_{b-1}
+                    # the in-flight sources are disjoint and a split point
+                    # stays a piece end, so each cut point is set once
+                    cut_info[src + (lo - cl)] = (t, b - 1)
+                g = gamma[b - 1]
+                moved.append((lo + g, hi + g, src + (lo - cl)))
         t += 1
+        flying = []
+        for piece in moved:
+            cl, cr, src = piece
+            if cr <= kx or cl >= ky:
+                flying.append(piece)
+            elif kx <= cl and cr <= ky:
+                retired.append((src, cl, t))
+            else:
+                raise ReturnMapInvariantError(
+                    f"piece [{Fraction(cl, denom)},{Fraction(cr, denom)}) "
+                    f"straddles J = [{Fraction(kx, denom)},{Fraction(ky, denom)}) at time {t}"
+                )
 
-    kcuts = (kx,) + tuple(sorted(cut_info)) + (ky,)
-    n = len(kcuts) - 1
-    landings = tuple(
-        LandingRecord(j, cut_info[kcuts[j]][0], cut_info[kcuts[j]][1]) for j in range(1, n)
-    )
-
-    by_src = {src: (img, rt) for src, img, rt in retired}
-    if len(retired) != n or by_src.keys() != set(kcuts[:-1]):
+    # Sorted by source, the retired pieces are the continuity intervals in
+    # order: their sources are x and then each cut point once.
+    retired.sort()
+    n = len(retired)
+    if n != len(cut_info) + 1 or retired[0][0] != kx:
         raise ReturnMapInvariantError("retired pieces do not match continuity intervals")
-    return_times = tuple(by_src[kcuts[j]][1] for j in range(n))
-    sigma = tuple(sorted(range(1, n + 1), key=lambda j: by_src[kcuts[j - 1]][0]))
-    tau = [0] * n
-    for p, j in enumerate(sigma, start=1):
-        tau[j - 1] = p
-    kimages = tuple(
-        (by_src[kcuts[j - 1]][0], by_src[kcuts[j - 1]][0] + kcuts[j] - kcuts[j - 1])
-        for j in range(1, n + 1)
-    )
+    kcuts = [kx]
+    landings = []
+    for j in range(1, n):
+        src = retired[j][0]
+        info = cut_info.get(src)
+        if info is None or src == kcuts[-1]:
+            raise ReturnMapInvariantError("retired pieces do not match continuity intervals")
+        kcuts.append(src)
+        landings.append(LandingRecord(j, *info))
+    kcuts.append(ky)
+    kimages = [(img, img + kcuts[j + 1] - kcuts[j]) for j, (_, img, _) in enumerate(retired)]
     # The images have the lengths of the continuity intervals, so they tile
-    # J when the leftmost starts at x and each ends where the next starts.
-    # For a single piece this says the return is the identity, which is
-    # exactly the dynamically trivial case.
-    if kimages[sigma[0] - 1][0] != kx:
-        raise ReturnMapInvariantError("return images do not tile J")
-    for p in range(n - 1):
-        if kimages[sigma[p] - 1][1] != kimages[sigma[p + 1] - 1][0]:
-            raise ReturnMapInvariantError("return images are not contiguous")
+    # J when, sorted, the first starts at x and each ends where the next
+    # starts. For a single piece this says the return is the identity,
+    # which is exactly the dynamically trivial case.
+    sigma = []
+    tau = [0] * n
+    end = kx
+    for p, ((l, r), j) in enumerate(sorted(zip(kimages, range(1, n + 1))), start=1):
+        if l != end:
+            raise ReturnMapInvariantError(
+                "return images do not tile J" if p == 1 else "return images are not contiguous"
+            )
+        sigma.append(j)
+        tau[j - 1] = p
+        end = r
     return ReturnMapData(
-        kcuts=kcuts,
-        return_times=return_times,
-        landings=landings,
-        sigma=sigma,
+        kcuts=tuple(kcuts),
+        return_times=tuple([rt for _, _, rt in retired]),
+        landings=tuple(landings),
+        sigma=tuple(sigma),
         tau=tuple(tau),
-        kimages=kimages,
+        kimages=tuple(kimages),
         grid=grid,
         cap=cap,
     )

@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .attractor import AttractorResult, compute_attractor
 from .ghost import A3Result, GhostGraph, build_ghost_graph, check_A3
@@ -173,8 +174,10 @@ class DirectedPerturbation:
     period: int
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
+    """One probe draw; the fields past ``accepted`` are None for a rejected
+    draw. A NamedTuple, built at about half the cost of a frozen dataclass."""
+
     index: int
     accepted: bool
     component_count: int | None = None

@@ -492,6 +492,33 @@ def naive_vectors_section(m: ItmMap, data, component: int) -> dict:
     }
 
 
+def naive_probe_section(pr) -> dict:
+    """The probe section of the report as a dict: the oracle for
+    ``report.probe_section``."""
+    return {
+        "epsilon": str(pr.epsilon),
+        "seed": pr.seed,
+        "samples": len(pr.samples),
+        "accepted": pr.accepted,
+        "max_hausdorff": str(pr.max_hausdorff),
+        "min_hausdorff": str(pr.min_hausdorff),
+        "all_signatures_match": pr.all_signatures_match,
+        "component_counts": list(pr.component_counts),
+        "records": [
+            {
+                "index": rec.index,
+                "accepted": rec.accepted,
+                "component_count": rec.component_count,
+                "hausdorff": str(rec.hausdorff) if rec.hausdorff is not None else None,
+                "disc_inside": rec.disc_inside,
+                "disc_outside_closure": rec.disc_outside_closure,
+                "signature_match": rec.signature_match,
+            }
+            for rec in pr.samples
+        ],
+    }
+
+
 def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -> list:
     """The sample records of ``perturbation_probe`` rebuilt the Fraction way.
 

@@ -5,25 +5,28 @@ The attractor, every signed chain's entry and every touching value are
 compared with ``naive_attractor`` and ``naive_signed_chain``, which iterate
 plain Fractions with no kernel code. The return maps are those of
 ``full_analysis``, which transports most of them along towers; each must
-also equal the direct walk of ``compute_return_map``. Needs ``hypothesis``
+also equal the direct walk of ``compute_return_map``, whose return time and
+image at every grid cell must be those of ``naive_first_return``. Needs ``hypothesis``
 (the ``test`` extra), kept in its own module so the rest of the tests do not
 depend on it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmlab import (
+    compute_attractor,
     compute_return_map,
     full_analysis,
     validate,
     verify_touching_equations,
 )
-from conftest import naive_attractor, naive_signed_chain
+from conftest import naive_attractor, naive_first_return, naive_signed_chain
 
 
 @st.composite
@@ -64,3 +67,19 @@ def test_kernel_against_fraction_oracles(m):
         assert len(values) == data.n_intervals - 1
         for p, value in enumerate(values):
             assert value == naive[sigma[p], "-"] == naive[sigma[p + 1] - 1, "+"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps())
+def test_return_map_against_naive_first_return(m):
+    # every grid cell k/Q of every component J returns after the return time
+    # of the continuity interval holding it, translated onto that
+    # interval's image
+    att = compute_attractor(m)
+    for kJ, J in zip(att.kcomponents, att.components()):
+        data = compute_return_map(m, kJ, att)
+        for k in range(*kJ):
+            j = bisect_right(data.kcuts, k) - 1
+            image = data.kimages[j][0] + (k - data.kcuts[j])
+            assert naive_first_return(m, J, Fraction(k, m.Q)) == (
+                data.return_times[j], Fraction(image, m.Q))

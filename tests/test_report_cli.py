@@ -10,19 +10,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from itmlab import full_analysis, parse_map, parse_rational
+from itmlab import full_analysis, parse_map, parse_rational, perturbation_probe
 from itmlab.cli import main, make_parser
 from itmlab.render import render_map, render_orbit
 from itmlab.report import (
     Fragment,
     build_report,
+    probe_section,
     render_document,
     return_map_section,
     vectors_section,
 )
 from itmlab.vectors import verify_identities
 
-from conftest import naive_return_map_section, naive_vectors_section
+from conftest import naive_probe_section, naive_return_map_section, naive_vectors_section
 
 FIG1_DOC = '{"r": 3, "beta": ["1/3", "2/3"], "gamma": ["1/3", "1/7", "-1/2"]}\n'
 GHOST_DOC = (
@@ -202,6 +203,26 @@ class TestProbeCommand:
         assert main(["probe", files["fig1"], "--eps", "1/1000",
                      "--samples", "0"]) == 2
 
+    @pytest.mark.parametrize("option,value", [
+        ("--samples", "\u0663"),  # an Arabic-Indic three, which int() reads as 3
+        ("--samples", "1_0"),
+        ("--samples", "+3"),
+        ("--seed", "\u0663"),
+        ("--seed", "--5"),
+        ("--seed", "-"),
+    ])
+    def test_integer_options_take_ascii_digits_only(self, files, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", files["fig1"], "--eps", "1/1000", "--samples", "2", option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: " in capsys.readouterr().err
+
+    def test_negative_seed(self, files, capsys):
+        assert main(["probe", files["fig1"], "--eps", "1/1000", "--samples", "2",
+                     "--seed", "-5", "--json-only"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["header"]["probe"]["seed"] == doc["probe"]["seed"] == -5
+
     def test_bad_eps_exit_2(self, files):
         assert main(["probe", files["fig1"], "--eps", "0"]) == 2
         assert main(["probe", files["fig1"], "--eps", "0.5"]) == 2
@@ -356,6 +377,14 @@ class TestDumpCommands:
             assert main(["return-map", files["fig1"], "--component", k]) == 2
             assert capsys.readouterr().err == FIG1_COMPONENT_RANGE
 
+    @pytest.mark.parametrize("command", [["return-map"], ["render", "--kind", "orbit"]])
+    @pytest.mark.parametrize("value", ["\u0661", "+1", "1_0"])
+    def test_component_takes_ascii_digits_only(self, files, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, files["fig1"], "--component", value])
+        assert exc.value.code == 2
+        assert "argument --component: ASCII digits required" in capsys.readouterr().err
+
     def test_return_map_of_one_component_walks_one(self, files, capsys, monkeypatch):
         # only the reported component's return orbit is walked, and the
         # report is the one recorded when every component was walked
@@ -453,6 +482,19 @@ class TestReportApi:
                     assert type(fragment) is Fragment
                     assert json.loads(fragment) == expected
                     assert fragment == json.dumps(expected, indent=2)
+
+    @pytest.mark.parametrize("eps,seed,accepted", [
+        (F(1, 1000), 0, 20),  # every draw accepted, every signature matches
+        (F(1, 5), 1, 15),  # five rejected draws with null fields, mismatched signatures
+    ])
+    def test_probe_section_matches_dict_oracle(self, fig1, eps, seed, accepted):
+        pr = perturbation_probe(fig1, eps, 20, seed)
+        assert pr.accepted == accepted
+        fragment, expected = probe_section(pr), naive_probe_section(pr)
+        assert type(fragment) is Fragment
+        assert render_document(fragment) == json.dumps(expected, indent=2) + "\n"
+        assert render_document({"probe": fragment, "n": [fragment]}) == json.dumps(
+            {"probe": expected, "n": [expected]}, indent=2) + "\n"
 
     def test_render_writes_tuples_as_lists(self):
         doc = {"a": (1, ("b", None)), "c": ()}

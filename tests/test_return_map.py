@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 
 import pytest
@@ -14,13 +16,16 @@ from itmlab import (
     compute_attractor,
     compute_return_map,
     full_analysis,
+    validate,
     verify_touching_equations,
 )
 from itmlab import return_map
+from itmlab.attractor import AttractorResult
 from itmlab.return_map import (
     IDENTITY,
     MANY_BRANCHES,
     ROTATION_LIKE,
+    ReturnMapData,
     ReturnMapInvariantError,
     SignedChain,
 )
@@ -145,6 +150,31 @@ def _split_dropped(real):
     return dropped
 
 
+def _split_second_repeated(real):
+    # at the second split the first piece vanishes and the second flies
+    # twice, so a retired source repeats and another cut point has no
+    # piece, while the retired pieces still number one more than the cuts
+    calls = []
+
+    def repeated(cuts, l, r):
+        out = real(cuts, l, r)
+        calls.append(out)
+        return [out[1], *out[1:]] if len(calls) == 2 else out
+    return repeated
+
+
+def _split_second_lost(real):
+    # at the second split the first piece vanishes: its source, a cut point
+    # of an earlier split, retires no piece, and no retired source repeats
+    calls = []
+
+    def lost(cuts, l, r):
+        out = real(cuts, l, r)
+        calls.append(out)
+        return out[1:] if len(calls) == 2 else out
+    return lost
+
+
 def _chain_late(real):
     def late(*args):
         c = real(*args)
@@ -174,6 +204,19 @@ class TestInvariantErrors:
         with pytest.raises(ReturnMapInvariantError, match=message):
             compute_return_map(fig1, JB, att)
 
+    @pytest.mark.parametrize("broken", [_split_second_repeated, _split_second_lost])
+    def test_retired_sources_checked_against_cut_points(self, monkeypatch, broken):
+        # a component whose walk splits twice, at t = 0 (cut points 14 and
+        # 19, numerators over 56) and at t = 1 (cut point 20); against those
+        # cut points the faults retire sources 9, 14, 20, 20 and 9, 14, 20
+        m = validate(6, [F(1, 56), F(1, 4), F(19, 56), F(45, 56), F(27, 28)],
+                     [F(1, 2), F(19, 28), F(15, 56), F(-19, 56), F(-4, 7), F(-5, 8)])
+        att = compute_attractor(m)
+        assert (9, 26) in att.kcomponents
+        monkeypatch.setattr(return_map, "split", broken(return_map.split))
+        with pytest.raises(ReturnMapInvariantError, match="retired pieces do not match"):
+            compute_return_map(m, (9, 26), att)
+
     @pytest.mark.parametrize("broken,message", [
         (_chain_late, "!= return time"),
         (_chain_blind, "does not first hit"),
@@ -187,6 +230,22 @@ class TestInvariantErrors:
 
     def test_is_an_assertion_error(self):
         assert issubclass(ReturnMapInvariantError, AssertionError)
+
+
+class TestRecords:
+    def test_hand_written_init_takes_the_fields(self, fig1):
+        # ReturnMapData and AttractorResult fill their instance dict in
+        # __init__ by hand: it takes the dataclass fields in order, stores
+        # exactly them, and the instances stay frozen
+        att = compute_attractor(fig1)
+        data = compute_return_map(fig1, JB, att)
+        for obj in (att, data):
+            names = [f.name for f in fields(obj)]
+            assert list(inspect.signature(type(obj)).parameters) == names
+            assert list(vars(obj)) == names
+            with pytest.raises(FrozenInstanceError):
+                obj.grid = None
+        assert type(att) is AttractorResult and type(data) is ReturnMapData
 
 
 class TestInvariants:
