@@ -200,15 +200,24 @@ def _parse_root(text: str) -> tuple[int, str]:
 
 def cmd_ghost_tree(args) -> int:
     m, digest = _load(args.file)
+    if args.root:
+        index, side = _parse_root(args.root)
+        if not (1 <= index < m.r):
+            raise MapFormatError(f"discontinuity index {index} out of range")
+        # level n + 1 depends only on level n, a set of the 2(r-1) signed
+        # discontinuities, so fewer than 2**(2(r-1)) levels are distinct
+        max_depth = 2 ** (2 * (m.r - 1))
+        if args.depth > max_depth:
+            raise MapFormatError(
+                f"--depth must be <= 2**(2*(r-1)) = {max_depth} for r = {m.r}, "
+                f"got {args.depth}: deeper levels only repeat"
+            )
     analysis = full_analysis(m)
     doc = {
         "header": {"tool": "itmlab", "input_digest": digest},
         "ghost": ghost_section(analysis.ghost_graph, analysis.a3),
     }
     if args.root:
-        index, side = _parse_root(args.root)
-        if not (1 <= index < m.r):
-            raise MapFormatError(f"discontinuity index {index} out of range")
         tree = build_tree(analysis.ghost_graph, (index, side), args.depth)
         doc["tree"] = {
             "root": [index, side],

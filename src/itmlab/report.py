@@ -5,11 +5,13 @@ numerator over the map's grid wherever the analysis holds one; section order is
 fixed, and no timestamps enter the document, so identical inputs and flags
 produce byte-identical reports.
 
-The per-component sections, which carry most of a large report, and the
-probe section, one record per drawn sample, are no dicts:
-``return_map_section``, ``vectors_section`` and ``probe_section`` write
-their JSON text directly, one string expression per record, as a
-``Fragment`` at depth 0. ``render_document`` writes the small sections from dicts and
+Every section with lists in it is written as JSON text directly, one
+string expression per record, as a ``Fragment`` at depth 0: the map and
+the attractor (``map_section``, ``attractor_section``), each component's
+return map and vectors (``return_map_section``, ``vectors_section``), the
+ghost graph's nodes and edges (in ``ghost_section``) and the probe
+(``probe_section``). ``render_document`` writes the rest from dicts (the
+header, the verdicts with their witnesses, the directed perturbation) and
 each fragment by indenting its lines, byte-identical to
 ``json.dumps(doc, indent=2)`` of the document the fragments stand for.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -57,28 +60,6 @@ def input_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def map_section(m: ItmMap) -> dict:
-    return {
-        "r": m.r,
-        "beta": [rational_text(b, m.Q) for b in m.grid.cuts[1:-1]],
-        "gamma": [rational_text(g, m.Q) for g in m.grid.gamma],
-        "Q": m.Q,
-        "image_compactly_contained": m.image_compactly_contained,
-    }
-
-
-def attractor_section(att: AttractorResult, capped: bool = False) -> dict:
-    return {
-        "components": _pairs(att.kcomponents, att.denom),
-        "stabilization_step": att.stabilization_step,
-        "infinite_type_suspected": att.infinite_type_suspected,
-        "capped": capped,
-        "discontinuities_inside": [list(t) for t in att.discontinuities_inside],
-        "discontinuities_outside": list(att.discontinuities_outside),
-        "boundary_hits": list(att.boundary_hits),
-    }
-
-
 class Fragment(str):
     """The JSON text of one report section at depth 0, exactly as
     ``json.dumps(section, indent=2)`` writes it. ``render_document`` writes
@@ -104,6 +85,39 @@ def _hits(hits) -> str:
     return _array([
         f'{{\n          "disc": {h.disc},\n          "time": {h.time}\n        }}' for h in hits
     ], "      ")
+
+
+def map_section(m: ItmMap) -> Fragment:
+    """The map's parameters and grid."""
+    q = m.Q
+    beta = [f'"{rational_text(b, q)}"' for b in m.grid.cuts[1:-1]]
+    gamma = [f'"{rational_text(g, q)}"' for g in m.grid.gamma]
+    return Fragment(
+        f'{{\n  "r": {m.r},\n  "beta": {_array(beta, "  ")},\n'
+        f'  "gamma": {_array(gamma, "  ")},\n  "Q": {q},\n'
+        f'  "image_compactly_contained": {_BOOL[m.image_compactly_contained]}\n}}'
+    )
+
+
+def attractor_section(att: AttractorResult, capped: bool = False) -> Fragment:
+    """X with its stabilization step and the discontinuity classification."""
+    d = att.denom
+    components = [
+        f'[\n      "{rational_text(l, d)}",\n      "{rational_text(r, d)}"\n    ]'
+        for l, r in att.kcomponents
+    ]
+    inside = [f"[\n      {i},\n      {k}\n    ]" for i, k in att.discontinuities_inside]
+    outside = list(map(str, att.discontinuities_outside))
+    step = att.stabilization_step
+    return Fragment(
+        f'{{\n  "components": {_array(components, "  ")},\n'
+        f'  "stabilization_step": {"null" if step is None else step},\n'
+        f'  "infinite_type_suspected": {_BOOL[att.infinite_type_suspected]},\n'
+        f'  "capped": {_BOOL[capped]},\n'
+        f'  "discontinuities_inside": {_array(inside, "  ")},\n'
+        f'  "discontinuities_outside": {_array(outside, "  ")},\n'
+        f'  "boundary_hits": {_array(list(map(str, att.boundary_hits)), "  ")}\n}}'
+    )
 
 
 def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> Fragment:
@@ -149,19 +163,29 @@ def _tag(tag) -> str:
     return f"R{tag[1]}{tag[2]}"
 
 
+_ENTRY_SEP = ",\n        "
+
+
+@lru_cache(maxsize=256)
+def _f_entries(f: tuple[int, ...]) -> str:
+    """The items of a vector's ``f`` array. Almost every f is 0, a unit
+    vector or the difference of two, so a map has a few dozen and each is
+    written once."""
+    return _ENTRY_SEP.join(map(str, f))
+
+
 def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> Fragment:
     """The coefficient vectors of one component with their products, and
     the outcome of the identity and linear-dependence checks."""
     vecs = build_vectors(m, data)
     checks = verify_identities(m, data, vecs)
     pattern = check_lin_dep_pattern(m, data, vecs)
-    sep = ",\n        "
     vectors = [
-        f'{{\n      "tag": "{_tag(v.tag)}",\n'
-        f'      "e": [\n        {sep.join(map(str, v.e))}\n      ],\n'
-        f'      "f": [\n        {sep.join(map(str, v.f))}\n      ],\n'
+        f'{{\n      "tag": "{_tag(tag)}",\n'
+        f'      "e": [\n        {_ENTRY_SEP.join(map(str, e))}\n      ],\n'
+        f'      "f": [\n        {_f_entries(f)}\n      ],\n'
         f'      "product": "{rational_text(check.kvalue, check.denom)}"\n    }}'
-        for v, check in zip(vecs, checks)
+        for (e, f, tag), check in zip(vecs, checks)
     ]
     return Fragment(
         f'{{\n  "component": {component},\n'
@@ -173,15 +197,23 @@ def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> Fragment:
 
 
 def ghost_section(graph: GhostGraph, a3_verdict) -> dict:
+    """The ghost graph's nodes and edges, as two fragments, and the A3
+    verdict with its witness."""
+    in_x = graph.in_x
+    nodes = [
+        f'{{\n    "disc": {i},\n    "side": "{s}",\n    "in_x": {_BOOL[in_x[(i, s)]]}\n  }}'
+        for i, s in graph.nodes
+    ]
+    edges = [
+        f'{{\n    "child": [\n      {e.child[0]},\n      "{e.child[1]}"\n    ],\n'
+        f'    "parent": [\n      {e.parent[0]},\n      "{e.parent[1]}"\n    ],\n'
+        f'    "time": {e.time}\n  }}'
+        for e in graph.edges
+    ]
     witness = a3_verdict.witness
     return {
-        "nodes": [
-            {"disc": i, "side": s, "in_x": graph.in_x[(i, s)]} for i, s in graph.nodes
-        ],
-        "edges": [
-            {"child": list(e.child), "parent": list(e.parent), "time": e.time}
-            for e in graph.edges
-        ],
+        "nodes": Fragment(_array(nodes, "")),
+        "edges": Fragment(_array(edges, "")),
         "a3": {"holds": a3_verdict.holds, "witness": None if witness is None else witness.as_dict()},
     }
 

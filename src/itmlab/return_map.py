@@ -66,18 +66,18 @@ class TouchingViolatedError(AssertionError):
         super().__init__(f"touching equation {j} violated")
 
 
-@dataclass(frozen=True)
-class ChainHit:
+class ChainHit(NamedTuple):
     """The chain sits on beta_disc at ``time``; ``counts`` is how many of the
-    steps before it took each branch."""
+    steps before it took each branch. Like every per-component record
+    (``SignedChain``, ``LandingRecord`` and the vector records), a
+    NamedTuple, built at about half the cost of a frozen dataclass."""
 
     disc: int
     time: int
-    counts: tuple[int, ...] = field(repr=False)
+    counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SignedChain:
+class SignedChain(NamedTuple):
     """Critical hits of one signed endpoint before it re-enters J at grid
     numerator ``kentry``, and the branch counts of the whole walk (``entry_counts``)."""
 
@@ -86,12 +86,11 @@ class SignedChain:
     hits: tuple[ChainHit, ...]
     entry_time: int
     kentry: int
-    entry_counts: tuple[int, ...] = field(repr=False)
+    entry_counts: tuple[int, ...]
 
 
 class LandingRecord(NamedTuple):
-    """Interior cut point a_j: first landing time l_j and discontinuity hit.
-    A NamedTuple, built at about half the cost of a frozen dataclass."""
+    """Interior cut point a_j: first landing time l_j and discontinuity hit."""
 
     j: int
     time: int
@@ -393,14 +392,12 @@ def _shifted_chains(
         return tuple(out)
 
     shifted = []
-    for c in chains:
-        hits = [ChainHit(h.disc, h.time - 1, one_step_fewer(h.counts)) for h in c.hits if h.time]
-        disc = beta_index.get(c.kentry)
+    for j, side, hits, entry_time, kentry, entry_counts in chains:
+        moved = [ChainHit(d, t - 1, one_step_fewer(counts)) for d, t, counts in hits if t]
+        disc = beta_index.get(kentry)
         if disc is not None:
-            hits.append(ChainHit(disc, c.entry_time - 1, one_step_fewer(c.entry_counts)))
-        shifted.append(
-            SignedChain(c.j, c.side, tuple(hits), c.entry_time, c.kentry + g, c.entry_counts)
-        )
+            moved.append(ChainHit(disc, entry_time - 1, one_step_fewer(entry_counts)))
+        shifted.append(SignedChain(j, side, tuple(moved), entry_time, kentry + g, entry_counts))
     return shifted
 
 

@@ -388,13 +388,22 @@ def perturbation_probe(
     accepted = [rec for rec in records if rec.accepted]
     if not accepted:
         raise NoValidSamplesError("all probe draws left the parameter polytope")
+    # Every distance is a multiple of 1/(2 denom): the base grid and each
+    # sample's reduced grid divide denom, so its reduced denominator divides
+    # 2 denom, and the numerator over 2 denom orders the distances.
+    distances = [rec.hausdorff for rec in accepted]
+    double = 2 * denom
+
+    def over_double(h: Fraction) -> int:
+        return h.numerator * (double // h.denominator)
+
     return ProbeResult(
         epsilon=epsilon,
         seed=seed,
         samples=tuple(records),
         accepted=len(accepted),
-        max_hausdorff=max(rec.hausdorff for rec in accepted),
-        min_hausdorff=min(rec.hausdorff for rec in accepted),
+        max_hausdorff=max(distances, key=over_double),
+        min_hausdorff=min(distances, key=over_double),
         all_signatures_match=all(rec.signature_match for rec in accepted),
         component_counts=tuple(sorted({rec.component_count for rec in accepted})),
         base=base,

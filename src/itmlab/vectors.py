@@ -13,16 +13,23 @@ rigid coefficient pattern (equal coefficients along each signed chain,
 opposite across the two sides of a cut point, landing coefficient equal to
 the sum). ``check_lin_dep_pattern`` verifies that the exact nullspace lies
 in that pattern subspace by comparing two integer ranks: that of the
-vectors, and that of the vectors combined along the pattern.
+vectors A, and that of the vectors combined along the pattern, A P. One
+elimination gives both. It reduces the columns of A P first, then the
+vectors other than each R+_j and the boundary landings, which are the
+columns of A Q for a matrix Q of unit columns. [P | Q] is unimodular,
+because column j of P is the only column that touches R+_j and each
+boundary landing is its own unit column of P, so A [P | Q] has the rank
+of A.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from .intervals import PLUS
 from .itm import ItmMap
@@ -45,8 +52,11 @@ class IdentityViolatedError(AssertionError):
         super().__init__(f"product identity violated for {tag}")
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
+class CoefficientVector(NamedTuple):
+    """One vector of ``Z^r (+) Z^{r-1}`` and its tag. Like the other
+    records here, a NamedTuple: every component builds a few dozen, at
+    about half the cost of a frozen dataclass."""
+
     e: tuple[int, ...]
     f: tuple[int, ...]
     tag: Tag
@@ -55,8 +65,7 @@ class CoefficientVector:
         return self.e + self.f
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """The product of one vector, held as its numerator ``kvalue`` over
     ``denom`` (the map's grid); ``value`` is its Fraction view."""
 
@@ -71,8 +80,7 @@ class IdentityCheck:
         return Fraction(self.kvalue, self.denom)
 
 
-@dataclass(frozen=True)
-class PatternResult:
+class PatternResult(NamedTuple):
     holds: bool
     nullity: int
     witness: dict | None
@@ -104,20 +112,18 @@ def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ..
     """
     n = data.n_intervals
     chains = data.chains
-    r1 = m.r - 1
+    ups, downs = _units(m.r - 1)
+    zero = ups[0]
     out: list[CoefficientVector] = []
     append = out.append
-    sub = int.__sub__
     for c in chains:
         j, side, hits = c.j, c.side, c.hits
         if not hits:
-            append(CoefficientVector(c.entry_counts, (0,) * r1, ("R", side, j)))
+            append(CoefficientVector(c.entry_counts, zero, ("R", side, j)))
             continue
         first = hits[0]
         if side == PLUS or j == n:
-            f = [0] * r1
-            f[first.disc - 1] = -1
-            append(CoefficientVector(first.counts, tuple(f), ("L", j)))
+            append(CoefficientVector(first.counts, downs[first.disc], ("L", j)))
         else:  # the interior cut a_j, whose + chain gave L_j
             other = chains[j].hits
             if not other or other[0].counts != first.counts or other[0].disc != first.disc:
@@ -126,17 +132,23 @@ def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ..
                 )
         for k in range(1, len(hits)):
             cur, nxt = hits[k - 1], hits[k]
-            f = [0] * r1
-            f[cur.disc - 1] += 1
-            f[nxt.disc - 1] -= 1
             e = tuple(map(sub, nxt.counts, cur.counts))
-            append(CoefficientVector(e, tuple(f), ("C", side, j, k)))
+            f = tuple(map(add, ups[cur.disc], downs[nxt.disc]))
+            append(CoefficientVector(e, f, ("C", side, j, k)))
         last = hits[-1]
-        f = [0] * r1
-        f[last.disc - 1] = 1
         e = tuple(map(sub, c.entry_counts, last.counts))
-        append(CoefficientVector(e, tuple(f), ("R", side, j)))
+        append(CoefficientVector(e, ups[last.disc], ("R", side, j)))
     return tuple(out)
+
+
+@cache
+def _units(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """``(ups, downs)``: ``ups[d]`` is the unit f of beta_d in ``Z^size``
+    (``d`` from 1), ``downs[d]`` its negative; index 0 holds the zero f."""
+    def unit(d: int, sign: int) -> tuple[int, ...]:
+        return tuple(sign if i == d else 0 for i in range(1, size + 1))
+
+    return tuple(unit(d, 1) for d in range(size + 1)), tuple(unit(d, -1) for d in range(size + 1))
 
 
 def verify_identities(
@@ -149,9 +161,8 @@ def verify_identities(
     kcuts, chains, n, q = data.kcuts, data.chains, data.n_intervals, m.Q
     x, y = kcuts[0], kcuts[-1]
     checks: list[IdentityCheck] = []
-    for v in vectors:
-        val = sum(map(mul, v.e + v.f, params))
-        tag = v.tag
+    for e, f, tag in vectors:
+        val = sum(map(mul, e + f, params))
         if tag[0] == "L":
             ok = val + kcuts[tag[1]] == 0
             kind = "landing"
@@ -180,16 +191,30 @@ def rank(columns: Sequence[Sequence[int]], dim: int) -> int:
     """Rank of the integer matrix whose ``dim``-entry columns are given.
 
     Incremental fraction-free elimination on the transpose, one row per
-    column: each row is reduced against the pivot rows so far by
-    ``p * row - a * pivot_row``, which clears it at each pivot's
-    coordinate, and divided by its content (the gcd of its entries), so
-    entries do not grow doubly exponentially. A nonzero reduced row becomes
-    a pivot at its first nonzero coordinate; each pivot row is zero at the
-    earlier pivots' coordinates, so the pivot rows are independent. The
-    pass stops once the rank reaches ``dim``.
+    column (see ``_eliminate``); the pass stops once the rank reaches
+    ``dim``.
     """
-    pivots: list[tuple[int, Sequence[int]]] = []  # (coordinate, row)
-    for row in columns:
+    pivots: list[tuple[int, Sequence[int]]] = []
+    _eliminate(pivots, columns, dim)
+    return len(pivots)
+
+
+def _eliminate(
+    pivots: list[tuple[int, Sequence[int]]], rows: Sequence[Sequence[int]], dim: int
+) -> None:
+    """Reduce each row against ``pivots`` (``(coordinate, row)`` pairs) and
+    append it when it stays nonzero, until there are ``dim`` pivots.
+
+    A row is reduced by ``p * row - a * pivot_row``, which clears it at each
+    pivot's coordinate, and divided by its content (the gcd of its entries),
+    so entries do not grow doubly exponentially. A nonzero reduced row
+    becomes a pivot at its first nonzero coordinate; each pivot row is zero
+    at the earlier pivots' coordinates, so the pivot rows are independent
+    and span what the rows seen so far span.
+    """
+    for row in rows:
+        if len(pivots) == dim:
+            return
         for k, prow in pivots:
             a = row[k]
             if a:
@@ -200,10 +225,7 @@ def rank(columns: Sequence[Sequence[int]], dim: int) -> int:
             continue
         if g != 1:
             row = [x // g for x in row]
-        pivots.append((next(k for k, x in enumerate(row) if x), row))
-        if len(pivots) == dim:
-            break
-    return len(pivots)
+        pivots.append((row.index(next(filter(None, row))), row))
 
 
 def check_lin_dep_pattern(
@@ -218,21 +240,29 @@ def check_lin_dep_pattern(
     are the range of an injective matrix P with one column per c_j and one
     unit column per boundary landing, so the nullspace of the vectors A
     lies in the pattern iff nullity(A) == nullity(A P). The columns of A P
-    are signed sums of the vectors. A violation is returned as a witness,
-    never raised: it would falsify the underlying lemma and means an
-    engine bug.
+    are signed sums of the vectors.
+
+    Both ranks come from one elimination. The columns of A P are reduced
+    first, which gives rank(A P); the same pivot rows then take every
+    vector except each R+_j and the boundary landings. Those vectors are
+    the columns of A Q, where Q holds their unit columns. [P | Q] is square
+    and unimodular: on the rows of the R+_j and the boundary landings, P is
+    the identity (column c_j is the only column that touches R+_j, and each
+    boundary landing is its own unit column) and Q is zero. So A [P | Q]
+    spans what A spans, and the final rank is rank(A). The elimination
+    stops once the rank reaches the dimension, ``2r - 1``.
+
+    A violation is returned as a witness, never raised: it would falsify
+    the underlying lemma and means an engine bug.
     """
     if vectors is None:
         vectors = build_vectors(m, data)
     n = data.n_intervals
     dim = 2 * m.r - 1
-    add, sub = int.__add__, int.__sub__
     spanned: list[Sequence[int]] = [(0,) * dim] * n  # the columns of A P
-    rows = []
-    for v in vectors:
-        row = v.e + v.f
-        rows.append(row)
-        tag = v.tag
+    rest = []  # the columns of A Q
+    for e, f, tag in vectors:
+        row = e + f
         if tag[0] == "L":
             j = tag[1]
             if j == 0 or j == n:
@@ -242,10 +272,16 @@ def check_lin_dep_pattern(
             spanned[j - 1] = list(map(sub, spanned[j - 1], row))
         elif tag[1] == PLUS:
             spanned[tag[2]] = list(map(add, spanned[tag[2]], row))
+            if tag[0] == "R":
+                continue
         else:
             spanned[tag[2] - 1] = list(map(sub, spanned[tag[2] - 1], row))
-    nullity = len(vectors) - rank(rows, dim)
-    pattern_nullity = len(spanned) - rank(spanned, dim)
+        rest.append(row)
+    pivots: list[tuple[int, Sequence[int]]] = []
+    _eliminate(pivots, spanned, dim)
+    pattern_nullity = len(spanned) - len(pivots)
+    _eliminate(pivots, rest, dim)
+    nullity = len(vectors) - len(pivots)
     if nullity == pattern_nullity:
         return PatternResult(True, nullity, None)
     return PatternResult(False, nullity, {

@@ -425,6 +425,51 @@ def naive_pattern(vectors, n: int, dim: int) -> tuple[bool, int]:
     return True, len(basis)
 
 
+def naive_map_section(m: ItmMap) -> dict:
+    """The map section of the report as a dict: the oracle for
+    ``report.map_section``."""
+    return {
+        "r": m.r,
+        "beta": [str(b) for b in m.beta],
+        "gamma": [str(g) for g in m.gamma],
+        "Q": m.Q,
+        "image_compactly_contained": m.image_compactly_contained,
+    }
+
+
+def naive_attractor_section(att, capped: bool = False) -> dict:
+    """The attractor section of the report as a dict: the oracle for
+    ``report.attractor_section``."""
+    return {
+        "components": [
+            [str(Fraction(l, att.denom)), str(Fraction(r, att.denom))]
+            for l, r in att.kcomponents
+        ],
+        "stabilization_step": att.stabilization_step,
+        "infinite_type_suspected": att.infinite_type_suspected,
+        "capped": capped,
+        "discontinuities_inside": [list(t) for t in att.discontinuities_inside],
+        "discontinuities_outside": list(att.discontinuities_outside),
+        "boundary_hits": list(att.boundary_hits),
+    }
+
+
+def naive_ghost_section(graph, a3_verdict) -> dict:
+    """The ghost section of the report as a dict: the oracle for
+    ``report.ghost_section``."""
+    witness = a3_verdict.witness
+    return {
+        "nodes": [
+            {"disc": i, "side": s, "in_x": graph.in_x[(i, s)]} for i, s in graph.nodes
+        ],
+        "edges": [
+            {"child": list(e.child), "parent": list(e.parent), "time": e.time}
+            for e in graph.edges
+        ],
+        "a3": {"holds": a3_verdict.holds, "witness": None if witness is None else witness.as_dict()},
+    }
+
+
 def naive_return_map_section(m: ItmMap, data, component: int) -> dict:
     """The return-map section of the report as a dict, each rational written
     by ``str(Fraction)``: the oracle for ``report.return_map_section``."""

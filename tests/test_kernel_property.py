@@ -6,7 +6,9 @@ compared with ``naive_attractor`` and ``naive_signed_chain``, which iterate
 plain Fractions with no kernel code. The return maps are those of
 ``full_analysis``, which transports most of them along towers; each must
 also equal the direct walk of ``compute_return_map``, whose return time and
-image at every grid cell must be those of ``naive_first_return``. Needs ``hypothesis``
+image at every grid cell must be those of ``naive_first_return``. The
+dependence check of every component, and of each copy with one vector
+changed, must agree with ``naive_pattern``'s Fraction nullspace. Needs ``hypothesis``
 (the ``test`` extra), kept in its own module so the rest of the tests do not
 depend on it.
 """
@@ -20,13 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmlab import (
+    build_vectors,
+    check_lin_dep_pattern,
     compute_attractor,
     compute_return_map,
     full_analysis,
     validate,
     verify_touching_equations,
 )
-from conftest import naive_attractor, naive_first_return, naive_signed_chain
+from itmlab.vectors import CoefficientVector
+from conftest import naive_attractor, naive_first_return, naive_pattern, naive_signed_chain
 
 
 @st.composite
@@ -83,3 +88,22 @@ def test_return_map_against_naive_first_return(m):
             image = data.kimages[j][0] + (k - data.kcuts[j])
             assert naive_first_return(m, J, Fraction(k, m.Q)) == (
                 data.return_times[j], Fraction(image, m.Q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps())
+def test_pattern_against_fraction_nullspace(m):
+    # every component, and every copy with one vector's e[0] raised by 1
+    # under the same tag: the one-elimination check against the block by
+    # block check of a Fraction nullspace basis
+    dim = 2 * m.r - 1
+    for data in full_analysis(m).return_maps:
+        vecs = build_vectors(m, data)
+        variants = [vecs] + [
+            vecs[:i] + (CoefficientVector((v.e[0] + 1,) + v.e[1:], v.f, v.tag),) + vecs[i + 1:]
+            for i, v in enumerate(vecs)
+        ]
+        for variant in variants:
+            res = check_lin_dep_pattern(m, data, variant)
+            assert (res.holds, res.nullity) == naive_pattern(variant, data.n_intervals, dim)
+            assert (res.witness is None) == res.holds

@@ -15,7 +15,10 @@ from itmlab.cli import main, make_parser
 from itmlab.render import render_map, render_orbit
 from itmlab.report import (
     Fragment,
+    attractor_section,
     build_report,
+    ghost_section,
+    map_section,
     probe_section,
     render_document,
     return_map_section,
@@ -23,7 +26,14 @@ from itmlab.report import (
 )
 from itmlab.vectors import verify_identities
 
-from conftest import naive_probe_section, naive_return_map_section, naive_vectors_section
+from conftest import (
+    naive_attractor_section,
+    naive_ghost_section,
+    naive_map_section,
+    naive_probe_section,
+    naive_return_map_section,
+    naive_vectors_section,
+)
 
 FIG1_DOC = '{"r": 3, "beta": ["1/3", "2/3"], "gamma": ["1/3", "1/7", "-1/2"]}\n'
 GHOST_DOC = (
@@ -357,6 +367,20 @@ class TestDumpCommands:
         assert exc.value.code == 2
         assert "depth >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", ["65", "100000000"])
+    def test_ghost_tree_depth_above_bound_exit_2(self, files, capsys, depth):
+        # r = 4: the 6 signed discontinuities give fewer than 2**6 = 64
+        # non-empty levels, so deeper levels only repeat
+        assert main(["ghost-tree", files["ghost"], "--root", "1-", "--depth", depth]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--depth must be <= 2**(2*(r-1)) = 64 for r = 4" in captured.err
+
+    def test_ghost_tree_depth_at_bound(self, files, capsys):
+        assert main(["ghost-tree", files["ghost"], "--root", "1-", "--depth", "64"]) == 0
+        tree = json.loads(capsys.readouterr().out)["tree"]
+        assert tree["depth"] == 64 and len(tree["levels"]) == 65
+
     def test_return_map_dump(self, files, capsys):
         rc = main(["return-map", files["fig1"], "--component", "2"])
         assert rc == 0
@@ -410,6 +434,22 @@ class TestDumpCommands:
 
 
 class TestInProcess:
+    @pytest.mark.parametrize("name,args", [
+        ("fig1", ["analyze"]),
+        ("ghost", ["analyze"]),
+        ("fig1", ["analyze", "--max-iter", "1"]),
+        ("fig1", ["probe", "--eps", "1/1000", "--samples", "5"]),
+        ("fig1", ["probe", "--eps", "1/5", "--samples", "20", "--seed", "1"]),
+    ])
+    def test_json_only_out_writes_nothing_to_stdout(self, files, tmp_path, capfd, name, args):
+        # how the benchmark calls main: the report goes to the file, main
+        # returns 0 rather than raising, and neither stream gets a byte
+        out = tmp_path / "report.json"
+        argv = [args[0], files[name], *args[1:], "--json-only", "--out", str(out)]
+        assert main(argv) == 0
+        assert capfd.readouterr() == ("", "")
+        assert json.loads(out.read_text())["header"]["tool"] == "itmlab"
+
     def test_repeated_main_calls_share_one_parser(self, files, capsys):
         # the parser is built once per process and parsing leaves it as it
         # was: analyze, probe, a usage error, then analyze again
@@ -482,6 +522,66 @@ class TestReportApi:
                     assert type(fragment) is Fragment
                     assert json.loads(fragment) == expected
                     assert fragment == json.dumps(expected, indent=2)
+
+    def test_small_sections_match_dict_oracles(
+        self, fig1, ghost_map, corpus, corpus_q1024, branchy_q1024
+    ):
+        """The map and attractor fragments and the ghost section, whose node
+        and edge lists are fragments, render as ``json.dumps(indent=2)`` of
+        the dicts the oracles build, at the top and nested in a document."""
+        seen = {"inside": 0, "boundary": 0, "edges": 0, "uncapped": 0}
+        for m in [fig1, ghost_map, *corpus, *corpus_q1024, *branchy_q1024]:
+            analysis = full_analysis(m)
+            att = analysis.attractor
+            sections = [
+                (map_section(m), naive_map_section(m)),
+                (attractor_section(att), naive_attractor_section(att)),
+                (ghost_section(analysis.ghost_graph, analysis.a3),
+                 naive_ghost_section(analysis.ghost_graph, analysis.a3)),
+            ]
+            for section, expected in sections:
+                assert render_document(section) == json.dumps(expected, indent=2) + "\n"
+                assert render_document({"s": [section]}) == json.dumps(
+                    {"s": [expected]}, indent=2) + "\n"
+            assert type(sections[0][0]) is Fragment and type(sections[1][0]) is Fragment
+            ghost = sections[2][0]
+            assert type(ghost["nodes"]) is Fragment and type(ghost["edges"]) is Fragment
+            seen["inside"] += bool(att.discontinuities_inside)
+            seen["boundary"] += bool(att.boundary_hits)
+            seen["edges"] += bool(analysis.ghost_graph.edges)
+            seen["uncapped"] += att.stabilization_step is not None
+        assert min(seen.values()) > 0
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_capped_attractor_section_matches_dict_oracle(self, fig1, max_iter):
+        att = full_analysis(fig1, max_iter).attractor
+        assert att.stabilization_step is None and att.infinite_type_suspected
+        expected = naive_attractor_section(att, capped=True)
+        assert render_document(attractor_section(att, capped=True)) == json.dumps(
+            expected, indent=2) + "\n"
+
+    def test_ghost_tree_document_matches_dict_oracle(self, files, capsys):
+        """The whole ``ghost-tree`` document, with ghost edges and a tree
+        whose levels repeat, against the oracle's dict."""
+        from itmlab.ghost import ghost_tree
+
+        m = parse_map(json.loads(GHOST_DOC))
+        analysis = full_analysis(m)
+        assert analysis.ghost_graph.edges and not analysis.a3.holds
+        tree = ghost_tree(analysis.ghost_graph, (1, "-"), 4)
+        expected = {
+            "header": {"tool": "itmlab", "input_digest": hashlib.sha256(
+                GHOST_DOC.encode()).hexdigest()},
+            "ghost": naive_ghost_section(analysis.ghost_graph, analysis.a3),
+            "tree": {
+                "root": [1, "-"],
+                "depth": 4,
+                "levels": [[list(v) for v in level] for level in tree.levels],
+                "repeated": [[lvl, list(v)] for lvl, v in tree.repeated],
+            },
+        }
+        assert main(["ghost-tree", files["ghost"], "--root", "1-", "--depth", "4"]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     @pytest.mark.parametrize("eps,seed,accepted", [
         (F(1, 1000), 0, 20),  # every draw accepted, every signature matches

@@ -26,6 +26,7 @@ from itmlab.return_map import (
     MANY_BRANCHES,
     ROTATION_LIKE,
     ReturnMapData,
+    ChainHit,
     ReturnMapInvariantError,
     SignedChain,
 )
@@ -246,6 +247,22 @@ class TestRecords:
             with pytest.raises(FrozenInstanceError):
                 obj.grid = None
         assert type(att) is AttractorResult and type(data) is ReturnMapData
+
+    def test_chain_records_named_fields_in_order_and_read_only(self, fig1):
+        data = compute_return_map(fig1, JB)
+        chain = data.chain(1, "+")
+        for record, names in [
+            (chain.hits[0], ("disc", "time", "counts")),
+            (chain, ("j", "side", "hits", "entry_time", "kentry", "entry_counts")),
+            (data.landing(1), ("j", "time", "disc")),
+        ]:
+            assert type(record)._fields == names
+            assert tuple(record) == tuple(getattr(record, name) for name in names)
+            for name in (*names, "other"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        assert chain.hits[0] == ChainHit(2, 0, (0, 0, 0))
+        assert chain == SignedChain(1, "+", chain.hits, 2, 21, (1, 0, 1))
 
 
 class TestInvariants:

@@ -293,6 +293,23 @@ class TestProbe:
             if m is near_edge:
                 assert 0 < pr.accepted < 40
 
+    @pytest.mark.parametrize("eps,seed,rejected", [
+        (F(1, 5), 1, 5),  # five draws leave the polytope
+        (F(1, 7), 4, None),
+        (F(3, 1000), 0, None),
+    ])
+    def test_summary_extremes_match_fraction_max_min(self, fig1, ghost_map, eps, seed, rejected):
+        # the probe picks its extremes by integer keys over 2 D; they must
+        # be the plain Fraction max and min of the accepted distances
+        for m in (fig1, ghost_map):
+            pr = perturbation_probe(m, eps, 20, seed)
+            distances = [rec.hausdorff for rec in pr.samples if rec.accepted]
+            assert len(set(distances)) > 2
+            assert pr.max_hausdorff == max(distances) and type(pr.max_hausdorff) is F
+            assert pr.min_hausdorff == min(distances) and type(pr.min_hausdorff) is F
+            if rejected is not None and m is fig1:
+                assert 20 - pr.accepted == rejected
+
     def test_bad_arguments(self, fig1):
         with pytest.raises(ValueError):
             perturbation_probe(fig1, F(1, 100), 0, seed=1)

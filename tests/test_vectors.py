@@ -222,6 +222,80 @@ class TestPatternOracle:
         assert violations >= 100 and cases > violations
 
 
+class TestPatternElimination:
+    """``check_lin_dep_pattern`` reduces the columns of A P, then the columns
+    of A Q on the same pivot rows, and stops at rank ``2r - 1``."""
+
+    def _spy(self, monkeypatch):
+        from itmlab import vectors
+
+        calls = []
+        real = vectors._eliminate
+
+        def spy(pivots, rows, dim):
+            before = len(pivots)
+            real(pivots, rows, dim)
+            calls.append((before, len(rows), len(pivots)))
+
+        monkeypatch.setattr(vectors, "_eliminate", spy)
+        return calls
+
+    def test_early_stop_once_pattern_columns_reach_dim(self, rotation35, monkeypatch):
+        # r = 2, so dim = 3; N = 2 with both boundary landings. A P has the
+        # columns L_0, L_2, c_0 = R+_0 - R-_1 - L_1 and c_1 = L_1 + R+_1 - R-_2,
+        # of rank 3, so the columns of A Q (L_1, R-_1, R-_2) are never reduced
+        data = compute_return_map(rotation35, (0, 5))
+        assert data.n_intervals == 2
+        vecs = (
+            CoefficientVector((1, 0), (0,), ("L", 0)),
+            CoefficientVector((0, 0), (1,), ("R", "+", 0)),
+            CoefficientVector((2, 1), (-1,), ("L", 1)),
+            CoefficientVector((1, 1), (0,), ("R", "+", 1)),
+            CoefficientVector((0, 3), (1,), ("R", "-", 1)),
+            CoefficientVector((0, 1), (0,), ("L", 2)),
+            CoefficientVector((1, 2), (1,), ("R", "-", 2)),
+        )
+        calls = self._spy(monkeypatch)
+        res = check_lin_dep_pattern(rotation35, data, vecs)
+        assert calls == [(0, 4, 3), (3, 3, 3)]
+        # every column of A Q adds to the nullity of A, none to that of A P
+        assert (res.holds, res.nullity) == (False, 4) == naive_pattern(vecs, 2, 3)
+        assert res.witness["pattern_nullity"] == 1
+
+    def test_one_pass_over_every_vector(self, fig1, monkeypatch):
+        # fig1's component B: the columns of A P (c_0, c_1), then the four
+        # vectors that are no R+_j (L_1, R-_1, R-_2); rank 4 < dim 5
+        data = compute_return_map(fig1, JB)
+        vecs = build_vectors(fig1, data)
+        calls = self._spy(monkeypatch)
+        res = check_lin_dep_pattern(fig1, data, vecs)
+        assert [v.tag for v in vecs] == [
+            ("R", "+", 0), ("L", 1), ("R", "+", 1), ("R", "-", 1), ("R", "-", 2)]
+        assert calls[0][:2] == (0, 2) and calls[1][1] == 3
+        assert calls[1][2] == rank([v.entries() for v in vecs], 5)
+        assert (res.holds, res.nullity) == naive_pattern(vecs, 2, 5)
+
+
+class TestRecords:
+    def test_named_fields_in_order_and_read_only(self, fig1):
+        data = compute_return_map(fig1, JB)
+        vecs = build_vectors(fig1, data)
+        checks = verify_identities(fig1, data, vecs)
+        pattern = check_lin_dep_pattern(fig1, data, vecs)
+        for record, names in [
+            (vecs[1], ("e", "f", "tag")),
+            (checks[1], ("tag", "kind", "kvalue", "denom", "ok")),
+            (pattern, ("holds", "nullity", "witness")),
+        ]:
+            assert type(record)._fields == names
+            assert tuple(record) == tuple(getattr(record, name) for name in names)
+            for name in (*names, "other"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        assert vecs[1].entries() == vecs[1].e + vecs[1].f == (0, 0, 0, 0, -1)
+        assert checks[1].value == F(checks[1].kvalue, checks[1].denom) == -F(2, 3)
+
+
 class TestCorpusProperties:
     def test_identities_and_pattern(self, corpus):
         seen_connection_vectors = 0
