@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import kernel
-from .intervals import IntervalSet, Pair, interval
+from .intervals import Frozen, IntervalSet, Pair, interval
 from .itm import ItmMap
 from .kernel import IntPair
 
@@ -39,8 +38,7 @@ class AttractorInvariantError(AssertionError):
     than an ``assert``, so the checks also run under ``python -O``."""
 
 
-@dataclass(frozen=True, init=False)
-class AttractorResult:
+class AttractorResult(Frozen):
     """Attractor of a map together with the discontinuity classification.
 
     ``kcomponents`` are the components of X as the kernel computed them:
@@ -54,11 +52,10 @@ class AttractorResult:
     Discontinuities are partitioned into three lists: strictly inside a
     component (with its index), on the boundary of the closure of X, or at
     positive distance from the closure.
-
-    ``__init__`` fills the instance dict in one update, as
-    :class:`~itmlab.return_map.ReturnMapData` does.
     """
 
+    _fields = ("kcomponents", "denom", "stabilization_step", "discontinuities_inside",
+               "discontinuities_outside", "boundary_hits")
     kcomponents: tuple[IntPair, ...]
     denom: int
     stabilization_step: int | None

@@ -16,7 +16,6 @@ import sys
 from .attractor import compute_attractor
 from .intervals import MINUS, PLUS, parse_rational
 from .itm import BadOrderError, BadTranslationError, ItmMap, MapFormatError, parse_map
-from .render import render_map, render_orbit
 from .return_map import compute_return_map
 from .report import (
     build_report,
@@ -175,6 +174,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import render_map, render_orbit  # here, so no other command loads it
+
     m, _ = _load(args.file)
     if args.kind == "map":
         svg = render_map(m)

@@ -17,7 +17,7 @@ tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .attractor import AttractorResult, compute_attractor
 from .intervals import MINUS, PLUS
@@ -27,8 +27,7 @@ from .kernel import branch_rule
 SignedDisc = tuple[int, str]  # (discontinuity index 1..r-1, side)
 
 
-@dataclass(frozen=True)
-class GhostEdge:
+class GhostEdge(NamedTuple):
     """child -> parent: the child is a ghost preimage of the parent,
     landing after ``time`` steps on the parent's opposite-side companion."""
 
@@ -37,8 +36,7 @@ class GhostEdge:
     time: int
 
 
-@dataclass(frozen=True)
-class GhostGraph:
+class GhostGraph(NamedTuple):
     nodes: tuple[SignedDisc, ...]
     edges: tuple[GhostEdge, ...]
     in_x: dict[SignedDisc, bool]
@@ -50,8 +48,7 @@ class GhostGraph:
         return tuple(e for e in self.edges if e.child == node)
 
 
-@dataclass(frozen=True)
-class A3Witness:
+class A3Witness(NamedTuple):
     """A directed cycle through a signed part of the violating discontinuity.
 
     ``cycle[k]`` is a ghost preimage of ``cycle[k+1]`` (indices mod length),
@@ -70,14 +67,12 @@ class A3Witness:
         }
 
 
-@dataclass(frozen=True)
-class A3Result:
+class A3Result(NamedTuple):
     holds: bool
     witness: A3Witness | None
 
 
-@dataclass(frozen=True)
-class GhostTree:
+class GhostTree(NamedTuple):
     root: SignedDisc
     levels: tuple[tuple[SignedDisc, ...], ...]
     repeated: tuple[tuple[int, SignedDisc], ...]  # (level, vertex) seen before
@@ -195,10 +190,12 @@ def ghost_tree(graph: GhostGraph, root: SignedDisc, depth: int) -> GhostTree:
     Level n + 1 holds the ghost preimages of the level-n vertices, so the
     side types alternate by level; vertices already seen at an earlier level
     are marked as repeats (and still expanded one level later, like any
-    other vertex, but a repeat is what makes the tree infinite).
+    other vertex, but a repeat is what makes the tree infinite). Level n + 1
+    depends only on level n, so a depth past ``2**len(graph.nodes)`` is refused.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    bound = 2 ** len(graph.nodes)
+    if not 0 <= depth <= bound:
+        raise ValueError(f"depth must be in 0..2**{len(graph.nodes)} = {bound}, got {depth}")
     levels: list[tuple[SignedDisc, ...]] = [(root,)]
     repeated: list[tuple[int, SignedDisc]] = []
     seen: set[SignedDisc] = {root}

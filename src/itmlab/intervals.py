@@ -12,7 +12,6 @@ All operations are pure and exact; there is no floating point anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -40,8 +39,38 @@ def parse_rational(text: str | int) -> Fraction:
     return Fraction(int(text))
 
 
-@dataclass(frozen=True)
-class SignedPoint:
+class Frozen:
+    """Base of the records with cached views or checked input; plain records
+    are NamedTuples. ``__init__`` stores the value fields ``_fields`` first (a
+    record may store more after them), equality, hash and repr use only them,
+    and nothing can be set or deleted. Creating a subclass generates no code."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = vars(self)
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+
+class SignedPoint(Frozen):
     """A one-sided point: ``value`` approached from the left (-) or right (+).
 
     ``x-`` stands for the limit from below, ``x+`` for the limit from above;
@@ -49,18 +78,20 @@ class SignedPoint:
     ``x- < x+`` for equal values.
     """
 
+    _fields = ("value", "side")
     value: Fraction
     side: str
 
-    def __post_init__(self) -> None:
-        if self.side not in (MINUS, PLUS):
-            raise ValueError(f"side must be '-' or '+', got {self.side!r}")
-        if not (0 <= self.value <= 1):
-            raise ValueError(f"value {self.value} outside [0, 1]")
-        if self.side == MINUS and self.value == 0:
+    def __init__(self, value: Fraction, side: str) -> None:
+        if side not in (MINUS, PLUS):
+            raise ValueError(f"side must be '-' or '+', got {side!r}")
+        if not (0 <= value <= 1):
+            raise ValueError(f"value {value} outside [0, 1]")
+        if side == MINUS and value == 0:
             raise ValueError("0- is not a valid signed point")
-        if self.side == PLUS and self.value == 1:
+        if side == PLUS and value == 1:
             raise ValueError("1+ is not a valid signed point")
+        vars(self).update(value=value, side=side)
 
     def _key(self) -> tuple[Fraction, int]:
         return (self.value, 0 if self.side == MINUS else 1)
@@ -86,8 +117,7 @@ def plus(value: Fraction | int) -> SignedPoint:
 Pair = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(Frozen):
     """Canonical finite union of disjoint half-open intervals ``[l, r)``.
 
     Canonical means: every pair has ``l < r``, pairs are sorted, and
@@ -95,16 +125,18 @@ class IntervalSet:
     connected component). Construct through :func:`canonicalize`.
     """
 
+    _fields = ("intervals",)
     intervals: tuple[Pair, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, intervals: tuple[Pair, ...]) -> None:
         prev_right: Fraction | None = None
-        for left, right in self.intervals:
+        for left, right in intervals:
             if not (0 <= left < right <= 1):
                 raise ValueError(f"bad interval [{left}, {right})")
             if prev_right is not None and left <= prev_right:
                 raise ValueError("intervals not separated/sorted")
             prev_right = right
+        vars(self)["intervals"] = intervals
 
     # -- queries ---------------------------------------------------------
 
@@ -135,13 +167,7 @@ class IntervalSet:
         """Exact distance from ``x`` to the closure (in ``[0, 1]``)."""
         if self.is_empty():
             raise EmptySetError("distance to empty set")
-        best: Fraction | None = None
-        for l, r in self.intervals:
-            d = l - x if x < l else (x - r if x > r else Fraction(0))
-            if best is None or d < best:
-                best = d
-        assert best is not None
-        return best
+        return min(l - x if x < l else (x - r if x > r else Fraction(0)) for l, r in self.intervals)
 
     def issubset(self, other: "IntervalSet") -> bool:
         return self.difference(other).is_empty()

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .intervals import SignedPoint, parse_rational
+from .intervals import Frozen, SignedPoint, parse_rational
 from .kernel import Grid, branch_rule, on_grid
 
 
@@ -38,15 +37,23 @@ class MapFormatError(ValueError):
     """A map specification file does not follow the wire format."""
 
 
-@dataclass(frozen=True)
-class ItmMap:
+class TranslationFactorError(AssertionError):
+    """T^n(p) - p is not the branch counts times the translations: a bug. A
+    typed error rather than an ``assert``, so it also runs under ``python -O``."""
+
+
+class ItmMap(Frozen):
     """Validated interval translation map, held as its integer grid: the
     cuts and translations as numerators over Q in lowest terms, so equal
     maps have equal grids. Build maps with :func:`validate` or
     :func:`from_numerators`, which check the polytope; the Fraction views
     ``beta``, ``gamma`` and ``cuts()`` are built on first read."""
 
+    _fields = ("grid",)
     grid: Grid
+
+    def __init__(self, grid: Grid) -> None:
+        vars(self)["grid"] = grid
 
     @property
     def r(self) -> int:
@@ -108,12 +115,12 @@ class ItmMap:
             raise ValueError("n must be >= 1")
         res = self.iterate(p, n)
         total = sum((k * g for k, g in zip(res.counts, self.gamma)), Fraction(0))
-        assert res.point.value - p.value == total
+        if res.point.value - p.value != total:
+            raise TranslationFactorError(f"T^{n}({p}) - {p} != {total}")
         return total
 
 
-@dataclass(frozen=True)
-class IterationResult:
+class IterationResult(NamedTuple):
     point: SignedPoint
     itinerary: tuple[int, ...]
     counts: tuple[int, ...]

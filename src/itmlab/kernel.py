@@ -52,8 +52,8 @@ def branch_rule(side: str):
 
 class Grid(NamedTuple):
     """A map's cuts ``0 = c_0 < ... < c_r = denom`` and translations as
-    integer numerators over ``denom``. A NamedTuple rather than a dataclass
-    because class creation at import is ten times cheaper."""
+    integer numerators over ``denom``. A NamedTuple, like every plain
+    record of the package (see :class:`~itmlab.intervals.Frozen`)."""
 
     denom: int
     cuts: tuple[int, ...]

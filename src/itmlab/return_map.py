@@ -31,13 +31,12 @@ cycle, is walked.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from .attractor import AttractorResult, NotFiniteTypeError, compute_attractor
-from .intervals import MINUS, PLUS, Pair
+from .intervals import MINUS, PLUS, Frozen, Pair
 from .itm import ItmMap
 from .kernel import Grid, IntPair, branch_rule, split
 
@@ -70,7 +69,7 @@ class ChainHit(NamedTuple):
     """The chain sits on beta_disc at ``time``; ``counts`` is how many of the
     steps before it took each branch. Like every per-component record
     (``SignedChain``, ``LandingRecord`` and the vector records), a
-    NamedTuple, built at about half the cost of a frozen dataclass."""
+    NamedTuple, cheaper to build than a :class:`~itmlab.intervals.Frozen` record."""
 
     disc: int
     time: int
@@ -97,31 +96,27 @@ class LandingRecord(NamedTuple):
     disc: int
 
 
-@dataclass(frozen=True, init=False)
-class ReturnMapData:
+class ReturnMapData(Frozen):
     """First-return structure of one component J.
 
     The cut points and images are held as integer numerators over the
     map's grid; their Fraction views (J too) and the signed chains are
-    built on first access.
-
-    Every component of every map builds one, so ``__init__`` fills the
-    instance dict in one update instead of the frozen dataclass's one
-    ``object.__setattr__`` per field, which took a tenth of
-    ``compute_return_map`` on a fig1 component.
+    built on first access. Equality, hash and repr leave out ``grid``,
+    ``cap`` and ``_source``, so a transported map equals the walked one.
     """
 
+    _fields = ("kcuts", "return_times", "landings", "sigma", "tau", "kimages")
     kcuts: tuple[int, ...]
     return_times: tuple[int, ...]
     landings: tuple[LandingRecord, ...]
     sigma: tuple[int, ...]
     tau: tuple[int, ...]
     kimages: tuple[IntPair, ...]
-    grid: Grid = field(repr=False, compare=False)
-    cap: int = field(repr=False, compare=False)  # safety cap of the chain walks
+    grid: Grid
+    cap: int  # safety cap of the chain walks
     # (return map of the component whose image this one is, 0-based branch of
     # that component) when the chains are shifted from it rather than walked
-    _source: tuple[ReturnMapData, int] | None = field(default=None, repr=False, compare=False)
+    _source: tuple[ReturnMapData, int] | None
 
     def __init__(self, kcuts, return_times, landings, sigma, tau, kimages, grid, cap, _source=None):
         vars(self).update(

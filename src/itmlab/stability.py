@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 from .attractor import AttractorResult, compute_attractor
 from .ghost import A3Result, GhostGraph, build_ghost_graph, check_A3
-from .intervals import MINUS, PLUS
+from .intervals import MINUS, PLUS, Frozen
 from .itm import BadOrderError, BadTranslationError, ItmMap, from_numerators, validate
 from .kernel import branch_rule, hausdorff_closure_distance
 from .return_map import (
@@ -49,14 +48,12 @@ class NotRealizableDirectlyError(RuntimeError):
     (legs share branches or hit other discontinuities mid-leg)."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     holds: bool
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     finite_type: bool
     stabilization_step: int | None
     a1: Verdict
@@ -66,13 +63,16 @@ class StabilityReport:
     stable: bool
 
 
-@dataclass(frozen=True)
-class FullAnalysis:
+class FullAnalysis(Frozen):
     """The attractor, computed up front; the return maps, the ghost graph,
     its A3 result and the stability verdict are built on first access."""
 
+    _fields = ("map", "attractor")
     map: ItmMap
     attractor: AttractorResult
+
+    def __init__(self, map: ItmMap, attractor: AttractorResult) -> None:
+        vars(self).update(map=map, attractor=attractor)
 
     @cached_property
     def return_maps(self) -> tuple[ReturnMapData, ...]:
@@ -157,8 +157,7 @@ class FullAnalysis:
         )
 
 
-@dataclass(frozen=True)
-class PerturbationSpec:
+class PerturbationSpec(NamedTuple):
     """Delta vector over (gamma_1..gamma_r, beta_1..beta_{r-1})."""
 
     epsilon: Fraction
@@ -167,8 +166,7 @@ class PerturbationSpec:
     index: int | None = None
 
 
-@dataclass(frozen=True)
-class DirectedPerturbation:
+class DirectedPerturbation(NamedTuple):
     spec: PerturbationSpec
     predicted_interval: tuple[Fraction, Fraction]
     period: int
@@ -176,7 +174,7 @@ class DirectedPerturbation:
 
 class SampleRecord(NamedTuple):
     """One probe draw; the fields past ``accepted`` are None for a rejected
-    draw. A NamedTuple, built at about half the cost of a frozen dataclass."""
+    draw. A NamedTuple, cheaper to build than a :class:`~itmlab.intervals.Frozen` record."""
 
     index: int
     accepted: bool
@@ -187,11 +185,12 @@ class SampleRecord(NamedTuple):
     signature_match: bool | None = None
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Frozen):
     """Sample records and their summary; ``base`` is the analysis of the
-    unperturbed map, which ``itmlab probe`` reports."""
+    unperturbed map, which ``itmlab probe`` reports (not a value field)."""
 
+    _fields = ("epsilon", "seed", "samples", "accepted", "max_hausdorff", "min_hausdorff",
+               "all_signatures_match", "component_counts")
     epsilon: Fraction
     seed: int
     samples: tuple[SampleRecord, ...]
@@ -200,7 +199,15 @@ class ProbeResult:
     min_hausdorff: Fraction
     all_signatures_match: bool
     component_counts: tuple[int, ...]
-    base: FullAnalysis = field(repr=False, compare=False)
+    base: FullAnalysis
+
+    def __init__(self, epsilon, seed, samples, accepted, max_hausdorff, min_hausdorff,
+                 all_signatures_match, component_counts, base):
+        vars(self).update(
+            epsilon=epsilon, seed=seed, samples=samples, accepted=accepted,
+            max_hausdorff=max_hausdorff, min_hausdorff=min_hausdorff,
+            all_signatures_match=all_signatures_match, component_counts=component_counts, base=base,
+        )
 
 
 def _signature(analysis_return_maps: tuple[ReturnMapData, ...]) -> tuple:

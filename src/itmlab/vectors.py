@@ -54,8 +54,8 @@ class IdentityViolatedError(AssertionError):
 
 class CoefficientVector(NamedTuple):
     """One vector of ``Z^r (+) Z^{r-1}`` and its tag. Like the other
-    records here, a NamedTuple: every component builds a few dozen, at
-    about half the cost of a frozen dataclass."""
+    records here, a NamedTuple: every component builds a few dozen, each
+    cheaper to build than a :class:`~itmlab.intervals.Frozen` record."""
 
     e: tuple[int, ...]
     f: tuple[int, ...]

@@ -155,3 +155,14 @@ class TestGhostTree:
     def test_negative_depth(self, fig1):
         with pytest.raises(ValueError):
             ghost_tree(build_ghost_graph(fig1), (1, "-"), -1)
+
+    def test_depth_bound(self, fig1, ghost_map):
+        # fewer than 2**len(nodes) = 2**(2(r-1)) levels are distinct, so depth
+        # is refused past that bound (fig1's 1- has no ghost preimage; the
+        # ghost map's 1- lies on a cycle)
+        for m, bound, levels in ((fig1, 16, 1), (ghost_map, 64, 65)):
+            graph = build_ghost_graph(m)
+            assert 2 ** len(graph.nodes) == bound == 2 ** (2 * (m.r - 1))
+            assert len(ghost_tree(graph, (1, "-"), bound).levels) == levels
+            with pytest.raises(ValueError, match=f"depth must be in 0..2\\*\\*{len(graph.nodes)} = {bound}"):
+                ghost_tree(graph, (1, "-"), bound + 1)

@@ -15,7 +15,7 @@ from itmlab import (
     parse_rational,
     plus,
 )
-from itmlab.intervals import SignedPoint
+from itmlab.intervals import IntervalSet, SignedPoint
 from conftest import brute_hausdorff, set_hausdorff
 
 
@@ -50,6 +50,9 @@ class TestSignedPoint:
         assert plus(0).side == "+"
         assert minus(1).side == "-"
         assert minus(F(1, 3)) < plus(F(1, 3))
+        x = F(1, 3)
+        assert minus(x) <= plus(x) and not plus(x) < minus(x) and minus(x) != plus(x)
+        assert sorted([plus(x), minus(x), plus(0), minus(1)]) == [plus(0), minus(x), plus(x), minus(1)]
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -63,6 +66,11 @@ class TestSignedPoint:
 
 
 class TestCanonicalize:
+    def test_direct_construction_validates(self):
+        for bad in [((F(1, 2), F(1, 4)),), ((F(0), F(1, 2)), (F(1, 2), F(1))), ((F(-1), F(0)),)]:
+            with pytest.raises(ValueError):
+                IntervalSet(bad)
+
     def test_abutting_merge(self):
         assert iset((F(0), F(1, 2)), (F(1, 2), F(1))) == interval(0, 1)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +17,7 @@ from itmlab import (
     plus,
     validate,
 )
-from itmlab.itm import ItmMap, from_numerators
+from itmlab.itm import ItmMap, TranslationFactorError, from_numerators
 from itmlab.kernel import on_grid
 from conftest import naive_orbit, random_map
 
@@ -54,13 +53,15 @@ class TestValidate:
         # parameters given over a multiple of the map's grid reduce to the
         # map validate builds from the same Fractions: equal, with the same
         # hash, and holding nothing but the grid until a view is read
-        assert [f.name for f in fields(ItmMap)] == ["grid"]
+        assert ItmMap._fields == ("grid",)
         for m in [fig1] + corpus[:10]:
             q = 6 * m.Q
             built = from_numerators(
                 m.r, [on_grid(b, q) for b in m.beta], [on_grid(g, q) for g in m.gamma], q
             )
             assert vars(built) == {"grid": m.grid}
+            with pytest.raises(AttributeError):
+                built.grid = None
             again = validate(m.r, list(m.beta), list(m.gamma))
             assert built == again and hash(built) == hash(again)
             assert (built.r, built.Q, built.beta, built.gamma) == (m.r, m.Q, m.beta, m.gamma)
@@ -153,6 +154,19 @@ class TestTranslationFactor:
     def test_single_step(self, fig1):
         assert fig1.translation_factor(plus(F(1, 5)), 1) == F(1, 3)
         assert fig1.translation_factor(plus(F(1, 2)), 1) == F(1, 7)
+
+    def test_broken_identity_raises_a_typed_error(self, fig1, monkeypatch):
+        # a typed AssertionError, not an assert, so it also fires under -O
+        real = ItmMap.iterate
+
+        def shifted(self, p, n):
+            res = real(self, p, n)
+            return res._replace(point=plus(res.point.value + F(1, 1000)))
+
+        monkeypatch.setattr(ItmMap, "iterate", shifted)
+        with pytest.raises(TranslationFactorError, match="T\\^3"):
+            fig1.translation_factor(plus(F(1, 5)), 3)
+        assert issubclass(TranslationFactorError, AssertionError)
 
     def test_needs_positive_n(self, fig1):
         with pytest.raises(ValueError):

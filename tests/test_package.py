@@ -1,0 +1,185 @@
+"""Package-wide properties: the record classes, what importing the command
+line loads, and no ``assert`` in the engine."""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import itmlab
+from itmlab import (
+    a3_breaking_perturbation,
+    build_ghost_graph,
+    check_A3,
+    full_analysis,
+    ghost_tree,
+    minus,
+    perturbation_probe,
+    plus,
+    validate,
+)
+from itmlab.intervals import Frozen
+from itmlab.return_map import ReturnMapData
+
+PACKAGE = Path(itmlab.__file__).resolve().parent
+
+# the plain records and their fields, in order
+NAMED = {
+    "Verdict": ("holds", "witness"),
+    "StabilityReport": ("finite_type", "stabilization_step", "a1", "a2", "a3", "matching", "stable"),
+    "PerturbationSpec": ("epsilon", "deltas", "seed", "index"),
+    "DirectedPerturbation": ("spec", "predicted_interval", "period"),
+    "GhostEdge": ("child", "parent", "time"),
+    "GhostGraph": ("nodes", "edges", "in_x"),
+    "A3Witness": ("disc", "cycle", "times"),
+    "A3Result": ("holds", "witness"),
+    "GhostTree": ("root", "levels", "repeated"),
+    "IterationResult": ("point", "itinerary", "counts"),
+}
+
+# the Frozen records: (value fields, attributes stored after them)
+FROZEN = {
+    "ItmMap": (("grid",), ()),
+    "AttractorResult": ((
+        "kcomponents", "denom", "stabilization_step",
+        "discontinuities_inside", "discontinuities_outside", "boundary_hits",
+    ), ()),
+    "ReturnMapData": (
+        ("kcuts", "return_times", "landings", "sigma", "tau", "kimages"),
+        ("grid", "cap", "_source"),
+    ),
+    "FullAnalysis": (("map", "attractor"), ()),
+    "SignedPoint": (("value", "side"), ()),
+    "IntervalSet": (("intervals",), ()),
+    "ProbeResult": ((
+        "epsilon", "seed", "samples", "accepted", "max_hausdorff", "min_hausdorff",
+        "all_signatures_match", "component_counts",
+    ), ("base",)),
+}
+
+
+@pytest.fixture(scope="module")
+def records(ghost_map):
+    """One instance of every record class, by class name."""
+    fig1 = validate(3, [F(1, 3), F(2, 3)], [F(1, 3), F(1, 7), F(-1, 2)])
+    analysis = full_analysis(fig1)
+    graph = analysis.ghost_graph
+    witness = check_A3(build_ghost_graph(ghost_map)).witness
+    directed = a3_breaking_perturbation(ghost_map, witness, F(1, 4096))
+    return {
+        "Verdict": analysis.report.a1,
+        "StabilityReport": analysis.report,
+        "PerturbationSpec": directed.spec,
+        "DirectedPerturbation": directed,
+        "GhostEdge": graph.edges[0],
+        "GhostGraph": graph,
+        "A3Witness": witness,
+        "A3Result": analysis.a3,
+        "GhostTree": ghost_tree(graph, (2, "+"), 2),
+        "IterationResult": fig1.iterate(plus(F(1, 5)), 3),
+        "ItmMap": fig1,
+        "AttractorResult": analysis.attractor,
+        "ReturnMapData": analysis.return_maps[0],
+        "FullAnalysis": analysis,
+        "SignedPoint": minus(F(1, 3)),
+        "IntervalSet": analysis.attractor.X,
+        "ProbeResult": perturbation_probe(fig1, F(1, 1000), 5, seed=1),
+    }
+
+
+def test_every_record_is_covered(records):
+    assert set(records) == set(NAMED) | set(FROZEN)
+    assert all(type(rec).__name__ == name for name, rec in records.items())
+    frozen = {cls.__name__ for cls in Frozen.__subclasses__()}
+    assert frozen == set(FROZEN)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_plain_records_are_named_tuples(records, name):
+    rec, names = records[name], NAMED[name]
+    assert isinstance(rec, tuple) and type(rec)._fields == names
+    assert tuple(rec) == tuple(getattr(rec, field) for field in names)
+    for field in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_records(records, name):
+    rec, (values, extra) = records[name], FROZEN[name]
+    cls = type(rec)
+    assert isinstance(rec, Frozen) and cls._fields == values
+    # __init__ stores the value fields, then the extras; views read since
+    # then follow them in the instance dict
+    stored = [*values, *extra]
+    assert list(vars(rec))[:len(stored)] == stored
+    for field in (*stored, "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+    twin = cls(*[getattr(rec, field) for field in stored])
+    assert twin == rec and hash(twin) == hash(rec) and twin is not rec
+    assert repr(rec) == f"{name}(" + ", ".join(f"{f}={getattr(rec, f)!r}" for f in values) + ")"
+    assert rec != tuple(getattr(rec, field) for field in values)
+
+
+def test_return_map_equality_ignores_grid_cap_and_source(records):
+    data = records["ReturnMapData"]
+    other = ReturnMapData(
+        data.kcuts, data.return_times, data.landings, data.sigma, data.tau, data.kimages,
+        data.grid._replace(denom=2 * data.grid.denom), data.cap + 1, (data, 0),
+    )
+    assert other == data and hash(other) == hash(data) and repr(other) == repr(data)
+    changed = ReturnMapData(
+        data.kcuts, data.return_times, data.landings, data.sigma, data.tau + (0,), data.kimages,
+        data.grid, data.cap,
+    )
+    assert changed != data
+
+
+def test_probe_equality_leaves_out_the_base(records):
+    probe = records["ProbeResult"]
+    values = [getattr(probe, field) for field in type(probe)._fields]
+    other = type(probe)(*values, base=None)
+    assert other == probe and hash(other) == hash(probe)
+    assert "base" not in repr(probe) and repr(other) == repr(probe)
+    assert type(probe)(*values[:-1], (), base=probe.base) != probe
+
+
+def test_equal_maps_have_equal_hashes_and_keep_their_views(fig1):
+    m = validate(3, [F(2, 6), F(4, 6)], [F(2, 6), F(3, 21), F(-3, 6)])
+    assert vars(m) == {"grid": fig1.grid}
+    assert m == fig1 and hash(m) == hash(fig1) and {m: 1}[fig1] == 1
+    assert m.beta == (F(1, 3), F(2, 3)) and "beta" in vars(m)
+    assert m == fig1 and hash(m) == hash(fig1)
+
+
+def test_cli_import_loads_no_dataclasses_and_no_renderer():
+    # -S keeps the site hooks out, so every module listed was loaded by the
+    # import of itmlab.cli or by the interpreter itself
+    code = "import sys, itmlab.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert "itmlab.cli" in loaded and "itmlab.report" in loaded
+    assert "dataclasses" not in loaded and "itmlab.render" not in loaded
+
+
+def test_engine_has_no_assert():
+    # engine checks raise typed errors, which still run under python -O
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -164,8 +163,12 @@ class TestVerdict:
         assert not rep.finite_type and not rep.stable
 
     def test_analysis_holds_the_attractor_only(self, fig1):
-        assert [f.name for f in fields(FullAnalysis)] == ["map", "attractor"]
-        assert full_analysis(fig1, max_iter=2).return_maps == ()
+        assert FullAnalysis._fields == ("map", "attractor")
+        analysis = full_analysis(fig1, max_iter=2)
+        assert list(vars(analysis)) == ["map", "attractor"]
+        with pytest.raises(AttributeError):
+            analysis.attractor = None
+        assert analysis.return_maps == ()
 
 
 class TestApplySpec:
@@ -206,10 +209,10 @@ class TestProbe:
         # no Fraction view of any attractor is built
         from itmlab.intervals import IntervalSet
 
-        def forbidden(self):
+        def forbidden(self, intervals):
             raise AssertionError("an IntervalSet was built")
 
-        monkeypatch.setattr(IntervalSet, "__post_init__", forbidden)
+        monkeypatch.setattr(IntervalSet, "__init__", forbidden)
         for m in (fig1, ghost_map):
             pr = perturbation_probe(m, F(1, 1000), 20, seed=3)
             assert pr.accepted > 0 and pr.max_hausdorff >= 0
