@@ -22,6 +22,7 @@ from .report import (
     directed_section,
     ghost_section,
     input_digest,
+    json_fragment,
     render_document,
     return_map_section,
 )
@@ -45,6 +46,11 @@ class MapFileError(ValueError):
 
 class OutputPathError(ValueError):
     """The --out path cannot be written."""
+
+
+class UsageError(ValueError):
+    """An option value or a combination of options the command cannot
+    honour."""
 
 
 def _load(path: str) -> tuple[ItmMap, str]:
@@ -108,14 +114,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _component_in_range(k: int, count: int) -> bool:
-    """Whether --component K names one of the attractor's ``count``
-    components; prints the usage error when it does not."""
-    if 1 <= k <= count:
-        return True
-    print(f"error: --component must be in 1..{count} (the attractor has {count} components)",
-          file=sys.stderr)
-    return False
+def _check_component(k: int, count: int) -> None:
+    """--component K must name one of the attractor's ``count`` components."""
+    if not 1 <= k <= count:
+        raise UsageError(
+            f"--component must be in 1..{count} (the attractor has {count} components)"
+        )
 
 
 def _summary(analysis, json_only: bool) -> None:
@@ -144,15 +148,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.directed and (args.samples is not None or args.seed is not None):
+        raise UsageError("--samples and --seed apply to random probes, not to --directed")
     m, digest = _load(args.file)
-    if args.samples < 1:
-        raise MapFormatError("--samples must be >= 1")
+    samples = 100 if args.samples is None else args.samples
+    if samples < 1:
+        raise UsageError("--samples must be >= 1")
     try:
         eps = parse_rational(args.eps)
     except ValueError as exc:
-        raise MapFormatError(f"--eps: {exc}") from exc
+        raise UsageError(f"--eps: {exc}") from exc
     if eps <= 0:
-        raise MapFormatError("--eps must be a positive rational")
+        raise UsageError("--eps must be a positive rational")
     directed = None
     probe = None
     if args.directed:
@@ -165,7 +172,7 @@ def cmd_probe(args) -> int:
         perturbed = full_analysis(apply_spec(m, dp.spec))
         directed = directed_section(dp, perturbed)
     else:
-        probe = perturbation_probe(m, eps, args.samples, args.seed)
+        probe = perturbation_probe(m, eps, samples, 0 if args.seed is None else args.seed)
         analysis = probe.base
     doc = build_report(analysis, digest, probe=probe, directed=directed)
     _emit(render_document(doc), args.out)
@@ -176,56 +183,59 @@ def cmd_probe(args) -> int:
 def cmd_render(args) -> int:
     from .render import render_map, render_orbit  # here, so no other command loads it
 
+    if args.kind == "map" and (args.component is not None or args.max_iter is not None):
+        raise UsageError("--component and --max-iter apply to --kind orbit only")
     m, _ = _load(args.file)
     if args.kind == "map":
         svg = render_map(m)
     else:
         att = compute_attractor(m, args.max_iter)
         if not att.finite_type:
-            print("error: orbit rendering needs a finite-type attractor "
-                  "(cap reached, infinite type suspected)", file=sys.stderr)
-            return EXIT_INPUT
-        if not _component_in_range(args.component, len(att.kcomponents)):
-            return EXIT_INPUT
-        svg = render_orbit(m, args.component,
-                           compute_return_map(m, att.kcomponents[args.component - 1], att))
+            raise UsageError("orbit rendering needs a finite-type attractor "
+                             "(cap reached, infinite type suspected)")
+        k = 1 if args.component is None else args.component
+        _check_component(k, len(att.kcomponents))
+        svg = render_orbit(m, k, compute_return_map(m, att.kcomponents[k - 1], att))
     _emit(svg, args.out)
     return 0
 
 
 def _parse_root(text: str) -> tuple[int, str]:
     if len(text) < 2 or text[-1] not in (PLUS, MINUS) or not _digits(text[:-1]):
-        raise MapFormatError(f"bad signed discontinuity {text!r}, expected like '1+'")
+        raise UsageError(f"bad signed discontinuity {text!r}, expected like '1+'")
     return int(text[:-1]), text[-1]
 
 
 def cmd_ghost_tree(args) -> int:
+    if args.root is None and args.depth is not None:
+        raise UsageError("--depth needs --root (it is the depth of the tree below the root)")
     m, digest = _load(args.file)
-    if args.root:
+    depth = 4 if args.depth is None else args.depth
+    if args.root is not None:
         index, side = _parse_root(args.root)
         if not (1 <= index < m.r):
-            raise MapFormatError(f"discontinuity index {index} out of range")
+            raise UsageError(f"--root: discontinuity index {index} out of range 1..{m.r - 1}")
         # level n + 1 depends only on level n, a set of the 2(r-1) signed
         # discontinuities, so fewer than 2**(2(r-1)) levels are distinct
         max_depth = 2 ** (2 * (m.r - 1))
-        if args.depth > max_depth:
-            raise MapFormatError(
+        if depth > max_depth:
+            raise UsageError(
                 f"--depth must be <= 2**(2*(r-1)) = {max_depth} for r = {m.r}, "
-                f"got {args.depth}: deeper levels only repeat"
+                f"got {depth}: deeper levels only repeat"
             )
     analysis = full_analysis(m)
     doc = {
-        "header": {"tool": "itmlab", "input_digest": digest},
+        "header": json_fragment({"tool": "itmlab", "input_digest": digest}),
         "ghost": ghost_section(analysis.ghost_graph, analysis.a3),
     }
-    if args.root:
-        tree = build_tree(analysis.ghost_graph, (index, side), args.depth)
-        doc["tree"] = {
+    if args.root is not None:
+        tree = build_tree(analysis.ghost_graph, (index, side), depth)
+        doc["tree"] = json_fragment({
             "root": [index, side],
-            "depth": args.depth,
-            "levels": [[list(v) for v in level] for level in tree.levels],
-            "repeated": [[lvl, list(v)] for lvl, v in tree.repeated],
-        }
+            "depth": depth,
+            "levels": tree.levels,
+            "repeated": tree.repeated,
+        })
     _emit(render_document(doc), args.out)
     return 0
 
@@ -239,11 +249,10 @@ def cmd_return_map(args) -> int:
         ]
     else:
         k, att = args.component, analysis.attractor
-        if not _component_in_range(k, len(att.kcomponents)):
-            return EXIT_INPUT
+        _check_component(k, len(att.kcomponents))
         sections = [return_map_section(m, compute_return_map(m, att.kcomponents[k - 1], att), k)]
     doc = {
-        "header": {"tool": "itmlab", "input_digest": digest},
+        "header": json_fragment({"tool": "itmlab", "input_digest": digest}),
         "return_maps": sections,
     }
     _emit(render_document(doc), args.out)
@@ -269,8 +278,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="exact perturbation probe")
     p.add_argument("file")
     p.add_argument("--eps", required=True)
-    p.add_argument("--samples", type=_natural, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--samples", type=_natural, default=None, help="default 100")
+    p.add_argument("--seed", type=_seed, default=None, help="default 0")
     p.add_argument("--directed", action="store_true",
                    help="apply the A3-breaking directed perturbation instead")
     p.add_argument("--out")
@@ -280,15 +289,15 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="SVG diagram")
     p.add_argument("file")
     p.add_argument("--kind", choices=("map", "orbit"), default="map")
-    p.add_argument("--component", type=_natural, default=1)
-    p.add_argument("--max-iter", type=_max_iter, default=None)
+    p.add_argument("--component", type=_natural, default=None, help="orbit only, default 1")
+    p.add_argument("--max-iter", type=_max_iter, default=None, help="orbit only")
     p.add_argument("--out")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("ghost-tree", help="dump the ghost graph (and a tree)")
     p.add_argument("file")
     p.add_argument("--root", default=None, help="signed discontinuity like '1+'")
-    p.add_argument("--depth", type=_depth, default=4)
+    p.add_argument("--depth", type=_depth, default=None, help="with --root only, default 4")
     p.add_argument("--out")
     p.set_defaults(func=cmd_ghost_tree)
 
@@ -305,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (MapFileError, OutputPathError, MapFormatError, BadOrderError, BadTranslationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,20 +5,21 @@ numerator over the map's grid wherever the analysis holds one; section order is
 fixed, and no timestamps enter the document, so identical inputs and flags
 produce byte-identical reports.
 
-Every section with lists in it is written as JSON text directly, one
-string expression per record, as a ``Fragment`` at depth 0: the map and
-the attractor (``map_section``, ``attractor_section``), each component's
-return map and vectors (``return_map_section``, ``vectors_section``), the
-ghost graph's nodes and edges (in ``ghost_section``) and the probe
-(``probe_section``). ``render_document`` writes the rest from dicts (the
-header, the verdicts with their witnesses, the directed perturbation) and
-each fragment by indenting its lines, byte-identical to
-``json.dumps(doc, indent=2)`` of the document the fragments stand for.
+Every section is a ``Fragment``: its JSON text at depth 0, exactly as
+``json.dumps(section, indent=2)`` writes the dict it stands for. Sections
+of a fixed shape are written from the integers, one string expression per
+record: the header, the map and the attractor, each component's return map
+and vectors, the ghost graph with its A3 entry, the stability verdicts and
+the probe. Values of no fixed shape (the verdict witnesses, the directed
+perturbation, the ``ghost-tree`` header and tree) go through
+``json_fragment``. ``render_document`` only splices a document's sections,
+each indented by one ``replace``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -51,21 +52,41 @@ def rational_text(k: int, d: int) -> str:
     return f"{k // g}/{d // g}"
 
 
-def _pairs(pairs, d: int) -> list[list[str]]:
-    """Integer pairs over ``d`` as ``[p/q, p/q]`` lists."""
-    return [[rational_text(l, d), rational_text(r, d)] for l, r in pairs]
-
-
 def input_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 class Fragment(str):
     """The JSON text of one report section at depth 0, exactly as
-    ``json.dumps(section, indent=2)`` writes it. ``render_document`` writes
-    a fragment at any depth by indenting each of its lines."""
+    ``json.dumps(section, indent=2)`` writes it. A fragment at depth ``d``
+    is its text with every newline followed by ``d``, which is exact
+    because no JSON string holds a raw newline."""
 
     __slots__ = ()
+
+
+def _jsonable(obj):
+    """``obj`` with each Fraction as its ``p/q`` string and each tuple as a
+    list. Only str, int, bool, None, Fraction, dicts with str keys, lists
+    and tuples may enter a report; any other type, a float, a set or a
+    subclass of one of these included, raises TypeError."""
+    kind = type(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is Fraction:
+        return str(obj)
+    if kind is list or kind is tuple:
+        return [_jsonable(v) for v in obj]
+    if kind is dict:
+        if any(type(key) is not str for key in obj):
+            raise TypeError("report keys must be str")
+        return {k: _jsonable(v) for k, v in obj.items()}
+    raise TypeError(f"{kind.__name__} cannot enter a report")
+
+
+def json_fragment(obj) -> Fragment:
+    """A value of no fixed shape (see ``_jsonable``) as a fragment."""
+    return Fragment(json.dumps(_jsonable(obj), indent=2))
 
 
 _BOOL = ("false", "true")
@@ -85,6 +106,22 @@ def _hits(hits) -> str:
     return _array([
         f'{{\n          "disc": {h.disc},\n          "time": {h.time}\n        }}' for h in hits
     ], "      ")
+
+
+def header_section(digest: str, probe: ProbeResult | None = None) -> Fragment:
+    """The tool, its version and the input digest; for a probe, also the
+    seed, the generator constants and the grid of the drawn deltas."""
+    text = (
+        f'{{\n  "tool": "itmlab",\n  "version": "{__version__}",\n'
+        f'  "input_digest": {encode_basestring_ascii(digest)}'
+    )
+    if probe is not None:
+        text += (
+            f',\n  "probe": {{\n    "seed": {probe.seed},\n    "lcg": {{\n'
+            f'      "a": {LCG_A},\n      "c": {LCG_C},\n      "m": {LCG_M}\n    }},\n'
+            f'    "grid_denominator": {2**GRID_BITS}\n  }}'
+        )
+    return Fragment(text + "\n}")
 
 
 def map_section(m: ItmMap) -> Fragment:
@@ -196,41 +233,46 @@ def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> Fragment:
     )
 
 
-def ghost_section(graph: GhostGraph, a3_verdict) -> dict:
-    """The ghost graph's nodes and edges, as two fragments, and the A3
-    verdict with its witness."""
+def _verdict(holds: bool, witness) -> str:
+    """A verdict with its witness, as the value of a key at depth 1."""
+    text = "null" if witness is None else json_fragment(witness).replace("\n", "\n    ")
+    return f'{{\n    "holds": {_BOOL[holds]},\n    "witness": {text}\n  }}'
+
+
+def ghost_section(graph: GhostGraph, a3_verdict) -> Fragment:
+    """The ghost graph's nodes and edges and the A3 verdict with its
+    witness."""
     in_x = graph.in_x
     nodes = [
-        f'{{\n    "disc": {i},\n    "side": "{s}",\n    "in_x": {_BOOL[in_x[(i, s)]]}\n  }}'
+        f'{{\n      "disc": {i},\n      "side": "{s}",\n      "in_x": {_BOOL[in_x[(i, s)]]}\n    }}'
         for i, s in graph.nodes
     ]
     edges = [
-        f'{{\n    "child": [\n      {e.child[0]},\n      "{e.child[1]}"\n    ],\n'
-        f'    "parent": [\n      {e.parent[0]},\n      "{e.parent[1]}"\n    ],\n'
-        f'    "time": {e.time}\n  }}'
+        f'{{\n      "child": [\n        {e.child[0]},\n        "{e.child[1]}"\n      ],\n'
+        f'      "parent": [\n        {e.parent[0]},\n        "{e.parent[1]}"\n      ],\n'
+        f'      "time": {e.time}\n    }}'
         for e in graph.edges
     ]
     witness = a3_verdict.witness
-    return {
-        "nodes": Fragment(_array(nodes, "")),
-        "edges": Fragment(_array(edges, "")),
-        "a3": {"holds": a3_verdict.holds, "witness": None if witness is None else witness.as_dict()},
-    }
+    a3 = _verdict(a3_verdict.holds, None if witness is None else witness.as_dict())
+    return Fragment(
+        f'{{\n  "nodes": {_array(nodes, "  ")},\n  "edges": {_array(edges, "  ")},\n'
+        f'  "a3": {a3}\n}}'
+    )
 
 
-def stability_section(report: StabilityReport) -> dict:
-    def verdict(v) -> dict:
-        return {"holds": v.holds, "witness": _jsonable(v.witness)}
-
-    return {
-        "finite_type": report.finite_type,
-        "stabilization_step": report.stabilization_step,
-        "a1": verdict(report.a1),
-        "a2": verdict(report.a2),
-        "a3": verdict(report.a3),
-        "matching": verdict(report.matching),
-        "stable": report.stable,
-    }
+def stability_section(report: StabilityReport) -> Fragment:
+    """The four verdicts with their witnesses and the overall verdict."""
+    step = report.stabilization_step
+    return Fragment(
+        f'{{\n  "finite_type": {_BOOL[report.finite_type]},\n'
+        f'  "stabilization_step": {"null" if step is None else step},\n'
+        f'  "a1": {_verdict(report.a1.holds, report.a1.witness)},\n'
+        f'  "a2": {_verdict(report.a2.holds, report.a2.witness)},\n'
+        f'  "a3": {_verdict(report.a3.holds, report.a3.witness)},\n'
+        f'  "matching": {_verdict(report.matching.holds, report.matching.witness)},\n'
+        f'  "stable": {_BOOL[report.stable]}\n}}'
+    )
 
 
 _BOOL_OR_NULL = {None: "null", False: "false", True: "true"}
@@ -267,24 +309,18 @@ def probe_section(pr: ProbeResult) -> Fragment:
     )
 
 
-def directed_section(dp: DirectedPerturbation, analysis: FullAnalysis) -> dict:
-    return {
-        "deltas": [str(d) for d in dp.spec.deltas],
-        "epsilon": str(dp.spec.epsilon),
-        "predicted_interval": [str(x) for x in dp.predicted_interval],
+def directed_section(dp: DirectedPerturbation, analysis: FullAnalysis) -> Fragment:
+    """The directed perturbation and the attractor of the perturbed map."""
+    d = analysis.attractor.denom
+    return json_fragment({
+        "deltas": dp.spec.deltas,
+        "epsilon": dp.spec.epsilon,
+        "predicted_interval": dp.predicted_interval,
         "period": dp.period,
-        "perturbed_components": _pairs(analysis.attractor.kcomponents, analysis.attractor.denom),
-    }
-
-
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        "perturbed_components": [
+            [rational_text(l, d), rational_text(r, d)] for l, r in analysis.attractor.kcomponents
+        ],
+    })
 
 
 def build_report(
@@ -292,17 +328,11 @@ def build_report(
     digest: str,
     capped: bool = False,
     probe: ProbeResult | None = None,
-    directed: dict | None = None,
+    directed: Fragment | None = None,
 ) -> dict:
-    header = {"tool": "itmlab", "version": __version__, "input_digest": digest}
-    if probe is not None:
-        header["probe"] = {
-            "seed": probe.seed,
-            "lcg": {"a": LCG_A, "c": LCG_C, "m": LCG_M},
-            "grid_denominator": 2**GRID_BITS,
-        }
+    """The report's sections in order, for ``render_document``."""
     doc = {
-        "header": header,
+        "header": header_section(digest, probe),
         "map": map_section(analysis.map),
         "attractor": attractor_section(analysis.attractor, capped),
     }
@@ -324,73 +354,31 @@ def build_report(
     return doc
 
 
-# How each scalar type is written, exactly as json.dumps writes it.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: _BOOL.__getitem__,
-    type(None): lambda _: "null",
-}
-_formatter = _SCALARS.get
-
-
 def render_document(doc: dict) -> str:
-    """The report text, byte-identical to ``json.dumps(doc, indent=2) + "\n"``
-    with each ``Fragment`` read as the JSON value it holds: str, int, bool
-    and None scalars, dicts with str keys, lists and tuples (written as
-    lists) and fragments. Any other type, a plain ``str`` subclass
-    included, raises TypeError.
-
-    The text is appended to one list and joined once at the end; each key's
-    ``"key": `` text is built once per document. A fragment at indent ``d``
-    is its text with every newline followed by ``d``, which is exact
-    because no JSON string holds a raw newline."""
+    """The report text of ``doc``, a dict of str keys to fragments and
+    lists of fragments: ``json.dumps(doc, indent=2) + "\n"`` with each
+    fragment read as the value it holds. Any other key or value, a plain
+    ``str`` included, raises TypeError (``encode_basestring_ascii`` refuses
+    a key that is no str). Every piece of text is appended to one list,
+    joined once at the end."""
     out: list[str] = []
     append = out.append
-    keys: dict[str, str] = {}
-
-    def write(obj, indent: str) -> None:
-        kind = type(obj)
-        fmt = _formatter(kind)
-        if fmt is not None:
-            append(fmt(obj))
-        elif kind is Fragment:
-            append(obj.replace("\n", "\n" + indent))
-        elif kind is not dict and kind is not list and kind is not tuple:
-            raise TypeError(f"{kind.__name__} cannot enter a report")
-        elif not obj:
-            append("{}" if kind is dict else "[]")
-        elif kind is dict:
-            inner = indent + "  "
-            lead, sep = "{\n" + inner, ",\n" + inner
-            for key, value in obj.items():
-                text = keys.get(key)
-                if text is None:
-                    if type(key) is not str:
-                        raise TypeError(f"report keys must be str, not {type(key).__name__}")
-                    text = keys[key] = encode_basestring_ascii(key) + ": "
-                fmt = _formatter(type(value))
-                if fmt is None:
-                    append(lead + text)
-                    write(value, inner)
-                else:
-                    append(lead + text + fmt(value))
-                lead = sep
-            append("\n" + indent + "}")
+    lead = "{\n  "
+    for key, value in doc.items():
+        append(lead + encode_basestring_ascii(key) + ": ")
+        lead = ",\n  "
+        if type(value) is Fragment:
+            append(value.replace("\n", "\n  "))
+        elif type(value) is list:
+            sep = "[\n    "
+            for item in value:
+                if type(item) is not Fragment:
+                    raise TypeError(f"{type(item).__name__} in a report list is no Fragment")
+                append(sep)
+                append(item.replace("\n", "\n    "))
+                sep = ",\n    "
+            append("\n  ]" if value else "[]")
         else:
-            inner = indent + "  "
-            lead, sep = "[\n" + inner, ",\n" + inner
-            kinds = set(map(type, obj))
-            fmt = _formatter(kinds.pop()) if len(kinds) == 1 else None
-            if fmt is not None:  # a list of one scalar type: one join
-                append(lead + sep.join(map(fmt, obj)))
-            else:
-                for value in obj:
-                    append(lead)
-                    write(value, inner)
-                    lead = sep
-            append("\n" + indent + "]")
-
-    write(doc, "")
-    append("\n")
+            raise TypeError(f"{type(value).__name__} is no report section")
+    append("\n}\n" if out else "{}\n")
     return "".join(out)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from itmlab import (
+    __version__,
     BadOrderError,
     BadTranslationError,
     ItmMap,
@@ -24,6 +25,7 @@ from itmlab import (
     validate,
 )
 from itmlab.return_map import classify_return_dynamics, verify_touching_equations
+from itmlab.stability import GRID_BITS, LCG_A, LCG_C, LCG_M
 from itmlab.vectors import build_vectors, check_lin_dep_pattern, verify_identities
 
 ACCEPTANCE_LINES: list[str] = []
@@ -423,6 +425,64 @@ def naive_pattern(vectors, n: int, dim: int) -> tuple[bool, int]:
             if coef[("L", j)] != block("-", j)[0] + block("+", j)[0]:
                 return False, len(basis)
     return True, len(basis)
+
+
+def plain(value):
+    """``value`` with every Fraction written by ``str(Fraction)`` and every
+    tuple as a list."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+def naive_header_section(digest: str, probe=None) -> dict:
+    """The header of an ``analyze`` or ``probe`` report as a dict: the
+    oracle for ``report.header_section``."""
+    header = {"tool": "itmlab", "version": __version__, "input_digest": digest}
+    if probe is not None:
+        header["probe"] = {
+            "seed": probe.seed,
+            "lcg": {"a": LCG_A, "c": LCG_C, "m": LCG_M},
+            "grid_denominator": 2**GRID_BITS,
+        }
+    return header
+
+
+def naive_stability_section(report) -> dict:
+    """The stability section of the report as a dict: the oracle for
+    ``report.stability_section``."""
+
+    def verdict(v) -> dict:
+        return {"holds": v.holds, "witness": plain(v.witness)}
+
+    return {
+        "finite_type": report.finite_type,
+        "stabilization_step": report.stabilization_step,
+        "a1": verdict(report.a1),
+        "a2": verdict(report.a2),
+        "a3": verdict(report.a3),
+        "matching": verdict(report.matching),
+        "stable": report.stable,
+    }
+
+
+def naive_directed_section(dp, analysis) -> dict:
+    """The directed-perturbation section of the report as a dict: the
+    oracle for ``report.directed_section``."""
+    att = analysis.attractor
+    return {
+        "deltas": [str(d) for d in dp.spec.deltas],
+        "epsilon": str(dp.spec.epsilon),
+        "predicted_interval": [str(x) for x in dp.predicted_interval],
+        "period": dp.period,
+        "perturbed_components": [
+            [str(Fraction(l, att.denom)), str(Fraction(r, att.denom))] for l, r in att.kcomponents
+        ],
+    }
 
 
 def naive_map_section(m: ItmMap) -> dict:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from itmlab.cli import main
 
 CORPUS_ANALYZE = tuple(range(10))
@@ -98,7 +100,7 @@ def cases(fig1, ghost, corpus, corpus_q1024, branchy_q1024):
     return out
 
 
-def report_digest(tmp_path, name: str, m, argv: list[str]) -> str:
+def report_bytes(tmp_path, name: str, m, argv: list[str]) -> bytes:
     stem = name.replace(" ", "_")
     src = tmp_path / f"{stem}.json"
     src.write_bytes(map_bytes(m))
@@ -106,13 +108,38 @@ def report_digest(tmp_path, name: str, m, argv: list[str]) -> str:
     command, *options = argv
     extra = ["--json-only"] if command in ("analyze", "probe") else []
     assert main([command, str(src), *options, *extra, "--out", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return out.read_bytes()
 
 
-def test_reports_match_golden_digests(tmp_path, fig1, ghost_map, corpus, corpus_q1024, branchy_q1024):
-    got = {
-        name: report_digest(tmp_path, name, m, argv)
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory, fig1, ghost_map, corpus, corpus_q1024, branchy_q1024):
+    """The report bytes of every golden case, by name."""
+    tmp_path = tmp_path_factory.mktemp("golden")
+    return {
+        name: report_bytes(tmp_path, name, m, argv)
         for name, m, argv in cases(fig1, ghost_map, corpus, corpus_q1024, branchy_q1024)
     }
+
+
+def test_reports_match_golden_digests(reports):
+    got = {name: hashlib.sha256(text).hexdigest() for name, text in reports.items()}
     assert got.keys() == GOLDEN.keys()
     assert {k: v for k, v in got.items() if v != GOLDEN[k]} == {}
+
+
+def no_float(text: str):
+    raise AssertionError(f"a report holds the non-integer number {text}")
+
+
+def test_reports_hold_no_float(tmp_path, reports, corpus, corpus_q1024, branchy_q1024):
+    """Every number in a report is an integer and every rational a ``p/q``
+    string: every golden report, and the ``analyze`` report of every map of
+    ``corpus``, ``corpus_q1024`` and ``branchy_q1024``, parses with no
+    float and no NaN or Infinity."""
+    texts = list(reports.values())
+    for label, maps in (("corpus", corpus), ("corpus-q1024", corpus_q1024),
+                        ("branchy-q1024", branchy_q1024)):
+        texts += [report_bytes(tmp_path, f"analyze {label}-{i}", m, ["analyze"])
+                  for i, m in enumerate(maps)]
+    for text in texts:
+        json.loads(text, parse_float=no_float, parse_constant=no_float)

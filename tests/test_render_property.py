@@ -1,6 +1,7 @@
-"""Property tests: the report writer against ``json.dumps(doc, indent=2)``
-on random JSON-shaped documents, with and without pre-rendered fragments,
-and the rational formatter against ``str(Fraction)``.
+"""Property tests: the report writers against ``json.dumps(indent=2)``
+on random documents (``json_fragment`` on JSON-shaped values with
+Fractions, ``render_document`` on top-level dicts of fragments and fragment
+lists), and the rational formatter against ``str(Fraction)``.
 
 Needs ``hypothesis`` (the ``test`` extra), kept in its own module so the
 rest of the report tests do not depend on it.
@@ -14,7 +15,9 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itmlab.report import Fragment, rational_text, render_document
+from itmlab.report import Fragment, json_fragment, rational_text, render_document
+
+from conftest import plain
 
 scalars = (
     st.none()
@@ -24,8 +27,9 @@ scalars = (
     | st.text()
     | st.text(st.characters(max_codepoint=0x1F))
 )
+fractions = st.fractions() | st.fractions(max_denominator=10**40)
 documents = st.recursive(
-    scalars,
+    scalars | fractions,
     lambda inner: (
         st.lists(inner, max_size=5)
         | st.lists(inner, max_size=5).map(tuple)
@@ -33,15 +37,17 @@ documents = st.recursive(
     ),
     max_leaves=40,
 )
-# Documents with fragments at drawn depths: in dicts, in lists and beside
-# scalars, each the ``json.dumps(indent=2)`` text of a drawn document.
-fragments = documents.map(lambda doc: Fragment(json.dumps(doc, indent=2)))
-fragment_documents = st.recursive(
-    scalars | fragments,
+# Each fragment is the ``json.dumps(indent=2)`` text of a drawn document
+# without Fractions.
+fragments = st.recursive(
+    scalars,
     lambda inner: (
         st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=8), inner, max_size=5)
     ),
-    max_leaves=20,
+    max_leaves=8,
+).map(lambda doc: Fragment(json.dumps(doc, indent=2)))
+fragment_documents = st.dictionaries(
+    st.text(max_size=8), fragments | st.lists(fragments, max_size=4), max_size=5
 )
 
 
@@ -63,16 +69,18 @@ def parsed(doc):
 @example({"a": {"a": {"a": 1, "b": [{"a": None}]}}, "b": [{"a": 2, "b": 3}, {"b": 4}]})
 @example([1, "x", {"k": [2, None]}, [True, []], None, ()])
 @example({"t": ("a", "b", "c"), "u": (1, -2, 3), "v": (None,), "w": (True, False)})
+@example({"p": Fraction(-3, 7), "q": [Fraction(4), Fraction(0)], "r": (Fraction(1, 2**90),)})
 @example({"big": [{"k": i, "l": [i, None], "m": [{"n": "x"}]} for i in range(2000)]})
 def test_matches_json_dumps(doc):
-    assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json_fragment(doc) == json.dumps(plain(doc), indent=2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(fragment_documents)
-@example(Fragment('{\n  "a": [\n    1\n  ]\n}'))
-@example({"a": [Fragment("[]"), 1, Fragment('[\n  "x\\ny"\n]')], "b": {"c": Fragment("{}")}})
-@example([[Fragment('{\n  "k": {\n    "l": null\n  }\n}'), None], "s"])
+@example({})
+@example({"a": Fragment('{\n  "a": [\n    1\n  ]\n}')})
+@example({"a": [Fragment("[]"), Fragment("1"), Fragment('[\n  "x\\ny"\n]')], "b": Fragment("{}")})
+@example({"k\u00e9\n": [], "l": [Fragment('{\n  "k": {\n    "l": null\n  }\n}')]})
 def test_fragments_match_json_dumps(doc):
     assert render_document(doc) == json.dumps(parsed(doc), indent=2) + "\n"
 

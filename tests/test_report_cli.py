@@ -10,28 +10,42 @@ from fractions import Fraction as F
 
 import pytest
 
-from itmlab import full_analysis, parse_map, parse_rational, perturbation_probe
+from itmlab import (
+    a3_breaking_perturbation,
+    apply_spec,
+    full_analysis,
+    parse_map,
+    parse_rational,
+    perturbation_probe,
+)
 from itmlab.cli import main, make_parser
 from itmlab.render import render_map, render_orbit
 from itmlab.report import (
     Fragment,
     attractor_section,
     build_report,
+    directed_section,
     ghost_section,
+    header_section,
+    json_fragment,
     map_section,
     probe_section,
     render_document,
     return_map_section,
+    stability_section,
     vectors_section,
 )
 from itmlab.vectors import verify_identities
 
 from conftest import (
     naive_attractor_section,
+    naive_directed_section,
     naive_ghost_section,
+    naive_header_section,
     naive_map_section,
     naive_probe_section,
     naive_return_map_section,
+    naive_stability_section,
     naive_vectors_section,
 )
 
@@ -212,6 +226,7 @@ class TestProbeCommand:
     def test_zero_samples_exit_2(self, files, capsys):
         assert main(["probe", files["fig1"], "--eps", "1/1000",
                      "--samples", "0"]) == 2
+        assert capsys.readouterr().err == "error: --samples must be >= 1\n"
 
     @pytest.mark.parametrize("option,value", [
         ("--samples", "\u0663"),  # an Arabic-Indic three, which int() reads as 3
@@ -233,9 +248,11 @@ class TestProbeCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["header"]["probe"]["seed"] == doc["probe"]["seed"] == -5
 
-    def test_bad_eps_exit_2(self, files):
+    def test_bad_eps_exit_2(self, files, capsys):
         assert main(["probe", files["fig1"], "--eps", "0"]) == 2
+        assert capsys.readouterr().err == "error: --eps must be a positive rational\n"
         assert main(["probe", files["fig1"], "--eps", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: --eps: ")
 
     def test_directed_on_ghost_map(self, files, capsys):
         rc = main(["probe", files["ghost"], "--eps", "1/4096", "--directed",
@@ -248,6 +265,28 @@ class TestProbeCommand:
         assert dd["deltas"][2] == "-1/4096"
         assert dd["predicted_interval"] == ["511/4096", "1/8"]
         assert ["511/4096", "1/8"] in dd["perturbed_components"]
+
+    @pytest.mark.parametrize("option,value", [("--samples", "5"), ("--seed", "0")])
+    def test_directed_with_sampling_option_exit_2(self, files, capsys, option, value):
+        assert main(["probe", files["ghost"], "--eps", "1/4096", "--directed", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --samples and --seed apply to random probes, not to --directed\n")
+
+    def test_sampling_defaults(self, files, capsys, monkeypatch):
+        import itmlab.cli
+
+        calls = []
+
+        def probe(m, eps, samples, seed):
+            calls.append((samples, seed))
+            return perturbation_probe(m, eps, 2, seed)
+
+        monkeypatch.setattr(itmlab.cli, "perturbation_probe", probe)
+        assert main(["probe", files["fig1"], "--eps", "1/1000", "--json-only"]) == 0
+        assert json.loads(capsys.readouterr().out)["header"]["probe"]["seed"] == 0
+        assert calls == [(100, 0)]
 
     def test_directed_on_stable_map_exit_3(self, files, capsys):
         assert main(["probe", files["fig1"], "--eps", "1/4096",
@@ -291,6 +330,21 @@ class TestRenderCommand:
                    "--component", "1", "--max-iter", "2"])
         assert rc == 2
         assert "infinite type suspected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value", [("--component", "1"), ("--max-iter", "5")])
+    def test_map_render_with_orbit_option_exit_2(self, files, tmp_path, capsys, option, value):
+        out = tmp_path / "m.svg"
+        assert main(["render", files["fig1"], option, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --component and --max-iter apply to --kind orbit only\n")
+        assert not out.exists()
+
+    def test_orbit_render_default_component(self, files, tmp_path):
+        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+        assert main(["render", files["fig1"], "--kind", "orbit", "--out", str(a)]) == 0
+        assert main(["render", files["fig1"], "--kind", "orbit", "--component", "1",
+                     "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_orbit_render_functions_directly(self, fig1):
         assert render_map(fig1).startswith("<svg")
@@ -349,7 +403,11 @@ class TestDumpCommands:
 
     def test_ghost_tree_bad_root(self, files, capsys):
         assert main(["ghost-tree", files["ghost"], "--root", "9+"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --root: discontinuity index 9 out of range 1..3\n")
         assert main(["ghost-tree", files["ghost"], "--root", "x"]) == 2
+        assert main(["ghost-tree", files["ghost"], "--root", ""]) == 2
+        assert capsys.readouterr().err.count("bad signed discontinuity") == 2
 
     def test_ghost_tree_non_ascii_root_exit_2(self, files, capsys):
         assert main(["ghost-tree", files["ghost"], "--root", "\u00b2+"]) == 2
@@ -380,6 +438,19 @@ class TestDumpCommands:
         assert main(["ghost-tree", files["ghost"], "--root", "1-", "--depth", "64"]) == 0
         tree = json.loads(capsys.readouterr().out)["tree"]
         assert tree["depth"] == 64 and len(tree["levels"]) == 65
+
+    def test_ghost_tree_depth_without_root_exit_2(self, files, capsys):
+        assert main(["ghost-tree", files["ghost"], "--depth", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --depth needs --root (it is the depth of the tree below the root)\n")
+
+    def test_ghost_tree_default_depth(self, files, capsys):
+        assert main(["ghost-tree", files["ghost"], "--root", "1-"]) == 0
+        assert json.loads(capsys.readouterr().out)["tree"]["depth"] == 4
+        assert main(["ghost-tree", files["ghost"]]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["header", "ghost"]
 
     def test_return_map_dump(self, files, capsys):
         rc = main(["return-map", files["fig1"], "--component", "2"])
@@ -471,31 +542,41 @@ class TestInProcess:
 class TestReportApi:
     def test_build_report_structure(self, fig1):
         doc = build_report(full_analysis(fig1), digest="x" * 64)
-        text = render_document(doc)
-        parsed = json.loads(text)
+        assert all(
+            type(v) is Fragment or all(type(f) is Fragment for f in v) for v in doc.values()
+        )
+        parsed = json.loads(render_document(doc))
         assert list(parsed) == [
             "header", "map", "attractor", "return_maps", "vectors",
             "ghost", "stability",
         ]
 
+    # each case is (writer, document): json_fragment takes values of no
+    # fixed shape, render_document a dict of fragments and fragment lists
     @pytest.mark.parametrize("doc", [
-        {"x": 0.5},
-        {"x": F(1, 2)},
-        {"x": {1, 2}},
-        {1: "a"},
-        {"x": [{None: 1}]},
-        {"a": 1, 2: 3},  # a non-str key after a str key whose text is cached
-        [{"a": 1}, {"a": 2, None: 3}],
-        {"a": {"a": {"a": 0.5}}},  # the same key at several depths
-        [1, "x", {"y": [2, None]}, 0.5],  # scalars mixed with containers
-        ("a", "b", F(1, 2)),
-        (F(1, 2), F(1, 3)),  # a tuple of one type that is no scalar
-        {"x": Text("a")},  # a str subclass that is no Fragment
-        [Text("a")],
+        (json_fragment, {"x": 0.5}),
+        (render_document, {"x": F(1, 2)}),  # a value that is no fragment
+        (json_fragment, {"x": {1, 2}}),
+        (render_document, {1: Fragment('"a"')}),
+        (json_fragment, {"x": [{None: 1}]}),
+        (json_fragment, {"a": 1, 2: 3}),  # a non-str key after a str key
+        (json_fragment, [{"a": 1}, {"a": 2, None: 3}]),
+        (json_fragment, {"a": {"a": {"a": 0.5}}}),  # the same key at several depths
+        (json_fragment, [1, "x", {"y": [2, None]}, 0.5]),  # scalars mixed with containers
+        (render_document, {"s": [Fragment('"a"'), Fragment('"b"'), F(1, 2)]}),
+        (render_document, {"s": (Fragment("1"), Fragment("2"))}),  # a tuple is no fragment list
+        (render_document, {"x": Text("a")}),  # a str subclass that is no Fragment
+        (json_fragment, [Text("a")]),
+        (render_document, {"x": '"a"'}),  # a plain str
+        (json_fragment, {"x": Fragment("1")}),  # a fragment is no plain value
+        (json_fragment, {"x": float("nan")}),
+        (json_fragment, {"x": True, "y": b"1"}),
+        (render_document, {"a": Fragment("1"), (1, 2): Fragment("2")}),
     ])
     def test_render_rejects_non_json_types(self, doc):
+        write, value = doc
         with pytest.raises(TypeError):
-            render_document(doc)
+            write(value)
 
     def test_report_builds_no_fraction_view(self, fig1, corpus):
         """The report formats every rational from its integer numerator:
@@ -523,42 +604,59 @@ class TestReportApi:
                     assert json.loads(fragment) == expected
                     assert fragment == json.dumps(expected, indent=2)
 
+    @staticmethod
+    def assert_matches(section, expected):
+        """``section`` is the ``json.dumps(indent=2)`` text of ``expected``,
+        and renders as that value alone and in a list of a one-key
+        document."""
+        assert type(section) is Fragment
+        assert section == json.dumps(expected, indent=2)
+        assert render_document({"s": section}) == json.dumps({"s": expected}, indent=2) + "\n"
+        assert render_document({"s": [section, section]}) == json.dumps(
+            {"s": [expected, expected]}, indent=2) + "\n"
+
     def test_small_sections_match_dict_oracles(
         self, fig1, ghost_map, corpus, corpus_q1024, branchy_q1024
     ):
-        """The map and attractor fragments and the ghost section, whose node
-        and edge lists are fragments, render as ``json.dumps(indent=2)`` of
-        the dicts the oracles build, at the top and nested in a document."""
-        seen = {"inside": 0, "boundary": 0, "edges": 0, "uncapped": 0}
+        """The header, map, attractor, ghost and stability fragments are the
+        ``json.dumps(indent=2)`` text of the dicts the oracles build."""
+        seen = {"inside": 0, "boundary": 0, "edges": 0, "uncapped": 0, "a3": 0, "witness": 0}
         for m in [fig1, ghost_map, *corpus, *corpus_q1024, *branchy_q1024]:
             analysis = full_analysis(m)
             att = analysis.attractor
-            sections = [
-                (map_section(m), naive_map_section(m)),
-                (attractor_section(att), naive_attractor_section(att)),
-                (ghost_section(analysis.ghost_graph, analysis.a3),
-                 naive_ghost_section(analysis.ghost_graph, analysis.a3)),
-            ]
-            for section, expected in sections:
-                assert render_document(section) == json.dumps(expected, indent=2) + "\n"
-                assert render_document({"s": [section]}) == json.dumps(
-                    {"s": [expected]}, indent=2) + "\n"
-            assert type(sections[0][0]) is Fragment and type(sections[1][0]) is Fragment
-            ghost = sections[2][0]
-            assert type(ghost["nodes"]) is Fragment and type(ghost["edges"]) is Fragment
+            self.assert_matches(header_section("x" * 64), naive_header_section("x" * 64))
+            self.assert_matches(header_section('"\\\u00e9\n'), naive_header_section('"\\\u00e9\n'))
+            self.assert_matches(map_section(m), naive_map_section(m))
+            self.assert_matches(attractor_section(att), naive_attractor_section(att))
+            self.assert_matches(ghost_section(analysis.ghost_graph, analysis.a3),
+                                naive_ghost_section(analysis.ghost_graph, analysis.a3))
+            self.assert_matches(stability_section(analysis.report),
+                                naive_stability_section(analysis.report))
             seen["inside"] += bool(att.discontinuities_inside)
             seen["boundary"] += bool(att.boundary_hits)
             seen["edges"] += bool(analysis.ghost_graph.edges)
             seen["uncapped"] += att.stabilization_step is not None
+            seen["a3"] += not analysis.a3.holds
+            seen["witness"] += any(v.witness for v in analysis.report[2:6])
         assert min(seen.values()) > 0
 
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_capped_attractor_section_matches_dict_oracle(self, fig1, max_iter):
-        att = full_analysis(fig1, max_iter).attractor
+        analysis = full_analysis(fig1, max_iter)
+        att = analysis.attractor
         assert att.stabilization_step is None and att.infinite_type_suspected
-        expected = naive_attractor_section(att, capped=True)
-        assert render_document(attractor_section(att, capped=True)) == json.dumps(
-            expected, indent=2) + "\n"
+        self.assert_matches(attractor_section(att, capped=True),
+                            naive_attractor_section(att, capped=True))
+        assert analysis.report.a1.witness == {"reason": "not finite type"}
+        self.assert_matches(stability_section(analysis.report),
+                            naive_stability_section(analysis.report))
+
+    def test_directed_section_matches_dict_oracle(self, ghost_map):
+        a3 = full_analysis(ghost_map).a3
+        dp = a3_breaking_perturbation(ghost_map, a3.witness, F(1, 4096))
+        perturbed = full_analysis(apply_spec(ghost_map, dp.spec))
+        self.assert_matches(directed_section(dp, perturbed),
+                            naive_directed_section(dp, perturbed))
 
     def test_ghost_tree_document_matches_dict_oracle(self, files, capsys):
         """The whole ``ghost-tree`` document, with ghost edges and a tree
@@ -590,15 +688,12 @@ class TestReportApi:
     def test_probe_section_matches_dict_oracle(self, fig1, eps, seed, accepted):
         pr = perturbation_probe(fig1, eps, 20, seed)
         assert pr.accepted == accepted
-        fragment, expected = probe_section(pr), naive_probe_section(pr)
-        assert type(fragment) is Fragment
-        assert render_document(fragment) == json.dumps(expected, indent=2) + "\n"
-        assert render_document({"probe": fragment, "n": [fragment]}) == json.dumps(
-            {"probe": expected, "n": [expected]}, indent=2) + "\n"
+        self.assert_matches(probe_section(pr), naive_probe_section(pr))
+        self.assert_matches(header_section("x" * 64, pr), naive_header_section("x" * 64, pr))
 
     def test_render_writes_tuples_as_lists(self):
         doc = {"a": (1, ("b", None)), "c": ()}
-        assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+        assert json_fragment(doc) == json.dumps(doc, indent=2)
 
     def test_a3_checked_once_per_analyze(self, files, monkeypatch, capsys):
         import itmlab.ghost
