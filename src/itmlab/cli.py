@@ -126,10 +126,9 @@ def _summary(analysis, json_only: bool) -> None:
     if json_only:
         return
     rep = analysis.report
-    comps = analysis.attractor.components()
     lines = [
         f"attractor: {analysis.attractor.X} (step {analysis.attractor.stabilization_step})",
-        f"components: {len(comps)}",
+        f"components: {len(analysis.attractor.kcomponents)}",
         f"finite_type={rep.finite_type} A1={rep.a1.holds} A2={rep.a2.holds} "
         f"A3={rep.a3.holds} matching={rep.matching.holds}",
         f"stable: {rep.stable}",
@@ -160,8 +159,7 @@ def cmd_probe(args) -> int:
         raise UsageError(f"--eps: {exc}") from exc
     if eps <= 0:
         raise UsageError("--eps must be a positive rational")
-    directed = None
-    probe = None
+    directed = probe = None
     if args.directed:
         analysis = full_analysis(m)
         a3 = analysis.a3
@@ -267,44 +265,38 @@ def make_parser() -> argparse.ArgumentParser:
         prog="itmlab", description="Exact analysis of interval translation maps"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command reads one map file and writes to --out or stdout
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("file")
+    common.add_argument("--out")
 
-    p = sub.add_parser("analyze", help="full pipeline, JSON report")
-    p.add_argument("file")
-    p.add_argument("--out")
+    p = sub.add_parser("analyze", parents=[common], help="full pipeline, JSON report")
     p.add_argument("--max-iter", type=_max_iter, default=None)
     p.add_argument("--json-only", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("probe", help="exact perturbation probe")
-    p.add_argument("file")
+    p = sub.add_parser("probe", parents=[common], help="exact perturbation probe")
     p.add_argument("--eps", required=True)
     p.add_argument("--samples", type=_natural, default=None, help="default 100")
     p.add_argument("--seed", type=_seed, default=None, help="default 0")
     p.add_argument("--directed", action="store_true",
                    help="apply the A3-breaking directed perturbation instead")
-    p.add_argument("--out")
     p.add_argument("--json-only", action="store_true")
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("render", help="SVG diagram")
-    p.add_argument("file")
+    p = sub.add_parser("render", parents=[common], help="SVG diagram")
     p.add_argument("--kind", choices=("map", "orbit"), default="map")
     p.add_argument("--component", type=_natural, default=None, help="orbit only, default 1")
     p.add_argument("--max-iter", type=_max_iter, default=None, help="orbit only")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("ghost-tree", help="dump the ghost graph (and a tree)")
-    p.add_argument("file")
+    p = sub.add_parser("ghost-tree", parents=[common], help="dump the ghost graph (and a tree)")
     p.add_argument("--root", default=None, help="signed discontinuity like '1+'")
     p.add_argument("--depth", type=_depth, default=None, help="with --root only, default 4")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_ghost_tree)
 
-    p = sub.add_parser("return-map", help="dump return-map structures")
-    p.add_argument("file")
+    p = sub.add_parser("return-map", parents=[common], help="dump return-map structures")
     p.add_argument("--component", type=_natural, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_return_map)
     return parser
 

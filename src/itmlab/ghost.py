@@ -132,10 +132,7 @@ def build_ghost_graph(m: ItmMap, attractor: AttractorResult | None = None) -> Gh
     per signed discontinuity."""
     if attractor is None:
         attractor = compute_attractor(m)
-    nodes: list[SignedDisc] = []
-    for i in range(1, m.r):
-        nodes.append((i, MINUS))
-        nodes.append((i, PLUS))
+    nodes = [(i, side) for i in range(1, m.r) for side in (MINUS, PLUS)]
     # X's endpoints flattened into one sorted list: (k, side) lies in X iff
     # branch_rule(side)(ends, k) is odd
     ends = [k for pair in attractor.kcomponents for k in pair]

@@ -90,6 +90,7 @@ def json_fragment(obj) -> Fragment:
 
 
 _BOOL = ("false", "true")
+_BOOL_OR_NULL = {None: "null", False: "false", True: "true"}
 
 
 def _array(items: list[str], indent: str) -> str:
@@ -99,6 +100,18 @@ def _array(items: list[str], indent: str) -> str:
         return "[]"
     inner = "\n" + indent + "  "
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _pairs(pairs, d: int) -> list[str]:
+    """Integer pairs over ``d`` as ``[p/q, p/q]`` arrays at depth 2."""
+    return [f'[\n      "{rational_text(l, d)}",\n      "{rational_text(r, d)}"\n    ]' for l, r in pairs]
+
+
+def _scalar(value) -> str:
+    """None, a bool, an int or a Fraction (as its ``p/q`` string), as JSON."""
+    if value is None or type(value) is bool:
+        return _BOOL_OR_NULL[value]
+    return str(value) if type(value) is int else f'"{value}"'
 
 
 def _hits(hits) -> str:
@@ -138,17 +151,11 @@ def map_section(m: ItmMap) -> Fragment:
 
 def attractor_section(att: AttractorResult, capped: bool = False) -> Fragment:
     """X with its stabilization step and the discontinuity classification."""
-    d = att.denom
-    components = [
-        f'[\n      "{rational_text(l, d)}",\n      "{rational_text(r, d)}"\n    ]'
-        for l, r in att.kcomponents
-    ]
     inside = [f"[\n      {i},\n      {k}\n    ]" for i, k in att.discontinuities_inside]
     outside = list(map(str, att.discontinuities_outside))
-    step = att.stabilization_step
     return Fragment(
-        f'{{\n  "components": {_array(components, "  ")},\n'
-        f'  "stabilization_step": {"null" if step is None else step},\n'
+        f'{{\n  "components": {_array(_pairs(att.kcomponents, att.denom), "  ")},\n'
+        f'  "stabilization_step": {_scalar(att.stabilization_step)},\n'
         f'  "infinite_type_suspected": {_BOOL[att.infinite_type_suspected]},\n'
         f'  "capped": {_BOOL[capped]},\n'
         f'  "discontinuities_inside": {_array(inside, "  ")},\n'
@@ -172,10 +179,6 @@ def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> Fragme
         f'      "entry_value": "{rational_text(c.kentry, d)}"\n    }}'
         for c in data.chains
     ]
-    images = [
-        f'[\n      "{rational_text(l, d)}",\n      "{rational_text(r, d)}"\n    ]'
-        for l, r in data.kimages
-    ]
     touching = [f'"{v}"' for v in verify_touching_equations(m, data)]
     return Fragment(
         f'{{\n  "component": {component},\n  "J": [\n    {cuts[0]},\n    {cuts[-1]}\n  ],\n'
@@ -185,7 +188,7 @@ def return_map_section(m: ItmMap, data: ReturnMapData, component: int) -> Fragme
         f'  "chains": {_array(chains, "  ")},\n'
         f'  "sigma": {_array(list(map(str, data.sigma)), "  ")},\n'
         f'  "tau": {_array(list(map(str, data.tau)), "  ")},\n'
-        f'  "images": {_array(images, "  ")},\n'
+        f'  "images": {_array(_pairs(data.kimages, d), "  ")},\n'
         f'  "dynamically_trivial": {_BOOL[data.dynamically_trivial]},\n'
         f'  "classification": "{classify_return_dynamics(data)}",\n'
         f'  "touching_values": {_array(touching, "  ")}\n}}'
@@ -263,10 +266,9 @@ def ghost_section(graph: GhostGraph, a3_verdict) -> Fragment:
 
 def stability_section(report: StabilityReport) -> Fragment:
     """The four verdicts with their witnesses and the overall verdict."""
-    step = report.stabilization_step
     return Fragment(
         f'{{\n  "finite_type": {_BOOL[report.finite_type]},\n'
-        f'  "stabilization_step": {"null" if step is None else step},\n'
+        f'  "stabilization_step": {_scalar(report.stabilization_step)},\n'
         f'  "a1": {_verdict(report.a1.holds, report.a1.witness)},\n'
         f'  "a2": {_verdict(report.a2.holds, report.a2.witness)},\n'
         f'  "a3": {_verdict(report.a3.holds, report.a3.witness)},\n'
@@ -275,28 +277,16 @@ def stability_section(report: StabilityReport) -> Fragment:
     )
 
 
-_BOOL_OR_NULL = {None: "null", False: "false", True: "true"}
-
-
-def _value_or_null(value) -> str:
-    """An int, a Fraction (as its ``p/q`` string) or None, as JSON."""
-    if value is None:
-        return "null"
-    if type(value) is int:
-        return str(value)
-    return f'"{value}"'
-
-
 def probe_section(pr: ProbeResult) -> Fragment:
     """The probe summary and one record per drawn sample, accepted or not
     (the fields of a rejected draw are null)."""
     records = [
         f'{{\n      "index": {rec.index},\n      "accepted": {_BOOL[rec.accepted]},\n'
-        f'      "component_count": {_value_or_null(rec.component_count)},\n'
-        f'      "hausdorff": {_value_or_null(rec.hausdorff)},\n'
-        f'      "disc_inside": {_value_or_null(rec.disc_inside)},\n'
-        f'      "disc_outside_closure": {_value_or_null(rec.disc_outside_closure)},\n'
-        f'      "signature_match": {_BOOL_OR_NULL[rec.signature_match]}\n    }}'
+        f'      "component_count": {_scalar(rec.component_count)},\n'
+        f'      "hausdorff": {_scalar(rec.hausdorff)},\n'
+        f'      "disc_inside": {_scalar(rec.disc_inside)},\n'
+        f'      "disc_outside_closure": {_scalar(rec.disc_outside_closure)},\n'
+        f'      "signature_match": {_scalar(rec.signature_match)}\n    }}'
         for rec in pr.samples
     ]
     return Fragment(
@@ -311,14 +301,14 @@ def probe_section(pr: ProbeResult) -> Fragment:
 
 def directed_section(dp: DirectedPerturbation, analysis: FullAnalysis) -> Fragment:
     """The directed perturbation and the attractor of the perturbed map."""
-    d = analysis.attractor.denom
+    att = analysis.attractor
     return json_fragment({
         "deltas": dp.spec.deltas,
         "epsilon": dp.spec.epsilon,
         "predicted_interval": dp.predicted_interval,
         "period": dp.period,
         "perturbed_components": [
-            [rational_text(l, d), rational_text(r, d)] for l, r in analysis.attractor.kcomponents
+            [rational_text(l, att.denom), rational_text(r, att.denom)] for l, r in att.kcomponents
         ],
     })
 

@@ -131,15 +131,8 @@ class FullAnalysis(Frozen):
     @cached_property
     def report(self) -> StabilityReport:
         if not self.attractor.finite_type:
-            return StabilityReport(
-                finite_type=False,
-                stabilization_step=None,
-                a1=Verdict(False, {"reason": "not finite type"}),
-                a2=Verdict(False, {"reason": "not finite type"}),
-                a3=Verdict(False, {"reason": "not finite type"}),
-                matching=Verdict(False, {"reason": "not finite type"}),
-                stable=False,
-            )
+            fails = Verdict(False, {"reason": "not finite type"})
+            return StabilityReport(False, None, fails, fails, fails, fails, False)
         m, attractor, return_maps = self.map, self.attractor, self.return_maps
         a3 = self.a3
         a1 = check_A1(m, attractor, return_maps)
@@ -454,12 +447,11 @@ def a3_breaking_perturbation(
             k += gamma[i]
         branches = {i + 1 for i, c in enumerate(counts) if c}
         legs.append((node, counts, branches))
-    for a in range(len(legs)):
-        for b in range(a + 1, len(legs)):
-            if legs[a][2] & legs[b][2]:
-                raise NotRealizableDirectlyError(
-                    "cycle legs share branches; direct gamma shifts cannot decouple them"
-                )
+    used = [b for _, _, branches in legs for b in branches]
+    if len(used) != len(set(used)):  # the branch sets are not pairwise disjoint
+        raise NotRealizableDirectlyError(
+            "cycle legs share branches; direct gamma shifts cannot decouple them"
+        )
     deltas = [Fraction(0)] * (2 * m.r - 1)
     for node, counts, branches in legs:
         branch = min(branches)
@@ -472,8 +464,5 @@ def a3_breaking_perturbation(
         raise NotRealizableDirectlyError(f"directed deltas leave the polytope: {exc}") from exc
     start_node = cycle[0]
     beta0 = m.beta[start_node[0] - 1]
-    if start_node[1] == MINUS:
-        predicted = (beta0 - epsilon, beta0)
-    else:
-        predicted = (beta0, beta0 + epsilon)
+    predicted = (beta0 - epsilon, beta0) if start_node[1] == MINUS else (beta0, beta0 + epsilon)
     return DirectedPerturbation(spec, predicted, sum(times))
