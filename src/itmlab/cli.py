@@ -139,8 +139,7 @@ def _summary(analysis, json_only: bool) -> None:
 def cmd_analyze(args) -> int:
     m, digest = _load(args.file)
     analysis = full_analysis(m, args.max_iter)
-    capped = args.max_iter is not None and not analysis.attractor.finite_type
-    doc = build_report(analysis, digest, capped=capped)
+    doc = build_report(analysis, digest)
     _emit(render_document(doc), args.out)
     _summary(analysis, args.json_only)
     return 0
@@ -164,8 +163,7 @@ def cmd_probe(args) -> int:
         analysis = full_analysis(m)
         a3 = analysis.a3
         if a3 is None or a3.holds:
-            print("error: --directed needs an A3 violation", file=sys.stderr)
-            return EXIT_DEGENERATE
+            raise NotRealizableDirectlyError("--directed needs an A3 violation")
         dp = a3_breaking_perturbation(m, a3.witness, eps)
         perturbed = full_analysis(apply_spec(m, dp.spec))
         directed = directed_section(dp, perturbed)
@@ -193,7 +191,7 @@ def cmd_render(args) -> int:
                              "(cap reached, infinite type suspected)")
         k = 1 if args.component is None else args.component
         _check_component(k, len(att.kcomponents))
-        svg = render_orbit(m, k, compute_return_map(m, att.kcomponents[k - 1], att))
+        svg = render_orbit(m, compute_return_map(m, att.kcomponents[k - 1], att))
     _emit(svg, args.out)
     return 0
 

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .attractor import compute_attractor
 from .intervals import PLUS, SignedPoint
 from .itm import ItmMap
-from .return_map import ReturnMapData, compute_return_map
+from .return_map import ReturnMapData
 
 SIZE = 720
 MARGIN = 40
@@ -70,15 +69,10 @@ def render_map(m: ItmMap) -> str:
     return _svg(body)
 
 
-def render_orbit(m: ItmMap, component: int, data: ReturnMapData | None = None) -> str:
-    """Orbit of one attractor component: one row per time step, a bar per
-    continuity interval, ending at each interval's return."""
-    if data is None:
-        att = compute_attractor(m)
-        comps = att.kcomponents
-        if not att.finite_type or not (1 <= component <= len(comps)):
-            raise ValueError(f"component {component} does not exist")
-        data = compute_return_map(m, comps[component - 1], att)
+def render_orbit(m: ItmMap, data: ReturnMapData) -> str:
+    """Orbit of the attractor component whose return map is ``data``: one
+    row per time step, a bar per continuity interval, ending at each
+    interval's return."""
     rows = max(data.return_times) + 1
     row_h = (SIZE - 2 * MARGIN) / rows
     bar = min(14.0, row_h * 0.6)
@@ -109,7 +103,7 @@ def render_orbit(m: ItmMap, component: int, data: ReturnMapData | None = None) -
             if t < data.return_times[j - 1]:
                 g = m.gamma[m.branch_of(SignedPoint(cur_l, PLUS)) - 1]
                 cur_l, cur_r = cur_l + g, cur_r + g
-    for b in (data.J[0], data.J[1]):
+    for b in (data.cut_points[0], data.cut_points[-1]):
         body.append(
             f'<line x1="{_sx(b)}" y1="{MARGIN}" x2="{_sx(b)}" y2="{SIZE - MARGIN}" '
             'stroke="#333333" stroke-dasharray="4,3"/>'

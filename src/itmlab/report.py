@@ -149,15 +149,17 @@ def map_section(m: ItmMap) -> Fragment:
     )
 
 
-def attractor_section(att: AttractorResult, capped: bool = False) -> Fragment:
-    """X with its stabilization step and the discontinuity classification."""
+def attractor_section(att: AttractorResult) -> Fragment:
+    """X with its stabilization step and the discontinuity classification.
+    Only a lowered cap is ever reached, so ``capped`` is ``infinite_type_suspected``."""
     inside = [f"[\n      {i},\n      {k}\n    ]" for i, k in att.discontinuities_inside]
     outside = list(map(str, att.discontinuities_outside))
+    suspected = _BOOL[att.infinite_type_suspected]
     return Fragment(
         f'{{\n  "components": {_array(_pairs(att.kcomponents, att.denom), "  ")},\n'
         f'  "stabilization_step": {_scalar(att.stabilization_step)},\n'
-        f'  "infinite_type_suspected": {_BOOL[att.infinite_type_suspected]},\n'
-        f'  "capped": {_BOOL[capped]},\n'
+        f'  "infinite_type_suspected": {suspected},\n'
+        f'  "capped": {suspected},\n'
         f'  "discontinuities_inside": {_array(inside, "  ")},\n'
         f'  "discontinuities_outside": {_array(outside, "  ")},\n'
         f'  "boundary_hits": {_array(list(map(str, att.boundary_hits)), "  ")}\n}}'
@@ -316,7 +318,6 @@ def directed_section(dp: DirectedPerturbation, analysis: FullAnalysis) -> Fragme
 def build_report(
     analysis: FullAnalysis,
     digest: str,
-    capped: bool = False,
     probe: ProbeResult | None = None,
     directed: Fragment | None = None,
 ) -> dict:
@@ -324,7 +325,7 @@ def build_report(
     doc = {
         "header": header_section(digest, probe),
         "map": map_section(analysis.map),
-        "attractor": attractor_section(analysis.attractor, capped),
+        "attractor": attractor_section(analysis.attractor),
     }
     if analysis.report.finite_type:
         doc["return_maps"] = [

@@ -100,7 +100,7 @@ class ReturnMapData(Frozen):
     """First-return structure of one component J.
 
     The cut points and images are held as integer numerators over the
-    map's grid; their Fraction views (J too) and the signed chains are
+    map's grid; their Fraction views and the signed chains are
     built on first access. Equality, hash and repr leave out ``grid``,
     ``cap`` and ``_source``, so a transported map equals the walked one.
     """
@@ -131,10 +131,6 @@ class ReturnMapData(Frozen):
     @property
     def dynamically_trivial(self) -> bool:
         return len(self.kcuts) == 2
-
-    @cached_property
-    def J(self) -> Pair:
-        return self.cut_points[0], self.cut_points[-1]
 
     @cached_property
     def cut_points(self) -> tuple[Fraction, ...]:
@@ -197,11 +193,6 @@ class ReturnMapData(Frozen):
         if side == MINUS and 1 <= j <= n:
             return self.chains[n + j - 1]
         raise KeyError((j, side))
-
-    def landing(self, j: int) -> LandingRecord:
-        if 1 <= j < self.n_intervals:
-            return self.landings[j - 1]
-        raise KeyError(j)
 
 
 def _beta_index(grid: Grid) -> dict[int, int]:

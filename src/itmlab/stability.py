@@ -54,13 +54,22 @@ class Verdict(NamedTuple):
 
 
 class StabilityReport(NamedTuple):
-    finite_type: bool
+    """The stabilization step (None for a capped attractor) and the four
+    verdicts; ``finite_type`` and ``stable`` are read off them."""
+
     stabilization_step: int | None
     a1: Verdict
     a2: Verdict
     a3: Verdict
     matching: Verdict
-    stable: bool
+
+    @property
+    def finite_type(self) -> bool:
+        return self.stabilization_step is not None
+
+    @property
+    def stable(self) -> bool:
+        return self.finite_type and all(verdict.holds for verdict in self[1:])
 
 
 class FullAnalysis(Frozen):
@@ -132,21 +141,14 @@ class FullAnalysis(Frozen):
     def report(self) -> StabilityReport:
         if not self.attractor.finite_type:
             fails = Verdict(False, {"reason": "not finite type"})
-            return StabilityReport(False, None, fails, fails, fails, fails, False)
-        m, attractor, return_maps = self.map, self.attractor, self.return_maps
-        a3 = self.a3
-        a1 = check_A1(m, attractor, return_maps)
-        a2 = check_A2(m, attractor, return_maps)
-        matching = check_matching(m, attractor, return_maps)
-        a3_verdict = Verdict(a3.holds, None if a3.holds else a3.witness.as_dict())
+            return StabilityReport(None, fails, fails, fails, fails)
+        m, attractor, return_maps, a3 = self.map, self.attractor, self.return_maps, self.a3
         return StabilityReport(
-            finite_type=True,
-            stabilization_step=attractor.stabilization_step,
-            a1=a1,
-            a2=a2,
-            a3=a3_verdict,
-            matching=matching,
-            stable=a1.holds and a2.holds and a3.holds and matching.holds,
+            attractor.stabilization_step,
+            check_A1(m, attractor, return_maps),
+            check_A2(m, attractor, return_maps),
+            Verdict(a3.holds, None if a3.holds else a3.witness.as_dict()),
+            check_matching(m, attractor, return_maps),
         )
 
 
@@ -155,8 +157,6 @@ class PerturbationSpec(NamedTuple):
 
     epsilon: Fraction
     deltas: tuple[Fraction, ...]
-    seed: int | None = None
-    index: int | None = None
 
 
 class DirectedPerturbation(NamedTuple):
@@ -179,28 +179,51 @@ class SampleRecord(NamedTuple):
 
 
 class ProbeResult(Frozen):
-    """Sample records and their summary; ``base`` is the analysis of the
-    unperturbed map, which ``itmlab probe`` reports (not a value field)."""
+    """The sample records of a probe; the summary is read off them.
+    ``base`` is the analysis of the unperturbed map, which ``itmlab probe``
+    reports (not a value field)."""
 
-    _fields = ("epsilon", "seed", "samples", "accepted", "max_hausdorff", "min_hausdorff",
-               "all_signatures_match", "component_counts")
+    _fields = ("epsilon", "seed", "samples")
     epsilon: Fraction
     seed: int
     samples: tuple[SampleRecord, ...]
-    accepted: int
-    max_hausdorff: Fraction
-    min_hausdorff: Fraction
-    all_signatures_match: bool
-    component_counts: tuple[int, ...]
     base: FullAnalysis
 
-    def __init__(self, epsilon, seed, samples, accepted, max_hausdorff, min_hausdorff,
-                 all_signatures_match, component_counts, base):
-        vars(self).update(
-            epsilon=epsilon, seed=seed, samples=samples, accepted=accepted,
-            max_hausdorff=max_hausdorff, min_hausdorff=min_hausdorff,
-            all_signatures_match=all_signatures_match, component_counts=component_counts, base=base,
-        )
+    def __init__(self, epsilon, seed, samples, base):
+        vars(self).update(epsilon=epsilon, seed=seed, samples=samples, base=base)
+
+    @cached_property
+    def _accepted(self) -> tuple[SampleRecord, ...]:
+        return tuple(rec for rec in self.samples if rec.accepted)
+
+    @cached_property
+    def accepted(self) -> int:
+        return len(self._accepted)
+
+    def _hausdorff(self, pick) -> Fraction:
+        """The accepted distance ``pick`` (min or max) chooses. Each is a
+        multiple of 1/(2 D), D = lcm(Q, 2**GRID_BITS den(epsilon)): the base
+        grid and each sample's reduced grid divide D, so its numerator over
+        2 D orders the distances without comparing Fractions."""
+        double = 2 * math.lcm(self.base.map.Q, 2**GRID_BITS * self.epsilon.denominator)
+        return pick((rec.hausdorff for rec in self._accepted),
+                    key=lambda h: h.numerator * (double // h.denominator))
+
+    @cached_property
+    def max_hausdorff(self) -> Fraction:
+        return self._hausdorff(max)
+
+    @cached_property
+    def min_hausdorff(self) -> Fraction:
+        return self._hausdorff(min)
+
+    @cached_property
+    def all_signatures_match(self) -> bool:
+        return all(rec.signature_match for rec in self._accepted)
+
+    @cached_property
+    def component_counts(self) -> tuple[int, ...]:
+        return tuple(sorted({rec.component_count for rec in self._accepted}))
 
 
 def _signature(analysis_return_maps: tuple[ReturnMapData, ...]) -> tuple:
@@ -385,29 +408,9 @@ def perturbation_probe(
             records.append(SampleRecord(i, accepted=False))
             continue
         records.append(_probe_one(i, perturbed, base.attractor, base_signature))
-    accepted = [rec for rec in records if rec.accepted]
-    if not accepted:
+    if not any(rec.accepted for rec in records):
         raise NoValidSamplesError("all probe draws left the parameter polytope")
-    # Every distance is a multiple of 1/(2 denom): the base grid and each
-    # sample's reduced grid divide denom, so its reduced denominator divides
-    # 2 denom, and the numerator over 2 denom orders the distances.
-    distances = [rec.hausdorff for rec in accepted]
-    double = 2 * denom
-
-    def over_double(h: Fraction) -> int:
-        return h.numerator * (double // h.denominator)
-
-    return ProbeResult(
-        epsilon=epsilon,
-        seed=seed,
-        samples=tuple(records),
-        accepted=len(accepted),
-        max_hausdorff=max(distances, key=over_double),
-        min_hausdorff=min(distances, key=over_double),
-        all_signatures_match=all(rec.signature_match for rec in accepted),
-        component_counts=tuple(sorted({rec.component_count for rec in accepted})),
-        base=base,
-    )
+    return ProbeResult(epsilon, seed, tuple(records), base)
 
 
 def a3_breaking_perturbation(

@@ -70,7 +70,6 @@ class IdentityCheck(NamedTuple):
     ``denom`` (the map's grid); ``value`` is its Fraction view."""
 
     tag: Tag
-    kind: str
     kvalue: int
     denom: int
     ok: bool
@@ -152,11 +151,10 @@ def _units(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...
 
 
 def verify_identities(
-    m: ItmMap, data: ReturnMapData, vectors: tuple[CoefficientVector, ...] | None = None
+    m: ItmMap, data: ReturnMapData, vectors: tuple[CoefficientVector, ...]
 ) -> tuple[IdentityCheck, ...]:
-    """Check every vector's defining identity by exact equality / membership."""
-    if vectors is None:
-        vectors = build_vectors(m, data)
+    """Check the defining identity of every vector of ``build_vectors(m,
+    data)`` by exact equality / membership."""
     params = _params(m)
     kcuts, chains, n, q = data.kcuts, data.chains, data.n_intervals, m.Q
     x, y = kcuts[0], kcuts[-1]
@@ -165,20 +163,16 @@ def verify_identities(
         val = sum(map(mul, e + f, params))
         if tag[0] == "L":
             ok = val + kcuts[tag[1]] == 0
-            kind = "landing"
         elif tag[0] == "C":
             ok = val == 0
-            kind = "connection"
         else:
             _, side, j = tag
             chain = chains[j] if side == PLUS else chains[n + j - 1]
             if chain.hits:
                 ok = val == chain.kentry and (x <= val < y if side == PLUS else x < val <= y)
-                kind = "return"
             else:
                 ok = val == chain.kentry - kcuts[j]
-                kind = "return_free"
-        checks.append(IdentityCheck(tag, kind, val, q, ok))
+        checks.append(IdentityCheck(tag, val, q, ok))
         if not ok:
             raise IdentityViolatedError(tag)
     return tuple(checks)
@@ -229,9 +223,10 @@ def _eliminate(
 
 
 def check_lin_dep_pattern(
-    m: ItmMap, data: ReturnMapData, vectors: tuple[CoefficientVector, ...] | None = None
+    m: ItmMap, data: ReturnMapData, vectors: tuple[CoefficientVector, ...]
 ) -> PatternResult:
-    """Verify that every vanishing combination follows the forced pattern.
+    """Verify that every vanishing combination of ``vectors``, those of
+    ``build_vectors(m, data)``, follows the forced pattern.
 
     The pattern: for each 0 <= j < N the coefficients of C+(j, 1..m-1) and
     R+_j all equal one value c_j, those of C-(j+1, .) and R-_{j+1} all
@@ -255,8 +250,6 @@ def check_lin_dep_pattern(
     A violation is returned as a witness, never raised: it would falsify
     the underlying lemma and means an engine bug.
     """
-    if vectors is None:
-        vectors = build_vectors(m, data)
     n = data.n_intervals
     dim = 2 * m.r - 1
     spanned: list[Sequence[int]] = [(0,) * dim] * n  # the columns of A P

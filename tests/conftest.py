@@ -666,7 +666,7 @@ def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -
         if not in_polytope(beta, gamma):
             records.append(SampleRecord(i, accepted=False))
             continue
-        perturbed = apply_spec(m, PerturbationSpec(epsilon, tuple(deltas), seed, i))
+        perturbed = apply_spec(m, PerturbationSpec(epsilon, tuple(deltas)))
         assert (perturbed.beta, perturbed.gamma) == (tuple(beta), tuple(gamma))
         fa = eager(full_analysis(perturbed))
         comps = fa.attractor.components()

@@ -32,8 +32,8 @@ PACKAGE = Path(itmlab.__file__).resolve().parent
 # the plain records and their fields, in order
 NAMED = {
     "Verdict": ("holds", "witness"),
-    "StabilityReport": ("finite_type", "stabilization_step", "a1", "a2", "a3", "matching", "stable"),
-    "PerturbationSpec": ("epsilon", "deltas", "seed", "index"),
+    "StabilityReport": ("stabilization_step", "a1", "a2", "a3", "matching"),
+    "PerturbationSpec": ("epsilon", "deltas"),
     "DirectedPerturbation": ("spec", "predicted_interval", "period"),
     "GhostEdge": ("child", "parent", "time"),
     "GhostGraph": ("nodes", "edges", "in_x"),
@@ -57,10 +57,7 @@ FROZEN = {
     "FullAnalysis": (("map", "attractor"), ()),
     "SignedPoint": (("value", "side"), ()),
     "IntervalSet": (("intervals",), ()),
-    "ProbeResult": ((
-        "epsilon", "seed", "samples", "accepted", "max_hausdorff", "min_hausdorff",
-        "all_signatures_match", "component_counts",
-    ), ("base",)),
+    "ProbeResult": (("epsilon", "seed", "samples"), ("base",)),
 }
 
 

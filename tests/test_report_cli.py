@@ -35,7 +35,7 @@ from itmlab.report import (
     stability_section,
     vectors_section,
 )
-from itmlab.vectors import verify_identities
+from itmlab.vectors import build_vectors, verify_identities
 
 from conftest import (
     naive_attractor_section,
@@ -178,6 +178,21 @@ class TestAnalyze:
         assert doc["attractor"]["capped"] is True
         assert doc["stability"]["stable"] is False
 
+    def test_capped_is_read_off_the_attractor(self, fig1, corpus, tmp_path, capsys):
+        # "capped" is "infinite_type_suspected": a cap below step + 1 is
+        # reached, and the default cap never is
+        for n, m in enumerate([fig1, *corpus]):
+            path = tmp_path / f"m{n}.json"
+            path.write_text(json.dumps(
+                {"r": m.r, "beta": [str(b) for b in m.beta], "gamma": [str(g) for g in m.gamma]}))
+            step = full_analysis(m).attractor.stabilization_step
+            for max_iter in sorted({1, step, step + 1} - {0}) + [None]:
+                cap = [] if max_iter is None else ["--max-iter", str(max_iter)]
+                assert main(["analyze", str(path), *cap, "--json-only"]) == 0
+                att = json.loads(capsys.readouterr().out)["attractor"]
+                expected = max_iter is not None and max_iter < step + 1
+                assert att["capped"] is att["infinite_type_suspected"] is expected
+
     def test_huge_q_exit_2(self, tmp_path, capsys):
         # each literal is under the int-to-str digit limit, but their lcm Q
         # is not, so a report could not write it out
@@ -291,6 +306,10 @@ class TestProbeCommand:
     def test_directed_on_stable_map_exit_3(self, files, capsys):
         assert main(["probe", files["fig1"], "--eps", "1/4096",
                      "--directed"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: NotRealizableDirectlyError: --directed needs an A3 violation\n")
 
     def test_degenerate_probe_exit_3(self, files, capsys):
         # every draw of this seed leaves the polytope
@@ -346,11 +365,14 @@ class TestRenderCommand:
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_orbit_render_functions_directly(self, fig1):
+    def test_orbit_render_functions_directly(self, fig1, files, tmp_path):
         assert render_map(fig1).startswith("<svg")
-        assert render_orbit(fig1, 1).startswith("<svg")
-        with pytest.raises(ValueError):
-            render_orbit(fig1, 9)
+        out = tmp_path / "o.svg"
+        assert main(["render", files["fig1"], "--kind", "orbit", "--component", "2",
+                     "--out", str(out)]) == 0
+        data = full_analysis(fig1).return_maps[1]  # return times (1, 2): 2 + 3 bars
+        svg = render_orbit(fig1, data)
+        assert svg == out.read_text() and svg.count('fill-opacity="0.55"') == 5
 
 
 class TestDumpCommands:
@@ -589,7 +611,7 @@ class TestReportApi:
             for data in analysis.return_maps:
                 assert "cut_points" not in data.__dict__
                 assert "images" not in data.__dict__
-                for check in verify_identities(m, data):
+                for check in verify_identities(m, data, build_vectors(m, data)):
                     assert check.value == F(check.kvalue, m.Q)
 
     def test_sections_match_dict_oracles(self, fig1, corpus, corpus_q1024, branchy_q1024):
@@ -637,7 +659,7 @@ class TestReportApi:
             seen["edges"] += bool(analysis.ghost_graph.edges)
             seen["uncapped"] += att.stabilization_step is not None
             seen["a3"] += not analysis.a3.holds
-            seen["witness"] += any(v.witness for v in analysis.report[2:6])
+            seen["witness"] += any(v.witness for v in analysis.report[1:])
         assert min(seen.values()) > 0
 
     @pytest.mark.parametrize("max_iter", [1, 2])
@@ -645,8 +667,7 @@ class TestReportApi:
         analysis = full_analysis(fig1, max_iter)
         att = analysis.attractor
         assert att.stabilization_step is None and att.infinite_type_suspected
-        self.assert_matches(attractor_section(att, capped=True),
-                            naive_attractor_section(att, capped=True))
+        self.assert_matches(attractor_section(att), naive_attractor_section(att, capped=True))
         assert analysis.report.a1.witness == {"reason": "not finite type"}
         self.assert_matches(stability_section(analysis.report),
                             naive_stability_section(analysis.report))

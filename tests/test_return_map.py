@@ -45,7 +45,7 @@ class TestFig1Structure:
         assert data.tau == (2, 1)
         assert data.images == ((F(9, 14), F(17, 21)), (F(1, 2), F(9, 14)))
         assert not data.dynamically_trivial
-        rec = data.landing(1)
+        rec = data.landings[0]
         assert rec.time == 0 and rec.disc == 2
 
     def test_component_b_chains(self, fig1):
@@ -65,7 +65,7 @@ class TestFig1Structure:
         assert data.return_times == (4, 3)
         assert data.sigma == (2, 1)
         assert data.images == ((F(2, 7), F(13, 42)), (F(1, 6), F(2, 7)))
-        rec = data.landing(1)
+        rec = data.landings[0]
         assert rec.time == 2 and rec.disc == 2
 
     def test_touching_values(self, fig1):
@@ -87,7 +87,7 @@ class TestRotation:
         assert data.cut_points == (F(0), F(2, 5), F(1))
         assert data.return_times == (1, 1)
         assert data.sigma == (2, 1)
-        assert data.landing(1).time == 0
+        assert data.landings[0].time == 0
         assert classify_return_dynamics(data) == ROTATION_LIKE
 
 
@@ -255,7 +255,7 @@ class TestRecords:
         for record, names in [
             (chain.hits[0], ("disc", "time", "counts")),
             (chain, ("j", "side", "hits", "entry_time", "kentry", "entry_counts")),
-            (data.landing(1), ("j", "time", "disc")),
+            (data.landings[0], ("j", "time", "disc")),
         ]:
             assert type(record)._fields == names
             assert tuple(record) == tuple(getattr(record, name) for name in names)

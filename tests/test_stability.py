@@ -162,6 +162,19 @@ class TestVerdict:
         rep = stability_verdict(fig1, max_iter=2)
         assert not rep.finite_type and not rep.stable
 
+    def test_stable_is_finite_type_and_the_four_verdicts(self, corpus, branchy_q1024):
+        # the uncapped runs give both outcomes of the verdicts, the capped
+        # runs the not-finite branch
+        seen = set()
+        for m in [*corpus, *branchy_q1024]:
+            for max_iter in (None, 1):
+                rep = stability_verdict(m, max_iter)
+                verdicts = (rep.a1, rep.a2, rep.a3, rep.matching)
+                assert rep.finite_type is (rep.stabilization_step is not None)
+                assert rep.stable is (rep.finite_type and all(v.holds for v in verdicts))
+                seen.add((rep.finite_type, rep.stable))
+        assert seen == {(True, True), (True, False), (False, False)}
+
     def test_analysis_holds_the_attractor_only(self, fig1):
         assert FullAnalysis._fields == ("map", "attractor")
         analysis = full_analysis(fig1, max_iter=2)
@@ -271,6 +284,8 @@ class TestProbe:
                 assert n == 0
         assert 0 < same < pr.accepted
         assert len(walked) == sum(walks)
+        assert len(pr.component_counts) > 1
+        assert pr.component_counts == tuple(sorted({rec.component_count for rec in accepted}))
 
     def test_no_valid_samples(self, rotation35):
         # all three draws of this seed leave the polytope at eps = 3
@@ -288,13 +303,24 @@ class TestProbe:
         near_edge = validate(2, [F(2, 5)], [F(3, 5) - F(1, 4000), F(-2, 5) + F(1, 4000)])
         maps = [fig1, ghost_map, near_edge] + [corpus[i] for i in self.PROBED_CORPUS]
         eps = F(1, 1000)
+        summaries = set()
         for m in maps:
             pr = perturbation_probe(m, eps, 40, seed=3)
-            assert list(pr.samples) == naive_probe_records(m, eps, 40, 3)
+            records = naive_probe_records(m, eps, 40, 3)
+            assert list(pr.samples) == records
             assert pr.base == full_analysis(m)
             assert pr.base.return_maps == full_analysis(m).return_maps
+            # the summary is read off the accepted records only
+            accepted = [rec for rec in records if rec.accepted]
+            distances = [rec.hausdorff for rec in accepted]
+            assert pr.accepted == len(accepted)
+            assert pr.max_hausdorff == max(distances) and pr.min_hausdorff == min(distances)
+            assert pr.all_signatures_match is all(rec.signature_match for rec in accepted)
+            assert pr.component_counts == tuple(sorted({rec.component_count for rec in accepted}))
+            summaries.add(pr.all_signatures_match)
             if m is near_edge:
                 assert 0 < pr.accepted < 40
+        assert summaries == {True, False}
 
     @pytest.mark.parametrize("eps,seed,rejected", [
         (F(1, 5), 1, 5),  # five draws leave the polytope
