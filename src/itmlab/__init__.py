@@ -52,7 +52,6 @@ from .vectors import (
     IdentityViolatedError,
     build_vectors,
     check_lin_dep_pattern,
-    product,
     verify_identities,
 )
 from .ghost import (
@@ -61,7 +60,6 @@ from .ghost import (
     GhostGraph,
     build_ghost_graph,
     check_A3,
-    ghost_preimages,
     ghost_tree,
 )
 from .stability import (

@@ -104,13 +104,11 @@ def image(m: ItmMap, s: IntervalSet) -> IntervalSet:
     return kernel.to_interval_set(kernel.image(grid, pairs), grid.denom)
 
 
-def orbit_closure(m: ItmMap, s: IntervalSet, cap: int | None = None) -> IntervalSet:
+def orbit_closure(m: ItmMap, s: IntervalSet) -> IntervalSet:
     """Union of all forward images of ``s`` (stabilizes for finite-type input)."""
-    if cap is None:
-        cap = 2 * m.Q * (m.r + 1)
     grid, total = _to_grid(m, s)
     cur = total
-    for _ in range(cap):
+    for _ in range(2 * m.Q * (m.r + 1)):
         cur = kernel.image(grid, cur)
         nxt = kernel.merge(total + cur)
         if nxt == total:

@@ -13,10 +13,8 @@ import functools
 import json
 import sys
 
-from .attractor import compute_attractor
 from .intervals import MINUS, PLUS, parse_rational
 from .itm import BadOrderError, BadTranslationError, ItmMap, MapFormatError, parse_map
-from .return_map import compute_return_map
 from .report import (
     build_report,
     directed_section,
@@ -53,16 +51,26 @@ class UsageError(ValueError):
     honour."""
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a repeated key is refused (json.loads keeps its last value)."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise MapFormatError(f"key {key!r} appears more than once in an object")
+        doc[key] = value
+    return doc
+
+
 def _load(path: str) -> tuple[ItmMap, str]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise MapFileError(f"{path!r} must be a readable file: {exc.strerror}") from exc
-    # ValueError covers bad UTF-8, malformed JSON and integers longer than
-    # the int conversion limit; RecursionError covers arrays nested too deep.
+    # ValueError covers bad UTF-8, malformed JSON, a repeated key and integers
+    # longer than the int conversion limit; RecursionError covers arrays nested too deep.
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise MapFormatError(f"invalid JSON: {exc}") from exc
     return parse_map(doc), input_digest(raw)
@@ -81,15 +89,9 @@ def _max_iter(text: str) -> int:
     return int(text)
 
 
-def _depth(text: str) -> int:
-    if not _digits(text):
-        raise argparse.ArgumentTypeError(f"depth >= 0 required, got {text!r}")
-    return int(text)
-
-
 def _natural(text: str) -> int:
-    """--samples and --component: ASCII digits (their ranges are checked
-    where they are used)."""
+    """--samples, --component and --depth: ASCII digits (their ranges are
+    checked where they are used)."""
     if not _digits(text):
         raise argparse.ArgumentTypeError(f"ASCII digits required, got {text!r}")
     return int(text)
@@ -114,12 +116,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_component(k: int, count: int) -> None:
-    """--component K must name one of the attractor's ``count`` components."""
+def _return_map(analysis, k: int):
+    """The return map of component K, which --component K must name."""
+    count = len(analysis.attractor.kcomponents)
     if not 1 <= k <= count:
         raise UsageError(
             f"--component must be in 1..{count} (the attractor has {count} components)"
         )
+    return analysis.return_maps[k - 1]
 
 
 def _summary(analysis, json_only: bool) -> None:
@@ -185,13 +189,12 @@ def cmd_render(args) -> int:
     if args.kind == "map":
         svg = render_map(m)
     else:
-        att = compute_attractor(m, args.max_iter)
-        if not att.finite_type:
+        analysis = full_analysis(m, args.max_iter)
+        if not analysis.attractor.finite_type:
             raise UsageError("orbit rendering needs a finite-type attractor "
                              "(cap reached, infinite type suspected)")
         k = 1 if args.component is None else args.component
-        _check_component(k, len(att.kcomponents))
-        svg = render_orbit(m, compute_return_map(m, att.kcomponents[k - 1], att))
+        svg = render_orbit(m, _return_map(analysis, k))
     _emit(svg, args.out)
     return 0
 
@@ -239,17 +242,12 @@ def cmd_ghost_tree(args) -> int:
 def cmd_return_map(args) -> int:
     m, digest = _load(args.file)
     analysis = full_analysis(m)
-    if args.component is None:
-        sections = [
-            return_map_section(m, data, k) for k, data in enumerate(analysis.return_maps, start=1)
-        ]
-    else:
-        k, att = args.component, analysis.attractor
-        _check_component(k, len(att.kcomponents))
-        sections = [return_map_section(m, compute_return_map(m, att.kcomponents[k - 1], att), k)]
+    numbered = enumerate(analysis.return_maps, start=1)
+    if args.component is not None:
+        numbered = [(args.component, _return_map(analysis, args.component))]
     doc = {
         "header": json_fragment({"tool": "itmlab", "input_digest": digest}),
-        "return_maps": sections,
+        "return_maps": [return_map_section(m, data, k) for k, data in numbered],
     }
     _emit(render_document(doc), args.out)
     return 0
@@ -290,7 +288,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ghost-tree", parents=[common], help="dump the ghost graph (and a tree)")
     p.add_argument("--root", default=None, help="signed discontinuity like '1+'")
-    p.add_argument("--depth", type=_depth, default=None, help="with --root only, default 4")
+    p.add_argument("--depth", type=_natural, default=None, help="with --root only, default 4")
     p.set_defaults(func=cmd_ghost_tree)
 
     p = sub.add_parser("return-map", parents=[common], help="dump return-map structures")

@@ -68,8 +68,13 @@ class A3Witness(NamedTuple):
 
 
 class A3Result(NamedTuple):
-    holds: bool
-    witness: A3Witness | None
+    """A3's witness to its violation; A3 holds when there is none."""
+
+    witness: A3Witness | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 class GhostTree(NamedTuple):
@@ -109,22 +114,6 @@ def _ghost_walks(
                     break
         walks[node] = landed
     return walks
-
-
-def ghost_preimages(
-    m: ItmMap, target: SignedDisc, attractor: AttractorResult | None = None
-) -> tuple[tuple[SignedDisc, int], ...]:
-    """All ghost preimages of a signed discontinuity with their landing times:
-    the children of ``target`` in the ghost graph.
-
-    For a plus-type target these are the minus-type discontinuities landing
-    on the target's value at minimal time k >= 1 with the whole orbit before
-    the landing outside X (mirrored for minus-type targets). k <= Q always:
-    outside X no state can repeat, so the orbit either lands, enters X, or
-    exhausts the grid.
-    """
-    graph = build_ghost_graph(m, attractor)
-    return tuple((e.child, e.time) for e in graph.children(target))
 
 
 def build_ghost_graph(m: ItmMap, attractor: AttractorResult | None = None) -> GhostGraph:
@@ -177,8 +166,8 @@ def check_A3(graph: GhostGraph) -> A3Result:
             if ok:
                 cycle = tuple(e.child for e in path)
                 times = tuple(e.time for e in path)
-                return A3Result(False, A3Witness(i, cycle, times))
-    return A3Result(True, None)
+                return A3Result(A3Witness(i, cycle, times))
+    return A3Result()
 
 
 def ghost_tree(graph: GhostGraph, root: SignedDisc, depth: int) -> GhostTree:

@@ -238,10 +238,10 @@ def vectors_section(m: ItmMap, data: ReturnMapData, component: int) -> Fragment:
     )
 
 
-def _verdict(holds: bool, witness) -> str:
-    """A verdict with its witness, as the value of a key at depth 1."""
+def _verdict(witness) -> str:
+    """A verdict, which holds when it has no witness, as the value of a key at depth 1."""
     text = "null" if witness is None else json_fragment(witness).replace("\n", "\n    ")
-    return f'{{\n    "holds": {_BOOL[holds]},\n    "witness": {text}\n  }}'
+    return f'{{\n    "holds": {_BOOL[witness is None]},\n    "witness": {text}\n  }}'
 
 
 def ghost_section(graph: GhostGraph, a3_verdict) -> Fragment:
@@ -259,7 +259,7 @@ def ghost_section(graph: GhostGraph, a3_verdict) -> Fragment:
         for e in graph.edges
     ]
     witness = a3_verdict.witness
-    a3 = _verdict(a3_verdict.holds, None if witness is None else witness.as_dict())
+    a3 = _verdict(None if witness is None else witness.as_dict())
     return Fragment(
         f'{{\n  "nodes": {_array(nodes, "  ")},\n  "edges": {_array(edges, "  ")},\n'
         f'  "a3": {a3}\n}}'
@@ -271,10 +271,10 @@ def stability_section(report: StabilityReport) -> Fragment:
     return Fragment(
         f'{{\n  "finite_type": {_BOOL[report.finite_type]},\n'
         f'  "stabilization_step": {_scalar(report.stabilization_step)},\n'
-        f'  "a1": {_verdict(report.a1.holds, report.a1.witness)},\n'
-        f'  "a2": {_verdict(report.a2.holds, report.a2.witness)},\n'
-        f'  "a3": {_verdict(report.a3.holds, report.a3.witness)},\n'
-        f'  "matching": {_verdict(report.matching.holds, report.matching.witness)},\n'
+        f'  "a1": {_verdict(report.a1.witness)},\n'
+        f'  "a2": {_verdict(report.a2.witness)},\n'
+        f'  "a3": {_verdict(report.a3.witness)},\n'
+        f'  "matching": {_verdict(report.matching.witness)},\n'
         f'  "stable": {_BOOL[report.stable]}\n}}'
     )
 

@@ -101,8 +101,8 @@ class ReturnMapData(Frozen):
 
     The cut points and images are held as integer numerators over the
     map's grid; their Fraction views and the signed chains are
-    built on first access. Equality, hash and repr leave out ``grid``,
-    ``cap`` and ``_source``, so a transported map equals the walked one.
+    built on first access. Equality, hash and repr leave out ``grid`` and
+    ``_source``, so a transported map equals the walked one.
     """
 
     _fields = ("kcuts", "return_times", "landings", "sigma", "tau", "kimages")
@@ -113,15 +113,14 @@ class ReturnMapData(Frozen):
     tau: tuple[int, ...]
     kimages: tuple[IntPair, ...]
     grid: Grid
-    cap: int  # safety cap of the chain walks
     # (return map of the component whose image this one is, 0-based branch of
     # that component) when the chains are shifted from it rather than walked
     _source: tuple[ReturnMapData, int] | None
 
-    def __init__(self, kcuts, return_times, landings, sigma, tau, kimages, grid, cap, _source=None):
+    def __init__(self, kcuts, return_times, landings, sigma, tau, kimages, grid, _source=None):
         vars(self).update(
             kcuts=kcuts, return_times=return_times, landings=landings, sigma=sigma, tau=tau,
-            kimages=kimages, grid=grid, cap=cap, _source=_source,
+            kimages=kimages, grid=grid, _source=_source,
         )
 
     @property
@@ -149,13 +148,13 @@ class ReturnMapData(Frozen):
         whose chains are known, filling each member's cache on the way,
         because towers reach thousands of components."""
         if self._source is None:
-            grid, kcuts, n = self.grid, self.kcuts, self.n_intervals
+            grid, kcuts, times, n = self.grid, self.kcuts, self.return_times, self.n_intervals
             J = (kcuts[0], kcuts[-1])
             beta_index = _beta_index(grid)
             return self._checked([
-                _signed_chain(grid, beta_index, J, j, PLUS, kcuts[j], self.cap) for j in range(n)
+                _signed_chain(grid, beta_index, J, j, PLUS, kcuts[j], times[j]) for j in range(n)
             ] + [
-                _signed_chain(grid, beta_index, J, j, MINUS, kcuts[j], self.cap) for j in range(1, n + 1)
+                _signed_chain(grid, beta_index, J, j, MINUS, kcuts[j], times[j - 1]) for j in range(1, n + 1)
             ])
         pending = [self]
         src = self._source[0]
@@ -170,14 +169,10 @@ class ReturnMapData(Frozen):
         return chains
 
     def _checked(self, chains: list[SignedChain]) -> tuple[SignedChain, ...]:
-        """The chains, checked against the piece propagation: entry times
-        must equal the return times, and both sides of an interior cut point
-        must first hit the same discontinuity at its landing time."""
+        """The chains, checked against the piece propagation: both sides of
+        an interior cut point must first hit the same discontinuity at its
+        landing time."""
         n = self.n_intervals
-        for c in chains:
-            expected = self.return_times[c.j if c.side == PLUS else c.j - 1]
-            if c.entry_time != expected:
-                raise ReturnMapInvariantError(f"chain entry {c} != return time {expected}")
         for rec in self.landings:
             for c in (chains[rec.j], chains[n + rec.j - 1]):
                 if not (c.hits and c.hits[0].time == rec.time and c.hits[0].disc == rec.disc):
@@ -201,31 +196,34 @@ def _beta_index(grid: Grid) -> dict[int, int]:
 
 
 def _signed_chain(
-    grid: Grid, beta_index: dict[int, int], J: IntPair, j: int, side: str, start: int, cap: int
+    grid: Grid, beta_index: dict[int, int], J: IntPair, j: int, side: str, start: int, steps: int
 ) -> SignedChain:
     """Walk the signed point ``start/denom`` with ``side`` on the integer
-    grid until it re-enters J; record discontinuity hits before that, each
-    with the cumulative branch counts, and the counts at entry."""
+    grid for ``steps``, the return time the piece propagation measured; it
+    must be outside J until then and inside J at that time. Record the
+    discontinuity hits with cumulative branch counts, and the counts at entry."""
     cuts, gamma = grid.cuts, grid.gamma
     find = branch_rule(side)  # finds the branch, and signed membership of J
     k = start
     hits: list[ChainHit] = []
     counts = [0] * len(gamma)
-    t = 0
-    while True:
-        if t >= 1 and find(J, k) == 1:
-            return SignedChain(j, side, tuple(hits), t, k, tuple(counts))
+    for t in range(steps):
+        if t and find(J, k) == 1:
+            raise ReturnMapInvariantError(
+                f"signed point {Fraction(start, grid.denom)}{side} re-entered J at time {t}, "
+                f"before its return time {steps}"
+            )
         disc = beta_index.get(k)
         if disc is not None:
             hits.append(ChainHit(disc, t, tuple(counts)))
         i = find(cuts, k) - 1
         counts[i] += 1
         k += gamma[i]
-        t += 1
-        if t > cap:
-            raise NotFiniteTypeError(
-                f"signed point {Fraction(start, grid.denom)}{side} did not re-enter {J}"
-            )
+    if find(J, k) != 1:
+        raise ReturnMapInvariantError(
+            f"signed point {Fraction(start, grid.denom)}{side} is not in J at its return time {steps}"
+        )
+    return SignedChain(j, side, tuple(hits), steps, k, tuple(counts))
 
 
 def compute_return_map(
@@ -343,7 +341,6 @@ def compute_return_map(
         tau=tuple(tau),
         kimages=tuple(kimages),
         grid=grid,
-        cap=cap,
     )
 
 
@@ -360,7 +357,6 @@ def _transported(src: ReturnMapData, b: int) -> ReturnMapData:
         tau=src.tau,
         kimages=tuple((l + g, r + g) for l, r in src.kimages),
         grid=src.grid,
-        cap=src.cap,
         _source=(src, b),
     )
 

@@ -49,8 +49,13 @@ class NotRealizableDirectlyError(RuntimeError):
 
 
 class Verdict(NamedTuple):
-    holds: bool
+    """A condition's witness to its violation; it holds when there is none."""
+
     witness: dict | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 class StabilityReport(NamedTuple):
@@ -140,15 +145,15 @@ class FullAnalysis(Frozen):
     @cached_property
     def report(self) -> StabilityReport:
         if not self.attractor.finite_type:
-            fails = Verdict(False, {"reason": "not finite type"})
+            fails = Verdict({"reason": "not finite type"})
             return StabilityReport(None, fails, fails, fails, fails)
-        m, attractor, return_maps, a3 = self.map, self.attractor, self.return_maps, self.a3
+        attractor, return_maps, a3 = self.attractor, self.return_maps, self.a3
         return StabilityReport(
             attractor.stabilization_step,
-            check_A1(m, attractor, return_maps),
-            check_A2(m, attractor, return_maps),
-            Verdict(a3.holds, None if a3.holds else a3.witness.as_dict()),
-            check_matching(m, attractor, return_maps),
+            check_A1(attractor, return_maps),
+            check_A2(self.map, attractor, return_maps),
+            Verdict(None if a3.holds else a3.witness.as_dict()),
+            check_matching(attractor, return_maps),
         )
 
 
@@ -230,7 +235,7 @@ def _signature(analysis_return_maps: tuple[ReturnMapData, ...]) -> tuple:
     return tuple((d.n_intervals, d.return_times, d.sigma) for d in analysis_return_maps)
 
 
-def check_A1(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
+def check_A1(attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
     """At most one critical hit along every signed endpoint's journey back to
     its component (a time-0 hit counts when the point itself is critical)."""
     if not attractor.finite_type:
@@ -238,14 +243,14 @@ def check_A1(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
     for comp_idx, data in enumerate(return_maps, start=1):
         for chain in data.chains:
             if len(chain.hits) > 1:
-                return Verdict(False, {
+                return Verdict({
                     "component": comp_idx,
                     "cut_index": chain.j,
                     "side": chain.side,
                     "point": Fraction(data.kcuts[chain.j], data.grid.denom),
                     "hits": [(h.disc, h.time) for h in chain.hits],
                 })
-    return Verdict(True)
+    return Verdict()
 
 
 def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
@@ -265,7 +270,7 @@ def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
         b = m.grid.cuts[i]
         for comp_idx, (l, r) in enumerate(attractor.kcomponents, start=1):
             if b == l or b == r:
-                return Verdict(False, {
+                return Verdict({
                     "component": comp_idx,
                     "boundary": "left" if b == l else "right",
                     "point": Fraction(b, m.Q),
@@ -279,16 +284,16 @@ def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
         for j, side in ((0, PLUS), (n, MINUS)):
             chain = data.chain(j, side)
             if chain.hits:
-                return Verdict(False, {
+                return Verdict({
                     "component": comp_idx,
                     "boundary": "left" if side == PLUS else "right",
                     "point": Fraction(data.kcuts[j], data.grid.denom),
                     "first_hit": (chain.hits[0].disc, chain.hits[0].time),
                 })
-    return Verdict(True)
+    return Verdict()
 
 
-def check_matching(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
+def check_matching(attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
     """Every dynamically non-trivial component returns like a rotation:
     exactly one interior landing point and the two pieces swapped.
 
@@ -304,18 +309,18 @@ def check_matching(m: ItmMap, attractor: AttractorResult, return_maps: tuple[Ret
             continue
         n = data.n_intervals
         if n != 2:
-            return Verdict(False, {
+            return Verdict({
                 "component": comp_idx,
                 "interior_landing_points": n - 1,
                 "reason": "interior landing count != 1",
             })
         if classify_return_dynamics(data) == IDENTITY:
-            return Verdict(False, {
+            return Verdict({
                 "component": comp_idx,
                 "interior_landing_points": 1,
                 "reason": "pieces return to themselves (identity with a coincidental cut)",
             })
-    return Verdict(True)
+    return Verdict()
 
 
 def full_analysis(m: ItmMap, max_iter: int | None = None) -> FullAnalysis:

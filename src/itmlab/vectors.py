@@ -61,9 +61,6 @@ class CoefficientVector(NamedTuple):
     f: tuple[int, ...]
     tag: Tag
 
-    def entries(self) -> tuple[int, ...]:
-        return self.e + self.f
-
 
 class IdentityCheck(NamedTuple):
     """The product of one vector, held as its numerator ``kvalue`` over
@@ -80,21 +77,14 @@ class IdentityCheck(NamedTuple):
 
 
 class PatternResult(NamedTuple):
-    holds: bool
+    """The nullity, and a witness when a combination leaves the pattern."""
+
     nullity: int
-    witness: dict | None
+    witness: dict | None = None
 
-
-def product(v: CoefficientVector, m: ItmMap) -> Fraction:
-    """<v, (gamma beta)> = sum e_s gamma_s + sum f_s beta_s, exact: an
-    integer sum over the grid numerators of the parameters."""
-    return Fraction(sum(map(mul, v.entries(), _params(m))), m.Q)
-
-
-def _params(m: ItmMap) -> list[int]:
-    """The grid numerators of ``(gamma_1..gamma_r, beta_1..beta_{r-1})``."""
-    grid = m.grid
-    return [*grid.gamma, *grid.cuts[1:-1]]
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ...]:
@@ -155,7 +145,7 @@ def verify_identities(
 ) -> tuple[IdentityCheck, ...]:
     """Check the defining identity of every vector of ``build_vectors(m,
     data)`` by exact equality / membership."""
-    params = _params(m)
+    params = [*m.grid.gamma, *m.grid.cuts[1:-1]]  # grid numerators of (gamma, beta)
     kcuts, chains, n, q = data.kcuts, data.chains, data.n_intervals, m.Q
     x, y = kcuts[0], kcuts[-1]
     checks: list[IdentityCheck] = []
@@ -276,8 +266,8 @@ def check_lin_dep_pattern(
     _eliminate(pivots, rest, dim)
     nullity = len(vectors) - len(pivots)
     if nullity == pattern_nullity:
-        return PatternResult(True, nullity, None)
-    return PatternResult(False, nullity, {
+        return PatternResult(nullity)
+    return PatternResult(nullity, {
         "nullity": nullity, "pattern_nullity": pattern_nullity,
         "reason": "a vanishing combination leaves the pattern",
     })

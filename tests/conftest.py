@@ -407,7 +407,7 @@ def naive_pattern(vectors, n: int, dim: int) -> tuple[bool, int]:
     the minus block at j and the plus block at j. Boundary landings are
     free.
     """
-    basis = naive_nullspace([v.entries() for v in vectors], dim)
+    basis = naive_nullspace([v.e + v.f for v in vectors], dim)
     for alpha in basis:
         coef = {v.tag: a for v, a in zip(vectors, alpha)}
 

@@ -10,7 +10,6 @@ from itmlab import (
     build_ghost_graph,
     check_A3,
     compute_attractor,
-    ghost_preimages,
     ghost_tree,
     minus,
     plus,
@@ -21,25 +20,26 @@ from conftest import naive_ghost_edges
 
 
 class TestGhostPreimages:
+    # the ghost preimages of a signed discontinuity are its children
     def test_fig1_beta2_plus(self, fig1):
         # T(beta_1-) = beta_2-, and 1/3 sits outside the attractor
-        assert ghost_preimages(fig1, (2, "+")) == (((1, "-"), 1),)
+        children = build_ghost_graph(fig1).children((2, "+"))
+        assert [(e.child, e.time) for e in children] == [((1, "-"), 1)]
 
     def test_fig1_beta1_plus_empty(self, fig1):
         # beta_2-'s orbit never leaves X; nothing outside lands on beta_1-
-        assert ghost_preimages(fig1, (1, "+")) == ()
+        assert build_ghost_graph(fig1).children((1, "+")) == ()
 
     def test_rotation_all_empty(self, rotation35):
         # every orbit is periodic inside X = [0,1): landings there are the
         # periodic structure, not ghost relations
-        assert ghost_preimages(rotation35, (1, "+")) == ()
-        assert ghost_preimages(rotation35, (1, "-")) == ()
+        graph = build_ghost_graph(rotation35)
+        assert graph.children((1, "+")) == () == graph.children((1, "-"))
 
     def test_ghost_map_cycle_edges(self, ghost_map):
-        pre_b2p = ghost_preimages(ghost_map, (2, "+"))
-        assert ((1, "-"), 1) in pre_b2p
-        pre_b1m = ghost_preimages(ghost_map, (1, "-"))
-        assert ((2, "+"), 1) in pre_b1m
+        graph = build_ghost_graph(ghost_map)
+        assert ((1, "-"), 1) in [(e.child, e.time) for e in graph.children((2, "+"))]
+        assert ((2, "+"), 1) in [(e.child, e.time) for e in graph.children((1, "-"))]
 
 
 class TestGhostGraph:
@@ -80,9 +80,9 @@ class TestGhostGraph:
             assert {(e.child, e.parent, e.time) for e in graph.edges} == edges
             assert graph.in_x == in_x
             for node in graph.nodes:
-                assert ghost_preimages(m, node, att) == tuple(
-                    (e.child, e.time) for e in graph.children(node)
-                )
+                assert {(e.child, e.parent, e.time) for e in graph.children(node)} == {
+                    edge for edge in edges if edge[1] == node
+                }
             total += len(edges)
         assert total > 0
 

@@ -31,14 +31,14 @@ PACKAGE = Path(itmlab.__file__).resolve().parent
 
 # the plain records and their fields, in order
 NAMED = {
-    "Verdict": ("holds", "witness"),
+    "Verdict": ("witness",),
     "StabilityReport": ("stabilization_step", "a1", "a2", "a3", "matching"),
     "PerturbationSpec": ("epsilon", "deltas"),
     "DirectedPerturbation": ("spec", "predicted_interval", "period"),
     "GhostEdge": ("child", "parent", "time"),
     "GhostGraph": ("nodes", "edges", "in_x"),
     "A3Witness": ("disc", "cycle", "times"),
-    "A3Result": ("holds", "witness"),
+    "A3Result": ("witness",),
     "GhostTree": ("root", "levels", "repeated"),
     "IterationResult": ("point", "itinerary", "counts"),
 }
@@ -52,7 +52,7 @@ FROZEN = {
     ), ()),
     "ReturnMapData": (
         ("kcuts", "return_times", "landings", "sigma", "tau", "kimages"),
-        ("grid", "cap", "_source"),
+        ("grid", "_source"),
     ),
     "FullAnalysis": (("map", "attractor"), ()),
     "SignedPoint": (("value", "side"), ()),
@@ -107,6 +107,17 @@ def test_plain_records_are_named_tuples(records, name):
             setattr(rec, field, None)
 
 
+def test_a_verdict_is_its_witness(records, ghost_map):
+    # Verdict and A3Result store only the witness: holds is read off it
+    violated = full_analysis(ghost_map)
+    verdicts = (records["Verdict"], records["A3Result"], violated.report.a3, violated.a3)
+    assert [v.holds for v in verdicts] == [True, True, False, False]
+    for v in verdicts:
+        assert v.holds is (v.witness is None)
+        with pytest.raises(AttributeError):
+            v.holds = not v.holds
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_frozen_records(records, name):
     rec, (values, extra) = records[name], FROZEN[name]
@@ -127,16 +138,16 @@ def test_frozen_records(records, name):
     assert rec != tuple(getattr(rec, field) for field in values)
 
 
-def test_return_map_equality_ignores_grid_cap_and_source(records):
+def test_return_map_equality_ignores_grid_and_source(records):
     data = records["ReturnMapData"]
     other = ReturnMapData(
         data.kcuts, data.return_times, data.landings, data.sigma, data.tau, data.kimages,
-        data.grid._replace(denom=2 * data.grid.denom), data.cap + 1, (data, 0),
+        data.grid._replace(denom=2 * data.grid.denom), (data, 0),
     )
     assert other == data and hash(other) == hash(data) and repr(other) == repr(data)
     changed = ReturnMapData(
         data.kcuts, data.return_times, data.landings, data.sigma, data.tau + (0,), data.kimages,
-        data.grid, data.cap,
+        data.grid,
     )
     assert changed != data
 

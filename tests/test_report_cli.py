@@ -13,6 +13,8 @@ import pytest
 from itmlab import (
     a3_breaking_perturbation,
     apply_spec,
+    compute_attractor,
+    compute_return_map,
     full_analysis,
     parse_map,
     parse_rational,
@@ -128,7 +130,10 @@ class TestAnalyze:
         ("[" * 100_000 + "]" * 100_000, "invalid JSON"),
         ('{"r": ' + "9" * 5000 + ', "beta": [], "gamma": []}', "invalid JSON"),
         ('{"r": 2, "beta": ["1/2\\n"], "gamma": ["0", "0"]}', "not a rational literal"),
-    ], ids=["nested-arrays", "long-integer", "trailing-newline"])
+        # json.loads alone would keep r = 3 and report a count mismatch
+        ('{"r": 2, "beta": ["1/2"], "gamma": ["1/2", "-1/2"], "r": 3}',
+         "invalid JSON: key 'r' appears more than once in an object"),
+    ], ids=["nested-arrays", "long-integer", "trailing-newline", "repeated-key"])
     def test_hostile_input_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "hostile.json"
         path.write_text(text)
@@ -439,13 +444,13 @@ class TestDumpCommands:
         with pytest.raises(SystemExit) as exc:
             main(["ghost-tree", files["ghost"], "--root", "1+", "--depth", "\u0663"])
         assert exc.value.code == 2
-        assert "depth >= 0 required" in capsys.readouterr().err
+        assert "argument --depth: ASCII digits required, got '\u0663'" in capsys.readouterr().err
 
     def test_ghost_tree_negative_depth_exit_2(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ghost-tree", files["ghost"], "--root", "1+", "--depth", "-1"])
         assert exc.value.code == 2
-        assert "depth >= 0" in capsys.readouterr().err
+        assert "argument --depth: ASCII digits required, got '-1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("depth", ["65", "100000000"])
     def test_ghost_tree_depth_above_bound_exit_2(self, files, capsys, depth):
@@ -502,28 +507,36 @@ class TestDumpCommands:
         assert exc.value.code == 2
         assert "argument --component: ASCII digits required" in capsys.readouterr().err
 
-    def test_return_map_of_one_component_walks_one(self, files, capsys, monkeypatch):
-        # only the reported component's return orbit is walked, and the
-        # report is the one recorded when every component was walked
-        import itmlab.cli
-        import itmlab.stability
-
-        calls = []
-
-        def counting(real):
-            def compute_return_map(m, J, attractor=None):
-                calls.append(J)
-                return real(m, J, attractor)
-            return compute_return_map
-
-        for module in (itmlab.cli, itmlab.stability):
-            monkeypatch.setattr(module, "compute_return_map", counting(module.compute_return_map))
+    def test_return_map_of_one_component_digest(self, files, capsys):
         assert main(["return-map", files["fig1"], "--component", "1"]) == 0
-        out = capsys.readouterr().out.encode()
-        assert calls == [(7, 13)]
-        assert hashlib.sha256(out).hexdigest() == (
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "de0a6e9b0c9c932b2fd3cfbbd3f2e1a16ebabbb1d455c1b5f7a91344f6476f68"
         )
+
+    @pytest.mark.parametrize("name", ["fig1", "ghost", "branchy-q1024-13", "branchy-q1024-18"])
+    def test_one_component_commands_read_the_analysis(
+        self, fig1, ghost_map, branchy_q1024, tmp_path, capsys, name
+    ):
+        # render --kind orbit and return-map take component K's return map
+        # from the analysis, where most are transported from another
+        # component: the direct walk of component K is the oracle, and the
+        # dump of component K is section K of the whole dump
+        m = {"fig1": fig1, "ghost": ghost_map,
+             "branchy-q1024-13": branchy_q1024[13], "branchy-q1024-18": branchy_q1024[18]}[name]
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(
+            {"r": m.r, "beta": [str(b) for b in m.beta], "gamma": [str(g) for g in m.gamma]}))
+        att = compute_attractor(m)
+        assert main(["return-map", str(path)]) == 0
+        sections = json.loads(capsys.readouterr().out)["return_maps"]
+        assert len(sections) == len(att.kcomponents)
+        svg = tmp_path / "orbit.svg"
+        for k, J in enumerate(att.kcomponents, start=1):
+            assert main(["render", str(path), "--kind", "orbit", "--component", str(k),
+                         "--out", str(svg)]) == 0
+            assert svg.read_text() == render_orbit(m, compute_return_map(m, J, att))
+            assert main(["return-map", str(path), "--component", str(k)]) == 0
+            assert json.loads(capsys.readouterr().out)["return_maps"] == [sections[k - 1]]
 
 
 class TestInProcess:

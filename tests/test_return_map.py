@@ -175,11 +175,14 @@ def _split_second_lost(real):
     return lost
 
 
-def _chain_late(real):
-    def late(*args):
-        c = real(*args)
-        return SignedChain(c.j, c.side, c.hits, c.entry_time + 1, c.kentry, c.entry_counts)
-    return late
+def _chain_long(real):
+    # every walk is given one step more than its return time
+    return lambda *args: real(*args[:-1], args[-1] + 1)
+
+
+def _chain_short(real):
+    # every walk is given one step less than its return time
+    return lambda *args: real(*args[:-1], args[-1] - 1)
 
 
 def _chain_blind(real):
@@ -218,7 +221,8 @@ class TestInvariantErrors:
             compute_return_map(m, (9, 26), att)
 
     @pytest.mark.parametrize("broken,message", [
-        (_chain_late, "!= return time"),
+        (_chain_long, r"re-entered J at time \d+, before its return time"),
+        (_chain_short, "is not in J at its return time"),
         (_chain_blind, "does not first hit"),
     ])
     def test_broken_chain_walk_raises_when_read(self, fig1, monkeypatch, broken, message):
@@ -236,11 +240,11 @@ class TestRecords:
     def test_hand_written_init_takes_the_fields(self, fig1):
         # ReturnMapData and AttractorResult fill their instance dict in
         # __init__ by hand: it takes the declared fields in order (the value
-        # fields first, then the return map's grid, cap and source), stores
+        # fields first, then the return map's grid and source), stores
         # exactly them, and the instances stay frozen
         att = compute_attractor(fig1)
         data = compute_return_map(fig1, JB, att)
-        for obj, extra in ((att, ()), (data, ("grid", "cap", "_source"))):
+        for obj, extra in ((att, ()), (data, ("grid", "_source"))):
             names = [*type(obj)._fields, *extra]
             assert list(inspect.signature(type(obj)).parameters) == names
             assert list(vars(obj)) == names

@@ -40,19 +40,19 @@ def analysis_parts(m):
 class TestConditionChecks:
     def test_fig1_all_hold(self, fig1):
         att, rms = analysis_parts(fig1)
-        assert check_A1(fig1, att, rms).holds
+        assert check_A1(att, rms).holds
         assert check_A2(fig1, att, rms).holds
-        assert check_matching(fig1, att, rms).holds
+        assert check_matching(att, rms).holds
 
     def test_rotation_all_hold(self, rotation35):
         att, rms = analysis_parts(rotation35)
-        assert check_A1(rotation35, att, rms).holds
+        assert check_A1(att, rms).holds
         assert check_A2(rotation35, att, rms).holds
-        assert check_matching(rotation35, att, rms).holds
+        assert check_matching(att, rms).holds
 
     def test_iet3_violates_matching(self, iet3):
         att, rms = analysis_parts(iet3)
-        v = check_matching(iet3, att, rms)
+        v = check_matching(att, rms)
         assert not v.holds
         assert v.witness["interior_landing_points"] == 2
 
@@ -60,7 +60,7 @@ class TestConditionChecks:
         # both pieces return to themselves; the component only looks joined
         m = validate(2, [F(1, 2)], [F(0), F(0)])
         att, rms = analysis_parts(m)
-        v = check_matching(m, att, rms)
+        v = check_matching(att, rms)
         assert not v.holds
         assert "identity" in v.witness["reason"]
         assert not stability_verdict(m).stable

@@ -12,7 +12,6 @@ from itmlab import (
     check_lin_dep_pattern,
     compute_attractor,
     compute_return_map,
-    product,
     verify_identities,
 )
 from itmlab import return_map
@@ -28,6 +27,12 @@ JA = (7, 13)  # [1/6, 13/42)
 
 def by_tag(vecs):
     return {v.tag: v for v in vecs}
+
+
+def products(m, data):
+    """Each vector's product with (gamma beta), by tag, as the identity
+    checks computed it."""
+    return {c.tag: c.value for c in verify_identities(m, data, build_vectors(m, data))}
 
 
 class TestFig1Vectors:
@@ -46,17 +51,18 @@ class TestFig1Vectors:
         assert ("L", 0) not in vecs and ("L", 2) not in vecs
 
     def test_component_b_products(self, fig1):
-        data = compute_return_map(fig1, JB)
-        vecs = by_tag(build_vectors(fig1, data))
+        values = products(fig1, compute_return_map(fig1, JB))
         # <L_1, (gamma beta)> = -a_1
-        assert product(vecs[("L", 1)], fig1) == -F(2, 3)
+        assert values[("L", 1)] == -F(2, 3)
         # <R_1^+, (gamma beta)> = R_J(a_1+) = gamma_1 + gamma_3 + beta_2
-        assert product(vecs[("R", "+", 1)], fig1) == F(1, 2)
-        assert product(vecs[("R", "-", 1)], fig1) == F(17, 21)
+        assert values[("R", "+", 1)] == F(1, 2)
+        assert values[("R", "-", 1)] == F(17, 21)
 
     def test_zero_vector(self, fig1):
-        zero = CoefficientVector((0, 0, 0), (0, 0), ("L", 99))
-        assert product(zero, fig1) == 0
+        # a connection vector's identity is a zero product
+        zero = CoefficientVector((0, 0, 0), (0, 0), ("C", "+", 1, 1))
+        data = compute_return_map(fig1, JB)
+        assert [c.value for c in verify_identities(fig1, data, (zero,))] == [0]
 
     def test_component_a_landing_counts(self, fig1):
         # a_1 = 4/21 rides branches 1 then 2 before landing on beta_2
@@ -64,7 +70,7 @@ class TestFig1Vectors:
         vecs = by_tag(build_vectors(fig1, data))
         assert vecs[("L", 1)].e == (1, 1, 0)
         assert vecs[("L", 1)].f == (0, -1)
-        assert product(vecs[("L", 1)], fig1) == -F(4, 21)
+        assert products(fig1, data)[("L", 1)] == -F(4, 21)
 
     def test_identities(self, fig1):
         for J in (JA, JB):
@@ -185,11 +191,11 @@ class TestRank:
         data = compute_return_map(fig1, JB)
         vecs = list(build_vectors(fig1, data))
         dim = 2 * fig1.r - 1
-        base = rank([v.entries() for v in vecs], dim)
+        base = rank([v.e + v.f for v in vecs], dim)
         rng = random.Random(53)
         for _ in range(5):
             rng.shuffle(vecs)
-            assert rank([v.entries() for v in vecs], dim) == base
+            assert rank([v.e + v.f for v in vecs], dim) == base
 
 
 class TestPatternOracle:
@@ -272,7 +278,7 @@ class TestPatternElimination:
         assert [v.tag for v in vecs] == [
             ("R", "+", 0), ("L", 1), ("R", "+", 1), ("R", "-", 1), ("R", "-", 2)]
         assert calls[0][:2] == (0, 2) and calls[1][1] == 3
-        assert calls[1][2] == rank([v.entries() for v in vecs], 5)
+        assert calls[1][2] == rank([v.e + v.f for v in vecs], 5)
         assert (res.holds, res.nullity) == naive_pattern(vecs, 2, 5)
 
 
@@ -285,15 +291,19 @@ class TestRecords:
         for record, names in [
             (vecs[1], ("e", "f", "tag")),
             (checks[1], ("tag", "kvalue", "denom", "ok")),
-            (pattern, ("holds", "nullity", "witness")),
+            (pattern, ("nullity", "witness")),
         ]:
             assert type(record)._fields == names
             assert tuple(record) == tuple(getattr(record, name) for name in names)
             for name in (*names, "other"):
                 with pytest.raises(AttributeError):
                     setattr(record, name, None)
-        assert vecs[1].entries() == vecs[1].e + vecs[1].f == (0, 0, 0, 0, -1)
+        assert vecs[1].e + vecs[1].f == (0, 0, 0, 0, -1)
         assert checks[1].value == F(checks[1].kvalue, checks[1].denom) == -F(2, 3)
+        # the pattern holds exactly when there is no witness
+        assert pattern.holds and pattern.witness is None
+        with pytest.raises(AttributeError):
+            pattern.holds = False
 
 
 class TestCorpusProperties:
