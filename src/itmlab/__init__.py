@@ -57,6 +57,7 @@ from .vectors import (
 from .ghost import (
     A3Result,
     A3Witness,
+    DepthBoundError,
     GhostGraph,
     build_ghost_graph,
     check_A3,

@@ -32,7 +32,7 @@ from .stability import (
     full_analysis,
     perturbation_probe,
 )
-from .ghost import ghost_tree as build_tree
+from .ghost import DepthBoundError, ghost_tree as build_tree
 
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
@@ -194,7 +194,7 @@ def cmd_render(args) -> int:
             raise UsageError("orbit rendering needs a finite-type attractor "
                              "(cap reached, infinite type suspected)")
         k = 1 if args.component is None else args.component
-        svg = render_orbit(m, _return_map(analysis, k))
+        svg = render_orbit(_return_map(analysis, k))
     _emit(svg, args.out)
     return 0
 
@@ -214,14 +214,6 @@ def cmd_ghost_tree(args) -> int:
         index, side = _parse_root(args.root)
         if not (1 <= index < m.r):
             raise UsageError(f"--root: discontinuity index {index} out of range 1..{m.r - 1}")
-        # level n + 1 depends only on level n, a set of the 2(r-1) signed
-        # discontinuities, so fewer than 2**(2(r-1)) levels are distinct
-        max_depth = 2 ** (2 * (m.r - 1))
-        if depth > max_depth:
-            raise UsageError(
-                f"--depth must be <= 2**(2*(r-1)) = {max_depth} for r = {m.r}, "
-                f"got {depth}: deeper levels only repeat"
-            )
     analysis = full_analysis(m)
     doc = {
         "header": json_fragment({"tool": "itmlab", "input_digest": digest}),
@@ -247,7 +239,7 @@ def cmd_return_map(args) -> int:
         numbered = [(args.component, _return_map(analysis, args.component))]
     doc = {
         "header": json_fragment({"tool": "itmlab", "input_digest": digest}),
-        "return_maps": [return_map_section(m, data, k) for k, data in numbered],
+        "return_maps": [return_map_section(data, k) for k, data in numbered],
     }
     _emit(render_document(doc), args.out)
     return 0
@@ -302,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DepthBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (MapFileError, OutputPathError, MapFormatError, BadOrderError, BadTranslationError) as exc:

@@ -27,6 +27,10 @@ from .kernel import branch_rule
 SignedDisc = tuple[int, str]  # (discontinuity index 1..r-1, side)
 
 
+class DepthBoundError(ValueError):
+    """A ghost tree deeper than ``2**(2*(r-1))`` levels, or of negative depth."""
+
+
 class GhostEdge(NamedTuple):
     """child -> parent: the child is a ghost preimage of the parent,
     landing after ``time`` steps on the parent's opposite-side companion."""
@@ -177,11 +181,16 @@ def ghost_tree(graph: GhostGraph, root: SignedDisc, depth: int) -> GhostTree:
     side types alternate by level; vertices already seen at an earlier level
     are marked as repeats (and still expanded one level later, like any
     other vertex, but a repeat is what makes the tree infinite). Level n + 1
-    depends only on level n, so a depth past ``2**len(graph.nodes)`` is refused.
+    depends only on level n, a set of the 2(r-1) signed discontinuities, so
+    fewer than ``2**(2*(r-1))`` levels are distinct, and a deeper (or a
+    negative) depth raises DepthBoundError.
     """
     bound = 2 ** len(graph.nodes)
     if not 0 <= depth <= bound:
-        raise ValueError(f"depth must be in 0..2**{len(graph.nodes)} = {bound}, got {depth}")
+        raise DepthBoundError(
+            f"depth must be in 0..2**(2*(r-1)) = {bound} for r = {len(graph.nodes) // 2 + 1}, "
+            f"got {depth}: deeper levels only repeat"
+        )
     levels: list[tuple[SignedDisc, ...]] = [(root,)]
     repeated: list[tuple[int, SignedDisc]] = []
     seen: set[SignedDisc] = {root}

@@ -383,22 +383,22 @@ def _shifted_chains(
     return shifted
 
 
-def verify_touching_equations(m: ItmMap, data: ReturnMapData) -> tuple[Fraction, ...]:
+def verify_touching_equations(data: ReturnMapData) -> tuple[int, ...]:
     """The touching values of the N-1 touching equations, read off the
-    signed chains.
+    signed chains, as numerators over ``data.grid.denom``.
 
     The p-th equation says the right end of the p-th image from the left
     touches the left end of the next one: R(a_{sigma(p)}-) ~ R(a_{sigma(p+1)-1}+).
     Both sides are the entry numerators the chain walk recorded; a failure
-    raises TouchingViolatedError.
+    raises TouchingViolatedError(p).
     """
-    sigma, denom = data.sigma, data.grid.denom
-    out: list[Fraction] = []
+    sigma = data.sigma
+    out: list[int] = []
     for p in range(len(sigma) - 1):
         lval = data.chain(sigma[p], MINUS).kentry
         if lval != data.chain(sigma[p + 1] - 1, PLUS).kentry:
             raise TouchingViolatedError(p + 1)
-        out.append(Fraction(lval, denom))
+        out.append(lval)
     return tuple(out)
 
 

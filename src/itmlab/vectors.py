@@ -6,7 +6,9 @@ discontinuity), critical connection vectors C+-(j, k) (discontinuity to the
 next one along a signed chain) and return vectors R+-_j (last discontinuity
 back into J). Pairing a vector with the parameter vector
 ``(gamma_1..gamma_r, beta_1..beta_{r-1})`` recovers the dynamical identity it
-encodes, with exact equality.
+encodes, with exact equality. Every function here reads one component's
+``ReturnMapData`` and works on its grid (``data.grid``, the map's grid):
+a product is an integer numerator over ``data.grid.denom``.
 
 Any vanishing rational combination of the stacked vectors is forced into a
 rigid coefficient pattern (equal coefficients along each signed chain,
@@ -25,14 +27,12 @@ of A.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cache
 from math import gcd
 from operator import add, mul, sub
 from typing import NamedTuple
 
 from .intervals import PLUS
-from .itm import ItmMap
 from .return_map import ReturnMapData
 
 Tag = tuple
@@ -62,32 +62,19 @@ class CoefficientVector(NamedTuple):
     tag: Tag
 
 
-class IdentityCheck(NamedTuple):
-    """The product of one vector, held as its numerator ``kvalue`` over
-    ``denom`` (the map's grid); ``value`` is its Fraction view."""
-
-    tag: Tag
-    kvalue: int
-    denom: int
-    ok: bool
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.kvalue, self.denom)
-
-
 class PatternResult(NamedTuple):
-    """The nullity, and a witness when a combination leaves the pattern."""
+    """The nullity of the vectors and that of the pattern combinations;
+    every vanishing combination follows the pattern when they agree."""
 
     nullity: int
-    witness: dict | None = None
+    pattern_nullity: int
 
     @property
     def holds(self) -> bool:
-        return self.witness is None
+        return self.nullity == self.pattern_nullity
 
 
-def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ...]:
+def build_vectors(data: ReturnMapData) -> tuple[CoefficientVector, ...]:
     """All landing / critical connection / return vectors of one component.
 
     Interior cut points contribute L_j plus both signed chains; boundary
@@ -101,7 +88,7 @@ def build_vectors(m: ItmMap, data: ReturnMapData) -> tuple[CoefficientVector, ..
     """
     n = data.n_intervals
     chains = data.chains
-    ups, downs = _units(m.r - 1)
+    ups, downs = _units(len(data.grid.gamma) - 1)
     zero = ups[0]
     out: list[CoefficientVector] = []
     append = out.append
@@ -140,15 +127,15 @@ def _units(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...
     return tuple(unit(d, 1) for d in range(size + 1)), tuple(unit(d, -1) for d in range(size + 1))
 
 
-def verify_identities(
-    m: ItmMap, data: ReturnMapData, vectors: tuple[CoefficientVector, ...]
-) -> tuple[IdentityCheck, ...]:
-    """Check the defining identity of every vector of ``build_vectors(m,
-    data)`` by exact equality / membership."""
-    params = [*m.grid.gamma, *m.grid.cuts[1:-1]]  # grid numerators of (gamma, beta)
-    kcuts, chains, n, q = data.kcuts, data.chains, data.n_intervals, m.Q
+def verify_identities(data: ReturnMapData, vectors: tuple[CoefficientVector, ...]) -> tuple[int, ...]:
+    """The product of every vector of ``build_vectors(data)`` with the
+    parameters, as its numerator over ``data.grid.denom``, each checked
+    against the identity the vector encodes by exact equality / membership.
+    The first identity that fails raises IdentityViolatedError."""
+    params = [*data.grid.gamma, *data.grid.cuts[1:-1]]  # grid numerators of (gamma, beta)
+    kcuts, chains, n = data.kcuts, data.chains, data.n_intervals
     x, y = kcuts[0], kcuts[-1]
-    checks: list[IdentityCheck] = []
+    products: list[int] = []
     for e, f, tag in vectors:
         val = sum(map(mul, e + f, params))
         if tag[0] == "L":
@@ -162,10 +149,10 @@ def verify_identities(
                 ok = val == chain.kentry and (x <= val < y if side == PLUS else x < val <= y)
             else:
                 ok = val == chain.kentry - kcuts[j]
-        checks.append(IdentityCheck(tag, val, q, ok))
         if not ok:
             raise IdentityViolatedError(tag)
-    return tuple(checks)
+        products.append(val)
+    return tuple(products)
 
 
 # -- rank and the dependence pattern ---------------------------------------
@@ -212,11 +199,9 @@ def _eliminate(
         pivots.append((row.index(next(filter(None, row))), row))
 
 
-def check_lin_dep_pattern(
-    m: ItmMap, data: ReturnMapData, vectors: tuple[CoefficientVector, ...]
-) -> PatternResult:
+def check_lin_dep_pattern(data: ReturnMapData, vectors: tuple[CoefficientVector, ...]) -> PatternResult:
     """Verify that every vanishing combination of ``vectors``, those of
-    ``build_vectors(m, data)``, follows the forced pattern.
+    ``build_vectors(data)``, follows the forced pattern.
 
     The pattern: for each 0 <= j < N the coefficients of C+(j, 1..m-1) and
     R+_j all equal one value c_j, those of C-(j+1, .) and R-_{j+1} all
@@ -237,11 +222,11 @@ def check_lin_dep_pattern(
     spans what A spans, and the final rank is rank(A). The elimination
     stops once the rank reaches the dimension, ``2r - 1``.
 
-    A violation is returned as a witness, never raised: it would falsify
-    the underlying lemma and means an engine bug.
+    A violation is returned, never raised (``holds`` is false): it would
+    falsify the underlying lemma and means an engine bug.
     """
     n = data.n_intervals
-    dim = 2 * m.r - 1
+    dim = 2 * len(data.grid.gamma) - 1
     spanned: list[Sequence[int]] = [(0,) * dim] * n  # the columns of A P
     rest = []  # the columns of A Q
     for e, f, tag in vectors:
@@ -264,10 +249,4 @@ def check_lin_dep_pattern(
     _eliminate(pivots, spanned, dim)
     pattern_nullity = len(spanned) - len(pivots)
     _eliminate(pivots, rest, dim)
-    nullity = len(vectors) - len(pivots)
-    if nullity == pattern_nullity:
-        return PatternResult(nullity)
-    return PatternResult(nullity, {
-        "nullity": nullity, "pattern_nullity": pattern_nullity,
-        "reason": "a vanishing combination leaves the pattern",
-    })
+    return PatternResult(len(vectors) - len(pivots), pattern_nullity)

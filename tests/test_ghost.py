@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from itmlab import (
+    DepthBoundError,
     build_ghost_graph,
     check_A3,
     compute_attractor,
@@ -164,5 +165,6 @@ class TestGhostTree:
             graph = build_ghost_graph(m)
             assert 2 ** len(graph.nodes) == bound == 2 ** (2 * (m.r - 1))
             assert len(ghost_tree(graph, (1, "-"), bound).levels) == levels
-            with pytest.raises(ValueError, match=f"depth must be in 0..2\\*\\*{len(graph.nodes)} = {bound}"):
+            message = rf"depth must be in 0..2\*\*\(2\*\(r-1\)\) = {bound} for r = {m.r}, got {bound + 1}"
+            with pytest.raises(DepthBoundError, match=message):
                 ghost_tree(graph, (1, "-"), bound + 1)

@@ -18,6 +18,10 @@ A2 and map 18 violates Matching, so their reports carry verdict witnesses.
 ``return-map`` also runs on map 13, whole and for ``--component 28``: of
 its 28 components 25 are transported along towers, and some chains hit two
 discontinuities, where fig1 has two walked components with one-hit chains.
+
+``SVG_GOLDEN`` pins the bytes of ``render`` on fig1: the graph of the map
+and the orbit of each of its two components. They were recorded when the
+renderer still computed its coordinates from Fractions.
 """
 
 from __future__ import annotations
@@ -69,6 +73,14 @@ GOLDEN = {
     "return-map branchy-q1024-13": "9bcc186e39953086ad28ed8532388cad0f1cdcc4ca16d438fd029fde2c98529b",
     "return-map --component 28 branchy-q1024-13":
         "7b0d04c7a35e8b0be302746156a8f77fe7aa201dbd7cc080cd83fdf1a897e63f",
+}
+
+SVG_GOLDEN = {
+    "render --kind map fig1": "cb08f6813124d6107d5a230e75c85ebb9de9e94a63fd5bac0a63c6693bea3b8c",
+    "render --kind orbit --component 1 fig1":
+        "a0eed899a2ee2c6af804f445fcaf3804b5471ca8346b254ccf76fc372e6f4d35",
+    "render --kind orbit --component 2 fig1":
+        "bf2e56fcbd6751c6f1eb40a75753f69866ff67a9453ce95c5aa471fe62dedd13",
 }
 
 
@@ -125,6 +137,15 @@ def test_reports_match_golden_digests(reports):
     got = {name: hashlib.sha256(text).hexdigest() for name, text in reports.items()}
     assert got.keys() == GOLDEN.keys()
     assert {k: v for k, v in got.items() if v != GOLDEN[k]} == {}
+
+
+def test_svgs_match_golden_digests(tmp_path, fig1):
+    got = {}
+    for name in SVG_GOLDEN:
+        command, *options, _ = name.split()
+        svg = report_bytes(tmp_path, name, fig1, [command, *options])
+        got[name] = hashlib.sha256(svg).hexdigest()
+    assert got == SVG_GOLDEN
 
 
 def no_float(text: str):

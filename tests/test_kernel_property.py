@@ -68,10 +68,10 @@ def test_kernel_against_fraction_oracles(m):
             assert [(h.disc, h.time) for h in c.hits] == hits
             naive[c.j, c.side] = value
         sigma = data.sigma
-        values = verify_touching_equations(m, data)
+        values = verify_touching_equations(data)
         assert len(values) == data.n_intervals - 1
-        for p, value in enumerate(values):
-            assert value == naive[sigma[p], "-"] == naive[sigma[p + 1] - 1, "+"]
+        for p, k in enumerate(values):
+            assert Fraction(k, m.Q) == naive[sigma[p], "-"] == naive[sigma[p + 1] - 1, "+"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,12 +98,13 @@ def test_pattern_against_fraction_nullspace(m):
     # block check of a Fraction nullspace basis
     dim = 2 * m.r - 1
     for data in full_analysis(m).return_maps:
-        vecs = build_vectors(m, data)
+        vecs = build_vectors(data)
         variants = [vecs] + [
             vecs[:i] + (CoefficientVector((v.e[0] + 1,) + v.e[1:], v.f, v.tag),) + vecs[i + 1:]
             for i, v in enumerate(vecs)
         ]
         for variant in variants:
-            res = check_lin_dep_pattern(m, data, variant)
+            res = check_lin_dep_pattern(data, variant)
             assert (res.holds, res.nullity) == naive_pattern(variant, data.n_intervals, dim)
-            assert (res.witness is None) == res.holds
+            # P is injective, so the pattern's nullspace embeds in that of A
+            assert res.pattern_nullity <= res.nullity

@@ -28,6 +28,7 @@ from itmlab.return_map import (
     ChainHit,
     ReturnMapInvariantError,
     SignedChain,
+    TouchingViolatedError,
 )
 from conftest import grid_points, naive_first_return, naive_signed_chain
 
@@ -69,8 +70,9 @@ class TestFig1Structure:
         assert rec.time == 2 and rec.disc == 2
 
     def test_touching_values(self, fig1):
-        assert verify_touching_equations(fig1, compute_return_map(fig1, JB)) == (F(9, 14),)
-        assert verify_touching_equations(fig1, compute_return_map(fig1, JA)) == (F(2, 7),)
+        # numerators over fig1's grid 1/42: 9/14 and 2/7
+        assert verify_touching_equations(compute_return_map(fig1, JB)) == (27,)
+        assert verify_touching_equations(compute_return_map(fig1, JA)) == (12,)
 
     def test_landing_before_return(self, fig1):
         # l_j < r_j and l_j < r_{j+1} for every interior cut point
@@ -97,7 +99,7 @@ class TestTrivialComponent:
         assert data.n_intervals == 1
         assert data.dynamically_trivial
         assert data.return_times == (1,)
-        assert verify_touching_equations(trivial_component_map, data) == ()
+        assert verify_touching_equations(data) == ()
         assert classify_return_dynamics(data) == IDENTITY
         # the left boundary is the discontinuity itself: a time-0 chain hit
         assert [(h.disc, h.time) for h in data.chain(0, "+").hits] == [(1, 0)]
@@ -109,7 +111,8 @@ class TestManyBranches:
         assert data.n_intervals == 3
         assert data.sigma == (3, 2, 1)
         assert classify_return_dynamics(data) == MANY_BRANCHES
-        assert verify_touching_equations(iet3, data) == (F(1, 3), F(2, 3))
+        assert tuple(F(k, data.grid.denom) for k in verify_touching_equations(data)) == (
+            F(1, 3), F(2, 3))
 
 
 class TestErrors:
@@ -232,8 +235,28 @@ class TestInvariantErrors:
         with pytest.raises(ReturnMapInvariantError, match=message):
             data.chains
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_touching_disagreement_raises(self, iet3, monkeypatch, p):
+        # iet3's return map reverses its three intervals (sigma = (3, 2, 1)):
+        # equation p reads the minus chain of a_{sigma(p)} and no other
+        # equation does, so moving that chain's entry by one grid step
+        # breaks equation p and no earlier one
+        real = return_map._signed_chain
+
+        def moved(grid, beta_index, J, j, side, start, steps):
+            c = real(grid, beta_index, J, j, side, start, steps)
+            return c._replace(kentry=c.kentry + 1) if side == "-" and j == 4 - p else c
+
+        monkeypatch.setattr(return_map, "_signed_chain", moved)
+        data = compute_return_map(iet3, (0, 3))
+        assert data.sigma == (3, 2, 1)
+        with pytest.raises(TouchingViolatedError, match=f"touching equation {p} violated") as exc:
+            verify_touching_equations(data)
+        assert exc.value.j == p
+
     def test_is_an_assertion_error(self):
         assert issubclass(ReturnMapInvariantError, AssertionError)
+        assert issubclass(TouchingViolatedError, AssertionError)
 
 
 class TestRecords:
@@ -340,7 +363,8 @@ class TestInvariants:
             for kJ, J in zip(att.kcomponents, att.components()):
                 data = compute_return_map(m, kJ, att)
                 sigma = data.sigma
-                for p, value in enumerate(verify_touching_equations(m, data)):
+                for p, k in enumerate(verify_touching_equations(data)):
+                    value = F(k, data.grid.denom)
                     for j, side in ((sigma[p], "-"), (sigma[p + 1] - 1, "+")):
                         horizon = data.chain(j, side).entry_time
                         _, _, entry_value = naive_signed_chain(
@@ -354,7 +378,7 @@ class TestInvariants:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
                 data = compute_return_map(m, kcomp, att)
-                values = verify_touching_equations(m, data)
+                values = verify_touching_equations(data)
                 assert len(values) == data.n_intervals - 1
 
 

@@ -16,7 +16,7 @@ from itmlab import (
 )
 from itmlab import return_map
 from itmlab.return_map import ChainHit, SignedChain
-from itmlab.vectors import CoefficientVector, VectorInvariantError, rank
+from itmlab.vectors import CoefficientVector, IdentityViolatedError, VectorInvariantError, rank
 
 from conftest import naive_branch_counts, naive_nullspace, naive_pattern, naive_signed_chain
 
@@ -29,16 +29,17 @@ def by_tag(vecs):
     return {v.tag: v for v in vecs}
 
 
-def products(m, data):
+def products(data):
     """Each vector's product with (gamma beta), by tag, as the identity
     checks computed it."""
-    return {c.tag: c.value for c in verify_identities(m, data, build_vectors(m, data))}
+    vecs = build_vectors(data)
+    return {v.tag: F(k, data.grid.denom) for v, k in zip(vecs, verify_identities(data, vecs))}
 
 
 class TestFig1Vectors:
     def test_component_b_contents(self, fig1):
         data = compute_return_map(fig1, JB)
-        vecs = by_tag(build_vectors(fig1, data))
+        vecs = by_tag(build_vectors(data))
         l1 = vecs[("L", 1)]
         assert l1.e == (0, 0, 0) and l1.f == (0, -1)
         rp1 = vecs[("R", "+", 1)]
@@ -51,7 +52,7 @@ class TestFig1Vectors:
         assert ("L", 0) not in vecs and ("L", 2) not in vecs
 
     def test_component_b_products(self, fig1):
-        values = products(fig1, compute_return_map(fig1, JB))
+        values = products(compute_return_map(fig1, JB))
         # <L_1, (gamma beta)> = -a_1
         assert values[("L", 1)] == -F(2, 3)
         # <R_1^+, (gamma beta)> = R_J(a_1+) = gamma_1 + gamma_3 + beta_2
@@ -62,27 +63,29 @@ class TestFig1Vectors:
         # a connection vector's identity is a zero product
         zero = CoefficientVector((0, 0, 0), (0, 0), ("C", "+", 1, 1))
         data = compute_return_map(fig1, JB)
-        assert [c.value for c in verify_identities(fig1, data, (zero,))] == [0]
+        assert verify_identities(data, (zero,)) == (0,)
 
     def test_component_a_landing_counts(self, fig1):
         # a_1 = 4/21 rides branches 1 then 2 before landing on beta_2
         data = compute_return_map(fig1, JA)
-        vecs = by_tag(build_vectors(fig1, data))
+        vecs = by_tag(build_vectors(data))
         assert vecs[("L", 1)].e == (1, 1, 0)
         assert vecs[("L", 1)].f == (0, -1)
-        assert products(fig1, data)[("L", 1)] == -F(4, 21)
+        assert products(data)[("L", 1)] == -F(4, 21)
 
     def test_identities(self, fig1):
         for J in (JA, JB):
             data = compute_return_map(fig1, J)
-            checks = verify_identities(fig1, data, build_vectors(fig1, data))
-            assert checks and all(c.ok for c in checks)
+            vecs = build_vectors(data)
+            products = verify_identities(data, vecs)
+            assert products and len(products) == len(vecs)
+            assert all(type(k) is int for k in products)
 
     def test_pattern_holds(self, fig1):
         for J in (JA, JB):
             data = compute_return_map(fig1, J)
-            res = check_lin_dep_pattern(fig1, data, build_vectors(fig1, data))
-            assert res.holds and res.witness is None
+            res = check_lin_dep_pattern(data, build_vectors(data))
+            assert res.holds and res.nullity == res.pattern_nullity
 
 
 class TestChainTimePartition:
@@ -109,7 +112,7 @@ class TestChainTimePartition:
                     d, t = hits[-1]
                     expected[("R", c.side, c.j)] = naive_branch_counts(
                         m, m.beta[d - 1], c.side, entry - t)
-                vecs = build_vectors(m, data)
+                vecs = build_vectors(data)
                 assert {v.tag: v.e for v in vecs} == expected
                 assert len(vecs) == len(expected)
                 checked += len(vecs)
@@ -121,7 +124,7 @@ class TestChainTimePartition:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
                 data = compute_return_map(m, kcomp, att)
-                vecs = by_tag(build_vectors(m, data))
+                vecs = by_tag(build_vectors(data))
                 for c in data.chains:
                     if not c.hits:
                         rv = vecs[("R", c.side, c.j)]
@@ -163,7 +166,7 @@ class TestVectorInvariant:
         assert data.chain(1, "+").hits[0].counts == (1, 1, 0)
         assert data.chain(1, "-").hits[0].counts == (0, 1, 1)
         with pytest.raises(VectorInvariantError, match="cut 1"):
-            build_vectors(fig1, data)
+            build_vectors(data)
 
     def test_is_an_assertion_error(self):
         assert issubclass(VectorInvariantError, AssertionError)
@@ -189,7 +192,7 @@ class TestRank:
 
     def test_dimension_invariant_under_permutation(self, fig1):
         data = compute_return_map(fig1, JB)
-        vecs = list(build_vectors(fig1, data))
+        vecs = list(build_vectors(data))
         dim = 2 * fig1.r - 1
         base = rank([v.e + v.f for v in vecs], dim)
         rng = random.Random(53)
@@ -208,21 +211,18 @@ class TestPatternOracle:
             dim = 2 * m.r - 1
             for kcomp in att.kcomponents:
                 data = compute_return_map(m, kcomp, att)
-                vecs = build_vectors(m, data)
+                vecs = build_vectors(data)
                 variants = [vecs] + [
                     vecs[:i] + (CoefficientVector((v.e[0] + 1,) + v.e[1:], v.f, v.tag),)
                     + vecs[i + 1:]
                     for i, v in enumerate(vecs)
                 ]
                 for variant in variants:
-                    res = check_lin_dep_pattern(m, data, variant)
+                    res = check_lin_dep_pattern(data, variant)
                     assert (res.holds, res.nullity) == naive_pattern(
                         variant, data.n_intervals, dim)
-                    if res.holds:
-                        assert res.witness is None
-                    else:
-                        w = res.witness
-                        assert w["nullity"] == res.nullity != w["pattern_nullity"]
+                    # P is injective, so the pattern's nullspace embeds in that of A
+                    assert res.pattern_nullity <= res.nullity
                     cases += 1
                     violations += not res.holds
         assert violations >= 100 and cases > violations
@@ -262,19 +262,19 @@ class TestPatternElimination:
             CoefficientVector((1, 2), (1,), ("R", "-", 2)),
         )
         calls = self._spy(monkeypatch)
-        res = check_lin_dep_pattern(rotation35, data, vecs)
+        res = check_lin_dep_pattern(data, vecs)
         assert calls == [(0, 4, 3), (3, 3, 3)]
         # every column of A Q adds to the nullity of A, none to that of A P
         assert (res.holds, res.nullity) == (False, 4) == naive_pattern(vecs, 2, 3)
-        assert res.witness["pattern_nullity"] == 1
+        assert res.pattern_nullity == 1
 
     def test_one_pass_over_every_vector(self, fig1, monkeypatch):
         # fig1's component B: the columns of A P (c_0, c_1), then the four
         # vectors that are no R+_j (L_1, R-_1, R-_2); rank 4 < dim 5
         data = compute_return_map(fig1, JB)
-        vecs = build_vectors(fig1, data)
+        vecs = build_vectors(data)
         calls = self._spy(monkeypatch)
-        res = check_lin_dep_pattern(fig1, data, vecs)
+        res = check_lin_dep_pattern(data, vecs)
         assert [v.tag for v in vecs] == [
             ("R", "+", 0), ("L", 1), ("R", "+", 1), ("R", "-", 1), ("R", "-", 2)]
         assert calls[0][:2] == (0, 2) and calls[1][1] == 3
@@ -285,13 +285,11 @@ class TestPatternElimination:
 class TestRecords:
     def test_named_fields_in_order_and_read_only(self, fig1):
         data = compute_return_map(fig1, JB)
-        vecs = build_vectors(fig1, data)
-        checks = verify_identities(fig1, data, vecs)
-        pattern = check_lin_dep_pattern(fig1, data, vecs)
+        vecs = build_vectors(data)
+        pattern = check_lin_dep_pattern(data, vecs)
         for record, names in [
             (vecs[1], ("e", "f", "tag")),
-            (checks[1], ("tag", "kvalue", "denom", "ok")),
-            (pattern, ("nullity", "witness")),
+            (pattern, ("nullity", "pattern_nullity")),
         ]:
             assert type(record)._fields == names
             assert tuple(record) == tuple(getattr(record, name) for name in names)
@@ -299,11 +297,37 @@ class TestRecords:
                 with pytest.raises(AttributeError):
                     setattr(record, name, None)
         assert vecs[1].e + vecs[1].f == (0, 0, 0, 0, -1)
-        assert checks[1].value == F(checks[1].kvalue, checks[1].denom) == -F(2, 3)
-        # the pattern holds exactly when there is no witness
-        assert pattern.holds and pattern.witness is None
+        # each product is a numerator over the grid: <L_1, (gamma beta)> = -2/3
+        products = verify_identities(data, vecs)
+        assert products[1] == -28 and data.grid.denom == 42
+        # the pattern holds exactly when the two nullities agree
+        assert pattern.holds and pattern.nullity == pattern.pattern_nullity
         with pytest.raises(AttributeError):
             pattern.holds = False
+
+
+class TestIdentityViolation:
+    """verify_identities raises at the first identity that fails, with the
+    failing vector's tag, also under ``python -O``."""
+
+    def test_each_changed_vector_is_named(self, fig1):
+        checked = 0
+        for J in (JA, JB):
+            data = compute_return_map(fig1, J)
+            vecs = build_vectors(data)
+            for i, (e, f, tag) in enumerate(vecs):
+                for k in range(len(e)):
+                    # one more step on branch k + 1 adds gamma_{k+1} != 0
+                    moved = e[:k] + (e[k] + 1,) + e[k + 1:]
+                    variant = vecs[:i] + (CoefficientVector(moved, f, tag),) + vecs[i + 1:]
+                    with pytest.raises(IdentityViolatedError) as exc:
+                        verify_identities(data, variant)
+                    assert exc.value.tag == tag
+                    checked += 1
+        assert checked == 2 * 5 * 3  # two components, five vectors each, r = 3
+
+    def test_is_an_assertion_error(self):
+        assert issubclass(IdentityViolatedError, AssertionError)
 
 
 class TestCorpusProperties:
@@ -314,10 +338,12 @@ class TestCorpusProperties:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
                 data = compute_return_map(m, kcomp, att)
-                vecs = build_vectors(m, data)
-                checks = verify_identities(m, data, vecs)
-                assert all(c.ok for c in checks)
-                assert check_lin_dep_pattern(m, data, vecs).holds
+                vecs = build_vectors(data)
+                # each product against the pairing with the Fraction parameters
+                params = (*m.gamma, *m.beta)
+                assert [F(k, data.grid.denom) for k in verify_identities(data, vecs)] == [
+                    sum(x * p for x, p in zip(e + f, params)) for e, f, _ in vecs]
+                assert check_lin_dep_pattern(data, vecs).holds
                 tags = [v.tag for v in vecs]
                 seen_connection_vectors += sum(1 for t in tags if t[0] == "C")
                 seen_boundary_landings += sum(
