@@ -2,8 +2,9 @@
 
 Core pipeline: ``validate`` a map, ``compute_attractor`` its nested images,
 ``compute_return_map`` each component, ``build_vectors`` and check the
-identities, ``build_ghost_graph`` for A3, ``stability_verdict`` for the
-final call, ``perturbation_probe`` to cross-validate it empirically.
+identities, ``build_ghost_graph`` for A3, ``full_analysis`` for the
+verdicts and the final call (``FullAnalysis.stable``),
+``perturbation_probe`` to cross-validate it empirically.
 """
 
 __version__ = "0.1.0"
@@ -55,10 +56,10 @@ from .vectors import (
     verify_identities,
 )
 from .ghost import (
-    A3Result,
     A3Witness,
     DepthBoundError,
     GhostGraph,
+    Verdict,
     build_ghost_graph,
     check_A3,
     ghost_tree,
@@ -70,7 +71,6 @@ from .stability import (
     NotRealizableDirectlyError,
     PerturbationSpec,
     ProbeResult,
-    StabilityReport,
     a3_breaking_perturbation,
     apply_spec,
     check_A1,
@@ -78,5 +78,4 @@ from .stability import (
     check_matching,
     full_analysis,
     perturbation_probe,
-    stability_verdict,
 )

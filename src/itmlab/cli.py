@@ -11,10 +11,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .intervals import MINUS, PLUS, parse_rational
-from .itm import BadOrderError, BadTranslationError, ItmMap, MapFormatError, parse_map
+from .itm import (
+    BadOrderError,
+    BadTranslationError,
+    ItmMap,
+    MapFormatError,
+    check_digit_limit,
+    parse_map,
+)
 from .report import (
     build_report,
     directed_section,
@@ -25,6 +33,7 @@ from .report import (
     return_map_section,
 )
 from .stability import (
+    GRID_BITS,
     NoValidSamplesError,
     NotRealizableDirectlyError,
     a3_breaking_perturbation,
@@ -129,13 +138,12 @@ def _return_map(analysis, k: int):
 def _summary(analysis, json_only: bool) -> None:
     if json_only:
         return
-    rep = analysis.report
     lines = [
         f"attractor: {analysis.attractor.X} (step {analysis.attractor.stabilization_step})",
         f"components: {len(analysis.attractor.kcomponents)}",
-        f"finite_type={rep.finite_type} A1={rep.a1.holds} A2={rep.a2.holds} "
-        f"A3={rep.a3.holds} matching={rep.matching.holds}",
-        f"stable: {rep.stable}",
+        f"finite_type={analysis.finite_type} A1={analysis.a1.holds} A2={analysis.a2.holds} "
+        f"A3={analysis.a3.holds} matching={analysis.matching.holds}",
+        f"stable: {analysis.stable}",
     ]
     print("\n".join(lines), file=sys.stderr)
 
@@ -165,13 +173,19 @@ def cmd_probe(args) -> int:
     directed = probe = None
     if args.directed:
         analysis = full_analysis(m)
-        a3 = analysis.a3
-        if a3 is None or a3.holds:
+        if not analysis.finite_type or analysis.a3.holds:
             raise NotRealizableDirectlyError("--directed needs an A3 violation")
-        dp = a3_breaking_perturbation(m, a3.witness, eps)
-        perturbed = full_analysis(apply_spec(m, dp.spec))
-        directed = directed_section(dp, perturbed)
+        dp = a3_breaking_perturbation(m, analysis.a3.witness, eps)
+        perturbed = apply_spec(m, dp.spec)
+        # each delta, end and component is p/q with q dividing lcm(Q, Q')
+        check_digit_limit(math.lcm(m.Q, perturbed.Q),
+                          "--eps: the grid lcm(Q, Q') of the map and the perturbed map", UsageError)
+        directed = directed_section(dp, full_analysis(perturbed))
     else:
+        # each distance is p/q with q dividing 2 D, D = lcm(Q, 2**GRID_BITS den(eps))
+        check_digit_limit(2 * math.lcm(m.Q, 2**GRID_BITS * eps.denominator),
+                          f"--eps: twice the probe grid, 2 lcm(Q, {2**GRID_BITS} den(eps)),",
+                          UsageError)
         probe = perturbation_probe(m, eps, samples, 0 if args.seed is None else args.seed)
         analysis = probe.base
     doc = build_report(analysis, digest, probe=probe, directed=directed)

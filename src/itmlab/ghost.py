@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .attractor import AttractorResult, compute_attractor
+from .attractor import AttractorResult
 from .intervals import MINUS, PLUS
 from .itm import ItmMap
 from .kernel import branch_rule
@@ -63,7 +63,7 @@ class A3Witness(NamedTuple):
     times: tuple[int, ...]
 
     def as_dict(self) -> dict:
-        """The witness as the verdict and the report show it."""
+        """The witness as the report shows it."""
         return {
             "disc": self.disc,
             "cycle": [list(node) for node in self.cycle],
@@ -71,10 +71,12 @@ class A3Witness(NamedTuple):
         }
 
 
-class A3Result(NamedTuple):
-    """A3's witness to its violation; A3 holds when there is none."""
+class Verdict(NamedTuple):
+    """A condition's witness to its violation; it holds when there is none.
+    The witness of A3 is an :class:`A3Witness`, that of any other condition a
+    dict."""
 
-    witness: A3Witness | None = None
+    witness: A3Witness | dict | None = None
 
     @property
     def holds(self) -> bool:
@@ -120,11 +122,9 @@ def _ghost_walks(
     return walks
 
 
-def build_ghost_graph(m: ItmMap, attractor: AttractorResult | None = None) -> GhostGraph:
+def build_ghost_graph(m: ItmMap, attractor: AttractorResult) -> GhostGraph:
     """Full edge set over all 2(r-1) signed discontinuities, from one walk
     per signed discontinuity."""
-    if attractor is None:
-        attractor = compute_attractor(m)
     nodes = [(i, side) for i in range(1, m.r) for side in (MINUS, PLUS)]
     # X's endpoints flattened into one sorted list: (k, side) lies in X iff
     # branch_rule(side)(ends, k) is odd
@@ -158,7 +158,7 @@ def _find_cycle_through(graph: GhostGraph, start: SignedDisc) -> tuple[list[Ghos
     return [], False
 
 
-def check_A3(graph: GhostGraph) -> A3Result:
+def check_A3(graph: GhostGraph) -> Verdict:
     """A3 holds unless a discontinuity with both signed parts outside X lies
     on a directed cycle; the witness is one explicit cycle through it."""
     indices = sorted({i for i, _ in graph.nodes})
@@ -170,8 +170,8 @@ def check_A3(graph: GhostGraph) -> A3Result:
             if ok:
                 cycle = tuple(e.child for e in path)
                 times = tuple(e.time for e in path)
-                return A3Result(A3Witness(i, cycle, times))
-    return A3Result()
+                return Verdict(A3Witness(i, cycle, times))
+    return Verdict()
 
 
 def ghost_tree(graph: GhostGraph, root: SignedDisc, depth: int) -> GhostTree:

@@ -193,12 +193,19 @@ def parse_map(doc: dict) -> ItmMap:
         raise MapFormatError(f"bad rational in map specification: {exc}") from exc
     m = validate(r, beta, gamma)
     # a report writes Q and every parameter as p/q with |p| <= Q and q
-    # dividing Q, so a Q within the int-to-str digit limit can be written
-    # out; 2**(3 * limit) < 10**limit, so the bit length settles most maps
-    limit = sys.get_int_max_str_digits()
-    if limit and m.Q.bit_length() > 3 * limit and m.Q >= 10**limit:
-        raise MapFormatError(
-            f"grid denominator Q = lcm of the parameter denominators must have "
-            f"at most {limit} decimal digits (sys.get_int_max_str_digits())"
-        )
+    # dividing Q, so a Q within the int-to-str digit limit can be written out
+    check_digit_limit(m.Q, "grid denominator Q = lcm of the parameter denominators", MapFormatError)
     return m
+
+
+def check_digit_limit(n: int, name: str, error: type[Exception]) -> None:
+    """Raise ``error``, naming ``n`` as ``name``, when the positive integer
+    ``n`` has more decimal digits than ``str`` writes
+    (``sys.get_int_max_str_digits()``). A report writes each rational as
+    p/q, so every denominator it writes must divide a bound that passes.
+    2**(3 * limit) < 10**limit, so the bit length settles most values."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+        raise error(
+            f"{name} must have at most {limit} decimal digits (sys.get_int_max_str_digits())"
+        )

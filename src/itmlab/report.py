@@ -27,7 +27,7 @@ from math import gcd
 
 from . import __version__
 from .attractor import AttractorResult
-from .ghost import GhostGraph
+from .ghost import A3Witness, GhostGraph, Verdict
 from .itm import ItmMap
 from .return_map import ReturnMapData, classify_return_dynamics, verify_touching_equations
 from .stability import (
@@ -38,7 +38,6 @@ from .stability import (
     DirectedPerturbation,
     FullAnalysis,
     ProbeResult,
-    StabilityReport,
 )
 from .vectors import build_vectors, check_lin_dep_pattern, verify_identities
 
@@ -240,13 +239,17 @@ def vectors_section(data: ReturnMapData, component: int) -> Fragment:
     )
 
 
-def _verdict(witness) -> str:
-    """A verdict, which holds when it has no witness, as the value of a key at depth 1."""
+def _verdict(verdict: Verdict) -> str:
+    """A verdict, which holds when it has no witness, as the value of a key
+    at depth 1; an A3 witness is written as its ``as_dict``."""
+    witness = verdict.witness
+    if type(witness) is A3Witness:
+        witness = witness.as_dict()
     text = "null" if witness is None else json_fragment(witness).replace("\n", "\n    ")
     return f'{{\n    "holds": {_BOOL[witness is None]},\n    "witness": {text}\n  }}'
 
 
-def ghost_section(graph: GhostGraph, a3_verdict) -> Fragment:
+def ghost_section(graph: GhostGraph, a3: Verdict) -> Fragment:
     """The ghost graph's nodes and edges and the A3 verdict with its
     witness."""
     in_x = graph.in_x
@@ -260,24 +263,23 @@ def ghost_section(graph: GhostGraph, a3_verdict) -> Fragment:
         f'      "time": {e.time}\n    }}'
         for e in graph.edges
     ]
-    witness = a3_verdict.witness
-    a3 = _verdict(None if witness is None else witness.as_dict())
     return Fragment(
         f'{{\n  "nodes": {_array(nodes, "  ")},\n  "edges": {_array(edges, "  ")},\n'
-        f'  "a3": {a3}\n}}'
+        f'  "a3": {_verdict(a3)}\n}}'
     )
 
 
-def stability_section(report: StabilityReport) -> Fragment:
-    """The four verdicts with their witnesses and the overall verdict."""
+def stability_section(analysis: FullAnalysis) -> Fragment:
+    """The four verdicts of the analysis with their witnesses and the
+    overall verdict."""
     return Fragment(
-        f'{{\n  "finite_type": {_BOOL[report.finite_type]},\n'
-        f'  "stabilization_step": {_scalar(report.stabilization_step)},\n'
-        f'  "a1": {_verdict(report.a1.witness)},\n'
-        f'  "a2": {_verdict(report.a2.witness)},\n'
-        f'  "a3": {_verdict(report.a3.witness)},\n'
-        f'  "matching": {_verdict(report.matching.witness)},\n'
-        f'  "stable": {_BOOL[report.stable]}\n}}'
+        f'{{\n  "finite_type": {_BOOL[analysis.finite_type]},\n'
+        f'  "stabilization_step": {_scalar(analysis.attractor.stabilization_step)},\n'
+        f'  "a1": {_verdict(analysis.a1)},\n'
+        f'  "a2": {_verdict(analysis.a2)},\n'
+        f'  "a3": {_verdict(analysis.a3)},\n'
+        f'  "matching": {_verdict(analysis.matching)},\n'
+        f'  "stable": {_BOOL[analysis.stable]}\n}}'
     )
 
 
@@ -329,7 +331,7 @@ def build_report(
         "map": map_section(analysis.map),
         "attractor": attractor_section(analysis.attractor),
     }
-    if analysis.report.finite_type:
+    if analysis.finite_type:
         doc["return_maps"] = [
             return_map_section(data, k)
             for k, data in enumerate(analysis.return_maps, start=1)
@@ -339,7 +341,7 @@ def build_report(
             for k, data in enumerate(analysis.return_maps, start=1)
         ]
         doc["ghost"] = ghost_section(analysis.ghost_graph, analysis.a3)
-    doc["stability"] = stability_section(analysis.report)
+    doc["stability"] = stability_section(analysis)
     if probe is not None:
         doc["probe"] = probe_section(probe)
     if directed is not None:

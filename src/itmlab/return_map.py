@@ -35,8 +35,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .attractor import AttractorResult, NotFiniteTypeError, compute_attractor
-from .intervals import MINUS, PLUS, Frozen, Pair
+from .attractor import AttractorResult, NotFiniteTypeError
+from .intervals import MINUS, PLUS, Frozen
 from .itm import ItmMap
 from .kernel import Grid, IntPair, branch_rule, split
 
@@ -100,9 +100,9 @@ class ReturnMapData(Frozen):
     """First-return structure of one component J.
 
     The cut points and images are held as integer numerators over the
-    map's grid; their Fraction views and the signed chains are
-    built on first access. Equality, hash and repr leave out ``grid`` and
-    ``_source``, so a transported map equals the walked one.
+    map's grid; the signed chains are built on first access. Equality,
+    hash and repr leave out ``grid`` and ``_source``, so a transported map
+    equals the walked one.
     """
 
     _fields = ("kcuts", "return_times", "landings", "sigma", "tau", "kimages")
@@ -130,15 +130,6 @@ class ReturnMapData(Frozen):
     @property
     def dynamically_trivial(self) -> bool:
         return len(self.kcuts) == 2
-
-    @cached_property
-    def cut_points(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(k, self.grid.denom) for k in self.kcuts)
-
-    @cached_property
-    def images(self) -> tuple[Pair, ...]:
-        denom = self.grid.denom
-        return tuple((Fraction(l, denom), Fraction(r, denom)) for l, r in self.kimages)
 
     @cached_property
     def chains(self) -> tuple[SignedChain, ...]:
@@ -226,9 +217,7 @@ def _signed_chain(
     return SignedChain(j, side, tuple(hits), steps, k, tuple(counts))
 
 
-def compute_return_map(
-    m: ItmMap, J: IntPair, attractor: AttractorResult | None = None
-) -> ReturnMapData:
+def compute_return_map(m: ItmMap, J: IntPair, attractor: AttractorResult) -> ReturnMapData:
     """Full first-return structure of one attractor component, given as
     integer numerators over the map's grid like ``attractor.kcomponents``.
 
@@ -248,8 +237,6 @@ def compute_return_map(
     propagation breaks one of its invariants (a piece straddling J, retired
     pieces that do not match the cut points, images that do not tile J).
     """
-    if attractor is None:
-        attractor = compute_attractor(m)
     if not attractor.finite_type:
         raise NotFiniteTypeError("attractor did not stabilize")
     kx, ky = J

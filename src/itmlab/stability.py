@@ -1,7 +1,9 @@
-"""ACC and Matching checks, the stability verdict, and perturbation probes.
+"""ACC and Matching checks, the analysis that carries their verdicts, and
+perturbation probes.
 
-The verdict is the right-hand side of the characterisation theorem: a map is
-declared stable iff it is finite type and passes A1, A2, A3 and Matching.
+``FullAnalysis.stable`` is the right-hand side of the characterisation
+theorem: a map is declared stable iff it is finite type and passes A1, A2,
+A3 and Matching, each a :class:`~itmlab.ghost.Verdict` cached on the analysis.
 The Hausdorff/homeomorphism definition of stability quantifies over all
 small perturbations and is not decidable directly; ``perturbation_probe``
 cross-validates the verdict empirically with exact rational perturbations,
@@ -18,7 +20,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .attractor import AttractorResult, compute_attractor
-from .ghost import A3Result, GhostGraph, build_ghost_graph, check_A3
+from .ghost import GhostGraph, Verdict, build_ghost_graph, check_A3
 from .intervals import MINUS, PLUS, Frozen
 from .itm import BadOrderError, BadTranslationError, ItmMap, from_numerators, validate
 from .kernel import branch_rule, hausdorff_closure_distance
@@ -48,38 +50,14 @@ class NotRealizableDirectlyError(RuntimeError):
     (legs share branches or hit other discontinuities mid-leg)."""
 
 
-class Verdict(NamedTuple):
-    """A condition's witness to its violation; it holds when there is none."""
-
-    witness: dict | None = None
-
-    @property
-    def holds(self) -> bool:
-        return self.witness is None
-
-
-class StabilityReport(NamedTuple):
-    """The stabilization step (None for a capped attractor) and the four
-    verdicts; ``finite_type`` and ``stable`` are read off them."""
-
-    stabilization_step: int | None
-    a1: Verdict
-    a2: Verdict
-    a3: Verdict
-    matching: Verdict
-
-    @property
-    def finite_type(self) -> bool:
-        return self.stabilization_step is not None
-
-    @property
-    def stable(self) -> bool:
-        return self.finite_type and all(verdict.holds for verdict in self[1:])
+# the verdict of every condition on a capped attractor
+_NOT_FINITE_TYPE = Verdict({"reason": "not finite type"})
 
 
 class FullAnalysis(Frozen):
-    """The attractor, computed up front; the return maps, the ghost graph,
-    its A3 result and the stability verdict are built on first access."""
+    """The attractor, computed up front; the return maps, the ghost graph
+    and the verdicts of A1, A2, A3 and Matching are built on first access,
+    and ``finite_type`` and ``stable`` are read off them."""
 
     _fields = ("map", "attractor")
     map: ItmMap
@@ -131,30 +109,44 @@ class FullAnalysis(Frozen):
 
     @cached_property
     def ghost_graph(self) -> GhostGraph | None:
-        if not self.attractor.finite_type:
+        if not self.finite_type:
             return None
         return build_ghost_graph(self.map, self.attractor)
 
+    @property
+    def finite_type(self) -> bool:
+        return self.attractor.finite_type
+
     @cached_property
-    def a3(self) -> A3Result | None:
-        """A3 on the ghost graph, checked once for the verdict and the report."""
-        if self.ghost_graph is None:
-            return None
+    def a1(self) -> Verdict:
+        if not self.finite_type:
+            return _NOT_FINITE_TYPE
+        return check_A1(self.attractor, self.return_maps)
+
+    @cached_property
+    def a2(self) -> Verdict:
+        if not self.finite_type:
+            return _NOT_FINITE_TYPE
+        return check_A2(self.map, self.attractor, self.return_maps)
+
+    @cached_property
+    def a3(self) -> Verdict:
+        """A3 on the ghost graph; its witness is an :class:`~itmlab.ghost.A3Witness`."""
+        if not self.finite_type:
+            return _NOT_FINITE_TYPE
         return check_A3(self.ghost_graph)
 
     @cached_property
-    def report(self) -> StabilityReport:
-        if not self.attractor.finite_type:
-            fails = Verdict({"reason": "not finite type"})
-            return StabilityReport(None, fails, fails, fails, fails)
-        attractor, return_maps, a3 = self.attractor, self.return_maps, self.a3
-        return StabilityReport(
-            attractor.stabilization_step,
-            check_A1(attractor, return_maps),
-            check_A2(self.map, attractor, return_maps),
-            Verdict(None if a3.holds else a3.witness.as_dict()),
-            check_matching(attractor, return_maps),
-        )
+    def matching(self) -> Verdict:
+        if not self.finite_type:
+            return _NOT_FINITE_TYPE
+        return check_matching(self.attractor, self.return_maps)
+
+    @property
+    def stable(self) -> bool:
+        """The characterisation: finite type, and A1, A2, A3 and Matching hold."""
+        return (self.finite_type and self.a1.holds and self.a2.holds
+                and self.a3.holds and self.matching.holds)
 
 
 class PerturbationSpec(NamedTuple):
@@ -324,13 +316,9 @@ def check_matching(attractor: AttractorResult, return_maps: tuple[ReturnMapData,
 
 
 def full_analysis(m: ItmMap, max_iter: int | None = None) -> FullAnalysis:
-    """The attractor now; the return maps, the ghost graph, the stability
-    verdict, the signed chains and the Fraction views when first read."""
+    """The attractor now; the return maps, the ghost graph, the verdicts
+    and the signed chains when first read."""
     return FullAnalysis(m, compute_attractor(m, max_iter))
-
-
-def stability_verdict(m: ItmMap, max_iter: int | None = None) -> StabilityReport:
-    return full_analysis(m, max_iter).report
 
 
 # -- perturbation machinery ------------------------------------------------

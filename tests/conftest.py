@@ -15,6 +15,7 @@ import pytest
 
 from itmlab import (
     __version__,
+    A3Witness,
     BadOrderError,
     BadTranslationError,
     ItmMap,
@@ -111,8 +112,8 @@ def find_ghost_map() -> ItmMap:
                                 continue
                             if att.X.distance_to_closure(b1) < Fraction(1, 512):
                                 continue
-                            rep = full_analysis(m).report
-                            if rep.a1.holds and rep.a2.holds and rep.matching.holds:
+                            fa = full_analysis(m)
+                            if fa.a1.holds and fa.a2.holds and fa.matching.holds:
                                 return m
     raise AssertionError("ghost-example search exhausted without a hit")
 
@@ -160,6 +161,16 @@ def corpus() -> list[ItmMap]:
     """50+ finite-type maps, r in {2,3,4}, denominators <= 64."""
     rng = random.Random(987123)
     return [random_map(rng) for _ in range(55)]
+
+
+def fraction_views(data) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, Fraction], ...]]:
+    """A return map's cut points and images as Fractions, read off its
+    integer numerators ``kcuts`` and ``kimages`` over its grid."""
+    d = data.grid.denom
+    return (
+        tuple(Fraction(k, d) for k in data.kcuts),
+        tuple((Fraction(l, d), Fraction(r, d)) for l, r in data.kimages),
+    )
 
 
 # -- naive oracles ---------------------------------------------------------
@@ -452,21 +463,29 @@ def naive_header_section(digest: str, probe=None) -> dict:
     return header
 
 
-def naive_stability_section(report) -> dict:
+def naive_verdict(verdict) -> dict:
+    """A verdict as the report writes it; an A3 witness is written field by
+    field, not through ``A3Witness.as_dict``."""
+    w = verdict.witness
+    if isinstance(w, A3Witness):
+        w = {"disc": w.disc, "cycle": [list(node) for node in w.cycle], "times": list(w.times)}
+    return {"holds": verdict.holds, "witness": plain(w)}
+
+
+def naive_stability_section(analysis) -> dict:
     """The stability section of the report as a dict: the oracle for
-    ``report.stability_section``."""
-
-    def verdict(v) -> dict:
-        return {"holds": v.holds, "witness": plain(v.witness)}
-
+    ``report.stability_section``. ``stable`` is recomputed from the four
+    verdicts and the attractor."""
+    verdicts = (analysis.a1, analysis.a2, analysis.a3, analysis.matching)
+    finite_type = analysis.attractor.stabilization_step is not None
     return {
-        "finite_type": report.finite_type,
-        "stabilization_step": report.stabilization_step,
-        "a1": verdict(report.a1),
-        "a2": verdict(report.a2),
-        "a3": verdict(report.a3),
-        "matching": verdict(report.matching),
-        "stable": report.stable,
+        "finite_type": finite_type,
+        "stabilization_step": analysis.attractor.stabilization_step,
+        "a1": naive_verdict(analysis.a1),
+        "a2": naive_verdict(analysis.a2),
+        "a3": naive_verdict(analysis.a3),
+        "matching": naive_verdict(analysis.matching),
+        "stable": finite_type and all(v.witness is None for v in verdicts),
     }
 
 
@@ -517,7 +536,6 @@ def naive_attractor_section(att, capped: bool = False) -> dict:
 def naive_ghost_section(graph, a3_verdict) -> dict:
     """The ghost section of the report as a dict: the oracle for
     ``report.ghost_section``."""
-    witness = a3_verdict.witness
     return {
         "nodes": [
             {"disc": i, "side": s, "in_x": graph.in_x[(i, s)]} for i, s in graph.nodes
@@ -526,7 +544,7 @@ def naive_ghost_section(graph, a3_verdict) -> dict:
             {"child": list(e.child), "parent": list(e.parent), "time": e.time}
             for e in graph.edges
         ],
-        "a3": {"holds": a3_verdict.holds, "witness": None if witness is None else witness.as_dict()},
+        "a3": naive_verdict(a3_verdict),
     }
 
 
@@ -647,7 +665,7 @@ def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -
         )
 
     def eager(fa):
-        fa.report
+        fa.a1, fa.a2, fa.a3, fa.matching
         for data in fa.return_maps:
             data.chains
         return fa
@@ -680,7 +698,7 @@ def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -
             disc_inside=len(fa.attractor.discontinuities_inside),
             disc_outside_closure=len(fa.attractor.discontinuities_outside),
             signature_match=(
-                fa.report.finite_type
+                fa.finite_type
                 and len(comps) == len(base.attractor.components())
                 and signature(fa) == signature(base)
             ),

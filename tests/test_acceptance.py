@@ -30,7 +30,6 @@ from itmlab import (
     orbit_closure,
     perturbation_probe,
     plus,
-    stability_verdict,
     a3_breaking_perturbation,
     apply_spec,
     full_analysis,
@@ -39,6 +38,7 @@ from itmlab import (
 )
 from conftest import (
     ACCEPTANCE_LINES,
+    fraction_views,
     grid_points,
     naive_first_return,
     naive_orbit,
@@ -77,9 +77,9 @@ def test_criterion_2_touching_third_iterates(fig1):
 
 
 def test_criterion_3_fig1_stable_and_orbit_cover(fig1):
-    rep = stability_verdict(fig1)
-    assert rep.stable and rep.finite_type
-    assert rep.a1.holds and rep.a2.holds and rep.a3.holds and rep.matching.holds
+    fa = full_analysis(fig1)
+    assert fa.stable and fa.finite_type
+    assert fa.a1.holds and fa.a2.holds and fa.a3.holds and fa.matching.holds
     cover = orbit_closure(fig1, interval(*JA)).union(orbit_closure(fig1, interval(*JB)))
     assert cover == FIG1_X
     report(3, "verdict stable, all conditions hold, O(J_A) u O(J_B) = X")
@@ -97,14 +97,15 @@ def test_criterion_4_fig1_return_maps_exact(fig1):
     assert a.return_times == (4, 3)
     assert verify_touching_equations(a) == (12,)  # 2/7
     for comp, data in ((JA, a), (JB, b)):
+        cut_points, images = fraction_views(data)
         for z in grid_points(fig1):
             if not (comp[0] <= z < comp[1]):
                 continue
             t, img = naive_first_return(fig1, comp, z)
             j = max(k for k in range(1, data.n_intervals + 1)
-                    if data.cut_points[k - 1] <= z)
+                    if cut_points[k - 1] <= z)
             assert t == data.return_times[j - 1]
-            assert img == data.images[j - 1][0] + (z - data.cut_points[j - 1])
+            assert img == images[j - 1][0] + (z - cut_points[j - 1])
     report(4, "J_B: N=2 times (1,2) touch 9/14; J_A: N=2 times (4,3) touch 2/7")
 
 
@@ -149,8 +150,8 @@ def test_criterion_7_ghost_example(ghost_map):
     assert m.gamma[0] == m.beta[1] - m.beta[0]
     assert m.gamma[2] == m.beta[0] - m.beta[1]
     fa = full_analysis(m)
-    assert not fa.report.stable
-    assert not fa.report.a3.holds
+    assert not fa.stable
+    assert not fa.a3.holds
     att = fa.attractor
     for p in (minus(m.beta[0]), plus(m.beta[0]), minus(m.beta[1]), plus(m.beta[1])):
         assert not att.X.contains_signed(p)
@@ -175,7 +176,7 @@ def test_criterion_8_rotation(rotation35):
     att = compute_attractor(rotation35)
     assert att.X == interval(0, 1)
     assert att.stabilization_step == 0
-    assert stability_verdict(rotation35).stable
+    assert full_analysis(rotation35).stable
     for k in range(20):
         x = F(k, 20)
         p = plus(x)
@@ -221,14 +222,15 @@ def test_criterion_11_return_map_oracle_corpus(corpus):
         att = compute_attractor(m)
         for kcomp, comp in zip(att.kcomponents, att.components()):
             data = compute_return_map(m, kcomp, att)
+            cut_points, images = fraction_views(data)
             for z in grid_points(m):
                 if not (comp[0] <= z < comp[1]):
                     continue
                 t, img = naive_first_return(m, comp, z)
                 j = max(k for k in range(1, data.n_intervals + 1)
-                        if data.cut_points[k - 1] <= z)
+                        if cut_points[k - 1] <= z)
                 ok = (t == data.return_times[j - 1]
-                      and img == data.images[j - 1][0] + (z - data.cut_points[j - 1]))
+                      and img == images[j - 1][0] + (z - cut_points[j - 1]))
                 mismatches += 0 if ok else 1
                 points += 1
     assert points > 0

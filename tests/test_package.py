@@ -14,9 +14,12 @@ import pytest
 
 import itmlab
 from itmlab import (
+    A3Witness,
+    Verdict,
     a3_breaking_perturbation,
     build_ghost_graph,
     check_A3,
+    compute_attractor,
     full_analysis,
     ghost_tree,
     minus,
@@ -32,13 +35,11 @@ PACKAGE = Path(itmlab.__file__).resolve().parent
 # the plain records and their fields, in order
 NAMED = {
     "Verdict": ("witness",),
-    "StabilityReport": ("stabilization_step", "a1", "a2", "a3", "matching"),
     "PerturbationSpec": ("epsilon", "deltas"),
     "DirectedPerturbation": ("spec", "predicted_interval", "period"),
     "GhostEdge": ("child", "parent", "time"),
     "GhostGraph": ("nodes", "edges", "in_x"),
     "A3Witness": ("disc", "cycle", "times"),
-    "A3Result": ("witness",),
     "GhostTree": ("root", "levels", "repeated"),
     "IterationResult": ("point", "itinerary", "counts"),
 }
@@ -67,17 +68,15 @@ def records(ghost_map):
     fig1 = validate(3, [F(1, 3), F(2, 3)], [F(1, 3), F(1, 7), F(-1, 2)])
     analysis = full_analysis(fig1)
     graph = analysis.ghost_graph
-    witness = check_A3(build_ghost_graph(ghost_map)).witness
+    witness = check_A3(build_ghost_graph(ghost_map, compute_attractor(ghost_map))).witness
     directed = a3_breaking_perturbation(ghost_map, witness, F(1, 4096))
     return {
-        "Verdict": analysis.report.a1,
-        "StabilityReport": analysis.report,
+        "Verdict": analysis.a1,
         "PerturbationSpec": directed.spec,
         "DirectedPerturbation": directed,
         "GhostEdge": graph.edges[0],
         "GhostGraph": graph,
         "A3Witness": witness,
-        "A3Result": analysis.a3,
         "GhostTree": ghost_tree(graph, (2, "+"), 2),
         "IterationResult": fig1.iterate(plus(F(1, 5)), 3),
         "ItmMap": fig1,
@@ -108,14 +107,23 @@ def test_plain_records_are_named_tuples(records, name):
 
 
 def test_a_verdict_is_its_witness(records, ghost_map):
-    # Verdict and A3Result store only the witness: holds is read off it
-    violated = full_analysis(ghost_map)
-    verdicts = (records["Verdict"], records["A3Result"], violated.report.a3, violated.a3)
+    # a Verdict stores only the witness: holds is read off it. A3's witness
+    # is an A3Witness, that of any other condition a dict
+    analysis, violated = records["FullAnalysis"], full_analysis(ghost_map)
+    a3 = check_A3(violated.ghost_graph)
+    verdicts = (records["Verdict"], analysis.a3, violated.a3, a3)
     assert [v.holds for v in verdicts] == [True, True, False, False]
+    assert type(a3) is Verdict and type(a3.witness) is A3Witness and violated.a3 == a3
     for v in verdicts:
         assert v.holds is (v.witness is None)
         with pytest.raises(AttributeError):
             v.holds = not v.holds
+    # a capped attractor gives every condition the one not-finite-type verdict
+    capped = full_analysis(analysis.map, 1)
+    fails = capped.a1
+    assert fails.witness == {"reason": "not finite type"}
+    assert all(v is fails for v in (capped.a2, capped.a3, capped.matching))
+    assert not capped.finite_type and not capped.stable
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))

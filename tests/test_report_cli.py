@@ -57,6 +57,11 @@ GHOST_DOC = (
     '{"r": 4, "beta": ["1/8", "3/8", "1/2"],'
     ' "gamma": ["1/4", "1/2", "-1/4", "-1/16"]}\n'
 )
+# the A3 example: beta1- and beta2+ land on each other in one step
+A3_DOC = (
+    '{"r": 4, "beta": ["1/8", "1/2", "3/4"],'
+    ' "gamma": ["3/8", "1/2", "-3/8", "-1/8"]}\n'
+)
 BAD_DOC = '{"r": 3, "beta": ["2/3", "1/3"], "gamma": ["1/3", "1/7", "-1/2"]}\n'
 UNKNOWN_DOC = '{"r": 2, "beta": ["1/2"], "gamma": ["0", "0"], "extra": 1}\n'
 
@@ -317,6 +322,41 @@ class TestProbeCommand:
         assert captured.err == (
             "error: NotRealizableDirectlyError: --directed needs an A3 violation\n")
 
+    def test_probe_grid_digit_limit_exit_2(self, files, tmp_path, capsys):
+        # each distance is p/q with q dividing 2 lcm(Q, 1024 den(eps)); for
+        # fig1 (Q = 21) and eps = 1/10**k that is 43008 * 10**k, k + 5 digits
+        limit = sys.get_int_max_str_digits()
+        a3 = tmp_path / "a3.json"
+        a3.write_text(A3_DOC)
+        k = limit - 5
+        assert main(["probe", files["fig1"], "--eps", f"1/{10**k}", "--samples", "3",
+                     "--json-only"]) == 0
+        records = json.loads(capsys.readouterr().out)["probe"]["records"]
+        assert limit - 5 < max(len(rec["hausdorff"].partition("/")[2]) for rec in records) <= limit
+        # one digit more for fig1; the limit's own eps for both maps
+        for path, eps in ((files["fig1"], 10**(k + 1)), (files["fig1"], 10**(limit - 1)),
+                          (str(a3), 10**(limit - 1))):
+            assert main(["probe", path, "--eps", f"1/{eps}", "--samples", "3"]) == 2
+            assert capsys.readouterr() == ("", (
+                "error: --eps: twice the probe grid, 2 lcm(Q, 1024 den(eps)), must have "
+                f"at most {limit} decimal digits (sys.get_int_max_str_digits())\n"))
+
+    def test_directed_grid_digit_limit_exit_2(self, tmp_path, capsys):
+        # the directed deltas of the A3 example are +-eps, so every value it
+        # writes is p/q with q dividing lcm(8, den(eps))
+        limit = sys.get_int_max_str_digits()
+        a3 = tmp_path / "a3.json"
+        a3.write_text(A3_DOC)
+        assert main(["probe", str(a3), "--eps", f"1/{10**(limit - 1)}", "--directed",
+                     "--json-only"]) == 0
+        directed = json.loads(capsys.readouterr().out)["directed_perturbation"]
+        assert directed["epsilon"] == f"1/{10**(limit - 1)}"
+        # 8 (10**limit - 1) has one digit more than the limit
+        assert main(["probe", str(a3), "--eps", f"1/{10**limit - 1}", "--directed"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: --eps: the grid lcm(Q, Q') of the map and the perturbed map must have "
+            f"at most {limit} decimal digits (sys.get_int_max_str_digits())\n"))
+
     def test_degenerate_probe_exit_3(self, files, capsys):
         # every draw of this seed leaves the polytope
         assert main(["probe", files["fig1"], "--eps", "100",
@@ -416,7 +456,7 @@ class TestDumpCommands:
         calls = []
         real = itmlab.stability.compute_return_map
 
-        def counting(m, J, attractor=None):
+        def counting(m, J, attractor):
             calls.append(m)
             return real(m, J, attractor)
 
@@ -668,15 +708,27 @@ class TestReportApi:
             self.assert_matches(attractor_section(att), naive_attractor_section(att))
             self.assert_matches(ghost_section(analysis.ghost_graph, analysis.a3),
                                 naive_ghost_section(analysis.ghost_graph, analysis.a3))
-            self.assert_matches(stability_section(analysis.report),
-                                naive_stability_section(analysis.report))
+            self.assert_matches(stability_section(analysis),
+                                naive_stability_section(analysis))
             seen["inside"] += bool(att.discontinuities_inside)
             seen["boundary"] += bool(att.boundary_hits)
             seen["edges"] += bool(analysis.ghost_graph.edges)
             seen["uncapped"] += att.stabilization_step is not None
             seen["a3"] += not analysis.a3.holds
-            seen["witness"] += any(v.witness for v in analysis.report[1:])
+            seen["witness"] += any(
+                v.witness for v in (analysis.a1, analysis.a2, analysis.a3, analysis.matching))
         assert min(seen.values()) > 0
+
+    def test_ghost_and_stability_sections_agree_on_a3(self, ghost_map, corpus, branchy_q1024):
+        # both sections write the one cached A3 verdict of the analysis
+        seen = set()
+        for m in [ghost_map, *corpus, *branchy_q1024]:
+            analysis = full_analysis(m)
+            ghost = json.loads(ghost_section(analysis.ghost_graph, analysis.a3))
+            stability = json.loads(stability_section(analysis))
+            assert ghost["a3"] == stability["a3"]
+            seen.add(ghost["a3"]["holds"])
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_capped_attractor_section_matches_dict_oracle(self, fig1, max_iter):
@@ -684,9 +736,9 @@ class TestReportApi:
         att = analysis.attractor
         assert att.stabilization_step is None and att.infinite_type_suspected
         self.assert_matches(attractor_section(att), naive_attractor_section(att, capped=True))
-        assert analysis.report.a1.witness == {"reason": "not finite type"}
-        self.assert_matches(stability_section(analysis.report),
-                            naive_stability_section(analysis.report))
+        assert analysis.a1.witness == {"reason": "not finite type"}
+        self.assert_matches(stability_section(analysis),
+                            naive_stability_section(analysis))
 
     def test_directed_section_matches_dict_oracle(self, ghost_map):
         a3 = full_analysis(ghost_map).a3

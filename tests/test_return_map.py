@@ -30,7 +30,7 @@ from itmlab.return_map import (
     SignedChain,
     TouchingViolatedError,
 )
-from conftest import grid_points, naive_first_return, naive_signed_chain
+from conftest import fraction_views, grid_points, naive_first_return, naive_signed_chain
 
 # fig1's components as numerators over its grid 1/42
 JB = (21, 34)  # [1/2, 17/21)
@@ -39,18 +39,19 @@ JA = (7, 13)  # [1/6, 13/42)
 
 class TestFig1Structure:
     def test_component_b(self, fig1):
-        data = compute_return_map(fig1, JB)
-        assert data.cut_points == (F(1, 2), F(2, 3), F(17, 21))
+        data = compute_return_map(fig1, JB, compute_attractor(fig1))
+        cut_points, images = fraction_views(data)
+        assert cut_points == (F(1, 2), F(2, 3), F(17, 21))
         assert data.return_times == (1, 2)
         assert data.sigma == (2, 1)
         assert data.tau == (2, 1)
-        assert data.images == ((F(9, 14), F(17, 21)), (F(1, 2), F(9, 14)))
+        assert images == ((F(9, 14), F(17, 21)), (F(1, 2), F(9, 14)))
         assert not data.dynamically_trivial
         rec = data.landings[0]
         assert rec.time == 0 and rec.disc == 2
 
     def test_component_b_chains(self, fig1):
-        data = compute_return_map(fig1, JB)
+        data = compute_return_map(fig1, JB, compute_attractor(fig1))
         cp = data.chain(1, "+")
         assert [(h.disc, h.time) for h in cp.hits] == [(2, 0)]
         assert cp.entry_time == 2
@@ -61,23 +62,25 @@ class TestFig1Structure:
         assert data.chain(2, "-").hits == ()
 
     def test_component_a(self, fig1):
-        data = compute_return_map(fig1, JA)
-        assert data.cut_points == (F(1, 6), F(4, 21), F(13, 42))
+        data = compute_return_map(fig1, JA, compute_attractor(fig1))
+        cut_points, images = fraction_views(data)
+        assert cut_points == (F(1, 6), F(4, 21), F(13, 42))
         assert data.return_times == (4, 3)
         assert data.sigma == (2, 1)
-        assert data.images == ((F(2, 7), F(13, 42)), (F(1, 6), F(2, 7)))
+        assert images == ((F(2, 7), F(13, 42)), (F(1, 6), F(2, 7)))
         rec = data.landings[0]
         assert rec.time == 2 and rec.disc == 2
 
     def test_touching_values(self, fig1):
         # numerators over fig1's grid 1/42: 9/14 and 2/7
-        assert verify_touching_equations(compute_return_map(fig1, JB)) == (27,)
-        assert verify_touching_equations(compute_return_map(fig1, JA)) == (12,)
+        att = compute_attractor(fig1)
+        assert verify_touching_equations(compute_return_map(fig1, JB, att)) == (27,)
+        assert verify_touching_equations(compute_return_map(fig1, JA, att)) == (12,)
 
     def test_landing_before_return(self, fig1):
         # l_j < r_j and l_j < r_{j+1} for every interior cut point
         for J in (JA, JB):
-            data = compute_return_map(fig1, J)
+            data = compute_return_map(fig1, J, compute_attractor(fig1))
             for rec in data.landings:
                 assert rec.time < data.return_times[rec.j - 1]
                 assert rec.time < data.return_times[rec.j]
@@ -85,8 +88,9 @@ class TestFig1Structure:
 
 class TestRotation:
     def test_full_circle(self, rotation35):
-        data = compute_return_map(rotation35, (0, 5))
-        assert data.cut_points == (F(0), F(2, 5), F(1))
+        data = compute_return_map(rotation35, (0, 5), compute_attractor(rotation35))
+        cut_points = fraction_views(data)[0]
+        assert cut_points == (F(0), F(2, 5), F(1))
         assert data.return_times == (1, 1)
         assert data.sigma == (2, 1)
         assert data.landings[0].time == 0
@@ -95,7 +99,8 @@ class TestRotation:
 
 class TestTrivialComponent:
     def test_identity_component(self, trivial_component_map):
-        data = compute_return_map(trivial_component_map, (2, 4))
+        m = trivial_component_map
+        data = compute_return_map(m, (2, 4), compute_attractor(m))
         assert data.n_intervals == 1
         assert data.dynamically_trivial
         assert data.return_times == (1,)
@@ -107,7 +112,7 @@ class TestTrivialComponent:
 
 class TestManyBranches:
     def test_iet3(self, iet3):
-        data = compute_return_map(iet3, (0, 3))
+        data = compute_return_map(iet3, (0, 3), compute_attractor(iet3))
         assert data.n_intervals == 3
         assert data.sigma == (3, 2, 1)
         assert classify_return_dynamics(data) == MANY_BRANCHES
@@ -119,9 +124,10 @@ class TestErrors:
     def test_not_a_component(self, fig1):
         # on the 1/42 grid: all of [0, 1), past both components, inside the
         # first, and the first's left end with the second's right end
+        att = compute_attractor(fig1)
         for J in [(0, 42), (35, 36), (7, 12), (7, 34)]:
             with pytest.raises(NotAComponentError):
-                compute_return_map(fig1, J)
+                compute_return_map(fig1, J, att)
 
     def test_not_finite_type(self, fig1):
         att = compute_attractor(fig1, max_iter=2)
@@ -248,7 +254,7 @@ class TestInvariantErrors:
             return c._replace(kentry=c.kentry + 1) if side == "-" and j == 4 - p else c
 
         monkeypatch.setattr(return_map, "_signed_chain", moved)
-        data = compute_return_map(iet3, (0, 3))
+        data = compute_return_map(iet3, (0, 3), compute_attractor(iet3))
         assert data.sigma == (3, 2, 1)
         with pytest.raises(TouchingViolatedError, match=f"touching equation {p} violated") as exc:
             verify_touching_equations(data)
@@ -277,7 +283,7 @@ class TestRecords:
         assert type(att) is AttractorResult and type(data) is ReturnMapData
 
     def test_chain_records_named_fields_in_order_and_read_only(self, fig1):
-        data = compute_return_map(fig1, JB)
+        data = compute_return_map(fig1, JB, compute_attractor(fig1))
         chain = data.chain(1, "+")
         for record, names in [
             (chain.hits[0], ("disc", "time", "counts")),
@@ -299,9 +305,10 @@ class TestInvariants:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
                 data = compute_return_map(m, kcomp, att)
-                total = sum((r - l for l, r in data.images), F(0))
+                images = fraction_views(data)[1]
+                total = sum((r - l for l, r in images), F(0))
                 assert total == comp[1] - comp[0]
-                spans = sorted(data.images)
+                spans = sorted(images)
                 for (l1, r1), (l2, r2) in zip(spans, spans[1:]):
                     assert r1 <= l2
                 assert spans[0][0] == comp[0] and spans[-1][1] == comp[1]
@@ -333,9 +340,10 @@ class TestInvariants:
             att = compute_attractor(m)
             for kJ, J in zip(att.kcomponents, att.components()):
                 data = compute_return_map(m, kJ, att)
+                cut_points = fraction_views(data)[0]
                 for c in data.chains:
                     hits, entry, value = naive_signed_chain(
-                        m, J, data.cut_points[c.j], c.side, c.entry_time)
+                        m, J, cut_points[c.j], c.side, c.entry_time)
                     assert [(h.disc, h.time) for h in c.hits] == hits
                     assert (c.entry_time, F(c.kentry, m.Q)) == (entry, value)
                     checked += 1
@@ -345,14 +353,15 @@ class TestInvariants:
         att = compute_attractor(fig1)
         for kcomp, comp in zip(att.kcomponents, att.components()):
             data = compute_return_map(fig1, kcomp, att)
+            cut_points, images = fraction_views(data)
             for z in grid_points(fig1):
                 if not (comp[0] <= z < comp[1]):
                     continue
                 t, img = naive_first_return(fig1, comp, z)
                 j = max(k for k in range(1, data.n_intervals + 1)
-                        if data.cut_points[k - 1] <= z)
+                        if cut_points[k - 1] <= z)
                 assert t == data.return_times[j - 1]
-                assert img == data.images[j - 1][0] + (z - data.cut_points[j - 1])
+                assert img == images[j - 1][0] + (z - cut_points[j - 1])
 
     def test_touching_values_match_naive_entries(self, fig1, corpus, corpus_q1024):
         # each touching value is where both touching signed endpoints enter
@@ -362,13 +371,14 @@ class TestInvariants:
             att = compute_attractor(m)
             for kJ, J in zip(att.kcomponents, att.components()):
                 data = compute_return_map(m, kJ, att)
+                cut_points = fraction_views(data)[0]
                 sigma = data.sigma
                 for p, k in enumerate(verify_touching_equations(data)):
                     value = F(k, data.grid.denom)
                     for j, side in ((sigma[p], "-"), (sigma[p + 1] - 1, "+")):
                         horizon = data.chain(j, side).entry_time
                         _, _, entry_value = naive_signed_chain(
-                            m, J, data.cut_points[j], side, horizon)
+                            m, J, cut_points[j], side, horizon)
                         assert value == entry_value
                         checked += 1
         assert checked > 100

@@ -24,12 +24,11 @@ from itmlab import (
     minus,
     perturbation_probe,
     plus,
-    stability_verdict,
     validate,
 )
 from itmlab.ghost import A3Witness
 from itmlab.intervals import SignedPoint
-from conftest import naive_probe_records, random_map
+from conftest import fraction_views, naive_probe_records, random_map
 
 
 def analysis_parts(m):
@@ -63,7 +62,7 @@ class TestConditionChecks:
         v = check_matching(att, rms)
         assert not v.holds
         assert "identity" in v.witness["reason"]
-        assert not stability_verdict(m).stable
+        assert not full_analysis(m).stable
 
     def test_trivial_component_with_critical_endpoint_fails_a2(self, trivial_component_map):
         # the pointwise-fixed band [1/2, 1) starts at beta_1: perturbing the
@@ -76,7 +75,7 @@ class TestConditionChecks:
         assert not v.holds
         assert v.witness["kind"] == "closure_boundary"
         assert v.witness["first_hit"] == (1, 0)
-        assert not stability_verdict(trivial_component_map).stable
+        assert not full_analysis(trivial_component_map).stable
 
 
 def find_violations(kinds, max_tries=4000, seed=1298):
@@ -87,12 +86,11 @@ def find_violations(kinds, max_tries=4000, seed=1298):
     for _ in range(max_tries):
         m = random_map(rng, max_q=12, min_q=4)
         fa = full_analysis(m)
-        rep = fa.report
-        if not rep.a1.holds and "a1" not in found:
+        if not fa.a1.holds and "a1" not in found:
             found["a1"] = fa
-        if not rep.a2.holds and "a2" not in found:
+        if not fa.a2.holds and "a2" not in found:
             found["a2"] = fa
-        if not rep.matching.holds and "matching" not in found:
+        if not fa.matching.holds and "matching" not in found:
             found["matching"] = fa
         if all(k in found for k in kinds):
             return found
@@ -107,17 +105,17 @@ def violations():
 class TestViolationWitnesses:
     def test_a1_witness_reverifies(self, violations):
         fa = violations["a1"]
-        w = fa.report.a1.witness
+        w = fa.a1.witness
         m = fa.map
         data = fa.return_maps[w["component"] - 1]
-        start = SignedPoint(data.cut_points[w["cut_index"]], w["side"])
+        start = SignedPoint(fraction_views(data)[0][w["cut_index"]], w["side"])
         for disc, time in w["hits"]:
             assert m.iterate(start, time).point.value == m.beta[disc - 1]
         assert len(w["hits"]) >= 2
 
     def test_a2_witness_reverifies(self, violations):
         fa = violations["a2"]
-        w = fa.report.a2.witness
+        w = fa.a2.witness
         m = fa.map
         disc, time = w["first_hit"]
         if w.get("kind") == "closure_boundary":
@@ -129,14 +127,14 @@ class TestViolationWitnesses:
         data = fa.return_maps[w["component"] - 1]
         j = 0 if w["boundary"] == "left" else data.n_intervals
         side = "+" if w["boundary"] == "left" else "-"
-        start = SignedPoint(data.cut_points[j], side)
+        start = SignedPoint(fraction_views(data)[0][j], side)
         assert m.iterate(start, time).point.value == m.beta[disc - 1]
         entry = data.return_times[0] if j == 0 else data.return_times[-1]
         assert time < entry
 
     def test_matching_witness(self, violations):
         fa = violations["matching"]
-        w = fa.report.matching.witness
+        w = fa.matching.witness
         data = fa.return_maps[w["component"] - 1]
         assert not data.dynamically_trivial
         if "interior landing count" in w["reason"]:
@@ -145,22 +143,22 @@ class TestViolationWitnesses:
 
 class TestVerdict:
     def test_fig1_stable(self, fig1):
-        rep = stability_verdict(fig1)
-        assert rep.finite_type and rep.stable
-        assert rep.a1.holds and rep.a2.holds and rep.a3.holds and rep.matching.holds
+        fa = full_analysis(fig1)
+        assert fa.finite_type and fa.stable
+        assert fa.a1.holds and fa.a2.holds and fa.a3.holds and fa.matching.holds
 
     def test_ghost_map_unstable_via_a3(self, ghost_map):
-        rep = stability_verdict(ghost_map)
-        assert rep.finite_type and not rep.stable
-        assert not rep.a3.holds
-        assert rep.a3.witness["disc"] == 1
+        fa = full_analysis(ghost_map)
+        assert fa.finite_type and not fa.stable
+        assert not fa.a3.holds
+        assert fa.a3.witness.disc == 1
 
     def test_rotation_stable(self, rotation35):
-        assert stability_verdict(rotation35).stable
+        assert full_analysis(rotation35).stable
 
     def test_capped_run_reports_unstable(self, fig1):
-        rep = stability_verdict(fig1, max_iter=2)
-        assert not rep.finite_type and not rep.stable
+        fa = full_analysis(fig1, max_iter=2)
+        assert not fa.finite_type and not fa.stable
 
     def test_stable_is_finite_type_and_the_four_verdicts(self, corpus, branchy_q1024):
         # the uncapped runs give both outcomes of the verdicts, the capped
@@ -168,11 +166,11 @@ class TestVerdict:
         seen = set()
         for m in [*corpus, *branchy_q1024]:
             for max_iter in (None, 1):
-                rep = stability_verdict(m, max_iter)
-                verdicts = (rep.a1, rep.a2, rep.a3, rep.matching)
-                assert rep.finite_type is (rep.stabilization_step is not None)
-                assert rep.stable is (rep.finite_type and all(v.holds for v in verdicts))
-                seen.add((rep.finite_type, rep.stable))
+                fa = full_analysis(m, max_iter)
+                verdicts = (fa.a1, fa.a2, fa.a3, fa.matching)
+                assert fa.finite_type is (fa.attractor.stabilization_step is not None)
+                assert fa.stable is (fa.finite_type and all(v.holds for v in verdicts))
+                seen.add((fa.finite_type, fa.stable))
         assert seen == {(True, True), (True, False), (False, False)}
 
     def test_analysis_holds_the_attractor_only(self, fig1):
@@ -358,7 +356,7 @@ class TestVerdictConsistency:
             tries += 1
             m = random_map(rng, max_q=12, min_q=4)
             fa = full_analysis(m)
-            if not fa.report.stable:
+            if not fa.stable:
                 continue
             pr = perturbation_probe(m, F(1, 2048), 110, seed=71)
             recs = [r for r in pr.samples if r.accepted]
