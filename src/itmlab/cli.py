@@ -37,7 +37,6 @@ from .stability import (
     NoValidSamplesError,
     NotRealizableDirectlyError,
     a3_breaking_perturbation,
-    apply_spec,
     full_analysis,
     perturbation_probe,
 )
@@ -148,19 +147,15 @@ def _summary(analysis, json_only: bool) -> None:
     print("\n".join(lines), file=sys.stderr)
 
 
-def cmd_analyze(args) -> int:
-    m, digest = _load(args.file)
+def cmd_analyze(args, m: ItmMap, digest: str) -> str:
     analysis = full_analysis(m, args.max_iter)
-    doc = build_report(analysis, digest)
-    _emit(render_document(doc), args.out)
     _summary(analysis, args.json_only)
-    return 0
+    return render_document(build_report(analysis, digest))
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args, m: ItmMap, digest: str) -> str:
     if args.directed and (args.samples is not None or args.seed is not None):
         raise UsageError("--samples and --seed apply to random probes, not to --directed")
-    m, digest = _load(args.file)
     samples = 100 if args.samples is None else args.samples
     if samples < 1:
         raise UsageError("--samples must be >= 1")
@@ -173,14 +168,13 @@ def cmd_probe(args) -> int:
     directed = probe = None
     if args.directed:
         analysis = full_analysis(m)
-        if not analysis.finite_type or analysis.a3.holds:
+        if analysis.a3.holds:
             raise NotRealizableDirectlyError("--directed needs an A3 violation")
         dp = a3_breaking_perturbation(m, analysis.a3.witness, eps)
-        perturbed = apply_spec(m, dp.spec)
         # each delta, end and component is p/q with q dividing lcm(Q, Q')
-        check_digit_limit(math.lcm(m.Q, perturbed.Q),
+        check_digit_limit(math.lcm(m.Q, dp.perturbed.Q),
                           "--eps: the grid lcm(Q, Q') of the map and the perturbed map", UsageError)
-        directed = directed_section(dp, full_analysis(perturbed))
+        directed = directed_section(dp, full_analysis(dp.perturbed))
     else:
         # each distance is p/q with q dividing 2 D, D = lcm(Q, 2**GRID_BITS den(eps))
         check_digit_limit(2 * math.lcm(m.Q, 2**GRID_BITS * eps.denominator),
@@ -188,29 +182,19 @@ def cmd_probe(args) -> int:
                           UsageError)
         probe = perturbation_probe(m, eps, samples, 0 if args.seed is None else args.seed)
         analysis = probe.base
-    doc = build_report(analysis, digest, probe=probe, directed=directed)
-    _emit(render_document(doc), args.out)
     _summary(analysis, args.json_only)
-    return 0
+    return render_document(build_report(analysis, digest, probe=probe, directed=directed))
 
 
-def cmd_render(args) -> int:
+def cmd_render(args, m: ItmMap, digest: str) -> str:
     from .render import render_map, render_orbit  # here, so no other command loads it
 
-    if args.kind == "map" and (args.component is not None or args.max_iter is not None):
-        raise UsageError("--component and --max-iter apply to --kind orbit only")
-    m, _ = _load(args.file)
     if args.kind == "map":
-        svg = render_map(m)
-    else:
-        analysis = full_analysis(m, args.max_iter)
-        if not analysis.attractor.finite_type:
-            raise UsageError("orbit rendering needs a finite-type attractor "
-                             "(cap reached, infinite type suspected)")
-        k = 1 if args.component is None else args.component
-        svg = render_orbit(_return_map(analysis, k))
-    _emit(svg, args.out)
-    return 0
+        if args.component is not None:
+            raise UsageError("--component applies to --kind orbit only")
+        return render_map(m)
+    k = 1 if args.component is None else args.component
+    return render_orbit(_return_map(full_analysis(m), k))
 
 
 def _parse_root(text: str) -> tuple[int, str]:
@@ -219,10 +203,9 @@ def _parse_root(text: str) -> tuple[int, str]:
     return int(text[:-1]), text[-1]
 
 
-def cmd_ghost_tree(args) -> int:
+def cmd_ghost_tree(args, m: ItmMap, digest: str) -> str:
     if args.root is None and args.depth is not None:
         raise UsageError("--depth needs --root (it is the depth of the tree below the root)")
-    m, digest = _load(args.file)
     depth = 4 if args.depth is None else args.depth
     if args.root is not None:
         index, side = _parse_root(args.root)
@@ -241,12 +224,10 @@ def cmd_ghost_tree(args) -> int:
             "levels": tree.levels,
             "repeated": tree.repeated,
         })
-    _emit(render_document(doc), args.out)
-    return 0
+    return render_document(doc)
 
 
-def cmd_return_map(args) -> int:
-    m, digest = _load(args.file)
+def cmd_return_map(args, m: ItmMap, digest: str) -> str:
     analysis = full_analysis(m)
     numbered = enumerate(analysis.return_maps, start=1)
     if args.component is not None:
@@ -255,8 +236,7 @@ def cmd_return_map(args) -> int:
         "header": json_fragment({"tool": "itmlab", "input_digest": digest}),
         "return_maps": [return_map_section(data, k) for k, data in numbered],
     }
-    _emit(render_document(doc), args.out)
-    return 0
+    return render_document(doc)
 
 
 @functools.cache
@@ -289,7 +269,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", parents=[common], help="SVG diagram")
     p.add_argument("--kind", choices=("map", "orbit"), default="map")
     p.add_argument("--component", type=_natural, default=None, help="orbit only, default 1")
-    p.add_argument("--max-iter", type=_max_iter, default=None, help="orbit only")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("ghost-tree", parents=[common], help="dump the ghost graph (and a tree)")
@@ -304,10 +283,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    """Read the map file, run the command, write the text it returns; the exit code."""
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        m, digest = _load(args.file)
+        _emit(args.func(args, m, digest), args.out)
     except (UsageError, DepthBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -317,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NoValidSamplesError, NotRealizableDirectlyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    return 0
 
 
 if __name__ == "__main__":

@@ -57,7 +57,8 @@ _NOT_FINITE_TYPE = Verdict({"reason": "not finite type"})
 class FullAnalysis(Frozen):
     """The attractor, computed up front; the return maps, the ghost graph
     and the verdicts of A1, A2, A3 and Matching are built on first access,
-    and ``finite_type`` and ``stable`` are read off them."""
+    and ``finite_type`` and ``stable`` are read off them. If the attractor is
+    capped, the return maps and the ghost graph raise NotFiniteTypeError."""
 
     _fields = ("map", "attractor")
     map: ItmMap
@@ -68,7 +69,7 @@ class FullAnalysis(Frozen):
 
     @cached_property
     def return_maps(self) -> tuple[ReturnMapData, ...]:
-        """One return map per component, in order; none for a capped attractor.
+        """One return map per component, in order; NotFiniteTypeError if capped.
 
         One orbit is walked per tower. A component J with no cut strictly
         inside whose image J + gamma_b is exactly a component J' hands its
@@ -78,7 +79,7 @@ class FullAnalysis(Frozen):
         """
         m, attractor = self.map, self.attractor
         if not attractor.finite_type:
-            return ()
+            raise NotFiniteTypeError("return maps need a finite-type attractor")
         comps = attractor.kcomponents
         n = len(comps)
         cuts, gamma = m.grid.cuts, m.grid.gamma
@@ -108,9 +109,9 @@ class FullAnalysis(Frozen):
         return tuple(out)
 
     @cached_property
-    def ghost_graph(self) -> GhostGraph | None:
+    def ghost_graph(self) -> GhostGraph:
         if not self.finite_type:
-            return None
+            raise NotFiniteTypeError("the ghost graph needs a finite-type attractor")
         return build_ghost_graph(self.map, self.attractor)
 
     @property
@@ -121,7 +122,7 @@ class FullAnalysis(Frozen):
     def a1(self) -> Verdict:
         if not self.finite_type:
             return _NOT_FINITE_TYPE
-        return check_A1(self.attractor, self.return_maps)
+        return check_A1(self.return_maps)
 
     @cached_property
     def a2(self) -> Verdict:
@@ -140,7 +141,7 @@ class FullAnalysis(Frozen):
     def matching(self) -> Verdict:
         if not self.finite_type:
             return _NOT_FINITE_TYPE
-        return check_matching(self.attractor, self.return_maps)
+        return check_matching(self.return_maps)
 
     @property
     def stable(self) -> bool:
@@ -157,9 +158,12 @@ class PerturbationSpec(NamedTuple):
 
 
 class DirectedPerturbation(NamedTuple):
+    """The deltas, the interval they make periodic, its period and the perturbed map."""
+
     spec: PerturbationSpec
     predicted_interval: tuple[Fraction, Fraction]
     period: int
+    perturbed: ItmMap
 
 
 class SampleRecord(NamedTuple):
@@ -227,11 +231,9 @@ def _signature(analysis_return_maps: tuple[ReturnMapData, ...]) -> tuple:
     return tuple((d.n_intervals, d.return_times, d.sigma) for d in analysis_return_maps)
 
 
-def check_A1(attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
+def check_A1(return_maps: tuple[ReturnMapData, ...]) -> Verdict:
     """At most one critical hit along every signed endpoint's journey back to
     its component (a time-0 hit counts when the point itself is critical)."""
-    if not attractor.finite_type:
-        raise NotFiniteTypeError("A1 needs a finite-type attractor")
     for comp_idx, data in enumerate(return_maps, start=1):
         for chain in data.chains:
             if len(chain.hits) > 1:
@@ -285,7 +287,7 @@ def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
     return Verdict()
 
 
-def check_matching(attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
+def check_matching(return_maps: tuple[ReturnMapData, ...]) -> Verdict:
     """Every dynamically non-trivial component returns like a rotation:
     exactly one interior landing point and the two pieces swapped.
 
@@ -294,8 +296,6 @@ def check_matching(attractor: AttractorResult, return_maps: tuple[ReturnMapData,
     violation: its halves join only through the coincidence, and the
     attractor does not survive perturbations there.
     """
-    if not attractor.finite_type:
-        raise NotFiniteTypeError("Matching needs a finite-type attractor")
     for comp_idx, data in enumerate(return_maps, start=1):
         if data.dynamically_trivial:
             continue
@@ -377,9 +377,7 @@ def perturbation_probe(
         raise ValueError("samples must be >= 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    base = full_analysis(m)
-    if not base.attractor.finite_type:
-        raise NotFiniteTypeError("probe needs a finite-type base map")
+    base = full_analysis(m)  # the default cap Q is never reached
     base_signature = _signature(base.return_maps)
     grid = 2**GRID_BITS
     span = 2 * grid - 1  # k in [-(grid-1), grid-1] keeps |delta| < epsilon
@@ -455,10 +453,10 @@ def a3_breaking_perturbation(
         deltas[branch - 1] = Fraction(sign, counts[branch - 1]) * epsilon
     spec = PerturbationSpec(epsilon, tuple(deltas))
     try:
-        apply_spec(m, spec)
+        perturbed = apply_spec(m, spec)
     except (BadOrderError, BadTranslationError) as exc:
         raise NotRealizableDirectlyError(f"directed deltas leave the polytope: {exc}") from exc
     start_node = cycle[0]
     beta0 = m.beta[start_node[0] - 1]
     predicted = (beta0 - epsilon, beta0) if start_node[1] == MINUS else (beta0, beta0 + epsilon)
-    return DirectedPerturbation(spec, predicted, sum(times))
+    return DirectedPerturbation(spec, predicted, sum(times), perturbed)

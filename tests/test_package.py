@@ -36,7 +36,7 @@ PACKAGE = Path(itmlab.__file__).resolve().parent
 NAMED = {
     "Verdict": ("witness",),
     "PerturbationSpec": ("epsilon", "deltas"),
-    "DirectedPerturbation": ("spec", "predicted_interval", "period"),
+    "DirectedPerturbation": ("spec", "predicted_interval", "period", "perturbed"),
     "GhostEdge": ("child", "parent", "time"),
     "GhostGraph": ("nodes", "edges", "in_x"),
     "A3Witness": ("disc", "cycle", "times"),

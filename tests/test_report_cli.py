@@ -391,17 +391,26 @@ class TestRenderCommand:
             assert capsys.readouterr().err == FIG1_COMPONENT_RANGE
 
     def test_capped_orbit_render_exit_2(self, files, capsys):
-        rc = main(["render", files["fig1"], "--kind", "orbit",
-                   "--component", "1", "--max-iter", "2"])
-        assert rc == 2
-        assert "infinite type suspected" in capsys.readouterr().err
+        # render runs the uncapped analysis: it has no --max-iter
+        with pytest.raises(SystemExit) as exc:
+            main(["render", files["fig1"], "--kind", "orbit", "--component", "1",
+                  "--max-iter", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-iter 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option,value", [("--component", "1"), ("--max-iter", "5")])
     def test_map_render_with_orbit_option_exit_2(self, files, tmp_path, capsys, option, value):
         out = tmp_path / "m.svg"
-        assert main(["render", files["fig1"], option, value, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: --component and --max-iter apply to --kind orbit only\n")
+        argv = ["render", files["fig1"], option, value, "--out", str(out)]
+        if option == "--component":
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: --component applies to --kind orbit only\n")
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --max-iter 5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_orbit_render_default_component(self, files, tmp_path):
@@ -598,6 +607,25 @@ class TestInProcess:
         assert main(argv) == 0
         assert capfd.readouterr() == ("", "")
         assert json.loads(out.read_text())["header"]["tool"] == "itmlab"
+
+    @pytest.mark.parametrize("name,args", [
+        ("fig1", ["analyze"]),
+        ("fig1", ["probe", "--eps", "1/1000", "--samples", "5"]),
+        ("ghost", ["probe", "--eps", "1/4096", "--directed"]),
+        ("fig1", ["render", "--kind", "map"]),
+        ("fig1", ["render", "--kind", "orbit"]),
+        ("fig1", ["ghost-tree", "--root", "1+"]),
+        ("fig1", ["return-map"]),
+    ])
+    def test_stdout_and_out_get_the_same_bytes(self, files, tmp_path, capsys, name, args):
+        # main writes every command's text once, to --out or to stdout
+        argv = [args[0], files[name], *args[1:]]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode("utf-8") != b""
 
     def test_repeated_main_calls_share_one_parser(self, files, capsys):
         # the parser is built once per process and parsing leaves it as it

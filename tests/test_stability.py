@@ -11,6 +11,7 @@ import pytest
 from itmlab import (
     BadTranslationError,
     FullAnalysis,
+    NotFiniteTypeError,
     NoValidSamplesError,
     NotRealizableDirectlyError,
     PerturbationSpec,
@@ -39,27 +40,27 @@ def analysis_parts(m):
 class TestConditionChecks:
     def test_fig1_all_hold(self, fig1):
         att, rms = analysis_parts(fig1)
-        assert check_A1(att, rms).holds
+        assert check_A1(rms).holds
         assert check_A2(fig1, att, rms).holds
-        assert check_matching(att, rms).holds
+        assert check_matching(rms).holds
 
     def test_rotation_all_hold(self, rotation35):
         att, rms = analysis_parts(rotation35)
-        assert check_A1(att, rms).holds
+        assert check_A1(rms).holds
         assert check_A2(rotation35, att, rms).holds
-        assert check_matching(att, rms).holds
+        assert check_matching(rms).holds
 
     def test_iet3_violates_matching(self, iet3):
-        att, rms = analysis_parts(iet3)
-        v = check_matching(att, rms)
+        _, rms = analysis_parts(iet3)
+        v = check_matching(rms)
         assert not v.holds
         assert v.witness["interior_landing_points"] == 2
 
     def test_identity_with_cut_violates_matching(self):
         # both pieces return to themselves; the component only looks joined
         m = validate(2, [F(1, 2)], [F(0), F(0)])
-        att, rms = analysis_parts(m)
-        v = check_matching(att, rms)
+        _, rms = analysis_parts(m)
+        v = check_matching(rms)
         assert not v.holds
         assert "identity" in v.witness["reason"]
         assert not full_analysis(m).stable
@@ -179,7 +180,12 @@ class TestVerdict:
         assert list(vars(analysis)) == ["map", "attractor"]
         with pytest.raises(AttributeError):
             analysis.attractor = None
-        assert analysis.return_maps == ()
+        # a capped attractor has no return maps and no ghost graph
+        with pytest.raises(NotFiniteTypeError):
+            analysis.return_maps
+        with pytest.raises(NotFiniteTypeError):
+            analysis.ghost_graph
+        assert list(vars(analysis)) == ["map", "attractor"]
 
 
 class TestApplySpec:
@@ -383,7 +389,8 @@ class TestDirectedPerturbation:
         assert dp.period == sum(wit.times)
         b1 = ghost_map.beta[0]
         assert dp.predicted_interval in (((b1 - eps), b1), (b1, b1 + eps))
-        perturbed = apply_spec(ghost_map, dp.spec)
+        perturbed = dp.perturbed
+        assert perturbed == apply_spec(ghost_map, dp.spec)
         # the predicted interval is periodic for the perturbed map
         left = dp.predicted_interval[0]
         res = perturbed.iterate(plus(left), dp.period)
