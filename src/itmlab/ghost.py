@@ -101,9 +101,8 @@ def _ghost_walks(
     also stops once it has landed on every beta_j, as nothing is left to
     record.
     """
-    grid = m.grid
-    cuts, gamma = grid.cuts, grid.gamma
-    beta_index = {c: j for j, c in enumerate(cuts[1:-1], start=1)}
+    cuts, gamma = m.grid.cuts, m.grid.gamma
+    beta_index = m.grid.beta_index()
     walks: dict[SignedDisc, dict[int, int]] = {}
     for node in nodes:
         find = branch_rule(node[1])

@@ -72,6 +72,10 @@ class Grid(NamedTuple):
             tuple(g * factor for g in self.gamma),
         )
 
+    def beta_index(self) -> dict[int, int]:
+        """The discontinuity index ``d`` of each interior cut ``beta_d``, by numerator."""
+        return {c: d for d, c in enumerate(self.cuts[1:-1], start=1)}
+
 
 def merge(pieces: list[IntPair]) -> list[IntPair]:
     """Sort and merge overlapping or abutting pairs (all with ``l < r``);

@@ -100,26 +100,25 @@ class ReturnMapData(Frozen):
     """First-return structure of one component J.
 
     The cut points and images are held as integer numerators over the
-    map's grid; the signed chains are built on first access. Equality,
-    hash and repr leave out ``grid`` and ``_source``, so a transported map
-    equals the walked one.
+    map's grid; ``tau`` is read off ``sigma`` and the signed chains are
+    built on first access. Equality, hash and repr leave out ``grid`` and
+    ``_source``, so a transported map equals the walked one.
     """
 
-    _fields = ("kcuts", "return_times", "landings", "sigma", "tau", "kimages")
+    _fields = ("kcuts", "return_times", "landings", "sigma", "kimages")
     kcuts: tuple[int, ...]
     return_times: tuple[int, ...]
     landings: tuple[LandingRecord, ...]
     sigma: tuple[int, ...]
-    tau: tuple[int, ...]
     kimages: tuple[IntPair, ...]
     grid: Grid
     # (return map of the component whose image this one is, 0-based branch of
     # that component) when the chains are shifted from it rather than walked
     _source: tuple[ReturnMapData, int] | None
 
-    def __init__(self, kcuts, return_times, landings, sigma, tau, kimages, grid, _source=None):
+    def __init__(self, kcuts, return_times, landings, sigma, kimages, grid, _source=None):
         vars(self).update(
-            kcuts=kcuts, return_times=return_times, landings=landings, sigma=sigma, tau=tau,
+            kcuts=kcuts, return_times=return_times, landings=landings, sigma=sigma,
             kimages=kimages, grid=grid, _source=_source,
         )
 
@@ -131,6 +130,14 @@ class ReturnMapData(Frozen):
     def dynamically_trivial(self) -> bool:
         return len(self.kcuts) == 2
 
+    @property
+    def tau(self) -> tuple[int, ...]:
+        """The inverse of ``sigma``: the image of interval j is the tau(j)-th from the left."""
+        tau = [0] * len(self.sigma)
+        for p, j in enumerate(self.sigma, start=1):
+            tau[j - 1] = p
+        return tuple(tau)
+
     @cached_property
     def chains(self) -> tuple[SignedChain, ...]:
         """The signed chains of a_0+ .. a_{N-1}+, then a_1- .. a_N-, walked,
@@ -141,7 +148,7 @@ class ReturnMapData(Frozen):
         if self._source is None:
             grid, kcuts, times, n = self.grid, self.kcuts, self.return_times, self.n_intervals
             J = (kcuts[0], kcuts[-1])
-            beta_index = _beta_index(grid)
+            beta_index = grid.beta_index()
             return self._checked([
                 _signed_chain(grid, beta_index, J, j, PLUS, kcuts[j], times[j]) for j in range(n)
             ] + [
@@ -153,7 +160,7 @@ class ReturnMapData(Frozen):
             pending.append(src)
             src = src._source[0]
         chains = src.chains
-        beta_index = _beta_index(self.grid)
+        beta_index = self.grid.beta_index()
         for data in reversed(pending):
             chains = data._checked(_shifted_chains(data.grid, beta_index, data._source[1], chains))
             data.__dict__["chains"] = chains  # what cached_property stores
@@ -179,11 +186,6 @@ class ReturnMapData(Frozen):
         if side == MINUS and 1 <= j <= n:
             return self.chains[n + j - 1]
         raise KeyError((j, side))
-
-
-def _beta_index(grid: Grid) -> dict[int, int]:
-    """The discontinuity index of each interior cut numerator."""
-    return {c: i for i, c in enumerate(grid.cuts[1:-1], start=1)}
 
 
 def _signed_chain(
@@ -221,15 +223,15 @@ def compute_return_map(m: ItmMap, J: IntPair, attractor: AttractorResult) -> Ret
     """Full first-return structure of one attractor component, given as
     integer numerators over the map's grid like ``attractor.kcomponents``.
 
-    Each step pushes every in-flight piece: a piece with no cut strictly
-    inside costs one bisect and moves whole; a split pulls each split point
-    back to a cut point of J with its landing time and discontinuity.
-    Pieces that land in J retire as (source, image, time). Sorted once by
-    source, the retired pieces give the cut points, the return times and
-    the images in order, checked against the split points (x, then each cut
-    point once); sorted once by image, they give sigma and tau, checked to
-    tile J without gaps. This is the one direct walk: every transported
-    return map must equal it.
+    Each step is one pass over the in-flight pieces. A piece with no cut
+    strictly inside costs one bisect and moves whole; ``split`` cuts any
+    other, and each split point pulls back to a cut point of J with its
+    landing time and discontinuity. A moved piece flies on, retires as
+    (source, image, time) when it lands in J, or straddles J (an error).
+    Sorted once by source, the retired pieces give the cut points, return
+    times and images in order, checked against the split points (x, then
+    each cut point once); sorted once by image, they give sigma, checked to
+    tile J without gaps. Every transported return map must equal this walk.
 
     Raises NotFiniteTypeError when the attractor is not finite type (or the
     generous safety cap is exceeded), NotAComponentError when J is not
@@ -260,33 +262,33 @@ def compute_return_map(m: ItmMap, J: IntPair, attractor: AttractorResult) -> Ret
     while flying:
         if t > cap:
             raise NotFiniteTypeError("return-time safety cap exceeded")
-        moved: list[tuple[int, int, int]] = []
-        for cl, cr, src in flying:
+        pieces, flying = flying, []
+        t += 1
+        for cl, cr, src in pieces:
             b = bisect_right(cuts, cl)  # branch of cl+
             if cr <= cuts[b]:  # no cut strictly inside: the piece moves whole
                 g = gamma[b - 1]
-                moved.append((cl + g, cr + g, src))
-                continue
-            for lo, hi, b in split(cuts, cl, cr):
-                if lo > cl:  # lo is the cut beta_{b-1}
-                    # the in-flight sources are disjoint and a split point
-                    # stays a piece end, so each cut point is set once
-                    cut_info[src + (lo - cl)] = (t, b - 1)
-                g = gamma[b - 1]
-                moved.append((lo + g, hi + g, src + (lo - cl)))
-        t += 1
-        flying = []
-        for piece in moved:
-            cl, cr, src = piece
-            if cr <= kx or cl >= ky:
-                flying.append(piece)
-            elif kx <= cl and cr <= ky:
-                retired.append((src, cl, t))
+                moved = ((cl + g, cr + g, src),)
             else:
-                raise ReturnMapInvariantError(
-                    f"piece [{Fraction(cl, denom)},{Fraction(cr, denom)}) "
-                    f"straddles J = [{Fraction(kx, denom)},{Fraction(ky, denom)}) at time {t}"
-                )
+                moved = []
+                for lo, hi, b in split(cuts, cl, cr):
+                    if lo > cl:  # lo is the cut beta_{b-1}, hit at time t - 1
+                        # the in-flight sources are disjoint and a split point
+                        # stays a piece end, so each cut point is set once
+                        cut_info[src + (lo - cl)] = (t - 1, b - 1)
+                    g = gamma[b - 1]
+                    moved.append((lo + g, hi + g, src + (lo - cl)))
+            for piece in moved:
+                l, r, s = piece
+                if r <= kx or l >= ky:
+                    flying.append(piece)
+                elif kx <= l and r <= ky:
+                    retired.append((s, l, t))
+                else:
+                    raise ReturnMapInvariantError(
+                        f"piece [{Fraction(l, denom)},{Fraction(r, denom)}) "
+                        f"straddles J = [{Fraction(kx, denom)},{Fraction(ky, denom)}) at time {t}"
+                    )
 
     # Sorted by source, the retired pieces are the continuity intervals in
     # order: their sources are x and then each cut point once.
@@ -310,28 +312,25 @@ def compute_return_map(m: ItmMap, J: IntPair, attractor: AttractorResult) -> Ret
     # starts. For a single piece this says the return is the identity,
     # which is exactly the dynamically trivial case.
     sigma = []
-    tau = [0] * n
     end = kx
-    for p, ((l, r), j) in enumerate(sorted(zip(kimages, range(1, n + 1))), start=1):
+    for (l, r), j in sorted(zip(kimages, range(1, n + 1))):
         if l != end:
             raise ReturnMapInvariantError(
-                "return images do not tile J" if p == 1 else "return images are not contiguous"
+                "return images are not contiguous" if sigma else "return images do not tile J"
             )
         sigma.append(j)
-        tau[j - 1] = p
         end = r
     return ReturnMapData(
         kcuts=tuple(kcuts),
         return_times=tuple([rt for _, _, rt in retired]),
         landings=tuple(landings),
         sigma=tuple(sigma),
-        tau=tuple(tau),
         kimages=tuple(kimages),
         grid=grid,
     )
 
 
-def _transported(src: ReturnMapData, b: int) -> ReturnMapData:
+def transported(src: ReturnMapData, b: int) -> ReturnMapData:
     """The return map of T(J) = J + gamma_b from that of J, a component with
     no cut strictly inside whose image is exactly a component; ``b`` is J's
     0-based branch (see the module notes)."""
@@ -341,7 +340,6 @@ def _transported(src: ReturnMapData, b: int) -> ReturnMapData:
         return_times=src.return_times,
         landings=tuple(LandingRecord(rec.j, rec.time - 1, rec.disc) for rec in src.landings),
         sigma=src.sigma,
-        tau=src.tau,
         kimages=tuple((l + g, r + g) for l, r in src.kimages),
         grid=src.grid,
         _source=(src, b),

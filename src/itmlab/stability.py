@@ -28,9 +28,9 @@ from .return_map import (
     IDENTITY,
     NotFiniteTypeError,
     ReturnMapData,
-    _transported,
     classify_return_dynamics,
     compute_return_map,
+    transported,
 )
 
 # Probe deltas are drawn on the grid epsilon / 2**10 by a linear congruential
@@ -105,7 +105,7 @@ class FullAnalysis(Frozen):
                     k, b = successor[k]
                     if out[k] is not None:  # the cycle closed
                         break
-                    out[k] = data = _transported(data, b)
+                    out[k] = data = transported(data, b)
         return tuple(out)
 
     @cached_property
@@ -423,7 +423,7 @@ def a3_breaking_perturbation(
     cycle = witness.cycle
     times = witness.times
     cuts, gamma = m.grid.cuts, m.grid.gamma
-    betas = set(cuts[1:-1])
+    betas = m.grid.beta_index()
     legs = []
     for idx, node in enumerate(cycle):
         # one walk per leg: the points at times 1 .. k-1 must avoid every

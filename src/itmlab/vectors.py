@@ -87,12 +87,11 @@ def build_vectors(data: ReturnMapData) -> tuple[CoefficientVector, ...]:
     L_j just before the vectors of the first chain of a_j.
     """
     n = data.n_intervals
-    chains = data.chains
     ups, downs = _units(len(data.grid.gamma) - 1)
     zero = ups[0]
     out: list[CoefficientVector] = []
     append = out.append
-    for c in chains:
+    for c in data.chains:
         j, side, hits = c.j, c.side, c.hits
         if not hits:
             append(CoefficientVector(c.entry_counts, zero, ("R", side, j)))
@@ -100,9 +99,8 @@ def build_vectors(data: ReturnMapData) -> tuple[CoefficientVector, ...]:
         first = hits[0]
         if side == PLUS or j == n:
             append(CoefficientVector(first.counts, downs[first.disc], ("L", j)))
-        else:  # the interior cut a_j, whose + chain gave L_j
-            other = chains[j].hits
-            if not other or other[0].counts != first.counts or other[0].disc != first.disc:
+        else:  # interior a_j, whose + chain gave L_j (same first disc and time, as checked)
+            if data.chain(j, PLUS).hits[0] != first:
                 raise VectorInvariantError(
                     f"the two sides of cut {j} give different landing vectors"
                 )
@@ -133,7 +131,7 @@ def verify_identities(data: ReturnMapData, vectors: tuple[CoefficientVector, ...
     against the identity the vector encodes by exact equality / membership.
     The first identity that fails raises IdentityViolatedError."""
     params = [*data.grid.gamma, *data.grid.cuts[1:-1]]  # grid numerators of (gamma, beta)
-    kcuts, chains, n = data.kcuts, data.chains, data.n_intervals
+    kcuts = data.kcuts
     x, y = kcuts[0], kcuts[-1]
     products: list[int] = []
     for e, f, tag in vectors:
@@ -144,7 +142,7 @@ def verify_identities(data: ReturnMapData, vectors: tuple[CoefficientVector, ...
             ok = val == 0
         else:
             _, side, j = tag
-            chain = chains[j] if side == PLUS else chains[n + j - 1]
+            chain = data.chain(j, side)
             if chain.hits:
                 ok = val == chain.kentry and (x <= val < y if side == PLUS else x < val <= y)
             else:

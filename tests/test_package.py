@@ -1,5 +1,6 @@
 """Package-wide properties: the record classes, what importing the command
-line loads, and no ``assert`` in the engine."""
+line loads, no ``assert`` in the engine, and no private name imported
+from another module."""
 
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ FROZEN = {
         "discontinuities_inside", "discontinuities_outside", "boundary_hits",
     ), ()),
     "ReturnMapData": (
-        ("kcuts", "return_times", "landings", "sigma", "tau", "kimages"),
+        ("kcuts", "return_times", "landings", "sigma", "kimages"),
         ("grid", "_source"),
     ),
     "FullAnalysis": (("map", "attractor"), ()),
@@ -149,12 +150,12 @@ def test_frozen_records(records, name):
 def test_return_map_equality_ignores_grid_and_source(records):
     data = records["ReturnMapData"]
     other = ReturnMapData(
-        data.kcuts, data.return_times, data.landings, data.sigma, data.tau, data.kimages,
+        data.kcuts, data.return_times, data.landings, data.sigma, data.kimages,
         data.grid._replace(denom=2 * data.grid.denom), (data, 0),
     )
     assert other == data and hash(other) == hash(data) and repr(other) == repr(data)
     changed = ReturnMapData(
-        data.kcuts, data.return_times, data.landings, data.sigma, data.tau + (0,), data.kimages,
+        data.kcuts, data.return_times, data.landings, data.sigma + (0,), data.kimages,
         data.grid,
     )
     assert changed != data
@@ -197,5 +198,20 @@ def test_engine_has_no_assert():
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a name with a leading underscore belongs to its own module (a dunder
+    # such as __version__ is public)
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "itmlab")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert found == []

@@ -134,6 +134,14 @@ class TestErrors:
         with pytest.raises(NotFiniteTypeError):
             compute_return_map(fig1, JB, att)
 
+    def test_return_time_cap(self, fig1):
+        # [0, 1/42) lies outside fig1's X, so no piece of it ever returns;
+        # named a component of a hand-made attractor, its walk stops at the
+        # cap 2 Q = 84 steps
+        att = AttractorResult(((0, 1),), 42, 3, (), (), ())
+        with pytest.raises(NotFiniteTypeError, match="return-time safety cap exceeded"):
+            compute_return_map(fig1, (0, 1), att)
+
 
 def _split_nudged(real):
     # every piece one grid step too long: pieces end up straddling J
@@ -215,6 +223,18 @@ class TestInvariantErrors:
         monkeypatch.setattr(return_map, target, broken(getattr(return_map, target)))
         with pytest.raises(ReturnMapInvariantError, match=message):
             compute_return_map(fig1, JB, att)
+
+    def test_whole_piece_straddling_j_raises(self, fig1, monkeypatch):
+        # the hand-made component [2/42, 8/42) moves whole through
+        # [16, 22), [22, 28) and [28, 34) to [7, 13), which straddles it at
+        # time 4: the straddle check sees a piece that split never touched
+        calls = []
+        real = return_map.split
+        monkeypatch.setattr(return_map, "split", lambda *args: calls.append(args) or real(*args))
+        att = AttractorResult(((2, 8),), 42, 3, (), (), ())
+        with pytest.raises(ReturnMapInvariantError, match="straddles .* at time 4"):
+            compute_return_map(fig1, (2, 8), att)
+        assert calls == []
 
     @pytest.mark.parametrize("broken", [_split_second_repeated, _split_second_lost])
     def test_retired_sources_checked_against_cut_points(self, monkeypatch, broken):
@@ -382,6 +402,16 @@ class TestInvariants:
                         assert value == entry_value
                         checked += 1
         assert checked > 100
+
+    def test_tau_is_the_inverse_of_sigma(self, fig1, iet3, corpus):
+        # tau is a view of sigma: not stored, and tau(sigma(p)) = p
+        seen = set()
+        for m in [fig1, iet3] + corpus:
+            for data in full_analysis(m).return_maps:
+                assert "tau" not in vars(data)
+                assert [data.tau[j - 1] for j in data.sigma] == list(range(1, data.n_intervals + 1))
+                seen.add(data.tau != data.sigma)
+        assert seen == {False, True}  # some sigma is not its own inverse
 
     def test_touching_all_corpus(self, corpus):
         for m in corpus[:25]:
