@@ -39,38 +39,50 @@ class AttractorInvariantError(AssertionError):
 
 
 class AttractorResult(Frozen):
-    """Attractor of a map together with the discontinuity classification.
-
-    ``kcomponents`` are the components of X as the kernel computed them:
-    integer numerators over the map's grid ``1/denom``. ``X`` and
-    ``components()`` are their Fraction views, built on first use.
+    """Attractor of a map: the map's integer ``grid``, the components of X
+    as the kernel computed them (``kcomponents``, integer numerators over
+    ``grid.denom``) and the ``stabilization_step``.
 
     ``stabilization_step`` is the first n with X_{n+1} = X_n, or None when
     the cap was reached first (then ``infinite_type_suspected`` is true; for
     rational maps this only happens with a user-lowered cap).
 
-    Discontinuities are partitioned into three lists: strictly inside a
-    component (with its index), on the boundary of the closure of X, or at
-    positive distance from the closure.
+    The constructor derives the rest from these three values, so they
+    cannot disagree with the components: ``denom``, ``ends`` (X's endpoints
+    as one sorted tuple; a signed grid point ``(k, side)`` lies in X iff
+    ``kernel.branch_rule(side)(ends, k)`` is odd) and the discontinuities
+    in three tuples: strictly inside a component (with its index), on the
+    boundary of the closure of X, or at positive distance from the closure.
+    ``X`` and ``components()`` are the Fraction views, built on first use.
     """
 
-    _fields = ("kcomponents", "denom", "stabilization_step", "discontinuities_inside",
-               "discontinuities_outside", "boundary_hits")
+    _fields = ("grid", "kcomponents", "stabilization_step")
+    grid: kernel.Grid
     kcomponents: tuple[IntPair, ...]
-    denom: int
     stabilization_step: int | None
+    denom: int
+    ends: tuple[int, ...]
     discontinuities_inside: tuple[tuple[int, int], ...]
     discontinuities_outside: tuple[int, ...]
     boundary_hits: tuple[int, ...]
 
-    def __init__(
-        self, kcomponents, denom, stabilization_step,
-        discontinuities_inside, discontinuities_outside, boundary_hits,
-    ):
+    def __init__(self, grid, kcomponents, stabilization_step):
+        ends = tuple([k for pair in kcomponents for k in pair])
+        inside: list[tuple[int, int]] = []
+        outside: list[int] = []
+        boundary: list[int] = []
+        for i, b in enumerate(grid.cuts[1:-1], start=1):
+            p = bisect_left(ends, b)
+            if p < len(ends) and ends[p] == b:
+                boundary.append(i)
+            elif p % 2:
+                inside.append((i, (p + 1) // 2))
+            else:
+                outside.append(i)
         vars(self).update(
-            kcomponents=kcomponents, denom=denom, stabilization_step=stabilization_step,
-            discontinuities_inside=discontinuities_inside,
-            discontinuities_outside=discontinuities_outside, boundary_hits=boundary_hits,
+            grid=grid, kcomponents=kcomponents, stabilization_step=stabilization_step,
+            denom=grid.denom, ends=ends, discontinuities_inside=tuple(inside),
+            discontinuities_outside=tuple(outside), boundary_hits=tuple(boundary),
         )
 
     @property
@@ -213,25 +225,7 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
         if (c > 0) is not positive:
             ends.append(x)
             positive = not positive
-    inside: list[tuple[int, int]] = []
-    outside: list[int] = []
-    boundary: list[int] = []
-    for i, b in enumerate(grid.cuts[1:-1], start=1):
-        p = bisect_left(ends, b)
-        if p < len(ends) and ends[p] == b:
-            boundary.append(i)
-        elif p % 2:
-            inside.append((i, (p + 1) // 2))
-        else:
-            outside.append(i)
-    return AttractorResult(
-        kcomponents=tuple(zip(ends[::2], ends[1::2])),
-        denom=denom,
-        stabilization_step=step,
-        discontinuities_inside=tuple(inside),
-        discontinuities_outside=tuple(outside),
-        boundary_hits=tuple(boundary),
-    )
+    return AttractorResult(grid, tuple(zip(ends[::2], ends[1::2])), step)
 
 
 def nonwandering_witness(

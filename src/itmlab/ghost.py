@@ -90,16 +90,15 @@ class GhostTree(NamedTuple):
 
 
 def _ghost_walks(
-    m: ItmMap, ends: list[int], nodes: list[SignedDisc]
+    m: ItmMap, ends: tuple[int, ...], nodes: list[SignedDisc]
 ) -> dict[SignedDisc, dict[int, int]]:
     """For each signed discontinuity, one walk of its orbit on the integer
     grid: the first landing time k >= 1 on each beta_j, taken while every
-    point before the landing is outside X.
+    point before the landing is outside X (``ends`` is
+    :attr:`~itmlab.attractor.AttractorResult.ends`).
 
     A walk stops when the orbit enters X or after Q + 1 steps: outside X no
-    state can repeat, so the orbit either enters X or exhausts the grid. It
-    also stops once it has landed on every beta_j, as nothing is left to
-    record.
+    state can repeat, so the orbit either enters X or exhausts the grid.
     """
     cuts, gamma = m.grid.cuts, m.grid.gamma
     beta_index = m.grid.beta_index()
@@ -115,19 +114,16 @@ def _ghost_walks(
             j = beta_index.get(k)
             if j is not None and j not in landed:
                 landed[j] = t
-                if len(landed) == len(beta_index):
-                    break
         walks[node] = landed
     return walks
 
 
 def build_ghost_graph(m: ItmMap, attractor: AttractorResult) -> GhostGraph:
     """Full edge set over all 2(r-1) signed discontinuities, from one walk
-    per signed discontinuity."""
+    per signed discontinuity; a node lies in X iff the branch rule of its
+    side finds its cut at an odd position of ``attractor.ends``."""
     nodes = [(i, side) for i in range(1, m.r) for side in (MINUS, PLUS)]
-    # X's endpoints flattened into one sorted list: (k, side) lies in X iff
-    # branch_rule(side)(ends, k) is odd
-    ends = [k for pair in attractor.kcomponents for k in pair]
+    ends = attractor.ends
     walks = _ghost_walks(m, ends, nodes)
     edges: list[GhostEdge] = []
     for parent in nodes:

@@ -260,17 +260,19 @@ def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
     """
     if not attractor.finite_type:
         raise NotFiniteTypeError("A2 needs a finite-type attractor")
-    for i in attractor.boundary_hits:
+    if attractor.boundary_hits:
+        i = attractor.boundary_hits[0]
         b = m.grid.cuts[i]
-        for comp_idx, (l, r) in enumerate(attractor.kcomponents, start=1):
-            if b == l or b == r:
-                return Verdict({
-                    "component": comp_idx,
-                    "boundary": "left" if b == l else "right",
-                    "point": Fraction(b, m.Q),
-                    "first_hit": (i, 0),
-                    "kind": "closure_boundary",
-                })
+        # components are separated, so b is exactly one endpoint: the left
+        # end of component p // 2 + 1 when its position p is even
+        p = bisect_left(attractor.ends, b)
+        return Verdict({
+            "component": p // 2 + 1,
+            "boundary": "right" if p % 2 else "left",
+            "point": Fraction(b, m.Q),
+            "first_hit": (i, 0),
+            "kind": "closure_boundary",
+        })
     for comp_idx, data in enumerate(return_maps, start=1):
         if data.dynamically_trivial:
             continue

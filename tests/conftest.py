@@ -251,7 +251,7 @@ def reference_attractor(m: ItmMap, max_iter: int | None = None) -> tuple:
     The step is the first n with X_{n+1} = X_n; after ``max_iter`` steps
     (default Q) without one it is None and X is X_max_iter. Returns
     ``(pairs, step, inside, outside, boundary)`` in the shape of the
-    AttractorResult fields ``kcomponents``, ``stabilization_step``,
+    AttractorResult attributes ``kcomponents``, ``stabilization_step``,
     ``discontinuities_inside``, ``discontinuities_outside`` and
     ``boundary_hits``.
     """

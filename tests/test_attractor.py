@@ -99,6 +99,8 @@ class TestComputeAttractor:
         att = compute_attractor(fig1, max_iter=2)
         assert att.infinite_type_suspected
         assert att.stabilization_step is None
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            compute_attractor(fig1, max_iter=0)
 
     def test_nesting_and_fixed_point(self, corpus):
         for m in corpus[:25]:
@@ -343,3 +345,6 @@ class TestNonwanderingWitness:
             nonwandering_witness(fig1, F(1, 4), F(0), 5)
         with pytest.raises(ValueError):
             nonwandering_witness(fig1, F(1, 4), F(1, 100), 0)
+        # (1, 2) clipped to [0, 1) is empty
+        with pytest.raises(ValueError, match="does not meet"):
+            nonwandering_witness(fig1, F(3, 2), F(1, 2), 5)

@@ -87,6 +87,19 @@ class TestGhostGraph:
             total += len(edges)
         assert total > 0
 
+    def test_no_edge_joins_the_two_sides_of_one_discontinuity(
+        self, fig1, ghost_map, corpus, corpus_q1024, branchy_q1024
+    ):
+        # a walk landing on its own discontinuity would have come back to
+        # its start with the same side: the start is then periodic, so in
+        # X, and its walk never takes a step
+        total = 0
+        for m in [fig1, ghost_map] + corpus + corpus_q1024 + branchy_q1024:
+            edges = build_ghost_graph(m, compute_attractor(m)).edges
+            assert all(e.child[0] != e.parent[0] for e in edges)
+            total += len(edges)
+        assert total == 49
+
     def test_all_in_x_vacuous(self):
         from itmlab import validate
         m = validate(2, [F(1, 2)], [F(1, 2), F(-1, 2)])

@@ -19,6 +19,10 @@ A2 and map 18 violates Matching, so their reports carry verdict witnesses.
 its 28 components 25 are transported along towers, and some chains hit two
 discontinuities, where fig1 has two walked components with one-hit chains.
 
+Two capped reports pin ``analyze --max-iter 2``, whose attractor is X_2:
+fig1's, and that of corpus map 13 (r = 4, Q = 45), whose X_2 has one
+discontinuity inside, one outside and one on the boundary.
+
 ``SVG_GOLDEN`` pins the bytes of ``render`` on fig1: the graph of the map
 and the orbit of each of its two components. They were recorded when the
 renderer still computed its coordinates from Fractions.
@@ -40,6 +44,7 @@ PROBE_ARGS = ("--eps", "1/1000", "--samples", "20", "--seed", "5")
 
 GOLDEN = {
     "analyze fig1": "811d41ec22e8c34ca3a31f5181e243225bca3e98b04ca1bd0a1217c9a0f86f55",
+    "analyze --max-iter 2 fig1": "2dd51c76795992674757d6dd6bdcc22fe7f1e8bec8cdc8615efc2f657bfc9646",
     "probe fig1": "4de0411902c079cf3725e1073d90e36941a0b9461eb27dee0f6f0e92b61b5c40",
     "analyze ghost": "fa33f706f277f58a8f168156610079159df42f1aa612f28907addd4cbfafa027",
     "probe ghost": "d6e76426d49208102c413ab48f223e5fb7dc9f197b3b5451c0a8f552bde9a1b2",
@@ -56,6 +61,8 @@ GOLDEN = {
     "analyze corpus-7": "d1a6b477d2c15fd01dd406e9e49a1fd1f1b9950e1db61adc6d19cef69804476f",
     "analyze corpus-8": "6e43812e2bcf0c08b097785585dbfb31361b13d749d0f2b9188a141ef6fd08ba",
     "analyze corpus-9": "cd4f4a7516940c812b84a826672fab2b66d0331accaa30eb3d9146ef9433ac9d",
+    "analyze --max-iter 2 corpus-13":
+        "a16c6efc08fc116926f6a9b8e1cb53be7e72df2a9e87642783ca4313aa634000",
     "probe corpus-0": "c13a0d8a1ee3dc9d942cd4a40cbf4ac9c30e2e06635e12aa66808a485d881acb",
     "probe corpus-1": "6e9c5fc0fd38af1628aa244e4284de7922ea0c83b5bab6de657590d786070798",
     "probe corpus-2": "f618fd15c69cb1fbcc902db10a28953139d0cfd66ed9c42541b13d091e417e24",
@@ -93,6 +100,7 @@ def cases(fig1, ghost, corpus, corpus_q1024, branchy_q1024):
     """(name, map, extra argv) for every golden report."""
     out = [
         ("analyze fig1", fig1, ["analyze"]),
+        ("analyze --max-iter 2 fig1", fig1, ["analyze", "--max-iter", "2"]),
         ("probe fig1", fig1, ["probe", *PROBE_ARGS]),
         ("analyze ghost", ghost, ["analyze"]),
         ("probe ghost", ghost, ["probe", *PROBE_ARGS]),
@@ -101,6 +109,7 @@ def cases(fig1, ghost, corpus, corpus_q1024, branchy_q1024):
         ("return-map fig1", fig1, ["return-map"]),
     ]
     out += [(f"analyze corpus-{i}", corpus[i], ["analyze"]) for i in CORPUS_ANALYZE]
+    out.append(("analyze --max-iter 2 corpus-13", corpus[13], ["analyze", "--max-iter", "2"]))
     out += [(f"probe corpus-{i}", corpus[i], ["probe", *PROBE_ARGS]) for i in CORPUS_PROBE]
     out += [(f"analyze branchy-q1024-{i}", branchy_q1024[i], ["analyze"]) for i in BRANCHY_ANALYZE]
     out.append(("analyze corpus-q1024-7", corpus_q1024[7], ["analyze"]))

@@ -200,6 +200,8 @@ class TestHausdorff:
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
             set_hausdorff(canonicalize([]), interval(0, 1))
+        with pytest.raises(EmptySetError):
+            IntervalSet(()).distance_to_closure(F(1, 2))
 
     def test_zero_iff_equal_closures(self):
         # [0,1/2) and [0,1/2)+[1/2,3/4) differ, distance positive

@@ -103,6 +103,8 @@ class TestIterate:
         p = plus(F(1, 5))
         res = fig1.iterate(p, 0)
         assert res.point == p and res.itinerary == () and res.counts == (0, 0, 0)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            fig1.iterate(p, -1)
 
     def test_explicit_formula(self, fig1, rotation35):
         # T^n(x) = x + sum_s k_s(x, n) gamma_s, exactly, up to n = 3Q

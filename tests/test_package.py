@@ -48,10 +48,7 @@ NAMED = {
 # the Frozen records: (value fields, attributes stored after them)
 FROZEN = {
     "ItmMap": (("grid",), ()),
-    "AttractorResult": ((
-        "kcomponents", "denom", "stabilization_step",
-        "discontinuities_inside", "discontinuities_outside", "boundary_hits",
-    ), ()),
+    "AttractorResult": (("grid", "kcomponents", "stabilization_step"), ()),
     "ReturnMapData": (
         ("kcuts", "return_times", "landings", "sigma", "kimages"),
         ("grid", "_source"),

@@ -139,7 +139,8 @@ class TestAnalyze:
         # json.loads alone would keep r = 3 and report a count mismatch
         ('{"r": 2, "beta": ["1/2"], "gamma": ["1/2", "-1/2"], "r": 3}',
          "invalid JSON: key 'r' appears more than once in an object"),
-    ], ids=["nested-arrays", "long-integer", "trailing-newline", "repeated-key"])
+        ("[1, 2]", "map specification must be a JSON object"),
+    ], ids=["nested-arrays", "long-integer", "trailing-newline", "repeated-key", "array"])
     def test_hostile_input_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "hostile.json"
         path.write_text(text)

@@ -60,6 +60,10 @@ class TestFig1Structure:
         assert cm.entry_time == 1
         assert data.chain(0, "+").hits == ()
         assert data.chain(2, "-").hits == ()
+        # the left end has no minus chain, the right end no plus chain
+        for j, side in ((0, "-"), (2, "+")):
+            with pytest.raises(KeyError):
+                data.chain(j, side)
 
     def test_component_a(self, fig1):
         data = compute_return_map(fig1, JA, compute_attractor(fig1))
@@ -138,7 +142,7 @@ class TestErrors:
         # [0, 1/42) lies outside fig1's X, so no piece of it ever returns;
         # named a component of a hand-made attractor, its walk stops at the
         # cap 2 Q = 84 steps
-        att = AttractorResult(((0, 1),), 42, 3, (), (), ())
+        att = AttractorResult(fig1.grid, ((0, 1),), 3)
         with pytest.raises(NotFiniteTypeError, match="return-time safety cap exceeded"):
             compute_return_map(fig1, (0, 1), att)
 
@@ -231,7 +235,7 @@ class TestInvariantErrors:
         calls = []
         real = return_map.split
         monkeypatch.setattr(return_map, "split", lambda *args: calls.append(args) or real(*args))
-        att = AttractorResult(((2, 8),), 42, 3, (), (), ())
+        att = AttractorResult(fig1.grid, ((2, 8),), 3)
         with pytest.raises(ReturnMapInvariantError, match="straddles .* at time 4"):
             compute_return_map(fig1, (2, 8), att)
         assert calls == []
@@ -289,15 +293,18 @@ class TestRecords:
     def test_hand_written_init_takes_the_fields(self, fig1):
         # ReturnMapData and AttractorResult fill their instance dict in
         # __init__ by hand: it takes the declared fields in order (the value
-        # fields first, then the return map's grid and source), stores
-        # exactly them, and the instances stay frozen
+        # fields first, then the return map's grid and source) and stores
+        # them first; the attractor stores after them what it derives from
+        # them. The instances stay frozen
         att = compute_attractor(fig1)
         data = compute_return_map(fig1, JB, att)
-        for obj, extra in ((att, ()), (data, ("grid", "_source"))):
+        derived = ("denom", "ends", "discontinuities_inside", "discontinuities_outside",
+                   "boundary_hits")
+        for obj, extra, stored in ((att, (), derived), (data, ("grid", "_source"), ())):
             names = [*type(obj)._fields, *extra]
             assert list(inspect.signature(type(obj)).parameters) == names
-            assert list(vars(obj)) == names
-            for name in names:
+            assert list(vars(obj)) == [*names, *stored]
+            for name in (*names, *stored):
                 with pytest.raises(AttributeError):
                     setattr(obj, name, None)
         assert type(att) is AttractorResult and type(data) is ReturnMapData

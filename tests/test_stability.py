@@ -133,6 +133,27 @@ class TestViolationWitnesses:
         entry = data.return_times[0] if j == 0 else data.return_times[-1]
         assert time < entry
 
+    def test_a2_closure_boundary_witness_at_both_ends(self, corpus, corpus_q1024, branchy_q1024):
+        # the witness point is the named end of the named component: right
+        # ends in corpus maps 1 and 3, corpus-q1024 map 7 and branchy-q1024
+        # map 13, the left end of component 2 in corpus map 14
+        cases = [
+            (corpus[1], "right", 1, F(7, 36)),
+            (corpus[3], "right", 1, F(7, 29)),
+            (corpus[14], "left", 2, F(13, 19)),
+            (corpus_q1024[7], "right", 7, F(225, 748)),
+            (branchy_q1024[13], "right", 5, F(7, 114)),
+        ]
+        for m, boundary, component, point in cases:
+            fa = full_analysis(m)
+            w = fa.a2.witness
+            assert w["kind"] == "closure_boundary"
+            assert (w["boundary"], w["component"], w["point"]) == (boundary, component, point)
+            comp = fa.attractor.components()[component - 1]
+            assert point == (comp[0] if boundary == "left" else comp[1])
+            disc, time = w["first_hit"]
+            assert point == m.beta[disc - 1] and time == 0
+
     def test_matching_witness(self, violations):
         fa = violations["matching"]
         w = fa.matching.witness
@@ -160,6 +181,8 @@ class TestVerdict:
     def test_capped_run_reports_unstable(self, fig1):
         fa = full_analysis(fig1, max_iter=2)
         assert not fa.finite_type and not fa.stable
+        with pytest.raises(NotFiniteTypeError):
+            check_A2(fig1, fa.attractor, ())
 
     def test_stable_is_finite_type_and_the_four_verdicts(self, corpus, branchy_q1024):
         # the uncapped runs give both outcomes of the verdicts, the capped
@@ -434,3 +457,8 @@ class TestDirectedPerturbation:
         wit = check_A3(fa.ghost_graph).witness
         with pytest.raises(NotRealizableDirectlyError):
             a3_breaking_perturbation(ghost_map, wit, F(2))
+
+    def test_non_positive_epsilon_raises(self, ghost_map):
+        wit = full_analysis(ghost_map).a3.witness
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            a3_breaking_perturbation(ghost_map, wit, F(0))
