@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 from .attractor import AttractorResult
 from .intervals import MINUS, PLUS
-from .itm import ItmMap
 from .kernel import branch_rule
 
 SignedDisc = tuple[int, str]  # (discontinuity index 1..r-1, side)
@@ -89,25 +88,23 @@ class GhostTree(NamedTuple):
     repeated: tuple[tuple[int, SignedDisc], ...]  # (level, vertex) seen before
 
 
-def _ghost_walks(
-    m: ItmMap, ends: tuple[int, ...], nodes: list[SignedDisc]
-) -> dict[SignedDisc, dict[int, int]]:
-    """For each signed discontinuity, one walk of its orbit on the integer
-    grid: the first landing time k >= 1 on each beta_j, taken while every
-    point before the landing is outside X (``ends`` is
-    :attr:`~itmlab.attractor.AttractorResult.ends`).
+def _ghost_walks(attractor: AttractorResult, nodes: list[SignedDisc]) -> dict[SignedDisc, dict[int, int]]:
+    """For each signed discontinuity, one walk of its orbit on
+    ``attractor.grid``: the first landing time k >= 1 on each beta_j, taken
+    while every point before the landing is outside X (whose endpoints are
+    ``attractor.ends``).
 
     A walk stops when the orbit enters X or after Q + 1 steps: outside X no
     state can repeat, so the orbit either enters X or exhausts the grid.
     """
-    cuts, gamma = m.grid.cuts, m.grid.gamma
-    beta_index = m.grid.beta_index()
+    grid, ends = attractor.grid, attractor.ends
+    cuts, gamma, beta_index = grid.cuts, grid.gamma, grid.beta_index()
     walks: dict[SignedDisc, dict[int, int]] = {}
     for node in nodes:
         find = branch_rule(node[1])
         k = cuts[node[0]]
         landed: dict[int, int] = {}
-        for t in range(1, m.Q + 2):
+        for t in range(1, attractor.denom + 2):
             if find(ends, k) % 2:
                 break
             k += gamma[find(cuts, k) - 1]
@@ -118,22 +115,22 @@ def _ghost_walks(
     return walks
 
 
-def build_ghost_graph(m: ItmMap, attractor: AttractorResult) -> GhostGraph:
-    """Full edge set over all 2(r-1) signed discontinuities, from one walk
-    per signed discontinuity; a node lies in X iff the branch rule of its
-    side finds its cut at an odd position of ``attractor.ends``."""
-    nodes = [(i, side) for i in range(1, m.r) for side in (MINUS, PLUS)]
-    ends = attractor.ends
-    walks = _ghost_walks(m, ends, nodes)
+def build_ghost_graph(attractor: AttractorResult) -> GhostGraph:
+    """Full edge set over all 2(r-1) signed discontinuities of the attractor's
+    grid, one walk per signed discontinuity; a node lies in X iff the branch
+    rule of its side finds its cut at an odd position of ``attractor.ends``."""
+    cuts, ends = attractor.grid.cuts, attractor.ends
+    r = len(cuts) - 1
+    nodes = [(i, side) for i in range(1, r) for side in (MINUS, PLUS)]
+    walks = _ghost_walks(attractor, nodes)
     edges: list[GhostEdge] = []
     for parent in nodes:
         child_side = MINUS if parent[1] == PLUS else PLUS
-        for i in range(1, m.r):
+        for i in range(1, r):
             child = (i, child_side)
             time = walks[child].get(parent[0])
             if time is not None:
                 edges.append(GhostEdge(child, parent, time))
-    cuts = m.grid.cuts
     in_x = {node: branch_rule(node[1])(ends, cuts[node[0]]) % 2 == 1 for node in nodes}
     return GhostGraph(tuple(nodes), tuple(edges), in_x)
 
@@ -178,8 +175,11 @@ def ghost_tree(graph: GhostGraph, root: SignedDisc, depth: int) -> GhostTree:
     other vertex, but a repeat is what makes the tree infinite). Level n + 1
     depends only on level n, a set of the 2(r-1) signed discontinuities, so
     fewer than ``2**(2*(r-1))`` levels are distinct, and a deeper (or a
-    negative) depth raises DepthBoundError.
+    negative) depth raises DepthBoundError, and a root that is not a node
+    of the graph ValueError.
     """
+    if root not in graph.nodes:
+        raise ValueError(f"root {root} is not a signed discontinuity of the graph: {graph.nodes}")
     bound = 2 ** len(graph.nodes)
     if not 0 <= depth <= bound:
         raise DepthBoundError(

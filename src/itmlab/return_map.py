@@ -37,7 +37,6 @@ from typing import NamedTuple
 
 from .attractor import AttractorResult, NotFiniteTypeError
 from .intervals import MINUS, PLUS, Frozen
-from .itm import ItmMap
 from .kernel import Grid, IntPair, branch_rule, split
 
 IDENTITY = "identity"
@@ -219,9 +218,9 @@ def _signed_chain(
     return SignedChain(j, side, tuple(hits), steps, k, tuple(counts))
 
 
-def compute_return_map(m: ItmMap, J: IntPair, attractor: AttractorResult) -> ReturnMapData:
+def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
     """Full first-return structure of one attractor component, given as
-    integer numerators over the map's grid like ``attractor.kcomponents``.
+    integer numerators over ``attractor.grid`` like ``attractor.kcomponents``.
 
     Each step is one pass over the in-flight pieces. A piece with no cut
     strictly inside costs one bisect and moves whole; ``split`` cuts any
@@ -242,7 +241,7 @@ def compute_return_map(m: ItmMap, J: IntPair, attractor: AttractorResult) -> Ret
     if not attractor.finite_type:
         raise NotFiniteTypeError("attractor did not stabilize")
     kx, ky = J
-    grid = m.grid
+    grid = attractor.grid
     denom, cuts, gamma = grid.denom, grid.cuts, grid.gamma
     kcomponents = attractor.kcomponents
     i = bisect_left(kcomponents, (kx, ky))
@@ -250,7 +249,7 @@ def compute_return_map(m: ItmMap, J: IntPair, attractor: AttractorResult) -> Ret
         raise NotAComponentError(
             f"[{Fraction(kx, denom)}, {Fraction(ky, denom)}) is not a component of the attractor"
         )
-    cap = 2 * m.Q * max(1, len(kcomponents))
+    cap = 2 * denom * max(1, len(kcomponents))
 
     # In-flight pieces (cur_l, cur_r, src_l) on the integer grid; src_l
     # locates the piece's preimage inside J, so a split at value v pulls back

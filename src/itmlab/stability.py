@@ -55,17 +55,20 @@ _NOT_FINITE_TYPE = Verdict({"reason": "not finite type"})
 
 
 class FullAnalysis(Frozen):
-    """The attractor, computed up front; the return maps, the ghost graph
-    and the verdicts of A1, A2, A3 and Matching are built on first access,
-    and ``finite_type`` and ``stable`` are read off them. If the attractor is
-    capped, the return maps and the ghost graph raise NotFiniteTypeError."""
+    """An analysis holds its attractor, computed up front; the map is read
+    off its grid, and the return maps, the ghost graph and the verdicts are
+    built on first access (the return maps and the ghost graph of a capped
+    attractor raise NotFiniteTypeError)."""
 
-    _fields = ("map", "attractor")
-    map: ItmMap
+    _fields = ("attractor",)
     attractor: AttractorResult
 
-    def __init__(self, map: ItmMap, attractor: AttractorResult) -> None:
-        vars(self).update(map=map, attractor=attractor)
+    def __init__(self, attractor: AttractorResult) -> None:
+        vars(self)["attractor"] = attractor
+
+    @cached_property
+    def map(self) -> ItmMap:
+        return ItmMap(self.attractor.grid)
 
     @cached_property
     def return_maps(self) -> tuple[ReturnMapData, ...]:
@@ -77,12 +80,12 @@ class FullAnalysis(Frozen):
         the components that are not such an image, are walked, and one
         component of each tower that closes into a cycle.
         """
-        m, attractor = self.map, self.attractor
+        attractor = self.attractor
         if not attractor.finite_type:
             raise NotFiniteTypeError("return maps need a finite-type attractor")
         comps = attractor.kcomponents
         n = len(comps)
-        cuts, gamma = m.grid.cuts, m.grid.gamma
+        cuts, gamma = attractor.grid.cuts, attractor.grid.gamma
         # (index of J's image, J's branch) for each J that hands its return
         # map on; T|X is a bijection, so each component is the image of at
         # most one other and two towers never merge
@@ -100,7 +103,7 @@ class FullAnalysis(Frozen):
         # the roots first (the sort is stable); the components left are cycles
         for k in sorted(range(n), key=is_image.__getitem__):
             if out[k] is None:
-                out[k] = data = compute_return_map(m, comps[k], attractor)
+                out[k] = data = compute_return_map(comps[k], attractor)
                 while k in successor:
                     k, b = successor[k]
                     if out[k] is not None:  # the cycle closed
@@ -112,7 +115,7 @@ class FullAnalysis(Frozen):
     def ghost_graph(self) -> GhostGraph:
         if not self.finite_type:
             raise NotFiniteTypeError("the ghost graph needs a finite-type attractor")
-        return build_ghost_graph(self.map, self.attractor)
+        return build_ghost_graph(self.attractor)
 
     @property
     def finite_type(self) -> bool:
@@ -128,7 +131,7 @@ class FullAnalysis(Frozen):
     def a2(self) -> Verdict:
         if not self.finite_type:
             return _NOT_FINITE_TYPE
-        return check_A2(self.map, self.attractor, self.return_maps)
+        return check_A2(self.attractor, self.return_maps)
 
     @cached_property
     def a3(self) -> Verdict:
@@ -206,7 +209,7 @@ class ProbeResult(Frozen):
         multiple of 1/(2 D), D = lcm(Q, 2**GRID_BITS den(epsilon)): the base
         grid and each sample's reduced grid divide D, so its numerator over
         2 D orders the distances without comparing Fractions."""
-        double = 2 * math.lcm(self.base.map.Q, 2**GRID_BITS * self.epsilon.denominator)
+        double = 2 * math.lcm(self.base.attractor.denom, 2**GRID_BITS * self.epsilon.denominator)
         return pick((rec.hausdorff for rec in self._accepted),
                     key=lambda h: h.numerator * (double // h.denominator))
 
@@ -247,7 +250,7 @@ def check_A1(return_maps: tuple[ReturnMapData, ...]) -> Verdict:
     return Verdict()
 
 
-def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
+def check_A2(attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
     """Boundary points of dynamically non-trivial components hit no
     discontinuity before returning (time 0 included, so a critical boundary
     point is itself a violation), and no discontinuity sits on the boundary
@@ -256,20 +259,20 @@ def check_A2(m: ItmMap, attractor: AttractorResult, return_maps: tuple[ReturnMap
     The closure-boundary clause also covers dynamically trivial components:
     a pointwise-fixed band whose endpoint is a discontinuity breaks up under
     perturbation even though its boundary chains are skipped, so a critical
-    endpoint anywhere on the closure of X is fatal.
+    endpoint anywhere on the closure of X is fatal (``attractor.boundary_hits``).
     """
     if not attractor.finite_type:
         raise NotFiniteTypeError("A2 needs a finite-type attractor")
     if attractor.boundary_hits:
         i = attractor.boundary_hits[0]
-        b = m.grid.cuts[i]
+        b = attractor.grid.cuts[i]
         # components are separated, so b is exactly one endpoint: the left
         # end of component p // 2 + 1 when its position p is even
         p = bisect_left(attractor.ends, b)
         return Verdict({
             "component": p // 2 + 1,
             "boundary": "right" if p % 2 else "left",
-            "point": Fraction(b, m.Q),
+            "point": Fraction(b, attractor.denom),
             "first_hit": (i, 0),
             "kind": "closure_boundary",
         })
@@ -320,15 +323,19 @@ def check_matching(return_maps: tuple[ReturnMapData, ...]) -> Verdict:
 def full_analysis(m: ItmMap, max_iter: int | None = None) -> FullAnalysis:
     """The attractor now; the return maps, the ghost graph, the verdicts
     and the signed chains when first read."""
-    return FullAnalysis(m, compute_attractor(m, max_iter))
+    return FullAnalysis(compute_attractor(m, max_iter))
 
 
 # -- perturbation machinery ------------------------------------------------
 
 
 def apply_spec(m: ItmMap, spec: PerturbationSpec) -> ItmMap:
-    """Perturbed map; raises BadOrderError/BadTranslationError when the
-    deltas leave the polytope."""
+    """Perturbed map; raises ValueError unless there are 2r - 1 deltas, and
+    BadOrderError/BadTranslationError when they leave the polytope."""
+    if len(spec.deltas) != 2 * m.r - 1:
+        raise ValueError(
+            f"a map with r = {m.r} takes 2r - 1 = {2 * m.r - 1} deltas, got {len(spec.deltas)}"
+        )
     gamma = [g + spec.deltas[i] for i, g in enumerate(m.gamma)]
     beta = [b + spec.deltas[m.r + i] for i, b in enumerate(m.beta)]
     return validate(m.r, beta, gamma)

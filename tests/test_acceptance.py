@@ -87,12 +87,12 @@ def test_criterion_3_fig1_stable_and_orbit_cover(fig1):
 
 def test_criterion_4_fig1_return_maps_exact(fig1):
     att = compute_attractor(fig1)
-    b = compute_return_map(fig1, KJB, att)
+    b = compute_return_map(KJB, att)
     assert b.n_intervals == 2
     assert b.return_times == (1, 2)
     assert b.sigma == (2, 1)
     assert verify_touching_equations(b) == (27,)  # 9/14 over fig1's grid 1/42
-    a = compute_return_map(fig1, KJA, att)
+    a = compute_return_map(KJA, att)
     assert a.n_intervals == 2
     assert a.return_times == (4, 3)
     assert verify_touching_equations(a) == (12,)  # 2/7
@@ -115,7 +115,7 @@ def test_criterion_5_vector_identities_corpus(fig1, corpus):
     for m in [fig1] + corpus:
         att = compute_attractor(m)
         for kcomp, comp in zip(att.kcomponents, att.components()):
-            data = compute_return_map(m, kcomp, att)
+            data = compute_return_map(kcomp, att)
             vecs = build_vectors(data)
             # raises IdentityViolatedError at the first identity that fails
             assert len(verify_identities(data, vecs)) == len(vecs)
@@ -221,7 +221,7 @@ def test_criterion_11_return_map_oracle_corpus(corpus):
     for m in corpus:
         att = compute_attractor(m)
         for kcomp, comp in zip(att.kcomponents, att.components()):
-            data = compute_return_map(m, kcomp, att)
+            data = compute_return_map(kcomp, att)
             cut_points, images = fraction_views(data)
             for z in grid_points(m):
                 if not (comp[0] <= z < comp[1]):

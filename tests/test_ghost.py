@@ -24,28 +24,28 @@ class TestGhostPreimages:
     # the ghost preimages of a signed discontinuity are its children
     def test_fig1_beta2_plus(self, fig1):
         # T(beta_1-) = beta_2-, and 1/3 sits outside the attractor
-        children = build_ghost_graph(fig1, compute_attractor(fig1)).children((2, "+"))
+        children = build_ghost_graph(compute_attractor(fig1)).children((2, "+"))
         assert [(e.child, e.time) for e in children] == [((1, "-"), 1)]
 
     def test_fig1_beta1_plus_empty(self, fig1):
         # beta_2-'s orbit never leaves X; nothing outside lands on beta_1-
-        assert build_ghost_graph(fig1, compute_attractor(fig1)).children((1, "+")) == ()
+        assert build_ghost_graph(compute_attractor(fig1)).children((1, "+")) == ()
 
     def test_rotation_all_empty(self, rotation35):
         # every orbit is periodic inside X = [0,1): landings there are the
         # periodic structure, not ghost relations
-        graph = build_ghost_graph(rotation35, compute_attractor(rotation35))
+        graph = build_ghost_graph(compute_attractor(rotation35))
         assert graph.children((1, "+")) == () == graph.children((1, "-"))
 
     def test_ghost_map_cycle_edges(self, ghost_map):
-        graph = build_ghost_graph(ghost_map, compute_attractor(ghost_map))
+        graph = build_ghost_graph(compute_attractor(ghost_map))
         assert ((1, "-"), 1) in [(e.child, e.time) for e in graph.children((2, "+"))]
         assert ((2, "+"), 1) in [(e.child, e.time) for e in graph.children((1, "-"))]
 
 
 class TestGhostGraph:
     def test_fig1_single_edge(self, fig1):
-        graph = build_ghost_graph(fig1, compute_attractor(fig1))
+        graph = build_ghost_graph(compute_attractor(fig1))
         assert [(e.child, e.parent, e.time) for e in graph.edges] == [
             ((1, "-"), (2, "+"), 1)
         ]
@@ -54,14 +54,14 @@ class TestGhostGraph:
 
     def test_side_alternation(self, fig1, ghost_map, corpus):
         for m in [fig1, ghost_map] + corpus[:15]:
-            graph = build_ghost_graph(m, compute_attractor(m))
+            graph = build_ghost_graph(compute_attractor(m))
             for e in graph.edges:
                 assert e.child[1] != e.parent[1]
 
     def test_edge_times_verify(self, fig1, ghost_map, corpus):
         # every edge's landing re-verifies by direct iteration within Q steps
         for m in [fig1, ghost_map] + corpus[:15]:
-            graph = build_ghost_graph(m, compute_attractor(m))
+            graph = build_ghost_graph(compute_attractor(m))
             for e in graph.edges:
                 assert 1 <= e.time <= m.Q
                 start = SignedPoint(m.beta[e.child[0] - 1], e.child[1])
@@ -75,7 +75,7 @@ class TestGhostGraph:
         total = 0
         for m in [fig1, ghost_map] + corpus[:15] + corpus_q1024:
             att = compute_attractor(m)
-            graph = build_ghost_graph(m, att)
+            graph = build_ghost_graph(att)
             edges, in_x = naive_ghost_edges(m)
             assert len(graph.edges) == len(edges)
             assert {(e.child, e.parent, e.time) for e in graph.edges} == edges
@@ -95,7 +95,7 @@ class TestGhostGraph:
         # X, and its walk never takes a step
         total = 0
         for m in [fig1, ghost_map] + corpus + corpus_q1024 + branchy_q1024:
-            edges = build_ghost_graph(m, compute_attractor(m)).edges
+            edges = build_ghost_graph(compute_attractor(m)).edges
             assert all(e.child[0] != e.parent[0] for e in edges)
             total += len(edges)
         assert total == 49
@@ -103,7 +103,7 @@ class TestGhostGraph:
     def test_all_in_x_vacuous(self):
         from itmlab import validate
         m = validate(2, [F(1, 2)], [F(1, 2), F(-1, 2)])
-        graph = build_ghost_graph(m, compute_attractor(m))
+        graph = build_ghost_graph(compute_attractor(m))
         assert all(graph.in_x.values())
         assert graph.edges == ()
         assert check_A3(graph).holds
@@ -111,10 +111,10 @@ class TestGhostGraph:
 
 class TestA3:
     def test_fig1_holds(self, fig1):
-        assert check_A3(build_ghost_graph(fig1, compute_attractor(fig1))).holds
+        assert check_A3(build_ghost_graph(compute_attractor(fig1))).holds
 
     def test_ghost_map_violated(self, ghost_map):
-        res = check_A3(build_ghost_graph(ghost_map, compute_attractor(ghost_map)))
+        res = check_A3(build_ghost_graph(compute_attractor(ghost_map)))
         assert not res.holds
         w = res.witness
         assert w.disc == 1
@@ -130,7 +130,7 @@ class TestA3:
         # graph-cycle answer == root reappearing in a depth-(2(r-1)+1) tree
         for m in [fig1, ghost_map, rotation35] + corpus[:15]:
             att = compute_attractor(m)
-            graph = build_ghost_graph(m, att)
+            graph = build_ghost_graph(att)
             depth = 2 * (m.r - 1) + 1
             brute_violated = None
             for i in range(1, m.r):
@@ -151,31 +151,39 @@ class TestA3:
 
 class TestGhostTree:
     def test_fig1_two_levels(self, fig1):
-        tree = ghost_tree(build_ghost_graph(fig1, compute_attractor(fig1)), (2, "+"), 2)
+        tree = ghost_tree(build_ghost_graph(compute_attractor(fig1)), (2, "+"), 2)
         assert tree.levels == (((2, "+"),), ((1, "-"),))
         assert tree.repeated == ()
 
     def test_ghost_map_repeats(self, ghost_map):
-        tree = ghost_tree(build_ghost_graph(ghost_map, compute_attractor(ghost_map)), (1, "-"), 4)
+        tree = ghost_tree(build_ghost_graph(compute_attractor(ghost_map)), (1, "-"), 4)
         assert tree.levels[0] == ((1, "-"),)
         assert (1, "-") in tree.levels[2]
         assert (1, "-") in tree.levels[4]
         assert (2, (1, "-")) in tree.repeated
 
     def test_depth_zero(self, ghost_map):
-        tree = ghost_tree(build_ghost_graph(ghost_map, compute_attractor(ghost_map)), (1, "-"), 0)
+        tree = ghost_tree(build_ghost_graph(compute_attractor(ghost_map)), (1, "-"), 0)
         assert tree.levels == (((1, "-"),),)
 
     def test_negative_depth(self, fig1):
         with pytest.raises(ValueError):
-            ghost_tree(build_ghost_graph(fig1, compute_attractor(fig1)), (1, "-"), -1)
+            ghost_tree(build_ghost_graph(compute_attractor(fig1)), (1, "-"), -1)
+
+    @pytest.mark.parametrize("root", [(7, "+"), (1, "x"), (0, "-")])
+    def test_root_not_in_graph(self, fig1, root):
+        # fig1 has r = 3: its signed discontinuities are 1-, 1+, 2- and 2+
+        graph = build_ghost_graph(compute_attractor(fig1))
+        with pytest.raises(ValueError, match="is not a signed discontinuity of the graph") as info:
+            ghost_tree(graph, root, 3)
+        assert info.type is ValueError
 
     def test_depth_bound(self, fig1, ghost_map):
         # fewer than 2**len(nodes) = 2**(2(r-1)) levels are distinct, so depth
         # is refused past that bound (fig1's 1- has no ghost preimage; the
         # ghost map's 1- lies on a cycle)
         for m, bound, levels in ((fig1, 16, 1), (ghost_map, 64, 65)):
-            graph = build_ghost_graph(m, compute_attractor(m))
+            graph = build_ghost_graph(compute_attractor(m))
             assert 2 ** len(graph.nodes) == bound == 2 ** (2 * (m.r - 1))
             assert len(ghost_tree(graph, (1, "-"), bound).levels) == levels
             message = rf"depth must be in 0..2\*\*\(2\*\(r-1\)\) = {bound} for r = {m.r}, got {bound + 1}"

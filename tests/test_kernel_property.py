@@ -61,7 +61,7 @@ def test_kernel_against_fraction_oracles(m):
     assert att.X.components() == tuple(pairs)
     assert att.stabilization_step == step
     for kJ, J, data in zip(att.kcomponents, att.components(), analysis.return_maps):
-        walked = compute_return_map(m, kJ, att)
+        walked = compute_return_map(kJ, att)
         cut_points = fraction_views(data)[0]
         assert data == walked and data.chains == walked.chains
         naive = {}
@@ -89,7 +89,7 @@ def test_return_map_against_naive_first_return(m):
     # interval's image
     att = compute_attractor(m)
     for kJ, J in zip(att.kcomponents, att.components()):
-        data = compute_return_map(m, kJ, att)
+        data = compute_return_map(kJ, att)
         for k in range(*kJ):
             j = bisect_right(data.kcuts, k) - 1
             image = data.kimages[j][0] + (k - data.kcuts[j])

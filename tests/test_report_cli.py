@@ -466,15 +466,15 @@ class TestDumpCommands:
         calls = []
         real = itmlab.stability.compute_return_map
 
-        def counting(m, J, attractor):
-            calls.append(m)
-            return real(m, J, attractor)
+        def counting(J, attractor):
+            calls.append(attractor.grid)
+            return real(J, attractor)
 
         monkeypatch.setattr(itmlab.stability, "compute_return_map", counting)
         assert main(["probe", files["ghost"], "--eps", "1/4096", "--directed", "--json-only"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(calls) == len(doc["return_maps"]) == len(doc["attractor"]["components"])
-        assert set(calls) == {parse_map(json.loads(GHOST_DOC))}
+        assert set(calls) == {parse_map(json.loads(GHOST_DOC)).grid}
         calls.clear()
         assert main(["ghost-tree", files["ghost"], "--root", "1-"]) == 0
         assert calls == []
@@ -587,7 +587,7 @@ class TestDumpCommands:
         for k, J in enumerate(att.kcomponents, start=1):
             assert main(["render", str(path), "--kind", "orbit", "--component", str(k),
                          "--out", str(svg)]) == 0
-            assert svg.read_text() == render_orbit(compute_return_map(m, J, att))
+            assert svg.read_text() == render_orbit(compute_return_map(J, att))
             assert main(["return-map", str(path), "--component", str(k)]) == 0
             assert json.loads(capsys.readouterr().out)["return_maps"] == [sections[k - 1]]
 

@@ -39,7 +39,7 @@ JA = (7, 13)  # [1/6, 13/42)
 
 class TestFig1Structure:
     def test_component_b(self, fig1):
-        data = compute_return_map(fig1, JB, compute_attractor(fig1))
+        data = compute_return_map(JB, compute_attractor(fig1))
         cut_points, images = fraction_views(data)
         assert cut_points == (F(1, 2), F(2, 3), F(17, 21))
         assert data.return_times == (1, 2)
@@ -51,7 +51,7 @@ class TestFig1Structure:
         assert rec.time == 0 and rec.disc == 2
 
     def test_component_b_chains(self, fig1):
-        data = compute_return_map(fig1, JB, compute_attractor(fig1))
+        data = compute_return_map(JB, compute_attractor(fig1))
         cp = data.chain(1, "+")
         assert [(h.disc, h.time) for h in cp.hits] == [(2, 0)]
         assert cp.entry_time == 2
@@ -66,7 +66,7 @@ class TestFig1Structure:
                 data.chain(j, side)
 
     def test_component_a(self, fig1):
-        data = compute_return_map(fig1, JA, compute_attractor(fig1))
+        data = compute_return_map(JA, compute_attractor(fig1))
         cut_points, images = fraction_views(data)
         assert cut_points == (F(1, 6), F(4, 21), F(13, 42))
         assert data.return_times == (4, 3)
@@ -78,13 +78,13 @@ class TestFig1Structure:
     def test_touching_values(self, fig1):
         # numerators over fig1's grid 1/42: 9/14 and 2/7
         att = compute_attractor(fig1)
-        assert verify_touching_equations(compute_return_map(fig1, JB, att)) == (27,)
-        assert verify_touching_equations(compute_return_map(fig1, JA, att)) == (12,)
+        assert verify_touching_equations(compute_return_map(JB, att)) == (27,)
+        assert verify_touching_equations(compute_return_map(JA, att)) == (12,)
 
     def test_landing_before_return(self, fig1):
         # l_j < r_j and l_j < r_{j+1} for every interior cut point
         for J in (JA, JB):
-            data = compute_return_map(fig1, J, compute_attractor(fig1))
+            data = compute_return_map(J, compute_attractor(fig1))
             for rec in data.landings:
                 assert rec.time < data.return_times[rec.j - 1]
                 assert rec.time < data.return_times[rec.j]
@@ -92,7 +92,7 @@ class TestFig1Structure:
 
 class TestRotation:
     def test_full_circle(self, rotation35):
-        data = compute_return_map(rotation35, (0, 5), compute_attractor(rotation35))
+        data = compute_return_map((0, 5), compute_attractor(rotation35))
         cut_points = fraction_views(data)[0]
         assert cut_points == (F(0), F(2, 5), F(1))
         assert data.return_times == (1, 1)
@@ -104,7 +104,7 @@ class TestRotation:
 class TestTrivialComponent:
     def test_identity_component(self, trivial_component_map):
         m = trivial_component_map
-        data = compute_return_map(m, (2, 4), compute_attractor(m))
+        data = compute_return_map((2, 4), compute_attractor(m))
         assert data.n_intervals == 1
         assert data.dynamically_trivial
         assert data.return_times == (1,)
@@ -116,7 +116,7 @@ class TestTrivialComponent:
 
 class TestManyBranches:
     def test_iet3(self, iet3):
-        data = compute_return_map(iet3, (0, 3), compute_attractor(iet3))
+        data = compute_return_map((0, 3), compute_attractor(iet3))
         assert data.n_intervals == 3
         assert data.sigma == (3, 2, 1)
         assert classify_return_dynamics(data) == MANY_BRANCHES
@@ -131,20 +131,20 @@ class TestErrors:
         att = compute_attractor(fig1)
         for J in [(0, 42), (35, 36), (7, 12), (7, 34)]:
             with pytest.raises(NotAComponentError):
-                compute_return_map(fig1, J, att)
+                compute_return_map(J, att)
 
     def test_not_finite_type(self, fig1):
         att = compute_attractor(fig1, max_iter=2)
         with pytest.raises(NotFiniteTypeError):
-            compute_return_map(fig1, JB, att)
+            compute_return_map(JB, att)
 
     def test_return_time_cap(self, fig1):
         # [0, 1/42) lies outside fig1's X, so no piece of it ever returns;
-        # named a component of a hand-made attractor, its walk stops at the
-        # cap 2 Q = 84 steps
+        # named the component of a hand-made attractor on fig1's grid, its
+        # walk stops at the cap 2 * attractor.denom = 84 steps
         att = AttractorResult(fig1.grid, ((0, 1),), 3)
         with pytest.raises(NotFiniteTypeError, match="return-time safety cap exceeded"):
-            compute_return_map(fig1, (0, 1), att)
+            compute_return_map((0, 1), att)
 
 
 def _split_nudged(real):
@@ -226,7 +226,7 @@ class TestInvariantErrors:
         att = compute_attractor(fig1)
         monkeypatch.setattr(return_map, target, broken(getattr(return_map, target)))
         with pytest.raises(ReturnMapInvariantError, match=message):
-            compute_return_map(fig1, JB, att)
+            compute_return_map(JB, att)
 
     def test_whole_piece_straddling_j_raises(self, fig1, monkeypatch):
         # the hand-made component [2/42, 8/42) moves whole through
@@ -237,7 +237,7 @@ class TestInvariantErrors:
         monkeypatch.setattr(return_map, "split", lambda *args: calls.append(args) or real(*args))
         att = AttractorResult(fig1.grid, ((2, 8),), 3)
         with pytest.raises(ReturnMapInvariantError, match="straddles .* at time 4"):
-            compute_return_map(fig1, (2, 8), att)
+            compute_return_map((2, 8), att)
         assert calls == []
 
     @pytest.mark.parametrize("broken", [_split_second_repeated, _split_second_lost])
@@ -251,7 +251,7 @@ class TestInvariantErrors:
         assert (9, 26) in att.kcomponents
         monkeypatch.setattr(return_map, "split", broken(return_map.split))
         with pytest.raises(ReturnMapInvariantError, match="retired pieces do not match"):
-            compute_return_map(m, (9, 26), att)
+            compute_return_map((9, 26), att)
 
     @pytest.mark.parametrize("broken,message", [
         (_chain_long, r"re-entered J at time \d+, before its return time"),
@@ -261,7 +261,7 @@ class TestInvariantErrors:
     def test_broken_chain_walk_raises_when_read(self, fig1, monkeypatch, broken, message):
         att = compute_attractor(fig1)
         monkeypatch.setattr(return_map, "_signed_chain", broken(return_map._signed_chain))
-        data = compute_return_map(fig1, JB, att)
+        data = compute_return_map(JB, att)
         with pytest.raises(ReturnMapInvariantError, match=message):
             data.chains
 
@@ -278,7 +278,7 @@ class TestInvariantErrors:
             return c._replace(kentry=c.kentry + 1) if side == "-" and j == 4 - p else c
 
         monkeypatch.setattr(return_map, "_signed_chain", moved)
-        data = compute_return_map(iet3, (0, 3), compute_attractor(iet3))
+        data = compute_return_map((0, 3), compute_attractor(iet3))
         assert data.sigma == (3, 2, 1)
         with pytest.raises(TouchingViolatedError, match=f"touching equation {p} violated") as exc:
             verify_touching_equations(data)
@@ -297,7 +297,7 @@ class TestRecords:
         # them first; the attractor stores after them what it derives from
         # them. The instances stay frozen
         att = compute_attractor(fig1)
-        data = compute_return_map(fig1, JB, att)
+        data = compute_return_map(JB, att)
         derived = ("denom", "ends", "discontinuities_inside", "discontinuities_outside",
                    "boundary_hits")
         for obj, extra, stored in ((att, (), derived), (data, ("grid", "_source"), ())):
@@ -310,7 +310,7 @@ class TestRecords:
         assert type(att) is AttractorResult and type(data) is ReturnMapData
 
     def test_chain_records_named_fields_in_order_and_read_only(self, fig1):
-        data = compute_return_map(fig1, JB, compute_attractor(fig1))
+        data = compute_return_map(JB, compute_attractor(fig1))
         chain = data.chain(1, "+")
         for record, names in [
             (chain.hits[0], ("disc", "time", "counts")),
@@ -331,7 +331,7 @@ class TestInvariants:
         for m in [fig1] + corpus[:20]:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
-                data = compute_return_map(m, kcomp, att)
+                data = compute_return_map(kcomp, att)
                 images = fraction_views(data)[1]
                 total = sum((r - l for l, r in images), F(0))
                 assert total == comp[1] - comp[0]
@@ -344,7 +344,7 @@ class TestInvariants:
         for m in [fig1] + corpus[:20]:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
-                data = compute_return_map(m, kcomp, att)
+                data = compute_return_map(kcomp, att)
                 for c in data.chains:
                     expected = data.return_times[c.j] if c.side == "+" \
                         else data.return_times[c.j - 1]
@@ -355,7 +355,7 @@ class TestInvariants:
         for m in [fig1] + corpus[:20]:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
-                data = compute_return_map(m, kcomp, att)
+                data = compute_return_map(kcomp, att)
                 for rec in data.landings:
                     for side in ("+", "-"):
                         first = data.chain(rec.j, side).hits[0]
@@ -366,7 +366,7 @@ class TestInvariants:
         for m in [fig1] + corpus + corpus_q1024:
             att = compute_attractor(m)
             for kJ, J in zip(att.kcomponents, att.components()):
-                data = compute_return_map(m, kJ, att)
+                data = compute_return_map(kJ, att)
                 cut_points = fraction_views(data)[0]
                 for c in data.chains:
                     hits, entry, value = naive_signed_chain(
@@ -379,7 +379,7 @@ class TestInvariants:
     def test_pointwise_oracle_fig1(self, fig1):
         att = compute_attractor(fig1)
         for kcomp, comp in zip(att.kcomponents, att.components()):
-            data = compute_return_map(fig1, kcomp, att)
+            data = compute_return_map(kcomp, att)
             cut_points, images = fraction_views(data)
             for z in grid_points(fig1):
                 if not (comp[0] <= z < comp[1]):
@@ -397,7 +397,7 @@ class TestInvariants:
         for m in [fig1] + corpus + corpus_q1024:
             att = compute_attractor(m)
             for kJ, J in zip(att.kcomponents, att.components()):
-                data = compute_return_map(m, kJ, att)
+                data = compute_return_map(kJ, att)
                 cut_points = fraction_views(data)[0]
                 sigma = data.sigma
                 for p, k in enumerate(verify_touching_equations(data)):
@@ -424,7 +424,7 @@ class TestInvariants:
         for m in corpus[:25]:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
-                data = compute_return_map(m, kcomp, att)
+                data = compute_return_map(kcomp, att)
                 values = verify_touching_equations(data)
                 assert len(values) == data.n_intervals - 1
 
@@ -468,9 +468,9 @@ class TestTowers:
         walked = []
         real = stability.compute_return_map
 
-        def counting(m, J, attractor=None):
+        def counting(J, attractor):
             walked.append(J)
-            return real(m, J, attractor)
+            return real(J, attractor)
 
         monkeypatch.setattr(stability, "compute_return_map", counting)
         rooted = transported = 0
@@ -480,7 +480,7 @@ class TestTowers:
             walked.clear()
             got = analysis.return_maps
             for kJ, data in zip(att.kcomponents, got):
-                want = real(m, kJ, att)
+                want = real(kJ, att)
                 assert data == want
                 assert data.chains == want.chains
             succ, images, towers = _towers(m, att)

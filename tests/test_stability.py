@@ -41,13 +41,13 @@ class TestConditionChecks:
     def test_fig1_all_hold(self, fig1):
         att, rms = analysis_parts(fig1)
         assert check_A1(rms).holds
-        assert check_A2(fig1, att, rms).holds
+        assert check_A2(att, rms).holds
         assert check_matching(rms).holds
 
     def test_rotation_all_hold(self, rotation35):
         att, rms = analysis_parts(rotation35)
         assert check_A1(rms).holds
-        assert check_A2(rotation35, att, rms).holds
+        assert check_A2(att, rms).holds
         assert check_matching(rms).holds
 
     def test_iet3_violates_matching(self, iet3):
@@ -72,7 +72,7 @@ class TestConditionChecks:
         # component being dynamically trivial
         att, rms = analysis_parts(trivial_component_map)
         assert rms[0].dynamically_trivial
-        v = check_A2(trivial_component_map, att, rms)
+        v = check_A2(att, rms)
         assert not v.holds
         assert v.witness["kind"] == "closure_boundary"
         assert v.witness["first_hit"] == (1, 0)
@@ -182,7 +182,7 @@ class TestVerdict:
         fa = full_analysis(fig1, max_iter=2)
         assert not fa.finite_type and not fa.stable
         with pytest.raises(NotFiniteTypeError):
-            check_A2(fig1, fa.attractor, ())
+            check_A2(fa.attractor, ())
 
     def test_stable_is_finite_type_and_the_four_verdicts(self, corpus, branchy_q1024):
         # the uncapped runs give both outcomes of the verdicts, the capped
@@ -198,9 +198,9 @@ class TestVerdict:
         assert seen == {(True, True), (True, False), (False, False)}
 
     def test_analysis_holds_the_attractor_only(self, fig1):
-        assert FullAnalysis._fields == ("map", "attractor")
+        assert FullAnalysis._fields == ("attractor",)
         analysis = full_analysis(fig1, max_iter=2)
-        assert list(vars(analysis)) == ["map", "attractor"]
+        assert list(vars(analysis)) == ["attractor"]
         with pytest.raises(AttributeError):
             analysis.attractor = None
         # a capped attractor has no return maps and no ghost graph
@@ -208,7 +208,13 @@ class TestVerdict:
             analysis.return_maps
         with pytest.raises(NotFiniteTypeError):
             analysis.ghost_graph
-        assert list(vars(analysis)) == ["map", "attractor"]
+        assert list(vars(analysis)) == ["attractor"]
+
+    def test_map_is_read_off_the_attractor(self, fig1, ghost_map, corpus):
+        for m in (fig1, ghost_map, *corpus):
+            analysis = full_analysis(m)
+            assert analysis.map == m and analysis.map.grid is analysis.attractor.grid
+            assert analysis == FullAnalysis(analysis.attractor)
 
 
 class TestApplySpec:
@@ -221,6 +227,14 @@ class TestApplySpec:
     def test_out_of_polytope(self, fig1):
         spec = PerturbationSpec(F(1), (F(1), F(0), F(0), F(0), F(0)))
         with pytest.raises(BadTranslationError):
+            apply_spec(fig1, spec)
+
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_wrong_delta_count(self, fig1, count):
+        # fig1 has r = 3, so a perturbation takes 2r - 1 = 5 deltas: a sixth
+        # is not ignored and a missing one is not an IndexError
+        spec = PerturbationSpec(F(1, 100), (F(0),) * count)
+        with pytest.raises(ValueError, match=f"2r - 1 = 5 deltas, got {count}"):
             apply_spec(fig1, spec)
 
 
@@ -286,9 +300,9 @@ class TestProbe:
         analyses = []
         real_walk, real_analysis = stability.compute_return_map, stability.full_analysis
 
-        def counting(m, J, attractor=None):
+        def counting(J, attractor):
             walked.append(attractor)
-            return real_walk(m, J, attractor)
+            return real_walk(J, attractor)
 
         def recording(m, max_iter=None):
             analyses.append(real_analysis(m, max_iter))

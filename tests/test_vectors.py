@@ -44,7 +44,7 @@ def products(data):
 
 class TestFig1Vectors:
     def test_component_b_contents(self, fig1):
-        data = compute_return_map(fig1, JB, compute_attractor(fig1))
+        data = compute_return_map(JB, compute_attractor(fig1))
         vecs = by_tag(build_vectors(data))
         l1 = vecs[("L", 1)]
         assert l1.e == (0, 0, 0) and l1.f == (0, -1)
@@ -58,7 +58,7 @@ class TestFig1Vectors:
         assert ("L", 0) not in vecs and ("L", 2) not in vecs
 
     def test_component_b_products(self, fig1):
-        values = products(compute_return_map(fig1, JB, compute_attractor(fig1)))
+        values = products(compute_return_map(JB, compute_attractor(fig1)))
         # <L_1, (gamma beta)> = -a_1
         assert values[("L", 1)] == -F(2, 3)
         # <R_1^+, (gamma beta)> = R_J(a_1+) = gamma_1 + gamma_3 + beta_2
@@ -68,12 +68,12 @@ class TestFig1Vectors:
     def test_zero_vector(self, fig1):
         # a connection vector's identity is a zero product
         zero = CoefficientVector((0, 0, 0), (0, 0), ("C", "+", 1, 1))
-        data = compute_return_map(fig1, JB, compute_attractor(fig1))
+        data = compute_return_map(JB, compute_attractor(fig1))
         assert verify_identities(data, (zero,)) == (0,)
 
     def test_component_a_landing_counts(self, fig1):
         # a_1 = 4/21 rides branches 1 then 2 before landing on beta_2
-        data = compute_return_map(fig1, JA, compute_attractor(fig1))
+        data = compute_return_map(JA, compute_attractor(fig1))
         vecs = by_tag(build_vectors(data))
         assert vecs[("L", 1)].e == (1, 1, 0)
         assert vecs[("L", 1)].f == (0, -1)
@@ -81,7 +81,7 @@ class TestFig1Vectors:
 
     def test_identities(self, fig1):
         for J in (JA, JB):
-            data = compute_return_map(fig1, J, compute_attractor(fig1))
+            data = compute_return_map(J, compute_attractor(fig1))
             vecs = build_vectors(data)
             products = verify_identities(data, vecs)
             assert products and len(products) == len(vecs)
@@ -89,7 +89,7 @@ class TestFig1Vectors:
 
     def test_pattern_holds(self, fig1):
         for J in (JA, JB):
-            data = compute_return_map(fig1, J, compute_attractor(fig1))
+            data = compute_return_map(J, compute_attractor(fig1))
             res = check_lin_dep_pattern(data, build_vectors(data))
             assert res.holds and res.nullity == res.pattern_nullity
 
@@ -102,7 +102,7 @@ class TestChainTimePartition:
         for m in [fig1] + corpus + corpus_q1024:
             att = compute_attractor(m)
             for kJ, J in zip(att.kcomponents, att.components()):
-                data = compute_return_map(m, kJ, att)
+                data = compute_return_map(kJ, att)
                 cut_points = fraction_views(data)[0]
                 expected = {}
                 for c in data.chains:
@@ -130,7 +130,7 @@ class TestChainTimePartition:
         for m in [fig1] + corpus[:20]:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
-                data = compute_return_map(m, kcomp, att)
+                data = compute_return_map(kcomp, att)
                 vecs = by_tag(build_vectors(data))
                 for c in data.chains:
                     if not c.hits:
@@ -169,7 +169,7 @@ class TestVectorInvariant:
         att = compute_attractor(fig1)
         skewed = _minus_landing_skewed(return_map._signed_chain)
         monkeypatch.setattr(return_map, "_signed_chain", skewed)
-        data = compute_return_map(fig1, JA, att)
+        data = compute_return_map(JA, att)
         assert data.chain(1, "+").hits[0].counts == (1, 1, 0)
         assert data.chain(1, "-").hits[0].counts == (0, 1, 1)
         with pytest.raises(VectorInvariantError, match="cut 1"):
@@ -198,7 +198,7 @@ class TestRank:
             assert rank(cols, dim) == ncols - len(naive_nullspace(cols, dim))
 
     def test_dimension_invariant_under_permutation(self, fig1):
-        data = compute_return_map(fig1, JB, compute_attractor(fig1))
+        data = compute_return_map(JB, compute_attractor(fig1))
         vecs = list(build_vectors(data))
         dim = 2 * fig1.r - 1
         base = rank([v.e + v.f for v in vecs], dim)
@@ -217,7 +217,7 @@ class TestPatternOracle:
             att = compute_attractor(m)
             dim = 2 * m.r - 1
             for kcomp in att.kcomponents:
-                data = compute_return_map(m, kcomp, att)
+                data = compute_return_map(kcomp, att)
                 vecs = build_vectors(data)
                 variants = [vecs] + [
                     vecs[:i] + (CoefficientVector((v.e[0] + 1,) + v.e[1:], v.f, v.tag),)
@@ -257,7 +257,7 @@ class TestPatternElimination:
         # r = 2, so dim = 3; N = 2 with both boundary landings. A P has the
         # columns L_0, L_2, c_0 = R+_0 - R-_1 - L_1 and c_1 = L_1 + R+_1 - R-_2,
         # of rank 3, so the columns of A Q (L_1, R-_1, R-_2) are never reduced
-        data = compute_return_map(rotation35, (0, 5), compute_attractor(rotation35))
+        data = compute_return_map((0, 5), compute_attractor(rotation35))
         assert data.n_intervals == 2
         vecs = (
             CoefficientVector((1, 0), (0,), ("L", 0)),
@@ -278,7 +278,7 @@ class TestPatternElimination:
     def test_one_pass_over_every_vector(self, fig1, monkeypatch):
         # fig1's component B: the columns of A P (c_0, c_1), then the four
         # vectors that are no R+_j (L_1, R-_1, R-_2); rank 4 < dim 5
-        data = compute_return_map(fig1, JB, compute_attractor(fig1))
+        data = compute_return_map(JB, compute_attractor(fig1))
         vecs = build_vectors(data)
         calls = self._spy(monkeypatch)
         res = check_lin_dep_pattern(data, vecs)
@@ -291,7 +291,7 @@ class TestPatternElimination:
 
 class TestRecords:
     def test_named_fields_in_order_and_read_only(self, fig1):
-        data = compute_return_map(fig1, JB, compute_attractor(fig1))
+        data = compute_return_map(JB, compute_attractor(fig1))
         vecs = build_vectors(data)
         pattern = check_lin_dep_pattern(data, vecs)
         for record, names in [
@@ -320,7 +320,7 @@ class TestIdentityViolation:
     def test_each_changed_vector_is_named(self, fig1):
         checked = 0
         for J in (JA, JB):
-            data = compute_return_map(fig1, J, compute_attractor(fig1))
+            data = compute_return_map(J, compute_attractor(fig1))
             vecs = build_vectors(data)
             for i, (e, f, tag) in enumerate(vecs):
                 for k in range(len(e)):
@@ -344,7 +344,7 @@ class TestCorpusProperties:
         for m in corpus:
             att = compute_attractor(m)
             for kcomp, comp in zip(att.kcomponents, att.components()):
-                data = compute_return_map(m, kcomp, att)
+                data = compute_return_map(kcomp, att)
                 vecs = build_vectors(data)
                 # each product against the pairing with the Fraction parameters
                 params = (*m.gamma, *m.beta)
