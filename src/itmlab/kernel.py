@@ -5,14 +5,13 @@ Every value a rational map reaches is ``k / denom`` for a fixed ``denom``
 carries only the integer ``k``: interval unions are sorted canonical lists of
 ``(int, int)`` pairs and signed points are ``(int, side)``. Fractions cross
 in through :func:`on_grid`, which is exact or raises, and out through
-:func:`to_interval_set` and the distance returned by
-:func:`hausdorff_closure_distance`; everything in between is integer
-arithmetic, still exact and free of floating point.
+:func:`to_interval_set`; everything in between is integer arithmetic, still
+exact and free of floating point. Even :func:`hausdorff_closure_distance`
+returns a numerator, over the grid its caller put both unions on.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -134,7 +133,7 @@ def image(grid: Grid, pairs: Sequence[IntPair]) -> list[IntPair]:
     return merge(push(grid, pairs))
 
 
-def _directed_hausdorff(a: list[int], b: list[int]) -> int:
+def _directed_hausdorff(a: Sequence[int], b: Sequence[int]) -> int:
     # sup over closure(a) of dist(x, closure(b)); the sup of a piecewise
     # linear function is attained at an endpoint of a or at a gap midpoint
     # of b lying inside closure(a), where it is half the gap. One bisect
@@ -154,7 +153,10 @@ def _directed_hausdorff(a: list[int], b: list[int]) -> int:
         if d > best:
             best = d
     for k in range(1, n - 1, 2):
-        half = (b[k + 1] - b[k]) // 2
+        gap = b[k + 1] - b[k]
+        if gap & 1:
+            raise OffGridError(f"the midpoint of the gap ({b[k]}, {b[k + 1]}) is not on the grid")
+        half = gap >> 1
         if half > best:
             mid = b[k] + half
             i = bisect_left(a, mid)
@@ -163,21 +165,17 @@ def _directed_hausdorff(a: list[int], b: list[int]) -> int:
     return best
 
 
-def hausdorff_closure_distance(
-    a: Sequence[IntPair], a_denom: int, b: Sequence[IntPair], b_denom: int
-) -> Fraction:
-    """Exact Hausdorff distance between the closures of two canonical
-    integer interval unions, ``a`` over ``a_denom`` and ``b`` over ``b_denom``.
+def hausdorff_closure_distance(a: Sequence[int], b: Sequence[int]) -> int:
+    """Exact Hausdorff distance between the closures of two interval
+    unions, each given by its sorted endpoints ``l_1, r_1, l_2, r_2, ...``
+    (like ``AttractorResult.ends``) as numerators over one grid, returned
+    as a numerator over that grid.
 
     Closures are taken in ``[0, 1]`` (each ``[l, r)`` becomes ``[l, r]``).
-    Symmetric, and zero iff the closures coincide. Both unions are scaled to
-    the grid ``1/(2L)``, ``L = lcm(a_denom, b_denom)``, so that every gap
-    midpoint is an integer too.
+    Symmetric, and zero iff the closures coincide. The grid must hold the
+    midpoint of every gap of either union: a gap of odd width raises
+    OffGridError. Endpoints over ``L`` scaled to ``2 L`` satisfy this.
     """
     if not a or not b:
         raise EmptySetError("hausdorff distance needs non-empty sets")
-    denom = 2 * math.lcm(a_denom, b_denom)
-    sa, sb = denom // a_denom, denom // b_denom
-    ea = [k * sa for pair in a for k in pair]
-    eb = [k * sb for pair in b for k in pair]
-    return Fraction(max(_directed_hausdorff(ea, eb), _directed_hausdorff(eb, ea)), denom)
+    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))

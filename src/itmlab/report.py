@@ -107,10 +107,10 @@ def _pairs(pairs, d: int) -> list[str]:
 
 
 def _scalar(value) -> str:
-    """None, a bool, an int or a Fraction (as its ``p/q`` string), as JSON."""
+    """None, a bool or an int, as JSON."""
     if value is None or type(value) is bool:
         return _BOOL_OR_NULL[value]
-    return str(value) if type(value) is int else f'"{value}"'
+    return str(value)
 
 
 def _hits(hits) -> str:
@@ -286,14 +286,17 @@ def stability_section(analysis: FullAnalysis) -> Fragment:
 def probe_section(pr: ProbeResult) -> Fragment:
     """The probe summary and one record per drawn sample, accepted or not
     (the fields of a rejected draw are null)."""
+    d = pr.hausdorff_denom
+    distances = ["null" if rec.khausdorff is None else f'"{rational_text(rec.khausdorff, d)}"'
+                 for rec in pr.samples]
     records = [
         f'{{\n      "index": {rec.index},\n      "accepted": {_BOOL[rec.accepted]},\n'
         f'      "component_count": {_scalar(rec.component_count)},\n'
-        f'      "hausdorff": {_scalar(rec.hausdorff)},\n'
+        f'      "hausdorff": {distance},\n'
         f'      "disc_inside": {_scalar(rec.disc_inside)},\n'
         f'      "disc_outside_closure": {_scalar(rec.disc_outside_closure)},\n'
         f'      "signature_match": {_scalar(rec.signature_match)}\n    }}'
-        for rec in pr.samples
+        for rec, distance in zip(pr.samples, distances)
     ]
     return Fragment(
         f'{{\n  "epsilon": "{pr.epsilon}",\n  "seed": {pr.seed},\n'

@@ -33,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .attractor import AttractorResult, NotFiniteTypeError
@@ -98,27 +99,26 @@ class LandingRecord(NamedTuple):
 class ReturnMapData(Frozen):
     """First-return structure of one component J.
 
-    The cut points and images are held as integer numerators over the
-    map's grid; ``tau`` is read off ``sigma`` and the signed chains are
+    The cut points are integer numerators over the map's grid; the images
+    and ``tau`` are read off them and ``sigma``, and the signed chains are
     built on first access. Equality, hash and repr leave out ``grid`` and
     ``_source``, so a transported map equals the walked one.
     """
 
-    _fields = ("kcuts", "return_times", "landings", "sigma", "kimages")
+    _fields = ("kcuts", "return_times", "landings", "sigma")
     kcuts: tuple[int, ...]
     return_times: tuple[int, ...]
     landings: tuple[LandingRecord, ...]
     sigma: tuple[int, ...]
-    kimages: tuple[IntPair, ...]
     grid: Grid
     # (return map of the component whose image this one is, 0-based branch of
     # that component) when the chains are shifted from it rather than walked
     _source: tuple[ReturnMapData, int] | None
 
-    def __init__(self, kcuts, return_times, landings, sigma, kimages, grid, _source=None):
+    def __init__(self, kcuts, return_times, landings, sigma, grid, _source=None):
         vars(self).update(
             kcuts=kcuts, return_times=return_times, landings=landings, sigma=sigma,
-            kimages=kimages, grid=grid, _source=_source,
+            grid=grid, _source=_source,
         )
 
     @property
@@ -128,6 +128,14 @@ class ReturnMapData(Frozen):
     @property
     def dynamically_trivial(self) -> bool:
         return len(self.kcuts) == 2
+
+    @cached_property
+    def kimages(self) -> tuple[IntPair, ...]:
+        """The image of each continuity interval, in order: the images tile
+        J in ``sigma`` order, so that of interval j is the tau(j)-th."""
+        kcuts = self.kcuts
+        ends = list(accumulate((kcuts[j] - kcuts[j - 1] for j in self.sigma), initial=kcuts[0]))
+        return tuple((ends[p - 1], ends[p]) for p in self.tau)
 
     @property
     def tau(self) -> tuple[int, ...]:
@@ -222,15 +230,17 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
     """Full first-return structure of one attractor component, given as
     integer numerators over ``attractor.grid`` like ``attractor.kcomponents``.
 
-    Each step is one pass over the in-flight pieces. A piece with no cut
+    Each step is one pass over the pieces the last step moved. A piece
+    that meets J retires as (source, image, time) when it lies in J, or
+    straddles J (an error); any other moves on. A piece with no cut
     strictly inside costs one bisect and moves whole; ``split`` cuts any
     other, and each split point pulls back to a cut point of J with its
-    landing time and discontinuity. A moved piece flies on, retires as
-    (source, image, time) when it lands in J, or straddles J (an error).
-    Sorted once by source, the retired pieces give the cut points, return
-    times and images in order, checked against the split points (x, then
-    each cut point once); sorted once by image, they give sigma, checked to
-    tile J without gaps. Every transported return map must equal this walk.
+    landing time and discontinuity. Sorted once by source, the retired
+    pieces give the cut points and return times in order, checked against
+    the split points (x, then each cut point once); sorted once by image,
+    they give sigma, checked to tile J without gaps, which makes the images
+    a view of the cut points and sigma. Every transported return map must
+    equal this walk.
 
     Raises NotFiniteTypeError when the attractor is not finite type (or the
     generous safety cap is exceeded), NotAComponentError when J is not
@@ -251,43 +261,38 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
         )
     cap = 2 * denom * max(1, len(kcomponents))
 
-    # In-flight pieces (cur_l, cur_r, src_l) on the integer grid; src_l
-    # locates the piece's preimage inside J, so a split at value v pulls back
-    # to src_l + (v - cur_l).
-    flying: list[tuple[int, int, int]] = [(kx, ky, kx)]
+    # Pieces (l, r, src_l) at time t on the integer grid; src_l locates the
+    # piece's preimage inside J, so a split at value v pulls back to
+    # src_l + (v - l).
+    moved: list[tuple[int, int, int]] = [(kx, ky, kx)]
     cut_info: dict[int, tuple[int, int]] = {}  # cut point -> (landing time, disc)
     retired: list[tuple[int, int, int]] = []  # (src_l, img_l, time)
     t = 0
-    while flying:
+    while moved:
         if t > cap:
             raise NotFiniteTypeError("return-time safety cap exceeded")
-        pieces, flying = flying, []
-        t += 1
-        for cl, cr, src in pieces:
-            b = bisect_right(cuts, cl)  # branch of cl+
-            if cr <= cuts[b]:  # no cut strictly inside: the piece moves whole
-                g = gamma[b - 1]
-                moved = ((cl + g, cr + g, src),)
-            else:
-                moved = []
-                for lo, hi, b in split(cuts, cl, cr):
-                    if lo > cl:  # lo is the cut beta_{b-1}, hit at time t - 1
-                        # the in-flight sources are disjoint and a split point
-                        # stays a piece end, so each cut point is set once
-                        cut_info[src + (lo - cl)] = (t - 1, b - 1)
-                    g = gamma[b - 1]
-                    moved.append((lo + g, hi + g, src + (lo - cl)))
-            for piece in moved:
-                l, r, s = piece
-                if r <= kx or l >= ky:
-                    flying.append(piece)
-                elif kx <= l and r <= ky:
-                    retired.append((s, l, t))
-                else:
+        pieces, moved = moved, []
+        for l, r, src in pieces:
+            if t and l < ky and kx < r:  # meets J (J itself moves on at t = 0)
+                if l < kx or r > ky:
                     raise ReturnMapInvariantError(
                         f"piece [{Fraction(l, denom)},{Fraction(r, denom)}) "
                         f"straddles J = [{Fraction(kx, denom)},{Fraction(ky, denom)}) at time {t}"
                     )
+                retired.append((src, l, t))
+                continue
+            b = bisect_right(cuts, l)  # branch of l+
+            if r <= cuts[b]:  # no cut strictly inside: the piece moves whole
+                g = gamma[b - 1]
+                moved.append((l + g, r + g, src))
+                continue
+            for lo, hi, b in split(cuts, l, r):
+                if lo > l:  # lo is the cut beta_{b-1}, hit at time t; set once,
+                    # as the sources are disjoint and split points stay piece ends
+                    cut_info[src + (lo - l)] = (t, b - 1)
+                g = gamma[b - 1]
+                moved.append((lo + g, hi + g, src + (lo - l)))
+        t += 1
 
     # Sorted by source, the retired pieces are the continuity intervals in
     # order: their sources are x and then each cut point once.
@@ -305,27 +310,21 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
         kcuts.append(src)
         landings.append(LandingRecord(j, *info))
     kcuts.append(ky)
-    kimages = [(img, img + kcuts[j + 1] - kcuts[j]) for j, (_, img, _) in enumerate(retired)]
     # The images have the lengths of the continuity intervals, so they tile
     # J when, sorted, the first starts at x and each ends where the next
-    # starts. For a single piece this says the return is the identity,
-    # which is exactly the dynamically trivial case.
+    # starts; their order is sigma. For a single piece this says the return
+    # is the identity, which is exactly the dynamically trivial case.
     sigma = []
     end = kx
-    for (l, r), j in sorted(zip(kimages, range(1, n + 1))):
-        if l != end:
+    for img, j in sorted([(img, j) for j, (_, img, _) in enumerate(retired, start=1)]):
+        if img != end:
             raise ReturnMapInvariantError(
                 "return images are not contiguous" if sigma else "return images do not tile J"
             )
         sigma.append(j)
-        end = r
+        end = img + kcuts[j] - kcuts[j - 1]
     return ReturnMapData(
-        kcuts=tuple(kcuts),
-        return_times=tuple([rt for _, _, rt in retired]),
-        landings=tuple(landings),
-        sigma=tuple(sigma),
-        kimages=tuple(kimages),
-        grid=grid,
+        tuple(kcuts), tuple([rt for _, _, rt in retired]), tuple(landings), tuple(sigma), grid
     )
 
 
@@ -339,7 +338,6 @@ def transported(src: ReturnMapData, b: int) -> ReturnMapData:
         return_times=src.return_times,
         landings=tuple(LandingRecord(rec.j, rec.time - 1, rec.disc) for rec in src.landings),
         sigma=src.sigma,
-        kimages=tuple((l + g, r + g) for l, r in src.kimages),
         grid=src.grid,
         _source=(src, b),
     )
@@ -387,10 +385,11 @@ def verify_touching_equations(data: ReturnMapData) -> tuple[int, ...]:
 
 
 def classify_return_dynamics(data: ReturnMapData) -> str:
-    """Identity, rotation-like (N = 2) or many-branches (N >= 3)."""
+    """Identity (each image on its own interval: ``sigma`` is the
+    identity), rotation-like (N = 2) or many-branches (N >= 3)."""
     n = data.n_intervals
     if n >= 3:
         return MANY_BRANCHES
-    if all(img[0] == data.kcuts[j] for j, img in enumerate(data.kimages)):
+    if data.sigma == tuple(range(1, n + 1)):
         return IDENTITY
     return ROTATION_LIKE

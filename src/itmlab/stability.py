@@ -171,12 +171,13 @@ class DirectedPerturbation(NamedTuple):
 
 class SampleRecord(NamedTuple):
     """One probe draw; the fields past ``accepted`` are None for a rejected
-    draw. A NamedTuple, cheaper to build than a :class:`~itmlab.intervals.Frozen` record."""
+    draw, and ``khausdorff`` is over ``ProbeResult.hausdorff_denom``. A
+    NamedTuple, cheaper to build than a :class:`~itmlab.intervals.Frozen` record."""
 
     index: int
     accepted: bool
     component_count: int | None = None
-    hausdorff: Fraction | None = None
+    khausdorff: int | None = None
     disc_inside: int | None = None
     disc_outside_closure: int | None = None
     signature_match: bool | None = None
@@ -204,22 +205,20 @@ class ProbeResult(Frozen):
     def accepted(self) -> int:
         return len(self._accepted)
 
-    def _hausdorff(self, pick) -> Fraction:
-        """The accepted distance ``pick`` (min or max) chooses. Each is a
-        multiple of 1/(2 D), D = lcm(Q, 2**GRID_BITS den(epsilon)): the base
-        grid and each sample's reduced grid divide D, so its numerator over
-        2 D orders the distances without comparing Fractions."""
-        double = 2 * math.lcm(self.base.attractor.denom, 2**GRID_BITS * self.epsilon.denominator)
-        return pick((rec.hausdorff for rec in self._accepted),
-                    key=lambda h: h.numerator * (double // h.denominator))
+    @cached_property
+    def hausdorff_denom(self) -> int:
+        """2 D, D = lcm(Q, 2**GRID_BITS den(epsilon)), the grid of every
+        ``khausdorff``: the base grid and each sample's reduced grid divide
+        D, and on 2 D every gap midpoint is a grid point."""
+        return 2 * math.lcm(self.base.attractor.denom, 2**GRID_BITS * self.epsilon.denominator)
 
     @cached_property
     def max_hausdorff(self) -> Fraction:
-        return self._hausdorff(max)
+        return Fraction(max(rec.khausdorff for rec in self._accepted), self.hausdorff_denom)
 
     @cached_property
     def min_hausdorff(self) -> Fraction:
-        return self._hausdorff(min)
+        return Fraction(min(rec.khausdorff for rec in self._accepted), self.hausdorff_denom)
 
     @cached_property
     def all_signatures_match(self) -> bool:
@@ -231,7 +230,7 @@ class ProbeResult(Frozen):
 
 
 def _signature(analysis_return_maps: tuple[ReturnMapData, ...]) -> tuple:
-    return tuple((d.n_intervals, d.return_times, d.sigma) for d in analysis_return_maps)
+    return tuple([(d.n_intervals, d.return_times, d.sigma) for d in analysis_return_maps])
 
 
 def check_A1(return_maps: tuple[ReturnMapData, ...]) -> Verdict:
@@ -330,41 +329,38 @@ def full_analysis(m: ItmMap, max_iter: int | None = None) -> FullAnalysis:
 
 
 def apply_spec(m: ItmMap, spec: PerturbationSpec) -> ItmMap:
-    """Perturbed map; raises ValueError unless there are 2r - 1 deltas, and
+    """Perturbed map; raises ValueError unless epsilon > 0 and there are
+    2r - 1 deltas, each with |delta| <= epsilon, and
     BadOrderError/BadTranslationError when they leave the polytope."""
+    if spec.epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     if len(spec.deltas) != 2 * m.r - 1:
         raise ValueError(
             f"a map with r = {m.r} takes 2r - 1 = {2 * m.r - 1} deltas, got {len(spec.deltas)}"
         )
+    for i, delta in enumerate(spec.deltas):
+        if abs(delta) > spec.epsilon:
+            raise ValueError(f"|delta {i}| = {abs(delta)} exceeds epsilon = {spec.epsilon}")
     gamma = [g + spec.deltas[i] for i, g in enumerate(m.gamma)]
     beta = [b + spec.deltas[m.r + i] for i, b in enumerate(m.beta)]
     return validate(m.r, beta, gamma)
 
 
 def _probe_one(
-    index: int, m: ItmMap, base: AttractorResult, base_signature: tuple
+    index: int, m: ItmMap, double: int, base_ends: list[int], base_signature: tuple
 ) -> SampleRecord:
-    """One accepted sample, compared with the base attractor on the
-    integer components of both."""
+    """One accepted sample, compared with the base attractor on integers:
+    its endpoints ``base_ends`` over the probe grid ``double`` = 2 D, which
+    the sample's reduced grid divides, and its return-map signature."""
     analysis = full_analysis(m)
     attractor = analysis.attractor
-    comps = attractor.kcomponents
-    signature_match = (
-        attractor.finite_type
-        and len(comps) == len(base.kcomponents)
-        and _signature(analysis.return_maps) == base_signature
-    )
-    return SampleRecord(
-        index=index,
-        accepted=True,
-        component_count=len(comps),
-        hausdorff=hausdorff_closure_distance(
-            base.kcomponents, base.denom, comps, attractor.denom
-        ),
-        disc_inside=len(attractor.discontinuities_inside),
-        disc_outside_closure=len(attractor.discontinuities_outside),
-        signature_match=signature_match,
-    )
+    n = len(attractor.kcomponents)
+    scale = double // attractor.denom
+    khausdorff = hausdorff_closure_distance(base_ends, [k * scale for k in attractor.ends])
+    match = (attractor.finite_type and n == len(base_signature)
+             and _signature(analysis.return_maps) == base_signature)
+    return SampleRecord(index, True, n, khausdorff, len(attractor.discontinuities_inside),
+                        len(attractor.discontinuities_outside), match)
 
 
 def perturbation_probe(
@@ -380,7 +376,9 @@ def perturbation_probe(
     Each delta is ``k * epsilon / 2**GRID_BITS`` with an integer ``k`` from
     the LCG, so every perturbed parameter is an integer numerator over one
     grid ``D = lcm(Q, 2**GRID_BITS * den(epsilon))`` and each perturbed map
-    is built from integers (:func:`~itmlab.itm.from_numerators`).
+    is built from integers (:func:`~itmlab.itm.from_numerators`). The base
+    attractor's endpoints are scaled onto 2 D once, and each Hausdorff
+    distance is kept as its numerator over 2 D.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -393,6 +391,7 @@ def perturbation_probe(
     denom = math.lcm(m.Q, grid * epsilon.denominator)
     unit = epsilon.numerator * (denom // (grid * epsilon.denominator))
     scale = denom // m.Q
+    base_ends = [k * 2 * scale for k in base.attractor.ends]
     # numerators over denom in draw order: gamma_1..gamma_r, beta_1..beta_{r-1}
     params = [g * scale for g in m.grid.gamma] + [c * scale for c in m.grid.cuts[1:-1]]
     state = seed % LCG_M
@@ -407,7 +406,7 @@ def perturbation_probe(
         except (BadOrderError, BadTranslationError):
             records.append(SampleRecord(i, accepted=False))
             continue
-        records.append(_probe_one(i, perturbed, base.attractor, base_signature))
+        records.append(_probe_one(i, perturbed, 2 * denom, base_ends, base_signature))
     if not any(rec.accepted for rec in records):
         raise NoValidSamplesError("all probe draws left the parameter polytope")
     return ProbeResult(epsilon, seed, tuple(records), base)

@@ -368,15 +368,15 @@ def brute_hausdorff(a, b) -> Fraction:
 
 
 def set_hausdorff(a, b) -> Fraction:
-    """``hausdorff_closure_distance`` of two IntervalSets, each first put
-    on the grid of the lcm of its own endpoint denominators."""
+    """``hausdorff_closure_distance`` of two IntervalSets, both put on the
+    grid ``1/(2 L)``, ``L`` the lcm of all their endpoint denominators, so
+    that every gap midpoint is a grid point."""
+    denom = 2 * math.lcm(*(x.denominator for s in (a, b) for pair in s.intervals for x in pair))
 
-    def on_own_grid(s):
-        denom = math.lcm(*(x.denominator for pair in s.intervals for x in pair))
-        return [tuple(x.numerator * (denom // x.denominator) for x in pair)
-                for pair in s.intervals], denom
+    def ends(s):
+        return [x.numerator * (denom // x.denominator) for pair in s.intervals for x in pair]
 
-    return hausdorff_closure_distance(*on_own_grid(a), *on_own_grid(b))
+    return Fraction(hausdorff_closure_distance(ends(a), ends(b)), denom)
 
 
 def naive_nullspace(columns, dim: int) -> list[list[Fraction]]:
@@ -620,6 +620,7 @@ def naive_vectors_section(m: ItmMap, data, component: int) -> dict:
 def naive_probe_section(pr) -> dict:
     """The probe section of the report as a dict: the oracle for
     ``report.probe_section``."""
+    denom = pr.hausdorff_denom
     return {
         "epsilon": str(pr.epsilon),
         "seed": pr.seed,
@@ -634,7 +635,9 @@ def naive_probe_section(pr) -> dict:
                 "index": rec.index,
                 "accepted": rec.accepted,
                 "component_count": rec.component_count,
-                "hausdorff": str(rec.hausdorff) if rec.hausdorff is not None else None,
+                "hausdorff": (
+                    None if rec.khausdorff is None else str(Fraction(rec.khausdorff, denom))
+                ),
                 "disc_inside": rec.disc_inside,
                 "disc_outside_closure": rec.disc_outside_closure,
                 "signature_match": rec.signature_match,
@@ -653,7 +656,8 @@ def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -
     here on those sums: strictly increasing cuts and ``-beta_{i-1} <=
     gamma_i <= 1 - beta_i``. Accepted draws are built with ``apply_spec``,
     every analysis is forced whole (the verdict and every signed chain), and
-    distances come from ``brute_hausdorff``.
+    distances come from ``brute_hausdorff``, each as its numerator over the
+    probe grid 2 lcm(Q, 1024 den(epsilon)), which must be exact.
     """
     from itmlab import PerturbationSpec, apply_spec, full_analysis
     from itmlab.stability import SampleRecord
@@ -674,6 +678,7 @@ def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -
         return tuple((d.n_intervals, d.return_times, d.sigma) for d in fa.return_maps)
 
     base = eager(full_analysis(m))
+    double = 2 * math.lcm(m.Q, 1024 * epsilon.denominator)
     state = seed % 2**32
     records = []
     for i in range(samples):
@@ -690,11 +695,13 @@ def naive_probe_records(m: ItmMap, epsilon: Fraction, samples: int, seed: int) -
         assert (perturbed.beta, perturbed.gamma) == (tuple(beta), tuple(gamma))
         fa = eager(full_analysis(perturbed))
         comps = fa.attractor.components()
+        distance = brute_hausdorff(base.attractor.X, fa.attractor.X) * double
+        assert distance.denominator == 1
         records.append(SampleRecord(
             index=i,
             accepted=True,
             component_count=len(comps),
-            hausdorff=brute_hausdorff(base.attractor.X, fa.attractor.X),
+            khausdorff=distance.numerator,
             disc_inside=len(fa.attractor.discontinuities_inside),
             disc_outside_closure=len(fa.attractor.discontinuities_outside),
             signature_match=(

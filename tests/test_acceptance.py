@@ -23,7 +23,6 @@ from itmlab import (
     check_lin_dep_pattern,
     compute_attractor,
     compute_return_map,
-    hausdorff_closure_distance,
     interval,
     minus,
     nonwandering_witness,
@@ -43,6 +42,7 @@ from conftest import (
     naive_first_return,
     naive_orbit,
     random_map,
+    set_hausdorff,
 )
 
 FIG1_X = canonicalize([(F(1, 6), F(13, 42)), (F(1, 2), F(17, 21))])
@@ -163,8 +163,7 @@ def test_criterion_7_ghost_example(ghost_map):
     b1 = m.beta[0]
     assert any(abs(l - b1) <= eps and abs(r - b1) <= eps
                for l, r in perturbed.components())
-    jump = hausdorff_closure_distance(
-        att.kcomponents, att.denom, perturbed.kcomponents, perturbed.denom)
+    jump = set_hausdorff(att.X, perturbed.X)
     d = att.X.distance_to_closure(b1)
     assert d > 0
     assert jump >= d / 2

@@ -9,7 +9,9 @@ import pytest
 
 from itmlab import (
     EmptySetError,
+    OffGridError,
     canonicalize,
+    hausdorff_closure_distance,
     interval,
     minus,
     parse_rational,
@@ -202,6 +204,16 @@ class TestHausdorff:
             set_hausdorff(canonicalize([]), interval(0, 1))
         with pytest.raises(EmptySetError):
             IntervalSet(()).distance_to_closure(F(1, 2))
+
+    def test_endpoint_numerators_on_one_grid(self):
+        # [0, 2] u [4, 6] against [0, 6]: the gap midpoint 3 lies 1 from
+        # the first union; the result is a numerator over the same grid
+        assert hausdorff_closure_distance([0, 2, 4, 6], [0, 6]) == 1
+        assert hausdorff_closure_distance((0, 6), (0, 2, 4, 6)) == 1
+        # a gap of odd width has its midpoint off the grid, on either side
+        for a, b in (([0, 1, 4, 6], [0, 6]), ([0, 6], [0, 1, 4, 6])):
+            with pytest.raises(OffGridError, match=r"midpoint of the gap \(1, 4\)"):
+                hausdorff_closure_distance(a, b)
 
     def test_zero_iff_equal_closures(self):
         # [0,1/2) and [0,1/2)+[1/2,3/4) differ, distance positive

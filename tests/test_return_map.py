@@ -295,11 +295,13 @@ class TestRecords:
         # __init__ by hand: it takes the declared fields in order (the value
         # fields first, then the return map's grid and source) and stores
         # them first; the attractor stores after them what it derives from
-        # them. The instances stay frozen
+        # them. The return map's images are a view, stored only once read.
+        # The instances stay frozen
         att = compute_attractor(fig1)
         data = compute_return_map(JB, att)
         derived = ("denom", "ends", "discontinuities_inside", "discontinuities_outside",
                    "boundary_hits")
+        assert type(data)._fields == ("kcuts", "return_times", "landings", "sigma")
         for obj, extra, stored in ((att, (), derived), (data, ("grid", "_source"), ())):
             names = [*type(obj)._fields, *extra]
             assert list(inspect.signature(type(obj)).parameters) == names
@@ -307,6 +309,10 @@ class TestRecords:
             for name in (*names, *stored):
                 with pytest.raises(AttributeError):
                     setattr(obj, name, None)
+        assert data.kimages == ((27, 34), (21, 27))
+        assert list(vars(data)) == [*ReturnMapData._fields, "grid", "_source", "kimages"]
+        with pytest.raises(AttributeError):
+            data.kimages = ()
         assert type(att) is AttractorResult and type(data) is ReturnMapData
 
     def test_chain_records_named_fields_in_order_and_read_only(self, fig1):
@@ -482,6 +488,8 @@ class TestTowers:
             for kJ, data in zip(att.kcomponents, got):
                 want = real(kJ, att)
                 assert data == want
+                # the images are not a field, so equality does not compare them
+                assert data.kimages == want.kimages
                 assert data.chains == want.chains
             succ, images, towers = _towers(m, att)
             assert len(walked) == towers
@@ -492,3 +500,25 @@ class TestTowers:
         m = corpus_q1024[7]
         succ, images, towers = _towers(m, compute_attractor(m))
         assert len(images) == 42 and towers == 1
+
+    def test_images_tile_j_in_sigma_order(self, corpus, corpus_q1024):
+        # the images are read off the cut points and sigma: walked and
+        # transported alike, the p-th image from the left is interval
+        # sigma[p], as long as that interval, and together they cover J
+        transported = 0
+        for m in corpus + corpus_q1024:
+            analysis = full_analysis(m)
+            att = analysis.attractor
+            for kJ, derived in zip(att.kcomponents, analysis.return_maps):
+                transported += derived._source is not None
+                for data in (derived, compute_return_map(kJ, att)):
+                    kcuts = data.kcuts
+                    assert (kcuts[0], kcuts[-1]) == kJ
+                    assert sorted(data.sigma) == list(range(1, len(kcuts)))
+                    end = kcuts[0]
+                    for j in data.sigma:
+                        l, r = data.kimages[j - 1]
+                        assert l == end and r - l == kcuts[j] - kcuts[j - 1]
+                        end = r
+                    assert end == kcuts[-1]
+        assert transported > 100

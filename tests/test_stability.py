@@ -29,7 +29,7 @@ from itmlab import (
 )
 from itmlab.ghost import A3Witness
 from itmlab.intervals import SignedPoint
-from conftest import fraction_views, naive_probe_records, random_map
+from conftest import fraction_views, naive_probe_records, random_map, set_hausdorff
 
 
 def analysis_parts(m):
@@ -237,6 +237,25 @@ class TestApplySpec:
         with pytest.raises(ValueError, match=f"2r - 1 = 5 deltas, got {count}"):
             apply_spec(fig1, spec)
 
+    def test_delta_beyond_epsilon(self, fig1):
+        # a delta 100 epsilons away is not applied as given: gamma_1 would
+        # become 13/30
+        spec = PerturbationSpec(F(1, 1000), (F(1, 10), F(0), F(0), F(0), F(0)))
+        with pytest.raises(ValueError, match=r"\|delta 0\| = 1/10 exceeds epsilon = 1/1000"):
+            apply_spec(fig1, spec)
+        spec = PerturbationSpec(F(1, 1000), (F(0), F(0), F(0), F(0), F(-1, 999)))
+        with pytest.raises(ValueError, match=r"\|delta 4\| = 1/999"):
+            apply_spec(fig1, spec)
+        # |delta| = epsilon is allowed
+        spec = PerturbationSpec(F(1, 1000), (F(0), F(0), F(0), F(0), F(-1, 1000)))
+        assert apply_spec(fig1, spec).beta[1] == F(2, 3) - F(1, 1000)
+
+    @pytest.mark.parametrize("eps", [F(0), F(-1, 100)])
+    def test_epsilon_not_positive(self, fig1, eps):
+        spec = PerturbationSpec(eps, (F(0),) * 5)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            apply_spec(fig1, spec)
+
 
 class TestProbe:
     def test_deterministic(self, fig1):
@@ -353,7 +372,7 @@ class TestProbe:
             assert pr.base.return_maps == full_analysis(m).return_maps
             # the summary is read off the accepted records only
             accepted = [rec for rec in records if rec.accepted]
-            distances = [rec.hausdorff for rec in accepted]
+            distances = [F(rec.khausdorff, pr.hausdorff_denom) for rec in accepted]
             assert pr.accepted == len(accepted)
             assert pr.max_hausdorff == max(distances) and pr.min_hausdorff == min(distances)
             assert pr.all_signatures_match is all(rec.signature_match for rec in accepted)
@@ -373,12 +392,35 @@ class TestProbe:
         # be the plain Fraction max and min of the accepted distances
         for m in (fig1, ghost_map):
             pr = perturbation_probe(m, eps, 20, seed)
-            distances = [rec.hausdorff for rec in pr.samples if rec.accepted]
+            distances = [F(rec.khausdorff, pr.hausdorff_denom) for rec in pr.samples if rec.accepted]
             assert len(set(distances)) > 2
             assert pr.max_hausdorff == max(distances) and type(pr.max_hausdorff) is F
             assert pr.min_hausdorff == min(distances) and type(pr.min_hausdorff) is F
             if rejected is not None and m is fig1:
                 assert 20 - pr.accepted == rejected
+
+    def test_samples_go_through_the_traced_bindings(self, fig1, monkeypatch):
+        # the bench tracer times the base and each sample through
+        # stability.full_analysis and each distance through
+        # stability.hausdorff_closure_distance, wrapping those names; a
+        # sample path around them would read 0 there without any error
+        from itmlab import stability
+
+        calls = {"full_analysis": 0, "hausdorff_closure_distance": 0}
+
+        def counting(name):
+            real = getattr(stability, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(stability, name, counting(name))
+        pr = perturbation_probe(fig1, F(1, 5), 20, seed=1)  # five draws are rejected
+        assert pr.accepted == 15
+        assert calls == {"full_analysis": 16, "hausdorff_closure_distance": 15}
 
     def test_bad_arguments(self, fig1):
         with pytest.raises(ValueError):
@@ -434,7 +476,6 @@ class TestDirectedPerturbation:
         assert res.point.value == left
 
     def test_epsilon_independent_jump(self, ghost_map):
-        from itmlab import hausdorff_closure_distance
         from itmlab.ghost import check_A3
         fa = full_analysis(ghost_map)
         wit = check_A3(fa.ghost_graph).witness
@@ -445,8 +486,7 @@ class TestDirectedPerturbation:
         for eps in (F(1, 2048), F(1, 4096)):
             dp = a3_breaking_perturbation(ghost_map, wit, eps)
             att2 = compute_attractor(apply_spec(ghost_map, dp.spec))
-            jumps.append(hausdorff_closure_distance(
-                fa.attractor.kcomponents, fa.attractor.denom, att2.kcomponents, att2.denom))
+            jumps.append(set_hausdorff(base, att2.X))
         assert all(j >= d / 2 for j in jumps)
 
     def test_shared_branch_rejected(self, ghost_map):
