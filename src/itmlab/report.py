@@ -5,15 +5,18 @@ numerator over the map's grid wherever the analysis holds one; section order is
 fixed, and no timestamps enter the document, so identical inputs and flags
 produce byte-identical reports.
 
-Every section is a ``Fragment``: its JSON text at depth 0, exactly as
-``json.dumps(section, indent=2)`` writes the dict it stands for. Sections
-of a fixed shape are written from the integers, one string expression per
-record: the header, the map and the attractor, each component's return map
-and vectors, the ghost graph with its A3 entry, the stability verdicts and
-the probe. Values of no fixed shape (the verdict witnesses, the directed
-perturbation, the ``ghost-tree`` header and tree) go through
-``json_fragment``. ``render_document`` only splices a document's sections,
-each indented by one ``replace``.
+A section that appears once per document is a ``Fragment``: its JSON text
+at depth 0, exactly as ``json.dumps(section, indent=2)`` writes the dict it
+stands for. The header, the map, the attractor, the ghost graph with its A3
+entry, the stability verdicts and the probe are written from the integers,
+one string expression per record; values of no fixed shape (the verdict
+witnesses, the directed perturbation, the ``ghost-tree`` header and tree) go
+through ``json_fragment``. Each component's return map and vectors are
+``ListItem``s, written at the depth of a top-level list's item: one ``%`` of
+a template cached per section shape (the chains' hit counts; the vector tags
+and r), filled with one flat tuple of the component's values.
+``render_document`` splices a document's sections, each fragment indented
+by one ``replace`` and each list item as it is.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from math import gcd
 from . import __version__
 from .attractor import AttractorResult
 from .ghost import A3Witness, GhostGraph, Verdict
+from .intervals import MINUS, PLUS
 from .itm import ItmMap
 from .return_map import ReturnMapData, classify_return_dynamics, verify_touching_equations
 from .stability import (
@@ -56,12 +60,22 @@ def input_digest(data: bytes) -> str:
 
 
 class Fragment(str):
-    """The JSON text of one report section at depth 0, exactly as
+    """The JSON text of a once-per-document section at depth 0, exactly as
     ``json.dumps(section, indent=2)`` writes it. A fragment at depth ``d``
     is its text with every newline followed by ``d``, which is exact
     because no JSON string holds a raw newline."""
 
     __slots__ = ()
+
+
+class ListItem(str):
+    """The JSON text of an item of a top-level report list at the depth the
+    document places it: a fragment with four spaces after every newline."""
+
+    __slots__ = ()
+
+
+_TEMPLATES = 128  # shapes each cache keeps: the 30 branchy-q1024 maps have 14 and 21
 
 
 def _jsonable(obj):
@@ -113,13 +127,6 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _hits(hits) -> str:
-    """A chain's hits, as the array at depth 3 of a return-map section."""
-    return _array([
-        f'{{\n          "disc": {h.disc},\n          "time": {h.time}\n        }}' for h in hits
-    ], "      ")
-
-
 def header_section(digest: str, probe: ProbeResult | None = None) -> Fragment:
     """The tool, its version and the input digest; for a probe, also the
     seed, the generator constants and the grid of the drawn deltas."""
@@ -165,35 +172,60 @@ def attractor_section(att: AttractorResult) -> Fragment:
     )
 
 
-def return_map_section(data: ReturnMapData, component: int) -> Fragment:
+def _list_item(text: str) -> str:
+    """Depth-0 text as an item of a top-level report list."""
+    return text.replace("\n", "\n    ")
+
+
+@lru_cache(maxsize=_TEMPLATES)
+def _return_map_template(hits: tuple[int, ...]) -> str:
+    """The return-map section at list depth, with a ``%s`` for each value,
+    of N intervals whose chains a_0+ .. a_{N-1}+, a_1- .. a_N- have ``hits`` hits."""
+    n = len(hits) // 2
+    ints, rationals = ["%s"] * n, ['"%s"'] * (n + 1)
+    hit = '{\n          "disc": %s,\n          "time": %s\n        }'
+    landings = [f'{{\n      "cut": {j},\n      "time": %s,\n      "disc": %s\n    }}' for j in range(1, n)]
+    ends = [(j, PLUS) for j in range(n)] + [(j, MINUS) for j in range(1, n + 1)]
+    chains = [
+        f'{{\n      "j": {j},\n      "side": "{side}",\n      "hits": {_array([hit] * k, "      ")},\n'
+        f'      "entry_time": %s,\n      "entry_value": "%s"\n    }}'
+        for (j, side), k in zip(ends, hits)
+    ]
+    images = ['[\n      "%s",\n      "%s"\n    ]'] * n
+    return _list_item(
+        f'{{\n  "component": %s,\n  "J": [\n    "%s",\n    "%s"\n  ],\n'
+        f'  "cut_points": {_array(rationals, "  ")},\n'
+        f'  "return_times": {_array(ints, "  ")},\n'
+        f'  "landings": {_array(landings, "  ")},\n'
+        f'  "chains": {_array(chains, "  ")},\n'
+        f'  "sigma": {_array(ints, "  ")},\n'
+        f'  "tau": {_array(ints, "  ")},\n'
+        f'  "images": {_array(images, "  ")},\n'
+        f'  "dynamically_trivial": {_BOOL[n == 1]},\n'
+        f'  "classification": "%s",\n'
+        f'  "touching_values": {_array(rationals[2:], "  ")}\n}}'
+    )
+
+
+def return_map_section(data: ReturnMapData, component: int) -> ListItem:
     """The return map of one component, with its chains, classification
     and touching values."""
     d = data.grid.denom
-    cuts = [f'"{rational_text(k, d)}"' for k in data.kcuts]
-    landings = [
-        f'{{\n      "cut": {rec.j},\n      "time": {rec.time},\n      "disc": {rec.disc}\n    }}'
-        for rec in data.landings
-    ]
-    chains = [
-        f'{{\n      "j": {c.j},\n      "side": "{c.side}",\n      "hits": {_hits(c.hits)},\n'
-        f'      "entry_time": {c.entry_time},\n'
-        f'      "entry_value": "{rational_text(c.kentry, d)}"\n    }}'
-        for c in data.chains
-    ]
-    touching = [f'"{rational_text(k, d)}"' for k in verify_touching_equations(data)]
-    return Fragment(
-        f'{{\n  "component": {component},\n  "J": [\n    {cuts[0]},\n    {cuts[-1]}\n  ],\n'
-        f'  "cut_points": {_array(cuts, "  ")},\n'
-        f'  "return_times": {_array(list(map(str, data.return_times)), "  ")},\n'
-        f'  "landings": {_array(landings, "  ")},\n'
-        f'  "chains": {_array(chains, "  ")},\n'
-        f'  "sigma": {_array(list(map(str, data.sigma)), "  ")},\n'
-        f'  "tau": {_array(list(map(str, data.tau)), "  ")},\n'
-        f'  "images": {_array(_pairs(data.kimages, d), "  ")},\n'
-        f'  "dynamically_trivial": {_BOOL[data.dynamically_trivial]},\n'
-        f'  "classification": "{classify_return_dynamics(data)}",\n'
-        f'  "touching_values": {_array(touching, "  ")}\n}}'
-    )
+    chains = data.chains
+    cuts = [rational_text(k, d) for k in data.kcuts]
+    values = [component, cuts[0], cuts[-1], *cuts, *data.return_times]
+    for rec in data.landings:
+        values += rec.time, rec.disc
+    for c in chains:
+        for h in c.hits:
+            values += h.disc, h.time
+        values += c.entry_time, rational_text(c.kentry, d)
+    values += data.sigma + data.tau
+    for l, r in data.kimages:
+        values += rational_text(l, d), rational_text(r, d)
+    values.append(classify_return_dynamics(data))
+    values += [rational_text(k, d) for k in verify_touching_equations(data)]
+    return ListItem(_return_map_template(tuple([len(c.hits) for c in chains])) % tuple(values))
 
 
 def _tag(tag) -> str:
@@ -204,39 +236,41 @@ def _tag(tag) -> str:
     return f"R{tag[1]}{tag[2]}"
 
 
-_ENTRY_SEP = ",\n        "
+@lru_cache(maxsize=_TEMPLATES)
+def _vectors_template(tags: tuple, r: int) -> str:
+    """The vectors section at list depth, with a ``%s`` for each value, of
+    vectors of ``Z^r (+) Z^{r-1}`` that carry ``tags``."""
+    e = _array(["%s"] * r, "      ")
+    f = _array(["%s"] * (r - 1), "      ")
+    vectors = [
+        f'{{\n      "tag": "{_tag(tag)}",\n      "e": {e},\n      "f": {f},\n      "product": "%s"\n    }}'
+        for tag in tags
+    ]
+    return _list_item(
+        f'{{\n  "component": %s,\n'
+        f'  "vectors": {_array(vectors, "  ")},\n'
+        # verify_identities raises at the first identity that fails, so all hold
+        f'  "identities_ok": true,\n'
+        f'  "lin_dep_pattern": "%s",\n'
+        f'  "nullity": %s\n}}'
+    )
 
 
-@lru_cache(maxsize=256)
-def _f_entries(f: tuple[int, ...]) -> str:
-    """The items of a vector's ``f`` array. Almost every f is 0, a unit
-    vector or the difference of two, so a map has a few dozen and each is
-    written once."""
-    return _ENTRY_SEP.join(map(str, f))
-
-
-def vectors_section(data: ReturnMapData, component: int) -> Fragment:
+def vectors_section(data: ReturnMapData, component: int) -> ListItem:
     """The coefficient vectors of one component with their products, and
     the outcome of the identity and linear-dependence checks."""
     vecs = build_vectors(data)
     products = verify_identities(data, vecs)
     pattern = check_lin_dep_pattern(data, vecs)
     d = data.grid.denom
-    vectors = [
-        f'{{\n      "tag": "{_tag(tag)}",\n'
-        f'      "e": [\n        {_ENTRY_SEP.join(map(str, e))}\n      ],\n'
-        f'      "f": [\n        {_f_entries(f)}\n      ],\n'
-        f'      "product": "{rational_text(k, d)}"\n    }}'
-        for (e, f, tag), k in zip(vecs, products)
-    ]
-    return Fragment(
-        f'{{\n  "component": {component},\n'
-        f'  "vectors": {_array(vectors, "  ")},\n'
-        # verify_identities raised at the first identity that failed, so all hold
-        f'  "identities_ok": true,\n'
-        f'  "lin_dep_pattern": "{"holds" if pattern.holds else "violated"}",\n'
-        f'  "nullity": {pattern.nullity}\n}}'
-    )
+    values = [component]
+    for (e, f, _), k in zip(vecs, products):
+        values += e
+        values += f
+        values.append(rational_text(k, d))
+    values += "holds" if pattern.holds else "violated", pattern.nullity
+    template = _vectors_template(tuple([v.tag for v in vecs]), len(data.grid.gamma))
+    return ListItem(template % tuple(values))
 
 
 def _verdict(verdict: Verdict) -> str:
@@ -354,11 +388,13 @@ def build_report(
 
 def render_document(doc: dict) -> str:
     """The report text of ``doc``, a dict of str keys to fragments and
-    lists of fragments: ``json.dumps(doc, indent=2) + "\n"`` with each
-    fragment read as the value it holds. Any other key or value, a plain
-    ``str`` included, raises TypeError (``encode_basestring_ascii`` refuses
-    a key that is no str). Every piece of text is appended to one list,
-    joined once at the end."""
+    lists of list items: ``json.dumps(doc, indent=2) + "\n"`` with each
+    fragment and list item read as the value it holds. Any other key or
+    value, a plain ``str``, a fragment in a list and a list item outside
+    one included, raises TypeError (``encode_basestring_ascii`` refuses a
+    key that is no str). Each fragment is indented by one ``replace``; list
+    items are already at their depth. Every piece of text is appended to
+    one list, joined once at the end."""
     out: list[str] = []
     append = out.append
     lead = "{\n  "
@@ -370,10 +406,10 @@ def render_document(doc: dict) -> str:
         elif type(value) is list:
             sep = "[\n    "
             for item in value:
-                if type(item) is not Fragment:
-                    raise TypeError(f"{type(item).__name__} in a report list is no Fragment")
+                if type(item) is not ListItem:
+                    raise TypeError(f"{type(item).__name__} in a report list is no ListItem")
                 append(sep)
-                append(item.replace("\n", "\n    "))
+                append(item)
                 sep = ",\n    "
             append("\n  ]" if value else "[]")
         else:

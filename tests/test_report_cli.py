@@ -24,6 +24,7 @@ from itmlab.cli import main, make_parser
 from itmlab.render import render_map, render_orbit
 from itmlab.report import (
     Fragment,
+    ListItem,
     attractor_section,
     build_report,
     directed_section,
@@ -650,8 +651,9 @@ class TestReportApi:
     def test_build_report_structure(self, fig1):
         doc = build_report(full_analysis(fig1), digest="x" * 64)
         assert all(
-            type(v) is Fragment or all(type(f) is Fragment for f in v) for v in doc.values()
+            type(v) is Fragment or all(type(f) is ListItem for f in v) for v in doc.values()
         )
+        assert [k for k, v in doc.items() if type(v) is list] == ["return_maps", "vectors"]
         parsed = json.loads(render_document(doc))
         assert list(parsed) == [
             "header", "map", "attractor", "return_maps", "vectors",
@@ -659,7 +661,7 @@ class TestReportApi:
         ]
 
     # each case is (writer, document): json_fragment takes values of no
-    # fixed shape, render_document a dict of fragments and fragment lists
+    # fixed shape, render_document a dict of fragments and lists of list items
     @pytest.mark.parametrize("doc", [
         (json_fragment, {"x": 0.5}),
         (render_document, {"x": F(1, 2)}),  # a value that is no fragment
@@ -670,8 +672,8 @@ class TestReportApi:
         (json_fragment, [{"a": 1}, {"a": 2, None: 3}]),
         (json_fragment, {"a": {"a": {"a": 0.5}}}),  # the same key at several depths
         (json_fragment, [1, "x", {"y": [2, None]}, 0.5]),  # scalars mixed with containers
-        (render_document, {"s": [Fragment('"a"'), Fragment('"b"'), F(1, 2)]}),
-        (render_document, {"s": (Fragment("1"), Fragment("2"))}),  # a tuple is no fragment list
+        (render_document, {"s": [ListItem('"a"'), ListItem('"b"'), F(1, 2)]}),
+        (render_document, {"s": (ListItem("1"), ListItem("2"))}),  # a tuple is no list
         (render_document, {"x": Text("a")}),  # a str subclass that is no Fragment
         (json_fragment, [Text("a")]),
         (render_document, {"x": '"a"'}),  # a plain str
@@ -679,6 +681,9 @@ class TestReportApi:
         (json_fragment, {"x": float("nan")}),
         (json_fragment, {"x": True, "y": b"1"}),
         (render_document, {"a": Fragment("1"), (1, 2): Fragment("2")}),
+        (render_document, {"s": [ListItem("1"), Fragment("2")]}),  # a depth-0 fragment in a list
+        (render_document, {"s": ListItem("1")}),  # a list item outside a list
+        (render_document, {"s": ['"a"']}),  # a plain str in a list
     ])
     def test_render_rejects_non_json_types(self, doc):
         write, value = doc
@@ -700,27 +705,60 @@ class TestReportApi:
                 assert all(type(k) is int for k in values)
 
     def test_sections_match_dict_oracles(self, fig1, corpus, corpus_q1024, branchy_q1024):
-        """Every component's return-map and vectors fragment is the
-        ``json.dumps(indent=2)`` text of the dict the oracle builds."""
+        """Every component's return-map and vectors section is the
+        ``json.dumps(indent=2)`` text of the dict the oracle builds, at the
+        depth of an item of a top-level list, and renders as that dict."""
         for m in [fig1, *corpus, *corpus_q1024, *branchy_q1024]:
             for k, data in enumerate(full_analysis(m).return_maps, start=1):
                 for section, oracle in ((return_map_section, naive_return_map_section),
                                         (vectors_section, naive_vectors_section)):
-                    fragment, expected = section(data, k), oracle(m, data, k)
-                    assert type(fragment) is Fragment
-                    assert json.loads(fragment) == expected
-                    assert fragment == json.dumps(expected, indent=2)
+                    item, expected = section(data, k), oracle(m, data, k)
+                    assert type(item) is ListItem
+                    assert json.loads(item) == expected
+                    assert item == json.dumps(expected, indent=2).replace("\n", "\n    ")
+                    assert render_document({"s": [item, item]}) == json.dumps(
+                        {"s": [expected, expected]}, indent=2) + "\n"
+
+    def test_template_caches_keep_report_bytes(self, corpus, branchy_q1024):
+        """The reports of the ``corpus`` and ``branchy-q1024`` maps have the
+        same bytes rendered in either order and from cold template caches,
+        and the 444 branchy components build one return-map template per
+        shape (their chains' hit counts) and one vectors template per tag
+        sequence and r."""
+        from itmlab.report import _return_map_template, _vectors_template
+
+        caches = (_return_map_template, _vectors_template)
+        analyses = [full_analysis(m) for m in [*corpus, *branchy_q1024]]
+        branchy = range(len(corpus), len(analyses))
+
+        def reports(order):
+            return {i: render_document(build_report(analyses[i], "x" * 64)) for i in order}
+
+        first = reports(range(len(analyses)))
+        assert reports(reversed(range(len(analyses)))) == first
+        for cache in caches:
+            cache.cache_clear()
+        assert reports(branchy) == {i: first[i] for i in branchy}
+        components = [(data, analyses[i].map.r) for i in branchy for data in analyses[i].return_maps]
+        assert len(components) == 444
+        hits = {tuple(len(c.hits) for c in data.chains) for data, _ in components}
+        tags = {(tuple(v.tag for v in build_vectors(data)), r) for data, r in components}
+        assert _return_map_template.cache_info().misses == len(hits) == 14
+        assert _vectors_template.cache_info().misses == len(tags) == 21
+        for cache in caches:
+            cache.cache_clear()
+        assert reports(reversed(range(len(analyses)))) == first
 
     @staticmethod
     def assert_matches(section, expected):
         """``section`` is the ``json.dumps(indent=2)`` text of ``expected``,
-        and renders as that value alone and in a list of a one-key
-        document."""
+        renders as that value in a one-key document, and is refused as an
+        item of a list."""
         assert type(section) is Fragment
         assert section == json.dumps(expected, indent=2)
         assert render_document({"s": section}) == json.dumps({"s": expected}, indent=2) + "\n"
-        assert render_document({"s": [section, section]}) == json.dumps(
-            {"s": [expected, expected]}, indent=2) + "\n"
+        with pytest.raises(TypeError):
+            render_document({"s": [section]})
 
     def test_small_sections_match_dict_oracles(
         self, fig1, ghost_map, corpus, corpus_q1024, branchy_q1024
