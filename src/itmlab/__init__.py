@@ -14,6 +14,7 @@ from .intervals import (
     PLUS,
     EmptySetError,
     IntervalSet,
+    InvariantError,
     SignedPoint,
     canonicalize,
     interval,
@@ -31,7 +32,6 @@ from .itm import (
 )
 from .kernel import OffGridError, hausdorff_closure_distance
 from .attractor import (
-    AttractorInvariantError,
     AttractorResult,
     NotFiniteTypeError,
     compute_attractor,
@@ -42,15 +42,12 @@ from .attractor import (
 from .return_map import (
     NotAComponentError,
     ReturnMapData,
-    ReturnMapInvariantError,
-    TouchingViolatedError,
     classify_return_dynamics,
     compute_return_map,
     verify_touching_equations,
 )
 from .vectors import (
     CoefficientVector,
-    IdentityViolatedError,
     build_vectors,
     check_lin_dep_pattern,
     verify_identities,

@@ -22,20 +22,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import kernel
-from .intervals import Frozen, IntervalSet, Pair, interval
+from .intervals import Frozen, IntervalSet, InvariantError, Pair, interval
 from .itm import ItmMap
 from .kernel import IntPair
 
 
 class NotFiniteTypeError(RuntimeError):
     """An iteration cap was reached before the attractor stabilized."""
-
-
-class AttractorInvariantError(AssertionError):
-    """The preimage count broke one of its invariants: a count went
-    negative, or at stabilization a point of X has other than exactly one
-    preimage in X. Impossible on exact data, so a bug; a typed error rather
-    than an ``assert``, so the checks also run under ``python -O``."""
 
 
 class AttractorResult(Frozen):
@@ -158,7 +151,7 @@ def _remove(xs: list[int], cs: list[int], pieces: list[IntPair]) -> list[IntPair
 
     A piece first splits the segments at its ends; after the subtraction
     only those two breakpoints can separate equal counts, and they are
-    merged away. Raises AttractorInvariantError on a negative count.
+    merged away. Raises InvariantError on a negative count.
     """
     zeros: list[IntPair] = []
     for a, b in pieces:
@@ -175,7 +168,7 @@ def _remove(xs: list[int], cs: list[int], pieces: list[IntPair]) -> list[IntPair
             cs[k] = c
             if c <= 0:
                 if c < 0:
-                    raise AttractorInvariantError(
+                    raise InvariantError(
                         f"preimage count below 0 on grid interval [{xs[k]}, {xs[k + 1]})"
                     )
                 zeros.append((xs[k], xs[k + 1]))
@@ -192,7 +185,7 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
 
     The default cap is Q, which the finite-type termination bound makes
     unreachable; a lower user cap yields ``infinite_type_suspected`` and
-    X = X_cap. Two linear checks raise AttractorInvariantError: no count
+    X = X_cap. Two linear checks raise InvariantError: no count
     goes negative, and at stabilization every point of X has exactly one
     preimage in X (T(X) = X and each branch is a translation, so T is a
     bijection of X's grid cells).
@@ -213,9 +206,7 @@ def compute_attractor(m: ItmMap, max_iter: int | None = None) -> AttractorResult
         if n + 1 < max_iter:
             removed = _remove(xs, cs, kernel.push(grid, removed))
     if step is not None and max(cs) > 1:
-        raise AttractorInvariantError(
-            f"X has a grid cell with {max(cs)} preimages in X at stabilization"
-        )
+        raise InvariantError(f"X has a grid cell with {max(cs)} preimages in X at stabilization")
     # X = {c > 0}, X_n at stabilization and X_cap otherwise: its ends are
     # the breakpoints where the count turns positive or stops being so
     # (cs[-1] = -1 closes the last component)

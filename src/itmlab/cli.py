@@ -39,6 +39,7 @@ from .stability import (
     a3_breaking_perturbation,
     full_analysis,
     perturbation_probe,
+    probe_grid,
 )
 from .ghost import DepthBoundError, ghost_tree as build_tree
 
@@ -176,8 +177,8 @@ def cmd_probe(args, m: ItmMap, digest: str) -> str:
                           "--eps: the grid lcm(Q, Q') of the map and the perturbed map", UsageError)
         directed = directed_section(dp, full_analysis(dp.perturbed))
     else:
-        # each distance is p/q with q dividing 2 D, D = lcm(Q, 2**GRID_BITS den(eps))
-        check_digit_limit(2 * math.lcm(m.Q, 2**GRID_BITS * eps.denominator),
+        # each distance is p/q with q dividing 2 D, D = probe_grid(Q, eps)
+        check_digit_limit(2 * probe_grid(m.Q, eps),
                           f"--eps: twice the probe grid, 2 lcm(Q, {2**GRID_BITS} den(eps)),",
                           UsageError)
         probe = perturbation_probe(m, eps, samples, 0 if args.seed is None else args.seed)

@@ -39,6 +39,12 @@ def parse_rational(text: str | int) -> Fraction:
     return Fraction(int(text))
 
 
+class InvariantError(AssertionError):
+    """An exact identity the engine re-checks on every run failed, which
+    only a bug can cause; the message names the identity. A typed error
+    rather than an ``assert``, so the checks also run under ``python -O``."""
+
+
 class Frozen:
     """Base of the records with cached views or checked input; plain records
     are NamedTuples. ``__init__`` stores the value fields ``_fields`` first (a

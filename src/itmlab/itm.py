@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .intervals import Frozen, SignedPoint, parse_rational
+from .intervals import Frozen, InvariantError, SignedPoint, parse_rational
 from .kernel import Grid, branch_rule, on_grid
 
 
@@ -35,11 +35,6 @@ class BadTranslationError(ValueError):
 
 class MapFormatError(ValueError):
     """A map specification file does not follow the wire format."""
-
-
-class TranslationFactorError(AssertionError):
-    """T^n(p) - p is not the branch counts times the translations: a bug. A
-    typed error rather than an ``assert``, so it also runs under ``python -O``."""
 
 
 class ItmMap(Frozen):
@@ -116,7 +111,7 @@ class ItmMap(Frozen):
         res = self.iterate(p, n)
         total = sum((k * g for k, g in zip(res.counts, self.gamma)), Fraction(0))
         if res.point.value - p.value != total:
-            raise TranslationFactorError(f"T^{n}({p}) - {p} != {total}")
+            raise InvariantError(f"T^{n}({p}) - {p} != {total}")
         return total
 
 

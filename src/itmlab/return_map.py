@@ -37,7 +37,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .attractor import AttractorResult, NotFiniteTypeError
-from .intervals import MINUS, PLUS, Frozen
+from .intervals import MINUS, PLUS, Frozen, InvariantError
 from .kernel import Grid, IntPair, branch_rule, split
 
 IDENTITY = "identity"
@@ -47,22 +47,6 @@ MANY_BRANCHES = "many_branches"
 
 class NotAComponentError(ValueError):
     """The requested interval is not exactly a component of the attractor."""
-
-
-class ReturnMapInvariantError(AssertionError):
-    """The first-return structure broke one of its own invariants (a piece
-    straddling J, retired pieces that do not match the continuity
-    intervals, images that do not tile J, a chain that disagrees with the
-    piece propagation); impossible on exact data, so a bug. A typed error
-    rather than an ``assert``, so the checks also run under ``python -O``."""
-
-
-class TouchingViolatedError(AssertionError):
-    """A touching equation failed; impossible on exact data, so a bug."""
-
-    def __init__(self, j: int):
-        self.j = j
-        super().__init__(f"touching equation {j} violated")
 
 
 class ChainHit(NamedTuple):
@@ -181,7 +165,7 @@ class ReturnMapData(Frozen):
         for rec in self.landings:
             for c in (chains[rec.j], chains[n + rec.j - 1]):
                 if not (c.hits and c.hits[0].time == rec.time and c.hits[0].disc == rec.disc):
-                    raise ReturnMapInvariantError(
+                    raise InvariantError(
                         f"chain {c} does not first hit beta_{rec.disc} at landing time {rec.time}"
                     )
         return tuple(chains)
@@ -209,7 +193,7 @@ def _signed_chain(
     counts = [0] * len(gamma)
     for t in range(steps):
         if t and find(J, k) == 1:
-            raise ReturnMapInvariantError(
+            raise InvariantError(
                 f"signed point {Fraction(start, grid.denom)}{side} re-entered J at time {t}, "
                 f"before its return time {steps}"
             )
@@ -220,7 +204,7 @@ def _signed_chain(
         counts[i] += 1
         k += gamma[i]
     if find(J, k) != 1:
-        raise ReturnMapInvariantError(
+        raise InvariantError(
             f"signed point {Fraction(start, grid.denom)}{side} is not in J at its return time {steps}"
         )
     return SignedChain(j, side, tuple(hits), steps, k, tuple(counts))
@@ -244,7 +228,7 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
 
     Raises NotFiniteTypeError when the attractor is not finite type (or the
     generous safety cap is exceeded), NotAComponentError when J is not
-    exactly one of its components, and ReturnMapInvariantError when the
+    exactly one of its components, and InvariantError when the
     propagation breaks one of its invariants (a piece straddling J, retired
     pieces that do not match the cut points, images that do not tile J).
     """
@@ -275,7 +259,7 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
         for l, r, src in pieces:
             if t and l < ky and kx < r:  # meets J (J itself moves on at t = 0)
                 if l < kx or r > ky:
-                    raise ReturnMapInvariantError(
+                    raise InvariantError(
                         f"piece [{Fraction(l, denom)},{Fraction(r, denom)}) "
                         f"straddles J = [{Fraction(kx, denom)},{Fraction(ky, denom)}) at time {t}"
                     )
@@ -299,14 +283,14 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
     retired.sort()
     n = len(retired)
     if n != len(cut_info) + 1 or retired[0][0] != kx:
-        raise ReturnMapInvariantError("retired pieces do not match continuity intervals")
+        raise InvariantError("retired pieces do not match continuity intervals")
     kcuts = [kx]
     landings = []
     for j in range(1, n):
         src = retired[j][0]
         info = cut_info.get(src)
         if info is None or src == kcuts[-1]:
-            raise ReturnMapInvariantError("retired pieces do not match continuity intervals")
+            raise InvariantError("retired pieces do not match continuity intervals")
         kcuts.append(src)
         landings.append(LandingRecord(j, *info))
     kcuts.append(ky)
@@ -318,7 +302,7 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
     end = kx
     for img, j in sorted([(img, j) for j, (_, img, _) in enumerate(retired, start=1)]):
         if img != end:
-            raise ReturnMapInvariantError(
+            raise InvariantError(
                 "return images are not contiguous" if sigma else "return images do not tile J"
             )
         sigma.append(j)
@@ -372,14 +356,14 @@ def verify_touching_equations(data: ReturnMapData) -> tuple[int, ...]:
     The p-th equation says the right end of the p-th image from the left
     touches the left end of the next one: R(a_{sigma(p)}-) ~ R(a_{sigma(p+1)-1}+).
     Both sides are the entry numerators the chain walk recorded; a failure
-    raises TouchingViolatedError(p).
+    raises InvariantError naming equation p.
     """
     sigma = data.sigma
     out: list[int] = []
     for p in range(len(sigma) - 1):
         lval = data.chain(sigma[p], MINUS).kentry
         if lval != data.chain(sigma[p + 1] - 1, PLUS).kentry:
-            raise TouchingViolatedError(p + 1)
+            raise InvariantError(f"touching equation {p + 1} violated")
         out.append(lval)
     return tuple(out)
 

@@ -41,6 +41,12 @@ LCG_M = 2**32
 GRID_BITS = 10
 
 
+def probe_grid(q: int, epsilon: Fraction) -> int:
+    """D = lcm(Q, 2**GRID_BITS den(epsilon)): the grid of every perturbed
+    parameter a probe of a map with grid denominator ``q`` draws."""
+    return math.lcm(q, 2**GRID_BITS * epsilon.denominator)
+
+
 class NoValidSamplesError(RuntimeError):
     """Every probe draw left the parameter polytope."""
 
@@ -207,10 +213,10 @@ class ProbeResult(Frozen):
 
     @cached_property
     def hausdorff_denom(self) -> int:
-        """2 D, D = lcm(Q, 2**GRID_BITS den(epsilon)), the grid of every
+        """2 D, D = ``probe_grid(Q, epsilon)``, the grid of every
         ``khausdorff``: the base grid and each sample's reduced grid divide
         D, and on 2 D every gap midpoint is a grid point."""
-        return 2 * math.lcm(self.base.attractor.denom, 2**GRID_BITS * self.epsilon.denominator)
+        return 2 * probe_grid(self.base.attractor.denom, self.epsilon)
 
     @cached_property
     def max_hausdorff(self) -> Fraction:
@@ -375,8 +381,8 @@ def perturbation_probe(
 
     Each delta is ``k * epsilon / 2**GRID_BITS`` with an integer ``k`` from
     the LCG, so every perturbed parameter is an integer numerator over one
-    grid ``D = lcm(Q, 2**GRID_BITS * den(epsilon))`` and each perturbed map
-    is built from integers (:func:`~itmlab.itm.from_numerators`). The base
+    grid D (:func:`probe_grid`) and each perturbed map is built from
+    integers (:func:`~itmlab.itm.from_numerators`). The base
     attractor's endpoints are scaled onto 2 D once, and each Hausdorff
     distance is kept as its numerator over 2 D.
     """
@@ -388,7 +394,7 @@ def perturbation_probe(
     base_signature = _signature(base.return_maps)
     grid = 2**GRID_BITS
     span = 2 * grid - 1  # k in [-(grid-1), grid-1] keeps |delta| < epsilon
-    denom = math.lcm(m.Q, grid * epsilon.denominator)
+    denom = probe_grid(m.Q, epsilon)
     unit = epsilon.numerator * (denom // (grid * epsilon.denominator))
     scale = denom // m.Q
     base_ends = [k * 2 * scale for k in base.attractor.ends]

@@ -32,24 +32,10 @@ from math import gcd
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .intervals import PLUS
+from .intervals import PLUS, InvariantError
 from .return_map import ReturnMapData
 
 Tag = tuple
-
-
-class VectorInvariantError(AssertionError):
-    """The two signed chains of an interior cut point give different landing
-    vectors; impossible on exact data, so a bug. A typed error rather than
-    an ``assert``, so the check also runs under ``python -O``."""
-
-
-class IdentityViolatedError(AssertionError):
-    """A product identity failed on exact data; indicates an engine bug."""
-
-    def __init__(self, tag: Tag):
-        self.tag = tag
-        super().__init__(f"product identity violated for {tag}")
 
 
 class CoefficientVector(NamedTuple):
@@ -101,9 +87,7 @@ def build_vectors(data: ReturnMapData) -> tuple[CoefficientVector, ...]:
             append(CoefficientVector(first.counts, downs[first.disc], ("L", j)))
         else:  # interior a_j, whose + chain gave L_j (same first disc and time, as checked)
             if data.chain(j, PLUS).hits[0] != first:
-                raise VectorInvariantError(
-                    f"the two sides of cut {j} give different landing vectors"
-                )
+                raise InvariantError(f"the two sides of cut {j} give different landing vectors")
         for k in range(1, len(hits)):
             cur, nxt = hits[k - 1], hits[k]
             e = tuple(map(sub, nxt.counts, cur.counts))
@@ -129,7 +113,7 @@ def verify_identities(data: ReturnMapData, vectors: tuple[CoefficientVector, ...
     """The product of every vector of ``build_vectors(data)`` with the
     parameters, as its numerator over ``data.grid.denom``, each checked
     against the identity the vector encodes by exact equality / membership.
-    The first identity that fails raises IdentityViolatedError."""
+    The first identity that fails raises InvariantError with its tag."""
     params = [*data.grid.gamma, *data.grid.cuts[1:-1]]  # grid numerators of (gamma, beta)
     kcuts = data.kcuts
     x, y = kcuts[0], kcuts[-1]
@@ -148,7 +132,7 @@ def verify_identities(data: ReturnMapData, vectors: tuple[CoefficientVector, ...
             else:
                 ok = val == chain.kentry - kcuts[j]
         if not ok:
-            raise IdentityViolatedError(tag)
+            raise InvariantError(f"product identity violated for {tag}")
         products.append(val)
     return tuple(products)
 

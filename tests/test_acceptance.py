@@ -117,7 +117,7 @@ def test_criterion_5_vector_identities_corpus(fig1, corpus):
         for kcomp, comp in zip(att.kcomponents, att.components()):
             data = compute_return_map(kcomp, att)
             vecs = build_vectors(data)
-            # raises IdentityViolatedError at the first identity that fails
+            # raises InvariantError at the first identity that fails
             assert len(verify_identities(data, vecs)) == len(vecs)
             assert check_lin_dep_pattern(data, vecs).holds
             n_components += 1

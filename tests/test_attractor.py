@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from itmlab import (
-    AttractorInvariantError,
+    InvariantError,
     OffGridError,
     canonicalize,
     compute_attractor,
@@ -155,7 +155,7 @@ class TestComputeAttractor:
             return real(grid, pairs) if len(calls) == 1 else [(0, grid.denom)]
 
         monkeypatch.setattr(kernel, "push", leaky)
-        with pytest.raises(AttractorInvariantError, match="below 0"):
+        with pytest.raises(InvariantError, match="below 0"):
             compute_attractor(fig1)
 
     @pytest.mark.parametrize("name", ["rotation35", "fig1", "trivial_component_map"])
@@ -172,9 +172,9 @@ class TestComputeAttractor:
             return pieces * 2 if len(calls) == 1 else pieces
 
         monkeypatch.setattr(kernel, "push", doubled)
-        with pytest.raises(AttractorInvariantError, match="preimages in X"):
+        with pytest.raises(InvariantError, match="preimages in X"):
             compute_attractor(m)
-        assert issubclass(AttractorInvariantError, AssertionError)
+        assert issubclass(InvariantError, AssertionError)
 
     def test_no_full_image_per_step(self, corpus_q1024, monkeypatch):
         # the count iteration never re-images X_n
@@ -286,7 +286,7 @@ class TestKernel:
     def test_non_nested_pair_raises(self, inner):
         # a removed piece outside the counted union drives a count below 0
         xs, cs, _ = attractor._count(12, [(0, 4), (6, 10)])
-        with pytest.raises(AttractorInvariantError, match="below 0"):
+        with pytest.raises(InvariantError, match="below 0"):
             attractor._remove(xs, cs, list(inner))
 
     def test_count_sums_overlaps(self):

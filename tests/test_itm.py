@@ -11,13 +11,14 @@ import pytest
 from itmlab import (
     BadOrderError,
     BadTranslationError,
+    InvariantError,
     MapFormatError,
     minus,
     parse_map,
     plus,
     validate,
 )
-from itmlab.itm import ItmMap, TranslationFactorError, from_numerators
+from itmlab.itm import ItmMap, from_numerators
 from itmlab.kernel import on_grid
 from conftest import naive_orbit, random_map
 
@@ -166,9 +167,9 @@ class TestTranslationFactor:
             return res._replace(point=plus(res.point.value + F(1, 1000)))
 
         monkeypatch.setattr(ItmMap, "iterate", shifted)
-        with pytest.raises(TranslationFactorError, match="T\\^3"):
+        with pytest.raises(InvariantError, match="T\\^3"):
             fig1.translation_factor(plus(F(1, 5)), 3)
-        assert issubclass(TranslationFactorError, AssertionError)
+        assert issubclass(InvariantError, AssertionError)
 
     def test_needs_positive_n(self, fig1):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Package-wide properties: the record classes, what importing the command
-line loads, no ``assert`` in the engine, and no private name imported
-from another module."""
+line loads, no ``assert`` in the engine, one error for a broken invariant,
+and no private name imported from another module."""
 
 from __future__ import annotations
 
@@ -199,6 +199,29 @@ def test_engine_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_one_error_for_a_broken_invariant():
+    # every engine identity raises the one exported InvariantError: no other
+    # class derives from AssertionError, directly or through another class
+    classes = [
+        (f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}", node)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    derived = {"AssertionError"}
+    while True:
+        more = {node.name for _, node in classes
+                if any(getattr(b, "id", getattr(b, "attr", None)) in derived for b in node.bases)}
+        if more <= derived:
+            break
+        derived |= more
+    found = [where for where, node in classes if node.name in derived]
+    assert [where.split(" ")[1] for where in found] == ["InvariantError"], found
+    assert found[0].startswith("intervals.py:")
+    assert itmlab.InvariantError is itmlab.intervals.InvariantError
+    assert issubclass(itmlab.InvariantError, AssertionError)
 
 
 def test_no_module_imports_a_private_name_from_another():

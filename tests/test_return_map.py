@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from itmlab import (
+    InvariantError,
     NotAComponentError,
     NotFiniteTypeError,
     classify_return_dynamics,
@@ -26,9 +27,7 @@ from itmlab.return_map import (
     ROTATION_LIKE,
     ReturnMapData,
     ChainHit,
-    ReturnMapInvariantError,
     SignedChain,
-    TouchingViolatedError,
 )
 from conftest import fraction_views, grid_points, naive_first_return, naive_signed_chain
 
@@ -225,7 +224,7 @@ class TestInvariantErrors:
     def test_broken_propagation_raises(self, fig1, monkeypatch, target, broken, message):
         att = compute_attractor(fig1)
         monkeypatch.setattr(return_map, target, broken(getattr(return_map, target)))
-        with pytest.raises(ReturnMapInvariantError, match=message):
+        with pytest.raises(InvariantError, match=message):
             compute_return_map(JB, att)
 
     def test_whole_piece_straddling_j_raises(self, fig1, monkeypatch):
@@ -236,9 +235,17 @@ class TestInvariantErrors:
         real = return_map.split
         monkeypatch.setattr(return_map, "split", lambda *args: calls.append(args) or real(*args))
         att = AttractorResult(fig1.grid, ((2, 8),), 3)
-        with pytest.raises(ReturnMapInvariantError, match="straddles .* at time 4"):
+        with pytest.raises(InvariantError, match="straddles .* at time 4"):
             compute_return_map((2, 8), att)
         assert calls == []
+
+    def test_gap_between_return_images_raises(self, fig1):
+        # the hand-made component [7/42, 14/42) runs one grid step past
+        # fig1's [7/42, 13/42): its pieces come back with images that start
+        # at J's left end but leave a gap before the next one
+        att = AttractorResult(fig1.grid, ((7, 14),), 3)
+        with pytest.raises(InvariantError, match="return images are not contiguous"):
+            compute_return_map((7, 14), att)
 
     @pytest.mark.parametrize("broken", [_split_second_repeated, _split_second_lost])
     def test_retired_sources_checked_against_cut_points(self, monkeypatch, broken):
@@ -250,7 +257,7 @@ class TestInvariantErrors:
         att = compute_attractor(m)
         assert (9, 26) in att.kcomponents
         monkeypatch.setattr(return_map, "split", broken(return_map.split))
-        with pytest.raises(ReturnMapInvariantError, match="retired pieces do not match"):
+        with pytest.raises(InvariantError, match="retired pieces do not match"):
             compute_return_map((9, 26), att)
 
     @pytest.mark.parametrize("broken,message", [
@@ -262,7 +269,7 @@ class TestInvariantErrors:
         att = compute_attractor(fig1)
         monkeypatch.setattr(return_map, "_signed_chain", broken(return_map._signed_chain))
         data = compute_return_map(JB, att)
-        with pytest.raises(ReturnMapInvariantError, match=message):
+        with pytest.raises(InvariantError, match=message):
             data.chains
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -280,13 +287,11 @@ class TestInvariantErrors:
         monkeypatch.setattr(return_map, "_signed_chain", moved)
         data = compute_return_map((0, 3), compute_attractor(iet3))
         assert data.sigma == (3, 2, 1)
-        with pytest.raises(TouchingViolatedError, match=f"touching equation {p} violated") as exc:
+        with pytest.raises(InvariantError, match=f"touching equation {p} violated"):
             verify_touching_equations(data)
-        assert exc.value.j == p
 
     def test_is_an_assertion_error(self):
-        assert issubclass(ReturnMapInvariantError, AssertionError)
-        assert issubclass(TouchingViolatedError, AssertionError)
+        assert issubclass(InvariantError, AssertionError)
 
 
 class TestRecords:

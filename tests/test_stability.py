@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction as F
@@ -398,6 +399,24 @@ class TestProbe:
             assert pr.min_hausdorff == min(distances) and type(pr.min_hausdorff) is F
             if rejected is not None and m is fig1:
                 assert 20 - pr.accepted == rejected
+
+    @pytest.mark.parametrize("eps", [F(1, 1000), F(3, 1000), F(1, 7), F(5, 96)])
+    def test_one_probe_grid(self, fig1, ghost_map, monkeypatch, eps):
+        # the draws and the distances use the one grid D that the CLI's
+        # digit limit checks
+        from itmlab import stability
+
+        denoms = []
+        real = stability.from_numerators
+        monkeypatch.setattr(stability, "from_numerators",
+                            lambda *args: denoms.append(args[-1]) or real(*args))
+        for m in (fig1, ghost_map):
+            denoms.clear()
+            pr = perturbation_probe(m, eps, 10, seed=2)
+            d = stability.probe_grid(m.Q, eps)
+            assert d == m.Q * 1024 * eps.denominator // math.gcd(m.Q, 1024 * eps.denominator)
+            assert pr.hausdorff_denom == 2 * d
+            assert denoms and set(denoms) == {d}
 
     def test_samples_go_through_the_traced_bindings(self, fig1, monkeypatch):
         # the bench tracer times the base and each sample through

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from itmlab import (
+    InvariantError,
     build_vectors,
     check_lin_dep_pattern,
     compute_attractor,
@@ -16,7 +18,7 @@ from itmlab import (
 )
 from itmlab import return_map
 from itmlab.return_map import ChainHit, SignedChain
-from itmlab.vectors import CoefficientVector, IdentityViolatedError, VectorInvariantError, rank
+from itmlab.vectors import CoefficientVector, rank
 
 from conftest import (
     fraction_views,
@@ -172,11 +174,11 @@ class TestVectorInvariant:
         data = compute_return_map(JA, att)
         assert data.chain(1, "+").hits[0].counts == (1, 1, 0)
         assert data.chain(1, "-").hits[0].counts == (0, 1, 1)
-        with pytest.raises(VectorInvariantError, match="cut 1"):
+        with pytest.raises(InvariantError, match="cut 1"):
             build_vectors(data)
 
     def test_is_an_assertion_error(self):
-        assert issubclass(VectorInvariantError, AssertionError)
+        assert issubclass(InvariantError, AssertionError)
 
 
 class TestRank:
@@ -327,14 +329,14 @@ class TestIdentityViolation:
                     # one more step on branch k + 1 adds gamma_{k+1} != 0
                     moved = e[:k] + (e[k] + 1,) + e[k + 1:]
                     variant = vecs[:i] + (CoefficientVector(moved, f, tag),) + vecs[i + 1:]
-                    with pytest.raises(IdentityViolatedError) as exc:
+                    message = re.escape(f"product identity violated for {tag}")
+                    with pytest.raises(InvariantError, match=message):
                         verify_identities(data, variant)
-                    assert exc.value.tag == tag
                     checked += 1
         assert checked == 2 * 5 * 3  # two components, five vectors each, r = 3
 
     def test_is_an_assertion_error(self):
-        assert issubclass(IdentityViolatedError, AssertionError)
+        assert issubclass(InvariantError, AssertionError)
 
 
 class TestCorpusProperties:
