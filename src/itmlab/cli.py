@@ -47,17 +47,9 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
-class MapFileError(ValueError):
-    """The map path does not name a readable file."""
-
-
-class OutputPathError(ValueError):
-    """The --out path cannot be written."""
-
-
 class UsageError(ValueError):
-    """An option value or a combination of options the command cannot
-    honour."""
+    """A file path, an option value or a combination of options the command
+    cannot honour."""
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -75,7 +67,7 @@ def _load(path: str) -> tuple[ItmMap, str]:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise MapFileError(f"{path!r} must be a readable file: {exc.strerror}") from exc
+        raise UsageError(f"{path!r} must be a readable file: {exc.strerror}") from exc
     # ValueError covers bad UTF-8, malformed JSON, a repeated key and integers
     # longer than the int conversion limit; RecursionError covers arrays nested too deep.
     try:
@@ -120,7 +112,7 @@ def _emit(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise OutputPathError(f"--out {out!r} must be a writable file path: {exc.strerror}") from exc
+            raise UsageError(f"--out {out!r} must be a writable file path: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -169,9 +161,7 @@ def cmd_probe(args, m: ItmMap, digest: str) -> str:
     directed = probe = None
     if args.directed:
         analysis = full_analysis(m)
-        if analysis.a3.holds:
-            raise NotRealizableDirectlyError("--directed needs an A3 violation")
-        dp = a3_breaking_perturbation(m, analysis.a3.witness, eps)
+        dp = a3_breaking_perturbation(analysis, eps)
         # each delta, end and component is p/q with q dividing lcm(Q, Q')
         check_digit_limit(math.lcm(m.Q, dp.perturbed.Q),
                           "--eps: the grid lcm(Q, Q') of the map and the perturbed map", UsageError)
@@ -292,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, DepthBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (MapFileError, OutputPathError, MapFormatError, BadOrderError, BadTranslationError) as exc:
+    except (MapFormatError, BadOrderError, BadTranslationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NoValidSamplesError, NotRealizableDirectlyError) as exc:

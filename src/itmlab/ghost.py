@@ -24,6 +24,7 @@ from .intervals import MINUS, PLUS
 from .kernel import branch_rule
 
 SignedDisc = tuple[int, str]  # (discontinuity index 1..r-1, side)
+Landing = tuple[int, tuple[int, ...]]  # (time, branch counts of the steps before it)
 
 
 class DepthBoundError(ValueError):
@@ -32,11 +33,13 @@ class DepthBoundError(ValueError):
 
 class GhostEdge(NamedTuple):
     """child -> parent: the child is a ghost preimage of the parent,
-    landing after ``time`` steps on the parent's opposite-side companion."""
+    landing after ``time`` steps on the parent's opposite-side companion;
+    ``counts[b - 1]`` of those steps take branch b (no report writes them)."""
 
     child: SignedDisc
     parent: SignedDisc
     time: int
+    counts: tuple[int, ...]
 
 
 class GhostGraph(NamedTuple):
@@ -88,10 +91,10 @@ class GhostTree(NamedTuple):
     repeated: tuple[tuple[int, SignedDisc], ...]  # (level, vertex) seen before
 
 
-def _ghost_walks(attractor: AttractorResult, nodes: list[SignedDisc]) -> dict[SignedDisc, dict[int, int]]:
+def _ghost_walks(attractor: AttractorResult, nodes: list[SignedDisc]) -> dict[SignedDisc, dict[int, Landing]]:
     """For each signed discontinuity, one walk of its orbit on
-    ``attractor.grid``: the first landing time k >= 1 on each beta_j, taken
-    while every point before the landing is outside X (whose endpoints are
+    ``attractor.grid``: the first landing on each beta_j, at a time k >= 1
+    while every point before it is outside X (whose endpoints are
     ``attractor.ends``).
 
     A walk stops when the orbit enters X or after Q + 1 steps: outside X no
@@ -99,18 +102,21 @@ def _ghost_walks(attractor: AttractorResult, nodes: list[SignedDisc]) -> dict[Si
     """
     grid, ends = attractor.grid, attractor.ends
     cuts, gamma, beta_index = grid.cuts, grid.gamma, grid.beta_index()
-    walks: dict[SignedDisc, dict[int, int]] = {}
+    walks: dict[SignedDisc, dict[int, Landing]] = {}
     for node in nodes:
         find = branch_rule(node[1])
         k = cuts[node[0]]
-        landed: dict[int, int] = {}
+        counts = [0] * len(gamma)
+        landed: dict[int, Landing] = {}
         for t in range(1, attractor.denom + 2):
             if find(ends, k) % 2:
                 break
-            k += gamma[find(cuts, k) - 1]
+            i = find(cuts, k) - 1
+            counts[i] += 1
+            k += gamma[i]
             j = beta_index.get(k)
             if j is not None and j not in landed:
-                landed[j] = t
+                landed[j] = (t, tuple(counts))
         walks[node] = landed
     return walks
 
@@ -128,9 +134,9 @@ def build_ghost_graph(attractor: AttractorResult) -> GhostGraph:
         child_side = MINUS if parent[1] == PLUS else PLUS
         for i in range(1, r):
             child = (i, child_side)
-            time = walks[child].get(parent[0])
-            if time is not None:
-                edges.append(GhostEdge(child, parent, time))
+            landing = walks[child].get(parent[0])
+            if landing is not None:
+                edges.append(GhostEdge(child, parent, *landing))
     in_x = {node: branch_rule(node[1])(ends, cuts[node[0]]) % 2 == 1 for node in nodes}
     return GhostGraph(tuple(nodes), tuple(edges), in_x)
 

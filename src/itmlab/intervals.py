@@ -225,6 +225,25 @@ class IntervalSet(Frozen):
         return " u ".join(f"[{l},{r})" for l, r in self.intervals)
 
 
+def merge(pieces: list[tuple]) -> list[tuple]:
+    """Sort and merge overlapping or abutting pairs (all with ``l < r``);
+    fewer than two pairs come back as they are."""
+    if len(pieces) < 2:
+        return pieces
+    pieces.sort()
+    out: list[tuple] = []
+    cur_l, cur_r = pieces[0]
+    for l, r in pieces:
+        if l <= cur_r:
+            if r > cur_r:
+                cur_r = r
+        else:
+            out.append((cur_l, cur_r))
+            cur_l, cur_r = l, r
+    out.append((cur_l, cur_r))
+    return out
+
+
 def canonicalize(raw: Iterable[Sequence[Fraction | int]]) -> IntervalSet:
     """Sort, drop degenerate pairs and merge overlapping or abutting ones.
 
@@ -238,14 +257,7 @@ def canonicalize(raw: Iterable[Sequence[Fraction | int]]) -> IntervalSet:
             raise ValueError(f"inverted interval [{l}, {r})")
         if l < r:
             pairs.append((l, r))
-    pairs.sort()
-    merged: list[Pair] = []
-    for l, r in pairs:
-        if merged and l <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], r))
-        else:
-            merged.append((l, r))
-    return IntervalSet(tuple(merged))
+    return IntervalSet(tuple(merge(pairs)))
 
 
 def interval(l: Fraction | int, r: Fraction | int) -> IntervalSet:

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .intervals import PLUS, EmptySetError, IntervalSet
+from .intervals import PLUS, EmptySetError, IntervalSet, merge
 
 IntPair = tuple[int, int]
 
@@ -74,25 +74,6 @@ class Grid(NamedTuple):
     def beta_index(self) -> dict[int, int]:
         """The discontinuity index ``d`` of each interior cut ``beta_d``, by numerator."""
         return {c: d for d, c in enumerate(self.cuts[1:-1], start=1)}
-
-
-def merge(pieces: list[IntPair]) -> list[IntPair]:
-    """Sort and merge overlapping or abutting pairs (all with ``l < r``);
-    fewer than two pairs come back as they are."""
-    if len(pieces) < 2:
-        return pieces
-    pieces.sort()
-    out: list[IntPair] = []
-    cur_l, cur_r = pieces[0]
-    for l, r in pieces:
-        if l <= cur_r:
-            if r > cur_r:
-                cur_r = r
-        else:
-            out.append((cur_l, cur_r))
-            cur_l, cur_r = l, r
-    out.append((cur_l, cur_r))
-    return out
 
 
 def split(cuts: Sequence[int], l: int, r: int) -> list[tuple[int, int, int]]:

@@ -23,7 +23,7 @@ from .attractor import AttractorResult, compute_attractor
 from .ghost import GhostGraph, Verdict, build_ghost_graph, check_A3
 from .intervals import MINUS, PLUS, Frozen
 from .itm import BadOrderError, BadTranslationError, ItmMap, from_numerators, validate
-from .kernel import branch_rule, hausdorff_closure_distance
+from .kernel import hausdorff_closure_distance
 from .return_map import (
     IDENTITY,
     NotFiniteTypeError,
@@ -52,8 +52,8 @@ class NoValidSamplesError(RuntimeError):
 
 
 class NotRealizableDirectlyError(RuntimeError):
-    """The ghost cycle cannot be broken by direct parameter shifts alone
-    (legs share branches or hit other discontinuities mid-leg)."""
+    """There is no ghost cycle, or direct parameter shifts alone cannot
+    break it (legs share branches or hit other discontinuities mid-leg)."""
 
 
 # the verdict of every condition on a capped attractor
@@ -418,11 +418,9 @@ def perturbation_probe(
     return ProbeResult(epsilon, seed, tuple(records), base)
 
 
-def a3_breaking_perturbation(
-    m: ItmMap, witness, epsilon: Fraction
-) -> DirectedPerturbation:
-    """Directed deltas that close a violated ghost cycle into a periodic
-    interval.
+def a3_breaking_perturbation(analysis: FullAnalysis, epsilon: Fraction) -> DirectedPerturbation:
+    """Directed deltas that close the violated ghost cycle of ``analysis``
+    into a periodic interval.
 
     Each leg of the cycle is pushed past its target by epsilon, to the right
     for minus-type legs and to the left for plus-type legs, so the interval
@@ -430,41 +428,38 @@ def a3_breaking_perturbation(
     and returns to itself with period sum(k_j). Implemented only in the
     direct special case: legs must not hit other discontinuities on the way
     and must use pairwise disjoint branch sets, so that adjusting one gamma
-    per leg realizes exactly the required shifts.
+    per leg realizes exactly the required shifts; each leg's branch counts
+    are on its ghost edge. A capped analysis raises NotFiniteTypeError.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    graph = analysis.ghost_graph
+    witness = analysis.a3.witness
+    if witness is None:
+        raise NotRealizableDirectlyError("A3 holds: there is no ghost cycle to break")
     cycle = witness.cycle
-    times = witness.times
-    cuts, gamma = m.grid.cuts, m.grid.gamma
-    betas = m.grid.beta_index()
     legs = []
-    for idx, node in enumerate(cycle):
-        # one walk per leg: the points at times 1 .. k-1 must avoid every
-        # discontinuity, and the branches used are those with nonzero counts
-        find = branch_rule(node[1])
-        k = cuts[node[0]]
-        counts = [0] * m.r
-        for t in range(times[idx]):
-            if t and k in betas:
-                raise NotRealizableDirectlyError(
-                    "a cycle leg hits another discontinuity before its landing"
-                )
-            i = find(cuts, k) - 1
-            counts[i] += 1
-            k += gamma[i]
-        branches = {i + 1 for i, c in enumerate(counts) if c}
-        legs.append((node, counts, branches))
-    used = [b for _, _, branches in legs for b in branches]
+    for node, target in zip(cycle, cycle[1:] + cycle[:1]):
+        # the edges out of a node are the first landings of its one walk, so
+        # the leg meets another discontinuity first iff one lands sooner
+        landings = graph.parents(node)
+        leg = next(e for e in landings if e.parent == target)
+        if any(e.time < leg.time for e in landings):
+            raise NotRealizableDirectlyError(
+                "a cycle leg hits another discontinuity before its landing"
+            )
+        legs.append(leg)
+    used = [i for leg in legs for i, c in enumerate(leg.counts) if c]
     if len(used) != len(set(used)):  # the branch sets are not pairwise disjoint
         raise NotRealizableDirectlyError(
             "cycle legs share branches; direct gamma shifts cannot decouple them"
         )
+    m = analysis.map
     deltas = [Fraction(0)] * (2 * m.r - 1)
-    for node, counts, branches in legs:
-        branch = min(branches)
-        sign = 1 if node[1] == MINUS else -1
-        deltas[branch - 1] = Fraction(sign, counts[branch - 1]) * epsilon
+    for leg in legs:
+        i = next(i for i, c in enumerate(leg.counts) if c)  # the lowest branch used
+        sign = 1 if leg.child[1] == MINUS else -1
+        deltas[i] = Fraction(sign, leg.counts[i]) * epsilon
     spec = PerturbationSpec(epsilon, tuple(deltas))
     try:
         perturbed = apply_spec(m, spec)
@@ -473,4 +468,4 @@ def a3_breaking_perturbation(
     start_node = cycle[0]
     beta0 = m.beta[start_node[0] - 1]
     predicted = (beta0 - epsilon, beta0) if start_node[1] == MINUS else (beta0, beta0 + epsilon)
-    return DirectedPerturbation(spec, predicted, sum(times), perturbed)
+    return DirectedPerturbation(spec, predicted, sum(witness.times), perturbed)

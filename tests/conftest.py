@@ -20,6 +20,7 @@ from itmlab import (
     BadTranslationError,
     ItmMap,
     compute_attractor,
+    full_analysis,
     hausdorff_closure_distance,
     minus,
     plus,
@@ -161,6 +162,16 @@ def corpus() -> list[ItmMap]:
     """50+ finite-type maps, r in {2,3,4}, denominators <= 64."""
     rng = random.Random(987123)
     return [random_map(rng) for _ in range(55)]
+
+
+@pytest.fixture(scope="session")
+def a3_violators() -> dict[int, ItmMap]:
+    """The A3 violators among 400 draws ``random_map(rng, 256, (3, 4, 5, 6))``
+    from one ``rng = random.Random(11)``, by draw index. With ``corpus`` the
+    draws make the seeded 455-map sample, which has no other violator."""
+    rng = random.Random(11)
+    draws = [random_map(rng, 256, (3, 4, 5, 6)) for _ in range(400)]
+    return {i: m for i, m in enumerate(draws) if not full_analysis(m).a3.holds}
 
 
 def fraction_views(data) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, Fraction], ...]]:

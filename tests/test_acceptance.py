@@ -157,7 +157,7 @@ def test_criterion_7_ghost_example(ghost_map):
         assert not att.X.contains_signed(p)
     wit = check_A3(fa.ghost_graph).witness
     eps = F(1, 4096)
-    dp = a3_breaking_perturbation(m, wit, eps)
+    dp = a3_breaking_perturbation(fa, eps)
     perturbed = compute_attractor(apply_spec(m, dp.spec))
     assert canonicalize([dp.predicted_interval]).issubset(perturbed.X)
     b1 = m.beta[0]

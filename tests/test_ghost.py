@@ -17,7 +17,7 @@ from itmlab import (
 )
 from itmlab.intervals import SignedPoint
 
-from conftest import naive_ghost_edges
+from conftest import naive_branch_counts, naive_ghost_edges
 
 
 class TestGhostPreimages:
@@ -86,6 +86,15 @@ class TestGhostGraph:
                 }
             total += len(edges)
         assert total > 0
+
+    def test_edge_counts_match_naive(self, fig1, ghost_map, corpus, a3_violators):
+        # each edge carries the branch counts of the steps before its landing
+        total = 0
+        for m in [fig1, ghost_map] + corpus + list(a3_violators.values()):
+            for e in build_ghost_graph(compute_attractor(m)).edges:
+                assert e.counts == naive_branch_counts(m, m.beta[e.child[0] - 1], e.child[1], e.time)
+                total += 1
+        assert total == 64
 
     def test_no_edge_joins_the_two_sides_of_one_discontinuity(
         self, fig1, ghost_map, corpus, corpus_q1024, branchy_q1024

@@ -322,7 +322,7 @@ class TestProbeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: NotRealizableDirectlyError: --directed needs an A3 violation\n")
+            "error: NotRealizableDirectlyError: A3 holds: there is no ghost cycle to break\n")
 
     def test_probe_grid_digit_limit_exit_2(self, files, tmp_path, capsys):
         # each distance is p/q with q dividing 2 lcm(Q, 1024 den(eps)); for
@@ -808,8 +808,7 @@ class TestReportApi:
                             naive_stability_section(analysis))
 
     def test_directed_section_matches_dict_oracle(self, ghost_map):
-        a3 = full_analysis(ghost_map).a3
-        dp = a3_breaking_perturbation(ghost_map, a3.witness, F(1, 4096))
+        dp = a3_breaking_perturbation(full_analysis(ghost_map), F(1, 4096))
         perturbed = full_analysis(apply_spec(ghost_map, dp.spec))
         self.assert_matches(directed_section(dp, perturbed),
                             naive_directed_section(dp, perturbed))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -28,9 +29,14 @@ from itmlab import (
     plus,
     validate,
 )
-from itmlab.ghost import A3Witness
 from itmlab.intervals import SignedPoint
-from conftest import fraction_views, naive_probe_records, random_map, set_hausdorff
+from conftest import (
+    fraction_views,
+    naive_branch_counts,
+    naive_probe_records,
+    random_map,
+    set_hausdorff,
+)
 
 
 def analysis_parts(m):
@@ -483,7 +489,7 @@ class TestDirectedPerturbation:
         from itmlab.ghost import check_A3
         wit = check_A3(fa.ghost_graph).witness
         eps = F(1, 4096)
-        dp = a3_breaking_perturbation(ghost_map, wit, eps)
+        dp = a3_breaking_perturbation(fa, eps)
         assert dp.period == sum(wit.times)
         b1 = ghost_map.beta[0]
         assert dp.predicted_interval in (((b1 - eps), b1), (b1, b1 + eps))
@@ -495,43 +501,65 @@ class TestDirectedPerturbation:
         assert res.point.value == left
 
     def test_epsilon_independent_jump(self, ghost_map):
-        from itmlab.ghost import check_A3
         fa = full_analysis(ghost_map)
-        wit = check_A3(fa.ghost_graph).witness
         base = fa.attractor.X
         d = base.distance_to_closure(ghost_map.beta[0])
         assert d > 0
         jumps = []
         for eps in (F(1, 2048), F(1, 4096)):
-            dp = a3_breaking_perturbation(ghost_map, wit, eps)
+            dp = a3_breaking_perturbation(fa, eps)
             att2 = compute_attractor(apply_spec(ghost_map, dp.spec))
             jumps.append(set_hausdorff(base, att2.X))
         assert all(j >= d / 2 for j in jumps)
 
-    def test_shared_branch_rejected(self, ghost_map):
-        # a fabricated 1-node cycle uses one leg's branches twice
-        node = (1, "-")
-        fake = A3Witness(1, (node, node), (1, 1))
-        with pytest.raises(NotRealizableDirectlyError):
-            a3_breaking_perturbation(ghost_map, fake, F(1, 4096))
+    def test_seeded_sample_has_six_violators(self, a3_violators):
+        assert sorted(a3_violators) == [70, 84, 188, 245, 321, 368]
 
-    def test_mid_leg_hit_rejected(self, ghost_map):
-        from itmlab.ghost import check_A3
-        fa = full_analysis(ghost_map)
-        wit = check_A3(fa.ghost_graph).witness
-        # stretching the first leg makes it pass through its landing point
-        stretched = A3Witness(wit.disc, wit.cycle, (wit.times[0] + 1, wit.times[1]))
-        with pytest.raises(NotRealizableDirectlyError):
-            a3_breaking_perturbation(ghost_map, stretched, F(1, 4096))
+    def test_shared_branch_rejected(self, a3_violators):
+        # two legs of the cycle take a common branch, so no single gamma
+        # shift per leg moves one leg alone
+        for draw in (70, 84):
+            m = a3_violators[draw]
+            fa = full_analysis(m)
+            counts = [naive_branch_counts(m, m.beta[node[0] - 1], node[1], time)
+                      for node, time in zip(fa.a3.witness.cycle, fa.a3.witness.times)]
+            assert any(a[b] and c[b] for a, c in itertools.combinations(counts, 2)
+                       for b in range(m.r))
+            with pytest.raises(NotRealizableDirectlyError, match=(
+                    "^cycle legs share branches; direct gamma shifts cannot decouple them$")):
+                a3_breaking_perturbation(fa, F(1, 4096))
+
+    def test_mid_leg_hit_rejected(self, a3_violators):
+        # some leg's orbit meets another discontinuity before its landing
+        for draw in (188, 245, 321, 368):
+            m = a3_violators[draw]
+            fa = full_analysis(m)
+            cycle, times = fa.a3.witness.cycle, fa.a3.witness.times
+            assert any(
+                m.iterate(SignedPoint(m.beta[node[0] - 1], node[1]), t).point.value in m.beta
+                for node, time in zip(cycle, times) for t in range(1, time)
+            )
+            with pytest.raises(NotRealizableDirectlyError, match=(
+                    "^a cycle leg hits another discontinuity before its landing$")):
+                a3_breaking_perturbation(fa, F(1, 4096))
+
+    def test_a3_holds_rejected(self, fig1):
+        with pytest.raises(NotRealizableDirectlyError,
+                           match="^A3 holds: there is no ghost cycle to break$"):
+            a3_breaking_perturbation(full_analysis(fig1), F(1, 4096))
+
+    def test_capped_analysis_raises(self, ghost_map):
+        # a capped analysis's A3 witness is the not-finite-type dict, so the
+        # ghost graph is read first
+        capped = full_analysis(ghost_map, 1)
+        assert not capped.finite_type
+        with pytest.raises(NotFiniteTypeError):
+            a3_breaking_perturbation(capped, F(1, 4096))
 
     def test_polytope_overflow_rejected(self, ghost_map):
-        from itmlab.ghost import check_A3
-        fa = full_analysis(ghost_map)
-        wit = check_A3(fa.ghost_graph).witness
         with pytest.raises(NotRealizableDirectlyError):
-            a3_breaking_perturbation(ghost_map, wit, F(2))
+            a3_breaking_perturbation(full_analysis(ghost_map), F(2))
 
     def test_non_positive_epsilon_raises(self, ghost_map):
-        wit = full_analysis(ghost_map).a3.witness
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            a3_breaking_perturbation(ghost_map, wit, F(0))
+            a3_breaking_perturbation(full_analysis(ghost_map), F(0))
