@@ -21,10 +21,9 @@ from typing import NamedTuple
 
 from .attractor import AttractorResult
 from .intervals import MINUS, PLUS
-from .kernel import branch_rule
+from .kernel import branch_rule, walk
 
 SignedDisc = tuple[int, str]  # (discontinuity index 1..r-1, side)
-Landing = tuple[int, tuple[int, ...]]  # (time, branch counts of the steps before it)
 
 
 class DepthBoundError(ValueError):
@@ -91,53 +90,28 @@ class GhostTree(NamedTuple):
     repeated: tuple[tuple[int, SignedDisc], ...]  # (level, vertex) seen before
 
 
-def _ghost_walks(attractor: AttractorResult, nodes: list[SignedDisc]) -> dict[SignedDisc, dict[int, Landing]]:
-    """For each signed discontinuity, one walk of its orbit on
-    ``attractor.grid``: the first landing on each beta_j, at a time k >= 1
-    while every point before it is outside X (whose endpoints are
-    ``attractor.ends``).
-
-    A walk stops when the orbit enters X or after Q + 1 steps: outside X no
-    state can repeat, so the orbit either enters X or exhausts the grid.
-    """
-    grid, ends = attractor.grid, attractor.ends
-    cuts, gamma, beta_index = grid.cuts, grid.gamma, grid.beta_index()
-    walks: dict[SignedDisc, dict[int, Landing]] = {}
-    for node in nodes:
-        find = branch_rule(node[1])
-        k = cuts[node[0]]
-        counts = [0] * len(gamma)
-        landed: dict[int, Landing] = {}
-        for t in range(1, attractor.denom + 2):
-            if find(ends, k) % 2:
-                break
-            i = find(cuts, k) - 1
-            counts[i] += 1
-            k += gamma[i]
-            j = beta_index.get(k)
-            if j is not None and j not in landed:
-                landed[j] = (t, tuple(counts))
-        walks[node] = landed
-    return walks
-
-
 def build_ghost_graph(attractor: AttractorResult) -> GhostGraph:
     """Full edge set over all 2(r-1) signed discontinuities of the attractor's
-    grid, one walk per signed discontinuity; a node lies in X iff the branch
-    rule of its side finds its cut at an odd position of ``attractor.ends``."""
-    cuts, ends = attractor.grid.cuts, attractor.ends
-    r = len(cuts) - 1
-    nodes = [(i, side) for i in range(1, r) for side in (MINUS, PLUS)]
-    walks = _ghost_walks(attractor, nodes)
-    edges: list[GhostEdge] = []
-    for parent in nodes:
-        child_side = MINUS if parent[1] == PLUS else PLUS
-        for i in range(1, r):
-            child = (i, child_side)
-            landing = walks[child].get(parent[0])
-            if landing is not None:
-                edges.append(GhostEdge(child, parent, *landing))
+    grid. A node lies in X iff the branch rule of its side finds its cut at
+    an odd position of ``attractor.ends``. Every other node is walked once,
+    until its orbit enters X or for Q + 1 steps (outside X no state can
+    repeat, so the orbit either enters X or exhausts the grid), and its
+    edges are its first landings on each beta_j at t >= 1, the stop included.
+    """
+    grid, ends = attractor.grid, attractor.ends
+    cuts, beta_index = grid.cuts, grid.beta_index()
+    nodes = [(i, side) for i in range(1, len(cuts) - 1) for side in (MINUS, PLUS)]
     in_x = {node: branch_rule(node[1])(ends, cuts[node[0]]) % 2 == 1 for node in nodes}
+    edges: list[GhostEdge] = []
+    for child in [node for node in nodes if not in_x[node]]:
+        hits, t, k, counts = walk(grid, ends, cuts[child[0]], child[1], attractor.denom + 1)
+        parent_side = MINUS if child[1] == PLUS else PLUS
+        landed: set[int] = set()  # only the first landing on each beta_j is an edge
+        for disc, time, before in (*hits[1:], (beta_index.get(k), t, counts)):  # hits[0]: the child
+            if disc is not None and disc not in landed:
+                landed.add(disc)
+                edges.append(GhostEdge(child, (disc, parent_side), time, before))
+    edges.sort(key=lambda e: (e.parent[0], e.parent[1] == PLUS, e.child[0]))  # in node order
     return GhostGraph(tuple(nodes), tuple(edges), in_x)
 
 

@@ -16,9 +16,18 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .intervals import PLUS, EmptySetError, IntervalSet, merge
+from .intervals import MINUS, PLUS, EmptySetError, IntervalSet, merge
 
 IntPair = tuple[int, int]
+
+
+class ChainHit(NamedTuple):
+    """A walk sits on beta_disc at ``time``; ``counts`` is how many of the
+    steps before it took each branch."""
+
+    disc: int
+    time: int
+    counts: tuple[int, ...]
 
 
 class OffGridError(ValueError):
@@ -112,6 +121,37 @@ def push(grid: Grid, pairs: Sequence[IntPair]) -> list[IntPair]:
 def image(grid: Grid, pairs: Sequence[IntPair]) -> list[IntPair]:
     """Exact T(S): the pushed pieces, sorted and merged."""
     return merge(push(grid, pairs))
+
+
+def walk(
+    grid: Grid, ends: Sequence[int], k: int, side: str, steps: int
+) -> tuple[tuple[ChainHit, ...], int, int, tuple[int, ...]]:
+    """Walk the signed point ``k/denom`` with ``side`` for at most ``steps``
+    steps, stopping at the first time t >= 1 at which it lies in the union
+    with sorted endpoints ``ends`` (at an odd position under its branch
+    rule). Returns the discontinuity hits before the stop, time 0 included,
+    the stop time, and the point and branch counts at that time. The branch
+    lookup of a step also finds its hit: ``v+`` on beta_d lies in branch
+    d + 1, ``v-`` on beta_d in branch d.
+    """
+    cuts, gamma = grid.cuts, grid.gamma
+    r = len(gamma)
+    find = branch_rule(side)
+    off = 1 if side == MINUS else 0  # an int: CPython adds two ints faster than an int and a bool
+    hits: list[ChainHit] = []
+    counts = [0] * r
+    for t in range(steps):
+        if t and find(ends, k) & 1:
+            break
+        i = find(cuts, k) - 1
+        d = i + off
+        if cuts[d] == k and 0 < d < r:
+            hits.append(ChainHit(d, t, tuple(counts)))
+        counts[i] += 1
+        k += gamma[i]
+    else:
+        t = steps
+    return tuple(hits), t, k, tuple(counts)
 
 
 def _directed_hausdorff(a: Sequence[int], b: Sequence[int]) -> int:

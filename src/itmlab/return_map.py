@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .attractor import AttractorResult, NotFiniteTypeError
 from .intervals import MINUS, PLUS, Frozen, InvariantError
-from .kernel import Grid, IntPair, branch_rule, split
+from .kernel import ChainHit, Grid, IntPair, branch_rule, split, walk
 
 IDENTITY = "identity"
 ROTATION_LIKE = "rotation_like"
@@ -47,17 +47,6 @@ MANY_BRANCHES = "many_branches"
 
 class NotAComponentError(ValueError):
     """The requested interval is not exactly a component of the attractor."""
-
-
-class ChainHit(NamedTuple):
-    """The chain sits on beta_disc at ``time``; ``counts`` is how many of the
-    steps before it took each branch. Like every per-component record
-    (``SignedChain``, ``LandingRecord`` and the vector records), a
-    NamedTuple, cheaper to build than a :class:`~itmlab.intervals.Frozen` record."""
-
-    disc: int
-    time: int
-    counts: tuple[int, ...]
 
 
 class SignedChain(NamedTuple):
@@ -139,11 +128,10 @@ class ReturnMapData(Frozen):
         if self._source is None:
             grid, kcuts, times, n = self.grid, self.kcuts, self.return_times, self.n_intervals
             J = (kcuts[0], kcuts[-1])
-            beta_index = grid.beta_index()
             return self._checked([
-                _signed_chain(grid, beta_index, J, j, PLUS, kcuts[j], times[j]) for j in range(n)
+                _signed_chain(grid, J, j, PLUS, kcuts[j], times[j]) for j in range(n)
             ] + [
-                _signed_chain(grid, beta_index, J, j, MINUS, kcuts[j], times[j - 1]) for j in range(1, n + 1)
+                _signed_chain(grid, J, j, MINUS, kcuts[j], times[j - 1]) for j in range(1, n + 1)
             ])
         pending = [self]
         src = self._source[0]
@@ -179,35 +167,21 @@ class ReturnMapData(Frozen):
         raise KeyError((j, side))
 
 
-def _signed_chain(
-    grid: Grid, beta_index: dict[int, int], J: IntPair, j: int, side: str, start: int, steps: int
-) -> SignedChain:
-    """Walk the signed point ``start/denom`` with ``side`` on the integer
-    grid for ``steps``, the return time the piece propagation measured; it
-    must be outside J until then and inside J at that time. Record the
-    discontinuity hits with cumulative branch counts, and the counts at entry."""
-    cuts, gamma = grid.cuts, grid.gamma
-    find = branch_rule(side)  # finds the branch, and signed membership of J
-    k = start
-    hits: list[ChainHit] = []
-    counts = [0] * len(gamma)
-    for t in range(steps):
-        if t and find(J, k) == 1:
-            raise InvariantError(
-                f"signed point {Fraction(start, grid.denom)}{side} re-entered J at time {t}, "
-                f"before its return time {steps}"
-            )
-        disc = beta_index.get(k)
-        if disc is not None:
-            hits.append(ChainHit(disc, t, tuple(counts)))
-        i = find(cuts, k) - 1
-        counts[i] += 1
-        k += gamma[i]
-    if find(J, k) != 1:
+def _signed_chain(grid: Grid, J: IntPair, j: int, side: str, start: int, steps: int) -> SignedChain:
+    """The chain of the signed point ``start/denom`` with ``side``: its walk
+    for ``steps``, the return time the piece propagation measured, must stay
+    outside J until then and be inside J at that time."""
+    hits, t, k, counts = walk(grid, J, start, side, steps)
+    if t < steps:
+        raise InvariantError(
+            f"signed point {Fraction(start, grid.denom)}{side} re-entered J at time {t}, "
+            f"before its return time {steps}"
+        )
+    if branch_rule(side)(J, k) != 1:
         raise InvariantError(
             f"signed point {Fraction(start, grid.denom)}{side} is not in J at its return time {steps}"
         )
-    return SignedChain(j, side, tuple(hits), steps, k, tuple(counts))
+    return SignedChain(j, side, hits, steps, k, counts)
 
 
 def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:

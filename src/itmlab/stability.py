@@ -137,7 +137,7 @@ class FullAnalysis(Frozen):
     def a2(self) -> Verdict:
         if not self.finite_type:
             return _NOT_FINITE_TYPE
-        return check_A2(self.attractor, self.return_maps)
+        return check_A2(self)
 
     @cached_property
     def a3(self) -> Verdict:
@@ -255,7 +255,7 @@ def check_A1(return_maps: tuple[ReturnMapData, ...]) -> Verdict:
     return Verdict()
 
 
-def check_A2(attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...]) -> Verdict:
+def check_A2(analysis: FullAnalysis) -> Verdict:
     """Boundary points of dynamically non-trivial components hit no
     discontinuity before returning (time 0 included, so a critical boundary
     point is itself a violation), and no discontinuity sits on the boundary
@@ -266,6 +266,7 @@ def check_A2(attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...])
     perturbation even though its boundary chains are skipped, so a critical
     endpoint anywhere on the closure of X is fatal (``attractor.boundary_hits``).
     """
+    attractor = analysis.attractor
     if not attractor.finite_type:
         raise NotFiniteTypeError("A2 needs a finite-type attractor")
     if attractor.boundary_hits:
@@ -281,7 +282,7 @@ def check_A2(attractor: AttractorResult, return_maps: tuple[ReturnMapData, ...])
             "first_hit": (i, 0),
             "kind": "closure_boundary",
         })
-    for comp_idx, data in enumerate(return_maps, start=1):
+    for comp_idx, data in enumerate(analysis.return_maps, start=1):
         if data.dynamically_trivial:
             continue
         n = data.n_intervals

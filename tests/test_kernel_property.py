@@ -8,7 +8,10 @@ plain Fractions with no kernel code. The return maps are those of
 also equal the direct walk of ``compute_return_map``, whose return time and
 image at every grid cell must be those of ``naive_first_return``. The
 dependence check of every component, and of each copy with one vector
-changed, must agree with ``naive_pattern``'s Fraction nullspace. Needs ``hypothesis``
+changed, must agree with ``naive_pattern``'s Fraction nullspace. Every
+``kernel.walk`` of a signed grid point into X or one component J must give
+the hits, stop, point and counts of ``walk_oracle``, built from
+``ItmMap.iterate`` and ``IntervalSet.contains_signed``. Needs ``hypothesis``
 (the ``test`` extra), kept in its own module so the rest of the tests do not
 depend on it.
 """
@@ -30,6 +33,8 @@ from itmlab import (
     validate,
     verify_touching_equations,
 )
+from itmlab.intervals import MINUS, PLUS, IntervalSet, SignedPoint
+from itmlab.kernel import ChainHit, walk
 from itmlab.vectors import CoefficientVector
 from conftest import (
     fraction_views,
@@ -115,3 +120,72 @@ def test_pattern_against_fraction_nullspace(m):
             assert (res.holds, res.nullity) == naive_pattern(variant, data.n_intervals, dim)
             # P is injective, so the pattern's nullspace embeds in that of A
             assert res.pattern_nullity <= res.nullity
+
+
+def walk_oracle(m, ends, k: int, side: str, steps: int):
+    """``kernel.walk`` in Fractions: one ``ItmMap.iterate`` step at a time,
+    signed membership of the union by ``IntervalSet.contains_signed``."""
+    q = m.Q
+    union = IntervalSet(tuple((Fraction(l, q), Fraction(r, q)) for l, r in zip(ends[::2], ends[1::2])))
+    p, counts, hits = SignedPoint(Fraction(k, q), side), (0,) * m.r, []
+    for t in range(steps + 1):
+        if t == steps or (t and union.contains_signed(p)):
+            return hits, t, p.value, counts
+        if p.value in m.beta:
+            hits.append((m.beta.index(p.value) + 1, t, counts))
+        step = m.iterate(p, 1)
+        p, counts = step.point, tuple(a + b for a, b in zip(counts, step.counts))
+
+
+def assert_walk(m, ends, k: int, side: str, steps: int):
+    hits, t, kstop, counts = walk(m.grid, ends, k, side, steps)
+    assert ([tuple(h) for h in hits], t, Fraction(kstop, m.Q), counts) == walk_oracle(m, ends, k, side, steps)
+    return hits, t, kstop, counts
+
+
+@st.composite
+def walks(draw):
+    """A map, the ends of X or of one component J of its attractor, and a
+    signed grid start (often a cut or an end of the union) with a step bound."""
+    m = draw(maps())
+    att = compute_attractor(m)
+    pick = draw(st.integers(-1, len(att.kcomponents) - 1))
+    ends = att.ends if pick < 0 else att.kcomponents[pick]
+    side = draw(st.sampled_from([MINUS, PLUS]))
+    lo, hi = (1, m.Q) if side == MINUS else (0, m.Q - 1)  # 0- and 1+ do not exist
+    k = draw(st.one_of(st.integers(lo, hi), st.sampled_from([*m.grid.cuts, *ends]).filter(lambda k: lo <= k <= hi)))
+    return m, ends, k, side, draw(st.integers(0, 2 * m.Q + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_walk_against_iterate(case):
+    assert_walk(*case)
+
+
+class TestWalkExamples:
+    """fig1 on the grid 1/42: cuts 14 and 28, X = [7, 13) + [21, 34)."""
+
+    def test_start_on_a_cut_hits_at_time_0(self, fig1):
+        ends = compute_attractor(fig1).ends
+        assert assert_walk(fig1, ends, 14, PLUS, 43) == ((ChainHit(1, 0, (0, 0, 0)),), 2, 26, (0, 2, 0))
+        # 14- lands on beta_2 as it enters X: the stop is not a hit
+        assert assert_walk(fig1, ends, 14, MINUS, 43) == ((ChainHit(1, 0, (0, 0, 0)),), 1, 28, (1, 0, 0))
+
+    def test_start_inside_the_union_is_no_stop(self, fig1):
+        # 7+ lies in J = [7, 13) and returns to it at time 4
+        assert assert_walk(fig1, (7, 13), 7, PLUS, 10) == ((), 4, 12, (1, 2, 1))
+
+    def test_stop_by_the_union_at_time_1(self, fig1):
+        # X is invariant, so a start in X stops one step later
+        assert assert_walk(fig1, compute_attractor(fig1).ends, 7, PLUS, 43)[1:] == (1, 21, (1, 0, 0))
+
+    def test_stop_at_steps(self, fig1):
+        assert assert_walk(fig1, (7, 13), 7, PLUS, 3)[1] == 3
+        assert assert_walk(fig1, (7, 13), 7, PLUS, 0) == ((), 0, 7, (0, 0, 0))
+
+    def test_ends_of_the_interval(self, fig1):
+        # 1- and 0+ are no discontinuities: no time-0 hit
+        ends = compute_attractor(fig1).ends
+        assert assert_walk(fig1, ends, 42, MINUS, 43) == ((), 2, 27, (0, 1, 1))
+        assert assert_walk(fig1, ends, 0, PLUS, 43) == ((ChainHit(1, 1, (1, 0, 0)),), 3, 26, (1, 2, 0))

@@ -271,7 +271,11 @@ def test_no_function_takes_a_map_next_to_an_attractor():
     }
     derived = {"AttractorResult", "FullAnalysis", "GhostGraph", "A3Witness", "ReturnMapData"}
     assert [name for name, seen in words.items() if "ItmMap" in seen and derived & seen] == []
+    # nor an attractor next to a return map derived from it: a function that
+    # needs both takes the analysis that holds them
+    assert [name for name, seen in words.items() if {"AttractorResult", "ReturnMapData"} <= seen] == []
     # the scan reads the annotations where they occur
     assert "ItmMap" in words["attractor.compute_attractor"]
     assert "AttractorResult" in words["return_map.compute_return_map"]
     assert "FullAnalysis" in words["stability.a3_breaking_perturbation"]
+    assert "ReturnMapData" in words["return_map.transported"]

@@ -280,8 +280,8 @@ class TestInvariantErrors:
         # breaks equation p and no earlier one
         real = return_map._signed_chain
 
-        def moved(grid, beta_index, J, j, side, start, steps):
-            c = real(grid, beta_index, J, j, side, start, steps)
+        def moved(grid, J, j, side, start, steps):
+            c = real(grid, J, j, side, start, steps)
             return c._replace(kentry=c.kentry + 1) if side == "-" and j == 4 - p else c
 
         monkeypatch.setattr(return_map, "_signed_chain", moved)

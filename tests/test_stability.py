@@ -39,35 +39,28 @@ from conftest import (
 )
 
 
-def analysis_parts(m):
-    fa = full_analysis(m)
-    return fa.attractor, fa.return_maps
-
-
 class TestConditionChecks:
     def test_fig1_all_hold(self, fig1):
-        att, rms = analysis_parts(fig1)
-        assert check_A1(rms).holds
-        assert check_A2(att, rms).holds
-        assert check_matching(rms).holds
+        fa = full_analysis(fig1)
+        assert check_A1(fa.return_maps).holds
+        assert check_A2(fa).holds
+        assert check_matching(fa.return_maps).holds
 
     def test_rotation_all_hold(self, rotation35):
-        att, rms = analysis_parts(rotation35)
-        assert check_A1(rms).holds
-        assert check_A2(att, rms).holds
-        assert check_matching(rms).holds
+        fa = full_analysis(rotation35)
+        assert check_A1(fa.return_maps).holds
+        assert check_A2(fa).holds
+        assert check_matching(fa.return_maps).holds
 
     def test_iet3_violates_matching(self, iet3):
-        _, rms = analysis_parts(iet3)
-        v = check_matching(rms)
+        v = check_matching(full_analysis(iet3).return_maps)
         assert not v.holds
         assert v.witness["interior_landing_points"] == 2
 
     def test_identity_with_cut_violates_matching(self):
         # both pieces return to themselves; the component only looks joined
         m = validate(2, [F(1, 2)], [F(0), F(0)])
-        _, rms = analysis_parts(m)
-        v = check_matching(rms)
+        v = check_matching(full_analysis(m).return_maps)
         assert not v.holds
         assert "identity" in v.witness["reason"]
         assert not full_analysis(m).stable
@@ -77,9 +70,9 @@ class TestConditionChecks:
         # fixed branch makes the band slide away, so the map is unstable and
         # the closure-boundary clause of A2 must flag it despite the
         # component being dynamically trivial
-        att, rms = analysis_parts(trivial_component_map)
-        assert rms[0].dynamically_trivial
-        v = check_A2(att, rms)
+        fa = full_analysis(trivial_component_map)
+        assert fa.return_maps[0].dynamically_trivial
+        v = check_A2(fa)
         assert not v.holds
         assert v.witness["kind"] == "closure_boundary"
         assert v.witness["first_hit"] == (1, 0)
@@ -189,7 +182,7 @@ class TestVerdict:
         fa = full_analysis(fig1, max_iter=2)
         assert not fa.finite_type and not fa.stable
         with pytest.raises(NotFiniteTypeError):
-            check_A2(fa.attractor, ())
+            check_A2(fa)
 
     def test_stable_is_finite_type_and_the_four_verdicts(self, corpus, branchy_q1024):
         # the uncapped runs give both outcomes of the verdicts, the capped

@@ -154,8 +154,8 @@ class TestChainTimePartition:
 def _minus_landing_skewed(real):
     # the minus chain of every interior cut records its first-hit branch
     # counts in reverse order, so the two sides disagree on L_j
-    def skewed(grid, beta_index, J, j, side, start, cap):
-        c = real(grid, beta_index, J, j, side, start, cap)
+    def skewed(grid, J, j, side, start, cap):
+        c = real(grid, J, j, side, start, cap)
         if side == "+" or not c.hits:
             return c
         first = c.hits[0]
