@@ -110,10 +110,11 @@ def image(m: ItmMap, s: IntervalSet) -> IntervalSet:
 
 
 def orbit_closure(m: ItmMap, s: IntervalSet) -> IntervalSet:
-    """Union of all forward images of ``s`` (stabilizes for finite-type input)."""
+    """Union of all forward images of ``s``, complete by pass Q - 1 (a refined
+    cell moves with its 1/Q cell, whose orbit repeats within Q steps)."""
     grid, total = _to_grid(m, s)
     cur = total
-    for _ in range(2 * m.Q * (m.r + 1)):
+    for _ in range(m.Q):
         cur = kernel.image(grid, cur)
         nxt = kernel.merge(total + cur)
         if nxt == total:

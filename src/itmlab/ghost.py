@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .attractor import AttractorResult
+from .attractor import AttractorResult, NotFiniteTypeError
 from .intervals import MINUS, PLUS
 from .kernel import branch_rule, walk
 
@@ -92,24 +92,27 @@ class GhostTree(NamedTuple):
 
 def build_ghost_graph(attractor: AttractorResult) -> GhostGraph:
     """Full edge set over all 2(r-1) signed discontinuities of the attractor's
-    grid. A node lies in X iff the branch rule of its side finds its cut at
-    an odd position of ``attractor.ends``. Every other node is walked once,
-    until its orbit enters X or for Q + 1 steps (outside X no state can
-    repeat, so the orbit either enters X or exhausts the grid), and its
-    edges are its first landings on each beta_j at t >= 1, the stop included.
+    grid; NotFiniteTypeError if the attractor is capped. A node lies in X iff
+    the branch rule of its side finds its cut at an odd position of
+    ``attractor.ends``. Every other node is walked until its orbit enters X,
+    and its edges are its landings on beta_j at t >= 1, the stop included. A
+    periodic point lies in every X_n, so in X; the walk's points at times
+    0..t-1 lie outside X, so they are distinct signed grid points of one
+    side, and X holds one of each side. So the walk is in X by t = Q - 1 (one
+    that runs out there has entered X), and lands on a beta_j at most once.
     """
+    if not attractor.finite_type:
+        raise NotFiniteTypeError("the ghost graph needs a finite-type attractor")
     grid, ends = attractor.grid, attractor.ends
     cuts, beta_index = grid.cuts, grid.beta_index()
     nodes = [(i, side) for i in range(1, len(cuts) - 1) for side in (MINUS, PLUS)]
     in_x = {node: branch_rule(node[1])(ends, cuts[node[0]]) % 2 == 1 for node in nodes}
     edges: list[GhostEdge] = []
     for child in [node for node in nodes if not in_x[node]]:
-        hits, t, k, counts = walk(grid, ends, cuts[child[0]], child[1], attractor.denom + 1)
+        hits, t, k, counts = walk(grid, ends, cuts[child[0]], child[1], attractor.denom - 1)
         parent_side = MINUS if child[1] == PLUS else PLUS
-        landed: set[int] = set()  # only the first landing on each beta_j is an edge
         for disc, time, before in (*hits[1:], (beta_index.get(k), t, counts)):  # hits[0]: the child
-            if disc is not None and disc not in landed:
-                landed.add(disc)
+            if disc is not None:
                 edges.append(GhostEdge(child, (disc, parent_side), time, before))
     edges.sort(key=lambda e: (e.parent[0], e.parent[1] == PLUS, e.child[0]))  # in node order
     return GhostGraph(tuple(nodes), tuple(edges), in_x)

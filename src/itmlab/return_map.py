@@ -198,13 +198,14 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
     the split points (x, then each cut point once); sorted once by image,
     they give sigma, checked to tile J without gaps, which makes the images
     a view of the cut points and sigma. Every transported return map must
-    equal this walk.
+    equal this walk. T permutes the 1/denom cells of X, so each cell of J
+    returns within |X| - |J| + 1 <= denom steps, the cap.
 
     Raises NotFiniteTypeError when the attractor is not finite type (or the
-    generous safety cap is exceeded), NotAComponentError when J is not
-    exactly one of its components, and InvariantError when the
-    propagation breaks one of its invariants (a piece straddling J, retired
-    pieces that do not match the cut points, images that do not tile J).
+    cap is exceeded), NotAComponentError when J is not exactly one of its
+    components, and InvariantError when the propagation breaks one of its
+    invariants (a piece straddling J, retired pieces that do not match the
+    cut points, images that do not tile J).
     """
     if not attractor.finite_type:
         raise NotFiniteTypeError("attractor did not stabilize")
@@ -217,7 +218,6 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
         raise NotAComponentError(
             f"[{Fraction(kx, denom)}, {Fraction(ky, denom)}) is not a component of the attractor"
         )
-    cap = 2 * denom * max(1, len(kcomponents))
 
     # Pieces (l, r, src_l) at time t on the integer grid; src_l locates the
     # piece's preimage inside J, so a split at value v pulls back to
@@ -227,7 +227,7 @@ def compute_return_map(J: IntPair, attractor: AttractorResult) -> ReturnMapData:
     retired: list[tuple[int, int, int]] = []  # (src_l, img_l, time)
     t = 0
     while moved:
-        if t > cap:
+        if t > denom:  # past every return time (see above)
             raise NotFiniteTypeError("return-time safety cap exceeded")
         pieces, moved = moved, []
         for l, r, src in pieces:

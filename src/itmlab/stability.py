@@ -87,8 +87,6 @@ class FullAnalysis(Frozen):
         component of each tower that closes into a cycle.
         """
         attractor = self.attractor
-        if not attractor.finite_type:
-            raise NotFiniteTypeError("return maps need a finite-type attractor")
         comps = attractor.kcomponents
         n = len(comps)
         cuts, gamma = attractor.grid.cuts, attractor.grid.gamma
@@ -119,8 +117,6 @@ class FullAnalysis(Frozen):
 
     @cached_property
     def ghost_graph(self) -> GhostGraph:
-        if not self.finite_type:
-            raise NotFiniteTypeError("the ghost graph needs a finite-type attractor")
         return build_ghost_graph(self.attractor)
 
     @property

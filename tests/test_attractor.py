@@ -329,6 +329,14 @@ class TestOrbitClosure:
         ob = orbit_closure(fig1, interval(*jb))
         assert oa.union(ob) == att.X
 
+    @pytest.mark.parametrize("q", [2, 3, 7, 50])
+    def test_rotation_needs_q_passes(self, q):
+        # the rotation by 1/Q carries [0, 1/(5Q)) through all Q cells, one
+        # more component per pass, so the union is complete only at pass Q - 1
+        m = validate(2, [F(q - 1, q)], [F(1, q), F(1 - q, q)])
+        closure = orbit_closure(m, interval(F(0), F(1, 5 * q)))
+        assert closure.components() == tuple((F(n, q), F(5 * n + 1, 5 * q)) for n in range(q))
+
 
 class TestNonwanderingWitness:
     def test_point_in_attractor_returns(self, fig1):

@@ -8,12 +8,15 @@ import pytest
 
 from itmlab import (
     DepthBoundError,
+    NotFiniteTypeError,
     build_ghost_graph,
     check_A3,
     compute_attractor,
+    full_analysis,
     ghost_tree,
     minus,
     plus,
+    validate,
 )
 from itmlab.intervals import SignedPoint
 
@@ -63,7 +66,7 @@ class TestGhostGraph:
         for m in [fig1, ghost_map] + corpus[:15]:
             graph = build_ghost_graph(compute_attractor(m))
             for e in graph.edges:
-                assert 1 <= e.time <= m.Q
+                assert 1 <= e.time <= m.Q - 1
                 start = SignedPoint(m.beta[e.child[0] - 1], e.child[1])
                 res = m.iterate(start, e.time)
                 assert res.point.value == m.beta[e.parent[0] - 1]
@@ -109,8 +112,32 @@ class TestGhostGraph:
             total += len(edges)
         assert total == 49
 
+    @pytest.mark.parametrize("q", [5, 9, 64])
+    def test_walk_enters_x_at_the_bound(self, q):
+        # X = [1/Q, 2/Q), one grid point of each side: beta_4+ steps down
+        # one cell at a time, lands on beta_3 and beta_2, drops to 0 and
+        # enters X on beta_1 at exactly Q - 1, the bound of the walk
+        m = validate(5, [F(1, q), F(2, q), F(3, q), F(q - 1, q)],
+                     [F(1, q), F(0), F(-2, q), F(-1, q), F(-1, q)])
+        att = compute_attractor(m)
+        assert att.kcomponents == ((1, 2),)
+        graph = build_ghost_graph(att)
+        assert [(e.parent, e.time) for e in graph.parents((4, "+"))] == [
+            ((1, "-"), q - 1), ((2, "-"), q - 3), ((3, "-"), q - 4)
+        ]
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_capped_attractor_refused(self, fig1, cap):
+        # X_1 and X_2 are not X: a graph of them would be no ghost graph
+        with pytest.raises(NotFiniteTypeError, match="finite-type attractor"):
+            build_ghost_graph(compute_attractor(fig1, cap))
+        analysis = full_analysis(fig1, cap)
+        with pytest.raises(NotFiniteTypeError):
+            analysis.return_maps
+        with pytest.raises(NotFiniteTypeError):
+            analysis.ghost_graph
+
     def test_all_in_x_vacuous(self):
-        from itmlab import validate
         m = validate(2, [F(1, 2)], [F(1, 2), F(-1, 2)])
         graph = build_ghost_graph(compute_attractor(m))
         assert all(graph.in_x.values())

@@ -1,9 +1,11 @@
 """Property test: the integer kernel against the plain Fraction oracles on
 random maps with r in {2, 3, 4} and Q <= 64.
 
-The attractor, every signed chain's entry and every touching value are
-compared with ``naive_attractor`` and ``naive_signed_chain``, which iterate
-plain Fractions with no kernel code. The return maps are those of
+The attractor, the ghost edges, every signed chain's entry and every
+touching value are compared with ``naive_attractor``, ``naive_ghost_edges``
+and ``naive_signed_chain``, which iterate plain Fractions with no kernel
+code; every ghost edge lands by Q - 1 and every return time is at most
+|X| - |J| + 1 grid cells. The return maps are those of
 ``full_analysis``, which transports most of them along towers; each must
 also equal the direct walk of ``compute_return_map``, whose return time and
 image at every grid cell must be those of ``naive_first_return``. The
@@ -40,6 +42,7 @@ from conftest import (
     fraction_views,
     naive_attractor,
     naive_first_return,
+    naive_ghost_edges,
     naive_pattern,
     naive_signed_chain,
 )
@@ -65,7 +68,13 @@ def test_kernel_against_fraction_oracles(m):
     att = analysis.attractor
     assert att.X.components() == tuple(pairs)
     assert att.stabilization_step == step
+    graph = analysis.ghost_graph
+    edges, in_x = naive_ghost_edges(m)
+    assert ({(e.child, e.parent, e.time) for e in graph.edges}, graph.in_x) == (edges, in_x)
+    assert all(e.time <= m.Q - 1 for e in graph.edges)
+    size = sum(r - l for l, r in att.kcomponents)
     for kJ, J, data in zip(att.kcomponents, att.components(), analysis.return_maps):
+        assert max(data.return_times) <= size - (kJ[1] - kJ[0]) + 1
         walked = compute_return_map(kJ, att)
         cut_points = fraction_views(data)[0]
         assert data == walked and data.chains == walked.chains

@@ -140,7 +140,7 @@ class TestErrors:
     def test_return_time_cap(self, fig1):
         # [0, 1/42) lies outside fig1's X, so no piece of it ever returns;
         # named the component of a hand-made attractor on fig1's grid, its
-        # walk stops at the cap 2 * attractor.denom = 84 steps
+        # walk stops at the cap attractor.denom = 42 steps
         att = AttractorResult(fig1.grid, ((0, 1),), 3)
         with pytest.raises(NotFiniteTypeError, match="return-time safety cap exceeded"):
             compute_return_map((0, 1), att)
